@@ -206,8 +206,9 @@ void BenchExprFilterEval() {
   });
 }
 
-/// Selectivity sweep: interpreted per-row EvalBool vs the batch predicate
-/// kernel (selection-vector narrowing) at 1% / 50% / 99% pass rates.
+/// Selectivity sweep: interpreted per-row EvalBool vs the compiled
+/// bytecode predicate (selection-vector narrowing) at 1% / 50% / 99% pass
+/// rates.
 void BenchFilterSelectivity() {
   RowVectorPtr data = MakeKv(1 << 20, 1000);
   struct Point {
@@ -218,7 +219,7 @@ void BenchFilterSelectivity() {
                          Point{"p99", 990}}) {
     ExprPtr pred = ex::And(ex::Ge(ex::Col(0), ex::Lit(int64_t{0})),
                            ex::Lt(ex::Col(0), ex::Lit(p.bound)));
-    size_t interp_matches = 0, batch_matches = 0;
+    size_t interp_matches = 0;
     RunBench(std::string("expr_filter_interp_") + p.name, data->size(),
              data->byte_size(), 0, [&] {
                size_t matches = 0;
@@ -227,35 +228,11 @@ void BenchFilterSelectivity() {
                }
                interp_matches = matches;
              });
-    BatchScratch scratch;
-    SelVector sel;
-    RunBench(std::string("expr_filter_batch_") + p.name, data->size(),
-             data->byte_size(), 1, [&] {
-               RowSpan span{data->data(), data->row_size(), &data->schema()};
-               size_t matches = 0;
-               for (size_t base = 0; base < data->size();
-                    base += RowBatch::kDefaultRows) {
-                 size_t n = std::min(data->size() - base,
-                                     RowBatch::kDefaultRows);
-                 sel.resize(n);
-                 for (size_t i = 0; i < n; ++i) {
-                   sel[i] = static_cast<uint32_t>(base + i);
-                 }
-                 Status st = pred->FilterBatch(span, &sel, &scratch);
-                 if (!st.ok()) std::abort();
-                 matches += sel.size();
-               }
-               batch_matches = matches;
-             });
-    if (interp_matches != batch_matches) {
-      std::fprintf(stderr, "FAIL: filter %s mismatch (%zu vs %zu)\n", p.name,
-                   interp_matches, batch_matches);
-      std::exit(1);
-    }
     // The compiled tier: fused comparison/range opcodes over the same
-    // predicate, batch-sized runs like the interpreted kernel above.
+    // predicate, in batch-sized runs.
     BcProgram prog = BcProgram::CompileFilter(pred, data->schema());
     BcState state;
+    SelVector sel;
     size_t bc_matches = 0;
     RunBench(std::string("expr_bytecode_filter_") + p.name, data->size(),
              data->byte_size(), 1, [&] {
@@ -366,7 +343,7 @@ void BenchFilterMap() {
                  rows_off, rows_on);
     std::exit(1);
   }
-  std::printf("filter_map speedup: %.2fx (batch kernels vs interpreted "
+  std::printf("filter_map speedup: %.2fx (bytecode batch path vs interpreted "
               "per-row, %zu result rows)\n",
               off.seconds / on.seconds, rows_on);
 }
@@ -610,22 +587,24 @@ void BenchThreadScaling() {
     }
   }
 
-  // expr_filter_batch_p50: the 50%-selectivity predicate kernel over
-  // static worker ranges (each worker owns its scratch and selection).
+  // expr_bytecode_filter_p50: the 50%-selectivity predicate program over
+  // static worker ranges (one shared program; each worker owns its
+  // BcState and selection).
   {
     RowVectorPtr data = MakeKv(1 << 20, 1000);
     ExprPtr pred = ex::And(ex::Ge(ex::Col(0), ex::Lit(int64_t{0})),
                            ex::Lt(ex::Col(0), ex::Lit(int64_t{500})));
+    const BcProgram prog = BcProgram::CompileFilter(pred, data->schema());
     size_t matches_t1 = 0;
     for (int t : sweep) {
       size_t matches = 0;
-      RunBench("expr_filter_batch_p50_t" + std::to_string(t), data->size(),
+      RunBench("expr_bytecode_filter_p50_t" + std::to_string(t), data->size(),
                data->byte_size(), 1,
                [&] {
                  std::vector<size_t> bounds = SplitRows(data->size(), t);
                  std::vector<size_t> counts(t, 0);
                  Status st = ParallelFor(t, [&](int w) -> Status {
-                   BatchScratch scratch;
+                   BcState state;
                    SelVector sel;
                    RowSpan span{data->data(), data->row_size(),
                                 &data->schema()};
@@ -639,7 +618,7 @@ void BenchThreadScaling() {
                        sel[i] = static_cast<uint32_t>(base + i);
                      }
                      MODULARIS_RETURN_NOT_OK(
-                         pred->FilterBatch(span, &sel, &scratch));
+                         prog.RunFilter(span, &sel, &state));
                      local += sel.size();
                    }
                    counts[w] = local;
@@ -654,7 +633,8 @@ void BenchThreadScaling() {
         matches_t1 = matches;
       } else if (matches != matches_t1) {
         std::fprintf(stderr,
-                     "FAIL: expr_filter_batch_p50 t%d mismatch (%zu vs %zu)\n",
+                     "FAIL: expr_bytecode_filter_p50 t%d mismatch "
+                     "(%zu vs %zu)\n",
                      t, matches, matches_t1);
         std::exit(1);
       }

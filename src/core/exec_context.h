@@ -43,13 +43,6 @@ struct ExecOptions {
   /// enable_fusion).
   bool enable_vectorized = true;
 
-  /// Bytecode-compile expression trees and group-key codecs (the
-  /// tree-walk → bytecode rung of the compilation ladder;
-  /// docs/DESIGN-expr-bytecode.md). Only active when enable_vectorized is
-  /// also set; the interpreted batch kernels remain the differential
-  /// oracle and the per-node fallback for anything not yet compilable.
-  bool enable_expr_bytecode = true;
-
   /// log2 of the network partitioning fan-out (radix bits). The number of
   /// network partitions is 1 << network_radix_bits; partitions are assigned
   /// to ranks round-robin.

@@ -1,7 +1,5 @@
 #include "core/expr.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
@@ -9,19 +7,6 @@
 
 #include "core/expr_bc.h"
 #include "core/types.h"
-
-/// Vectorization hint for the typed batch kernels (the explicit-SIMD
-/// ROADMAP item): asserts the loop is dependence-free so the compiler
-/// emits SIMD without a runtime alias check. The loops below are also
-/// written branchless (predicate masks + compress-style selection
-/// writes) so the hint has something to vectorize.
-#if defined(__clang__)
-#define MODULARIS_SIMD _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(__GNUC__)
-#define MODULARIS_SIMD _Pragma("GCC ivdep")
-#else
-#define MODULARIS_SIMD
-#endif
 
 namespace modularis {
 
@@ -118,7 +103,7 @@ void HashKeysSpan(const uint8_t* keys, size_t n, uint32_t key_size,
 }
 
 // ---------------------------------------------------------------------------
-// Batch evaluation: interpreted fallbacks
+// Selection contract + bytecode emission defaults
 // ---------------------------------------------------------------------------
 
 Status ValidateSelection(const char* where, const uint32_t* sel, size_t n) {
@@ -131,138 +116,16 @@ Status ValidateSelection(const char* where, const uint32_t* sel, size_t n) {
 int Expr::BcEmitValue(BcCompiler& c, int sel) const {
   (void)c;
   (void)sel;
-  return -1;  // no native form: the compiler emits an EvalBatch fallback
+  return -1;  // no native form: the compiler emits a per-lane fallback
 }
 
 bool Expr::BcEmitFilter(BcCompiler& c, int sel) const {
   (void)c;
   (void)sel;
-  return false;  // derived from the value form, like the base FilterBatch
-}
-
-Status Expr::EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                       BatchColumn* out, BatchScratch* scratch) const {
-  (void)scratch;
-  out->Reset(BatchTag::kItem, n);
-  // Checked per-row evaluation: nested predicate positions (IfExpr
-  // conditions) error instead of silently turning false, matching the
-  // row-at-a-time EvalChecked oracle.
-  for (size_t i = 0; i < n; ++i) {
-    MODULARIS_RETURN_NOT_OK(EvalChecked(rows.row(sel[i]), &out->items[i]));
-  }
-  return Status::OK();
-}
-
-Status Expr::FilterBatch(const RowSpan& rows, SelVector* sel,
-                         BatchScratch* scratch) const {
-  if (sel->empty()) return Status::OK();
-  BatchColumn* v = scratch->AcquireColumn();
-  Status st = EvalBatch(rows, sel->data(), sel->size(), v, scratch);
-  if (st.ok()) {
-    size_t k = 0;
-    switch (v->tag) {
-      case BatchTag::kI64:
-        for (size_t i = 0; i < sel->size(); ++i) {
-          if (v->i64[i] != 0) (*sel)[k++] = (*sel)[i];
-        }
-        sel->resize(k);
-        break;
-      case BatchTag::kF64:
-        for (size_t i = 0; i < sel->size(); ++i) {
-          if (v->f64[i] != 0) (*sel)[k++] = (*sel)[i];
-        }
-        sel->resize(k);
-        break;
-      case BatchTag::kStr:
-        // EvalBoolChecked semantics: a string-valued predicate is a hard
-        // error, on every tier.
-        st = Status::InvalidArgument("predicate " + ToString() +
-                                     " evaluated to a non-numeric value");
-        break;
-      case BatchTag::kItem:
-        for (size_t i = 0; i < sel->size(); ++i) {
-          const Item& item = v->items[i];
-          bool keep = false;
-          if (item.is_i64()) {
-            keep = item.i64() != 0;
-          } else if (item.is_f64()) {
-            keep = item.f64() != 0;
-          } else {
-            st = Status::InvalidArgument("predicate " + ToString() +
-                                         " evaluated to a non-numeric value");
-            break;
-          }
-          if (keep) (*sel)[k++] = (*sel)[i];
-        }
-        if (st.ok()) sel->resize(k);
-        break;
-    }
-  }
-  scratch->ReleaseColumn();
-  return st;
+  return false;  // the compiler derives it from the value form
 }
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Batch kernel helpers
-// ---------------------------------------------------------------------------
-
-/// Marks the rows of `sel` present in `passed` (⊆ sel, both ascending)
-/// with 1 and the rest with 0 — the value form of a predicate.
-void MarkMatches(const uint32_t* sel, size_t n, const SelVector& passed,
-                 BatchColumn* out) {
-  out->Reset(BatchTag::kI64, n);
-  size_t j = 0;
-  for (size_t i = 0; i < n; ++i) {
-    bool hit = j < passed.size() && passed[j] == sel[i];
-    out->i64[i] = hit ? 1 : 0;
-    if (hit) ++j;
-  }
-}
-
-/// Value kernel of a predicate node: narrow a copy of the selection, then
-/// mark survivors. Checked narrowing — the value form mirrors
-/// EvalChecked, the oracle of every tier.
-Status EvalViaFilter(const Expr& e, const RowSpan& rows, const uint32_t* sel,
-                     size_t n, BatchColumn* out, BatchScratch* scratch) {
-  SelVector* s = scratch->AcquireSel();
-  s->assign(sel, sel + n);
-  Status st = e.FilterBatch(rows, s, scratch);
-  if (st.ok()) MarkMatches(sel, n, *s, out);
-  scratch->ReleaseSel();
-  return st;
-}
-
-/// In place: remaining -= removed. Returns true when `removed` was an
-/// ascending subset of `remaining` — the FilterBatch postcondition every
-/// subtract site relies on: a child that hands back an unsorted (or
-/// foreign) selection would otherwise silently leave its rows in
-/// `remaining` and corrupt the result. The check is free: the merge
-/// cursor `j` reaches removed.size() iff `removed` is an ascending
-/// subsequence of `remaining`. Callers turn false into a hard Status so
-/// a future unsorted producer fails loudly.
-[[nodiscard]] bool SubtractSorted(SelVector* remaining,
-                                  const SelVector& removed) {
-  size_t k = 0, j = 0;
-  for (size_t i = 0; i < remaining->size(); ++i) {
-    if (j < removed.size() && removed[j] == (*remaining)[i]) {
-      ++j;
-      continue;
-    }
-    (*remaining)[k++] = (*remaining)[i];
-  }
-  remaining->resize(k);
-  return j == removed.size();
-}
-
-/// The loud failure for a SubtractSorted precondition violation.
-Status UnsortedSelectionError(const char* op) {
-  return Status::Internal(
-      std::string(op) +
-      ": child FilterBatch returned a selection that is not an ascending "
-      "subset of its input");
-}
 
 // ---------------------------------------------------------------------------
 // Node implementations
@@ -324,86 +187,6 @@ class ColumnRefExpr : public Expr {
         return BatchTag::kStr;
     }
     return BatchTag::kItem;
-  }
-
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch*) const override {
-    // Debug-build defense of the SelVector contract right where its
-    // violation would bite: a permuted selection aliases the contiguity
-    // test below and silently mis-assigns lanes.
-    assert(IsAscendingSel(sel, n) &&
-           "EvalBatch selection must be strictly ascending");
-    const uint32_t off = rows.schema->offset(index_);
-    // A dense (contiguous) selection turns the gather into a fixed-stride
-    // load the auto-vectorizer handles; all-pass batches hit this path.
-    const bool contiguous =
-        n > 0 && static_cast<size_t>(sel[n - 1] - sel[0]) == n - 1;
-    const uint8_t* base =
-        n > 0 ? rows.row_ptr(sel[0]) + off : nullptr;
-    const uint32_t stride = rows.stride;
-    switch (rows.schema->field(index_).type) {
-      case AtomType::kInt32:
-      case AtomType::kDate: {
-        out->Reset(BatchTag::kI64, n);
-        if (contiguous) {
-          MODULARIS_SIMD
-          for (size_t i = 0; i < n; ++i) {
-            int32_t v;
-            std::memcpy(&v, base + i * stride, sizeof(v));
-            out->i64[i] = v;
-          }
-          break;
-        }
-        for (size_t i = 0; i < n; ++i) {
-          int32_t v;
-          std::memcpy(&v, rows.row_ptr(sel[i]) + off, sizeof(v));
-          out->i64[i] = v;
-        }
-        break;
-      }
-      case AtomType::kInt64: {
-        out->Reset(BatchTag::kI64, n);
-        if (contiguous) {
-          MODULARIS_SIMD
-          for (size_t i = 0; i < n; ++i) {
-            std::memcpy(&out->i64[i], base + i * stride, sizeof(int64_t));
-          }
-          break;
-        }
-        for (size_t i = 0; i < n; ++i) {
-          std::memcpy(&out->i64[i], rows.row_ptr(sel[i]) + off,
-                      sizeof(int64_t));
-        }
-        break;
-      }
-      case AtomType::kFloat64: {
-        out->Reset(BatchTag::kF64, n);
-        if (contiguous) {
-          MODULARIS_SIMD
-          for (size_t i = 0; i < n; ++i) {
-            std::memcpy(&out->f64[i], base + i * stride, sizeof(double));
-          }
-          break;
-        }
-        for (size_t i = 0; i < n; ++i) {
-          std::memcpy(&out->f64[i], rows.row_ptr(sel[i]) + off,
-                      sizeof(double));
-        }
-        break;
-      }
-      case AtomType::kString: {
-        out->Reset(BatchTag::kStr, n);
-        for (size_t i = 0; i < n; ++i) {
-          const uint8_t* p = rows.row_ptr(sel[i]) + off;
-          uint16_t len;
-          std::memcpy(&len, p, sizeof(len));
-          out->str[i] =
-              std::string_view(reinterpret_cast<const char*>(p + 2), len);
-        }
-        break;
-      }
-    }
-    return Status::OK();
   }
 
   int BcEmitValue(BcCompiler& c, int sel) const override {
@@ -491,27 +274,6 @@ class LiteralExpr : public Expr {
     }
   }
 
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    switch (value_.kind()) {
-      case Item::Kind::kInt64:
-        out->Reset(BatchTag::kI64, n);
-        std::fill(out->i64.begin(), out->i64.end(), value_.i64());
-        return Status::OK();
-      case Item::Kind::kFloat64:
-        out->Reset(BatchTag::kF64, n);
-        std::fill(out->f64.begin(), out->f64.end(), value_.f64());
-        return Status::OK();
-      case Item::Kind::kString:
-        out->Reset(BatchTag::kStr, n);
-        std::fill(out->str.begin(), out->str.end(),
-                  std::string_view(value_.str()));
-        return Status::OK();
-      default:
-        return Expr::EvalBatch(rows, sel, n, out, scratch);
-    }
-  }
-
   std::string ToString() const override { return value_.ToString(); }
 
   ExprKind kind() const override { return ExprKind::kLiteral; }
@@ -594,146 +356,6 @@ class CompareExpr : public Expr {
 
   BatchTag BatchType(const Schema&) const override { return BatchTag::kI64; }
 
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    return EvalViaFilter(*this, rows, sel, n, out, scratch);
-  }
-
-  Status FilterBatch(const RowSpan& rows, SelVector* sel,
-                     BatchScratch* scratch) const override {
-    if (sel->empty()) return Status::OK();
-    const BatchTag lt = lhs_->BatchType(*rows.schema);
-    const BatchTag rt = rhs_->BatchType(*rows.schema);
-    if (lt == BatchTag::kItem || rt == BatchTag::kItem) {
-      // Dynamically typed side: per-row checked evaluation materializes
-      // Items exactly like the row path's EvalBoolChecked.
-      size_t k = 0;
-      for (size_t i = 0; i < sel->size(); ++i) {
-        bool keep = false;
-        MODULARIS_RETURN_NOT_OK(EvalBoolChecked(rows.row((*sel)[i]), &keep));
-        if (keep) (*sel)[k++] = (*sel)[i];
-      }
-      sel->resize(k);
-      return Status::OK();
-    }
-    BatchColumn* a = scratch->AcquireColumn();
-    BatchColumn* b = scratch->AcquireColumn();
-    Status st = lhs_->EvalBatch(rows, sel->data(), sel->size(), a, scratch);
-    if (st.ok()) {
-      st = rhs_->EvalBatch(rows, sel->data(), sel->size(), b, scratch);
-    }
-    if (st.ok()) {
-      const size_t n = sel->size();
-      size_t k = 0;
-      if (lt == BatchTag::kStr || rt == BatchTag::kStr) {
-        // Mirrors CompareViews: a non-string side contributes the empty
-        // view to the string comparison.
-        for (size_t i = 0; i < n; ++i) {
-          std::string_view x =
-              lt == BatchTag::kStr ? a->str[i] : std::string_view();
-          std::string_view y =
-              rt == BatchTag::kStr ? b->str[i] : std::string_view();
-          int c = x.compare(y) < 0 ? -1 : (x == y ? 0 : 1);
-          if (Holds(c)) (*sel)[k++] = (*sel)[i];
-        }
-        sel->resize(k);
-      } else {
-        // SIMD two-pass: a branchless per-op predicate mask (this loop
-        // vectorizes: one compare per lane, no data-dependent control
-        // flow), then a compress pass over the selection. Selectivity
-        // no longer costs branch mispredicts.
-        SelVector* mask = scratch->AcquireSel();
-        mask->resize(n);
-        uint32_t* m = mask->data();
-        if (lt == BatchTag::kF64 || rt == BatchTag::kF64) {
-          if (lt != BatchTag::kF64) {
-            a->f64.resize(n);
-            MODULARIS_SIMD
-            for (size_t i = 0; i < n; ++i) {
-              a->f64[i] = static_cast<double>(a->i64[i]);
-            }
-          }
-          if (rt != BatchTag::kF64) {
-            b->f64.resize(n);
-            MODULARIS_SIMD
-            for (size_t i = 0; i < n; ++i) {
-              b->f64[i] = static_cast<double>(b->i64[i]);
-            }
-          }
-          const double* x = a->f64.data();
-          const double* y = b->f64.data();
-          switch (op_) {
-            case CmpOp::kEq:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] == y[i];
-              break;
-            case CmpOp::kNe:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] != y[i];
-              break;
-            case CmpOp::kLt:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] < y[i];
-              break;
-            case CmpOp::kLe:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] <= y[i];
-              break;
-            case CmpOp::kGt:
-              // Written as negations so a NaN operand still orders as
-              // "greater", exactly like the row path's three-way compare.
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = !(x[i] <= y[i]);
-              break;
-            case CmpOp::kGe:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = !(x[i] < y[i]);
-              break;
-          }
-        } else {
-          const int64_t* x = a->i64.data();
-          const int64_t* y = b->i64.data();
-          switch (op_) {
-            case CmpOp::kEq:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] == y[i];
-              break;
-            case CmpOp::kNe:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] != y[i];
-              break;
-            case CmpOp::kLt:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] < y[i];
-              break;
-            case CmpOp::kLe:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] <= y[i];
-              break;
-            case CmpOp::kGt:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] > y[i];
-              break;
-            case CmpOp::kGe:
-              MODULARIS_SIMD
-              for (size_t i = 0; i < n; ++i) m[i] = x[i] >= y[i];
-              break;
-          }
-        }
-        uint32_t* sp = sel->data();
-        for (size_t i = 0; i < n; ++i) {
-          sp[k] = sp[i];
-          k += m[i];
-        }
-        sel->resize(k);
-        scratch->ReleaseSel();
-      }
-    }
-    scratch->ReleaseColumn();
-    scratch->ReleaseColumn();
-    return st;
-  }
-
   int BcEmitValue(BcCompiler& c, int sel) const override {
     return c.EmitPredicateValue(*this, sel);
   }
@@ -745,8 +367,8 @@ class CompareExpr : public Expr {
       c.EmitFilterFallback(*this, sel);  // dynamically typed side
       return true;
     }
-    // Both sides are always evaluated, in lhs-then-rhs order, exactly
-    // like the interpreted kernel — so errors nested inside a side keep
+    // Both sides are always evaluated, in lhs-then-rhs order, like the
+    // row path's checked slow path — so errors nested inside a side keep
     // their precedence even when the comparison ignores its value.
     int la = c.CompileValue(*lhs_, sel);
     int lb = c.CompileValue(*rhs_, sel);
@@ -865,58 +487,9 @@ class ArithExpr : public Expr {
     return BatchTag::kF64;
   }
 
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    const BatchTag tag = BatchType(*rows.schema);
-    if (tag == BatchTag::kItem) {
-      return Expr::EvalBatch(rows, sel, n, out, scratch);
-    }
-    BatchColumn* a = scratch->AcquireColumn();
-    BatchColumn* b = scratch->AcquireColumn();
-    Status st = lhs_->EvalBatch(rows, sel, n, a, scratch);
-    if (st.ok()) st = rhs_->EvalBatch(rows, sel, n, b, scratch);
-    if (st.ok()) {
-      out->Reset(tag, n);
-      if (tag == BatchTag::kI64) {
-        switch (op_) {
-          case ArithOp::kAdd:
-            MODULARIS_SIMD
-            for (size_t i = 0; i < n; ++i) out->i64[i] = a->i64[i] + b->i64[i];
-            break;
-          case ArithOp::kSub:
-            MODULARIS_SIMD
-            for (size_t i = 0; i < n; ++i) out->i64[i] = a->i64[i] - b->i64[i];
-            break;
-          case ArithOp::kMul:
-            MODULARIS_SIMD
-            for (size_t i = 0; i < n; ++i) out->i64[i] = a->i64[i] * b->i64[i];
-            break;
-          case ArithOp::kDiv:
-            break;  // unreachable: kDiv is typed kF64
-        }
-      } else {
-        const bool lf = a->tag == BatchTag::kF64;
-        const bool rf = b->tag == BatchTag::kF64;
-        for (size_t i = 0; i < n; ++i) {
-          double x = lf ? a->f64[i] : static_cast<double>(a->i64[i]);
-          double y = rf ? b->f64[i] : static_cast<double>(b->i64[i]);
-          switch (op_) {
-            case ArithOp::kAdd: out->f64[i] = x + y; break;
-            case ArithOp::kSub: out->f64[i] = x - y; break;
-            case ArithOp::kMul: out->f64[i] = x * y; break;
-            case ArithOp::kDiv: out->f64[i] = y == 0 ? 0.0 : x / y; break;
-          }
-        }
-      }
-    }
-    scratch->ReleaseColumn();
-    scratch->ReleaseColumn();
-    return st;
-  }
-
   int BcEmitValue(BcCompiler& c, int sel) const override {
     const BatchTag tag = BatchType(c.schema());
-    if (tag == BatchTag::kItem) return -1;  // interpreted fallback
+    if (tag == BatchTag::kItem) return -1;  // per-lane fallback
     int a = c.CompileValue(*lhs_, sel);
     int b = c.CompileValue(*rhs_, sel);
     BcInst in;
@@ -1031,22 +604,6 @@ class AndExpr : public Expr {
 
   BatchTag BatchType(const Schema&) const override { return BatchTag::kI64; }
 
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    return EvalViaFilter(*this, rows, sel, n, out, scratch);
-  }
-
-  Status FilterBatch(const RowSpan& rows, SelVector* sel,
-                     BatchScratch* scratch) const override {
-    // Child-by-child narrowing IS short-circuit evaluation: a row that
-    // fails child i never reaches child i+1, exactly as in the row path.
-    for (const ExprPtr& c : children_) {
-      if (sel->empty()) return Status::OK();
-      MODULARIS_RETURN_NOT_OK(c->FilterBatch(rows, sel, scratch));
-    }
-    return Status::OK();
-  }
-
   int BcEmitValue(BcCompiler& c, int sel) const override {
     return c.EmitPredicateValue(*this, sel);
   }
@@ -1130,51 +687,14 @@ class OrExpr : public Expr {
 
   BatchTag BatchType(const Schema&) const override { return BatchTag::kI64; }
 
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    return EvalViaFilter(*this, rows, sel, n, out, scratch);
-  }
-
-  Status FilterBatch(const RowSpan& rows, SelVector* sel,
-                     BatchScratch* scratch) const override {
-    if (sel->empty()) return Status::OK();
-    // Each child only sees the rows every earlier child rejected — the
-    // short-circuit dual of AND's narrowing.
-    SelVector* remaining = scratch->AcquireSel();
-    SelVector* accepted = scratch->AcquireSel();
-    SelVector* tmp = scratch->AcquireSel();
-    *remaining = *sel;
-    accepted->clear();
-    Status st = Status::OK();
-    for (const ExprPtr& c : children_) {
-      if (remaining->empty()) break;
-      *tmp = *remaining;
-      st = c->FilterBatch(rows, tmp, scratch);
-      if (!st.ok()) break;
-      accepted->insert(accepted->end(), tmp->begin(), tmp->end());
-      if (!SubtractSorted(remaining, *tmp)) {
-        st = UnsortedSelectionError("OR");
-        break;
-      }
-    }
-    if (st.ok()) {
-      std::sort(accepted->begin(), accepted->end());
-      *sel = *accepted;
-    }
-    scratch->ReleaseSel();
-    scratch->ReleaseSel();
-    scratch->ReleaseSel();
-    return st;
-  }
-
   int BcEmitValue(BcCompiler& c, int sel) const override {
     return c.EmitPredicateValue(*this, sel);
   }
 
   bool BcEmitFilter(BcCompiler& c, int sel) const override {
-    // remaining/accepted/tmp mirror the interpreted OR: each child filters
-    // only what every earlier child rejected, matches are accumulated and
-    // re-sorted at the end.
+    // Each child filters only what every earlier child rejected (the
+    // short-circuit dual of AND's narrowing); matches are accumulated in
+    // `accepted` and re-sorted at the end.
     const int remaining = c.NewSel();
     const int accepted = c.NewSel();
     const int tmp = c.NewSel();
@@ -1250,22 +770,6 @@ class NotExpr : public Expr {
     return Status::OK();
   }
   BatchTag BatchType(const Schema&) const override { return BatchTag::kI64; }
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    return EvalViaFilter(*this, rows, sel, n, out, scratch);
-  }
-  Status FilterBatch(const RowSpan& rows, SelVector* sel,
-                     BatchScratch* scratch) const override {
-    if (sel->empty()) return Status::OK();
-    SelVector* tmp = scratch->AcquireSel();
-    *tmp = *sel;
-    Status st = inner_->FilterBatch(rows, tmp, scratch);
-    if (st.ok() && !SubtractSorted(sel, *tmp)) {
-      st = UnsortedSelectionError("NOT");
-    }
-    scratch->ReleaseSel();
-    return st;
-  }
   int BcEmitValue(BcCompiler& c, int sel) const override {
     return c.EmitPredicateValue(*this, sel);
   }
@@ -1371,39 +875,6 @@ class LikeExpr : public Expr {
 
   BatchTag BatchType(const Schema&) const override { return BatchTag::kI64; }
 
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    return EvalViaFilter(*this, rows, sel, n, out, scratch);
-  }
-
-  Status FilterBatch(const RowSpan& rows, SelVector* sel,
-                     BatchScratch* scratch) const override {
-    if (sel->empty()) return Status::OK();
-    const BatchTag it = input_->BatchType(*rows.schema);
-    if (it == BatchTag::kI64 || it == BatchTag::kF64) {
-      sel->clear();  // non-string LIKE input never matches (row-path rule)
-      return Status::OK();
-    }
-    BatchColumn* v = scratch->AcquireColumn();
-    Status st = input_->EvalBatch(rows, sel->data(), sel->size(), v, scratch);
-    if (st.ok()) {
-      size_t k = 0;
-      for (size_t i = 0; i < sel->size(); ++i) {
-        bool match;
-        if (v->tag == BatchTag::kStr) {
-          match = LikeMatch(v->str[i], pattern_);
-        } else {
-          const Item& item = v->items[i];
-          match = item.is_str() && LikeMatch(item.str(), pattern_);
-        }
-        if (match) (*sel)[k++] = (*sel)[i];
-      }
-      sel->resize(k);
-    }
-    scratch->ReleaseColumn();
-    return st;
-  }
-
   int BcEmitValue(BcCompiler& c, int sel) const override {
     return c.EmitPredicateValue(*this, sel);
   }
@@ -1497,39 +968,6 @@ class InStrExpr : public Expr {
 
   BatchTag BatchType(const Schema&) const override { return BatchTag::kI64; }
 
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    return EvalViaFilter(*this, rows, sel, n, out, scratch);
-  }
-
-  Status FilterBatch(const RowSpan& rows, SelVector* sel,
-                     BatchScratch* scratch) const override {
-    if (sel->empty()) return Status::OK();
-    const BatchTag it = input_->BatchType(*rows.schema);
-    if (it == BatchTag::kI64 || it == BatchTag::kF64) {
-      sel->clear();  // non-string input is never a member (row-path rule)
-      return Status::OK();
-    }
-    BatchColumn* v = scratch->AcquireColumn();
-    Status st = input_->EvalBatch(rows, sel->data(), sel->size(), v, scratch);
-    if (st.ok()) {
-      size_t k = 0;
-      for (size_t i = 0; i < sel->size(); ++i) {
-        bool member;
-        if (v->tag == BatchTag::kStr) {
-          member = Contains(v->str[i]);
-        } else {
-          const Item& item = v->items[i];
-          member = item.is_str() && Contains(item.str());
-        }
-        if (member) (*sel)[k++] = (*sel)[i];
-      }
-      sel->resize(k);
-    }
-    scratch->ReleaseColumn();
-    return st;
-  }
-
   int BcEmitValue(BcCompiler& c, int sel) const override {
     return c.EmitPredicateValue(*this, sel);
   }
@@ -1591,7 +1029,7 @@ class InStrExpr : public Expr {
 
  private:
   // Transparent hashing so membership tests take string_view without a
-  // per-row std::string allocation (the batch kernel's hot loop).
+  // per-row std::string allocation (the row path's hot loop).
   struct SvHash {
     using is_transparent = void;
     size_t operator()(std::string_view s) const {
@@ -1652,39 +1090,6 @@ class InIntExpr : public Expr {
   }
 
   BatchTag BatchType(const Schema&) const override { return BatchTag::kI64; }
-
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    return EvalViaFilter(*this, rows, sel, n, out, scratch);
-  }
-
-  Status FilterBatch(const RowSpan& rows, SelVector* sel,
-                     BatchScratch* scratch) const override {
-    if (sel->empty()) return Status::OK();
-    const BatchTag it = input_->BatchType(*rows.schema);
-    if (it == BatchTag::kF64 || it == BatchTag::kStr) {
-      sel->clear();  // non-integer input is never a member (row-path rule)
-      return Status::OK();
-    }
-    BatchColumn* v = scratch->AcquireColumn();
-    Status st = input_->EvalBatch(rows, sel->data(), sel->size(), v, scratch);
-    if (st.ok()) {
-      size_t k = 0;
-      for (size_t i = 0; i < sel->size(); ++i) {
-        bool member = false;
-        if (v->tag == BatchTag::kI64) {
-          member = Contains(v->i64[i]);
-        } else {
-          const Item& item = v->items[i];
-          member = item.is_i64() && Contains(item.i64());
-        }
-        if (member) (*sel)[k++] = (*sel)[i];
-      }
-      sel->resize(k);
-    }
-    scratch->ReleaseColumn();
-    return st;
-  }
 
   int BcEmitValue(BcCompiler& c, int sel) const override {
     return c.EmitPredicateValue(*this, sel);
@@ -1766,7 +1171,7 @@ class IfExpr : public Expr {
   Status EvalChecked(const RowRef& row, Item* out) const override {
     // The checked row tier routes the condition through EvalBoolChecked:
     // a string-valued condition is a hard error here, exactly as it is on
-    // the batch and bytecode tiers (unchecked Eval() keeps the legacy
+    // the bytecode tier (unchecked Eval() keeps the legacy
     // silent-false coercion for callers that ask for it explicitly).
     bool cond = false;
     MODULARIS_RETURN_NOT_OK(cond_->EvalBoolChecked(row, &cond));
@@ -1777,75 +1182,14 @@ class IfExpr : public Expr {
     const BatchTag t = then_->BatchType(schema);
     const BatchTag e = else_->BatchType(schema);
     // Branches of different static types produce per-row dynamic typing —
-    // exactly what the interpreted kItem fallback exists for.
+    // exactly what the per-lane kItem fallback exists for.
     return (t == e && t != BatchTag::kItem) ? t : BatchTag::kItem;
-  }
-
-  Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                   BatchColumn* out, BatchScratch* scratch) const override {
-    const BatchTag tag = BatchType(*rows.schema);
-    if (tag == BatchTag::kItem) {
-      return Expr::EvalBatch(rows, sel, n, out, scratch);
-    }
-    // Split the selection by the condition (checked: a non-numeric
-    // condition is a hard error), evaluate each branch only on its rows,
-    // and merge positionally.
-    SelVector* passed = scratch->AcquireSel();
-    SelVector* failed = scratch->AcquireSel();
-    passed->assign(sel, sel + n);
-    Status st = cond_->FilterBatch(rows, passed, scratch);
-    if (st.ok()) {
-      failed->assign(sel, sel + n);
-      if (!SubtractSorted(failed, *passed)) {
-        st = UnsortedSelectionError("IF");
-      }
-    }
-    if (st.ok()) {
-      BatchColumn* tc = scratch->AcquireColumn();
-      BatchColumn* ec = scratch->AcquireColumn();
-      st = then_->EvalBatch(rows, passed->data(), passed->size(), tc,
-                            scratch);
-      if (st.ok()) {
-        st = else_->EvalBatch(rows, failed->data(), failed->size(), ec,
-                              scratch);
-      }
-      if (st.ok()) {
-        out->Reset(tag, n);
-        size_t jp = 0, jf = 0;
-        for (size_t i = 0; i < n; ++i) {
-          bool hit = jp < passed->size() && (*passed)[jp] == sel[i];
-          switch (tag) {
-            case BatchTag::kI64:
-              out->i64[i] = hit ? tc->i64[jp] : ec->i64[jf];
-              break;
-            case BatchTag::kF64:
-              out->f64[i] = hit ? tc->f64[jp] : ec->f64[jf];
-              break;
-            case BatchTag::kStr:
-              out->str[i] = hit ? tc->str[jp] : ec->str[jf];
-              break;
-            case BatchTag::kItem:
-              break;  // unreachable: handled by the fallback above
-          }
-          if (hit) {
-            ++jp;
-          } else {
-            ++jf;
-          }
-        }
-      }
-      scratch->ReleaseColumn();
-      scratch->ReleaseColumn();
-    }
-    scratch->ReleaseSel();
-    scratch->ReleaseSel();
-    return st;
   }
 
   int BcEmitValue(BcCompiler& c, int sel) const override {
     // Dead-branch elimination: a constant numeric condition selects one
     // branch at compile time; the other is never emitted (even if it is
-    // a kItem subtree the compiler could only run interpreted).
+    // a kItem subtree the compiler could only run per lane).
     Item cv;
     if (c.TryConstEval(*cond_, &cv) && (cv.is_i64() || cv.is_f64())) {
       const bool truthy = cv.is_i64() ? cv.i64() != 0 : cv.f64() != 0;
@@ -1853,8 +1197,8 @@ class IfExpr : public Expr {
     }
     const BatchTag tag = BatchType(c.schema());
     if (tag == BatchTag::kItem) return -1;  // per-row dynamic typing
-    // Split / branch-evaluate / positional merge — the bytecode shape of
-    // the typed EvalBatch above.
+    // Split the selection by the (checked) condition, evaluate each
+    // branch only on its rows, and merge positionally.
     const int passed = c.NewSel();
     const int failed = c.NewSel();
     auto sel_op = [&c](BcOp op, int s, int s2) {

@@ -10,10 +10,11 @@
 /// \file expr_bc.cc
 /// The bytecode VM, compiler plumbing, optimizer passes, and the fused
 /// group-key serialize+hash kernel. The semantic ground truth for every
-/// kernel here is the interpreted batch path in expr.cc — each opcode's
-/// loop is a transliteration of the corresponding FilterBatch/EvalBatch
-/// loop, so byte-equality with the oracle holds by construction and the
-/// differential harness in tests/test_expr_batch.cc enforces it.
+/// kernel here is the row-at-a-time Expr::EvalChecked / EvalBoolChecked
+/// oracle in expr.cc: each opcode applies that oracle's per-value rules
+/// (three-way compares, NaN ordering, division by zero, checked
+/// predicates) column-wise, and the differential harness in
+/// tests/test_expr_batch.cc enforces byte-equality with it.
 
 #if defined(__clang__)
 #define MODULARIS_BC_SIMD \
@@ -43,7 +44,9 @@ inline bool CmpHoldsThreeWay(CmpOp op, int c) {
 }
 
 /// remaining -= removed, returning false unless `removed` is an
-/// ascending subset (the same check SubtractSorted does in expr.cc).
+/// ascending subset of `remaining`: the merge cursor reaches
+/// removed.size() iff it is, so a child that hands back an unsorted or
+/// foreign selection fails loudly instead of corrupting the result.
 [[nodiscard]] bool SubtractSortedSel(SelVector* remaining,
                                      const SelVector& removed) {
   size_t k = 0, j = 0;
@@ -59,8 +62,7 @@ inline bool CmpHoldsThreeWay(CmpOp op, int c) {
 }
 
 /// Branchless compress of `sel` by a per-lane predicate. `pred(i)` must
-/// be 0/1; mirrors the mask+compress two-pass of the interpreted
-/// compare kernels (same surviving set, one pass).
+/// be 0/1; selectivity costs no branch mispredicts.
 template <typename Pred>
 inline void CompressSel(SelVector* sel, Pred pred) {
   uint32_t* sp = sel->data();
@@ -99,7 +101,7 @@ inline void FilterCmpI64Loop(CmpOp op, SelVector* sel, Lhs x, Rhs y) {
 }
 
 /// f64 comparison filters: kGt/kGe as negations so a NaN operand still
-/// orders as "greater", exactly like the interpreted kernel.
+/// orders as "greater", exactly like the row path's three-way compare.
 template <typename Lhs, typename Rhs>
 inline void FilterCmpF64Loop(CmpOp op, SelVector* sel, Lhs x, Rhs y) {
   switch (op) {
@@ -293,7 +295,7 @@ int BcCompiler::CompileValue(const Expr& e, int sel) {
 
 void BcCompiler::CompileFilter(const Expr& e, int sel) {
   // Constant predicate: statically keep-all / drop-all / raise, with the
-  // same checked semantics the interpreted FilterBatch applies.
+  // same checked semantics as EvalBoolChecked.
   Item c;
   if (TryConstEval(e, &c)) {
     ++prog_->stats_.folded;
@@ -311,9 +313,9 @@ void BcCompiler::CompileFilter(const Expr& e, int sel) {
     return;
   }
   if (e.BcEmitFilter(*this, sel)) return;
-  // Generic derivation from the value form — the shape of the base
-  // Expr::FilterBatch: evaluate, then narrow by non-zero / raise on a
-  // statically string-typed predicate / per-row fallback on kItem.
+  // Generic derivation from the value form: evaluate, then narrow by
+  // non-zero / raise on a statically string-typed predicate / per-lane
+  // fallback on kItem.
   switch (e.BatchType(*schema_)) {
     case BatchTag::kI64: {
       int r = CompileValue(e, sel);
@@ -347,7 +349,7 @@ void BcCompiler::CompileFilter(const Expr& e, int sel) {
 
 int BcCompiler::EmitPredicateValue(const Expr& e, int sel) {
   // Value form of a predicate: narrow a copy of the selection, then
-  // mark membership 0/1 — the bytecode EvalViaFilter.
+  // mark each lane 1 if it survived the filtered copy, else 0.
   int tmp = NewSel();
   BcInst cp;
   cp.op = BcOp::kSelCopy;
@@ -367,7 +369,7 @@ int BcCompiler::EmitPredicateValue(const Expr& e, int sel) {
 
 int BcCompiler::EmitEvalFallback(const Expr& e, int sel) {
   ++prog_->stats_.value_fallbacks;
-  int r = NewReg(e.BatchType(*schema_));
+  int r = NewReg(BatchTag::kItem);
   BcInst in;
   in.op = BcOp::kEvalFallback;
   in.dst = static_cast<uint16_t>(r);
@@ -917,16 +919,28 @@ Status BcProgram::Run(const RowSpan& rows, BcState* state) const {
         break;
 
       case BcOp::kEvalFallback: {
-        Status st =
-            nodes_[I.imm]->EvalBatch(rows, sels[I.s].data(), sels[I.s].size(),
-                                     &regs[I.dst], state->scratch());
-        if (!st.ok()) return st;
+        const SelVector& sv = sels[I.s];
+        BatchColumn& r = regs[I.dst];
+        r.Reset(BatchTag::kItem, sv.size());
+        for (size_t i = 0; i < sv.size(); ++i) {
+          MODULARIS_RETURN_NOT_OK(
+              nodes_[I.imm]->EvalChecked(rows.row(sv[i]), &r.items[i]));
+        }
         break;
       }
       case BcOp::kFilterFallback: {
-        Status st =
-            nodes_[I.imm]->FilterBatch(rows, &sels[I.s], state->scratch());
-        if (!st.ok()) return st;
+        // The row path's per-lane EvalBoolChecked, so the first failing
+        // lane reports the same error. Narrowing in place is safe: lane
+        // k <= i is written only after lane i is read.
+        const Expr& e = *nodes_[I.imm];
+        SelVector& sv = sels[I.s];
+        size_t k = 0;
+        for (size_t i = 0; i < sv.size(); ++i) {
+          bool keep = false;
+          MODULARIS_RETURN_NOT_OK(e.EvalBoolChecked(rows.row(sv[i]), &keep));
+          if (keep) sv[k++] = sv[i];
+        }
+        sv.resize(k);
         break;
       }
     }
@@ -1009,7 +1023,7 @@ bool WritesValueReg(BcOp op) {
 }
 
 /// Whether a value-writing instruction is removable when its dst is
-/// unread. kEvalFallback is excluded: its interpreted evaluation can
+/// unread. kEvalFallback is excluded: its per-lane evaluation can
 /// surface a checked-semantics error, which is observable.
 bool IsRemovable(BcOp op) {
   return WritesValueReg(op) && op != BcOp::kEvalFallback;

@@ -61,8 +61,13 @@ Result<std::string> S3SelectEngine::Select(
           break;
       }
     }
-    if (predicate != nullptr && !predicate->EvalBool(scratch->row(0))) {
-      continue;
+    if (predicate != nullptr) {
+      // Checked, like every other tier: a predicate that evaluates to a
+      // non-numeric value fails the request instead of dropping the row.
+      bool keep = false;
+      MODULARIS_RETURN_NOT_OK(
+          predicate->EvalBoolChecked(scratch->row(0), &keep));
+      if (!keep) continue;
     }
     for (size_t oc = 0; oc < cols.size(); ++oc) {
       const Column& src = table->column(cols[oc]);

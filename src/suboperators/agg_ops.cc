@@ -1,6 +1,7 @@
 #include "suboperators/agg_ops.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -182,9 +183,8 @@ Status ReduceByKey::Open(ExecContext* ctx) {
     codec_ = KeyCodec(in_schema_, key_cols_);
     // Fused serialize+hash program for the chunked byte-key kernels.
     // Byte-identical to SerializeKeys + HashKeysSpan by construction.
-    key_prog_ = ctx->options.enable_expr_bytecode
-                    ? KeyProgram(in_schema_, key_cols_)
-                    : KeyProgram();
+    key_prog_ = KeyProgram(in_schema_, key_cols_);
+    assert(key_prog_.valid());
   }
 
   // Compile the update plan: direct offsets when every aggregate input is
@@ -439,13 +439,8 @@ void ReduceByKey::AggregatePartition(
   RowSpan span{rows, stride, &schema};
   for (size_t base = 0; base < n; base += kKeyChunkRows) {
     const size_t m = std::min(n - base, kKeyChunkRows);
-    if (key_prog_.valid()) {
-      key_prog_.SerializeAndHash(span, base, m, key_scratch->data(),
-                                 hash_scratch->data());
-    } else {
-      codec_.SerializeKeys(span, base, m, key_scratch->data());
-      HashKeysSpan(key_scratch->data(), m, ks, hash_scratch->data());
-    }
+    key_prog_.SerializeAndHash(span, base, m, key_scratch->data(),
+                               hash_scratch->data());
     for (size_t i = 0; i < m; ++i) {
       bool inserted = false;
       uint32_t state = table->FindOrInsert(key_scratch->data() + i * ks, ks,
@@ -495,13 +490,7 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
       for (size_t base = bounds[w]; base < bounds[w + 1];
            base += kKeyChunkRows) {
         const size_t m = std::min(bounds[w + 1] - base, kKeyChunkRows);
-        if (key_prog_.valid()) {
-          key_prog_.SerializeAndHash(span, base, m, keys.data(),
-                                     hashes.data());
-        } else {
-          codec_.SerializeKeys(span, base, m, keys.data());
-          HashKeysSpan(keys.data(), m, ks, hashes.data());
-        }
+        key_prog_.SerializeAndHash(span, base, m, keys.data(), hashes.data());
         for (size_t i = 0; i < m; ++i) {
           const uint8_t pid = static_cast<uint8_t>(hashes[i] >> kPidShift);
           pids[base + i] = pid;
@@ -625,13 +614,8 @@ void ReduceByKey::ComputeKeyHashes(const uint8_t* rows, size_t n,
   RowSpan span{rows, stride, &schema};
   for (size_t base = 0; base < n; base += kKeyChunkRows) {
     const size_t m = std::min(n - base, kKeyChunkRows);
-    if (key_prog_.valid()) {
-      key_prog_.SerializeAndHash(span, base, m, keys.data(),
-                                 hashes->data() + base);
-    } else {
-      codec_.SerializeKeys(span, base, m, keys.data());
-      HashKeysSpan(keys.data(), m, ks, hashes->data() + base);
-    }
+    key_prog_.SerializeAndHash(span, base, m, keys.data(),
+                               hashes->data() + base);
   }
 }
 
@@ -981,13 +965,8 @@ void ReduceByKey::AccumulateSpan(const uint8_t* rows, size_t n,
   RowSpan span{rows, stride, &schema};
   for (size_t base = 0; base < n; base += kKeyChunkRows) {
     const size_t m = std::min(n - base, kKeyChunkRows);
-    if (key_prog_.valid()) {
-      key_prog_.SerializeAndHash(span, base, m, key_scratch_.data(),
-                                 hash_scratch_.data());
-    } else {
-      codec_.SerializeKeys(span, base, m, key_scratch_.data());
-      HashKeysSpan(key_scratch_.data(), m, ks, hash_scratch_.data());
-    }
+    key_prog_.SerializeAndHash(span, base, m, key_scratch_.data(),
+                               hash_scratch_.data());
     for (size_t i = 0; i < m; ++i) {
       bool inserted = false;
       uint32_t state = byte_table_.FindOrInsert(

@@ -269,8 +269,7 @@ class ReduceByKey : public SubOperator {
   /// fixed-stride serialized keys (KeyCodec) probed into the flat
   /// open-addressing ByteStateTable.
   KeyCodec codec_;
-  /// Fused serialize+hash bytecode program (invalid when the toggle is
-  /// off; falls back to SerializeKeys + HashKeysSpan).
+  /// Fused serialize+hash program; every chunked byte-key kernel runs it.
   KeyProgram key_prog_;
   ByteStateTable byte_table_;
   std::vector<uint8_t> key_scratch_;
@@ -327,7 +326,7 @@ struct SortKey {
 /// Three-way compare of f64 sort keys under a TOTAL order: NaN is greater
 /// than every non-NaN and equal to itself, so NaN sorts last ascending /
 /// first descending — the same "NaN orders as greater" rule the
-/// MODULARIS_SIMD compare kernels document (core/expr.cc). -0.0 == 0.0 as
+/// expression compare kernels document (core/expr_bc.cc). -0.0 == 0.0 as
 /// in IEEE compares. The plain `x < y ? -1 : (x == y ? 0 : 1)` idiom is
 /// NOT a strict weak ordering once a NaN appears (NaN would compare
 /// "greater" than itself), which hands std::sort/std::stable_sort

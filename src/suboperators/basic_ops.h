@@ -205,14 +205,12 @@ class Filter : public SubOperator {
   RowBatch in_batch_;
   RowVectorPtr out_rows_;
   SelVector sel_;
-  BatchScratch expr_scratch_;
-  // Bytecode tier, compiled lazily against the first batch's schema.
+  // Bytecode program, compiled lazily against the first batch's schema.
   // Programs are immutable after compilation; the BcState (register
   // files) is this operator's alone, so worker clones — which construct
   // their own Filter — never share mutable state.
-  std::unique_ptr<BcProgram> bc_prog_;
-  std::unique_ptr<BcState> bc_state_;
-  bool bc_compile_attempted_ = false;
+  BcProgram bc_prog_;
+  BcState bc_state_;
 };
 
 /// One output column of a Map: either a passthrough of an input column or
@@ -251,7 +249,7 @@ class MapOp : public SubOperator {
   bool ProducesRecordStream() const override { return row_item_ == 0; }
   /// Batch path: pulls selectively (consuming upstream Filter selection
   /// vectors without an intermediate compaction copy) and projects whole
-  /// batches column-wise through the batch expression kernels.
+  /// batches column-wise through compiled bytecode programs.
   bool NextBatch(RowBatch* out) override;
 
   SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override {
@@ -277,13 +275,12 @@ class MapOp : public SubOperator {
   RowBatch in_batch_;
   RowVectorPtr out_rows_;
   SelVector identity_sel_;
-  BatchScratch expr_scratch_;
-  // Bytecode tier: one value program per computed output column,
-  // compiled lazily against the first batch's schema (empty entries for
-  // passthrough columns and for columns that fell back entirely).
-  std::vector<std::unique_ptr<BcProgram>> bc_progs_;
-  std::unique_ptr<BcState> bc_state_;
-  bool bc_compile_attempted_ = false;
+  // One value program per output column, compiled lazily against the
+  // first batch's schema (invalid for passthrough columns). `bc_col_`
+  // receives each program's result in turn.
+  std::vector<BcProgram> bc_progs_;
+  BcState bc_state_;
+  BatchColumn bc_col_;
 };
 
 /// ParametrizedMap transforms each record of its data upstream with a

@@ -1,13 +1,15 @@
 /// \file test_expr_batch.cc
-/// Differential/property harness for the batch expression evaluator:
+/// Differential/property harness for batch expression evaluation:
 /// thousands of random (seeded, reproducible) Expr trees over a mixed
-/// i64/f64/string/i32/date schema, asserting that the column-wise kernels
-/// (EvalBatch) and selection-vector predicates (FilterBatch) are
-/// byte-equal to the interpreted per-row oracle (Eval / EvalBoolChecked),
-/// including division-by-zero (yields f64 0.0), -0.0, empty strings,
-/// empty batches, subset selections, and the hard-error rule for
-/// non-numeric predicate results. Plus operator-level regressions for the
-/// selection-vector flow through Filter → Map → ReduceByKey.
+/// i64/f64/string/i32/date schema, asserting that the compiled bytecode
+/// programs — value (RunValue) and selection-vector predicate (RunFilter)
+/// forms, optimized and raw — are byte-equal to the row-at-a-time oracle
+/// (EvalChecked / EvalBoolChecked), including division-by-zero (yields
+/// f64 0.0), -0.0, empty strings, empty batches, subset selections, the
+/// per-lane fallbacks for statically untyped nodes, and the hard-error
+/// rule for non-numeric predicate results. Plus operator-level
+/// regressions for the selection-vector flow through Filter → Map →
+/// ReduceByKey.
 
 #include <cstring>
 #include <random>
@@ -122,7 +124,7 @@ ExprPtr GenNum(std::mt19937_64* rng, int depth) {
                        Gen(rng, depth - 1, Want::kNum));
     }
     case 8:
-      // Mixed-type IF branches exercise the interpreted kItem fallback.
+      // Mixed-type IF branches exercise the per-lane kItem fallback.
       return ex::If(Gen(rng, depth - 1, Want::kBool),
                     Gen(rng, depth - 1, Want::kNum),
                     Gen(rng, depth - 1, Want::kNum));
@@ -196,7 +198,7 @@ ExprPtr Gen(std::mt19937_64* rng, int depth, Want want) {
 // Differential checks
 // ---------------------------------------------------------------------------
 
-/// Compares one batch-evaluated value against the interpreted oracle.
+/// Compares one bytecode-evaluated value against the row oracle.
 void ExpectValueEqual(const BatchColumn& col, size_t i, const Item& expected,
                       const std::string& label) {
   switch (col.tag) {
@@ -223,55 +225,66 @@ void ExpectValueEqual(const BatchColumn& col, size_t i, const Item& expected,
   }
 }
 
-/// Runs every differential check for one expression over one row set,
-/// across all three tiers: interpreted per-row (the oracle), the batch
-/// kernels, and the compiled bytecode programs (optimized and raw).
+/// How many compiled programs of a corpus contain each per-lane fallback
+/// opcode, so the harness can prove both are exercised.
+struct FallbackCoverage {
+  size_t value_programs = 0;   // programs with a kEvalFallback
+  size_t filter_programs = 0;  // programs with a kFilterFallback
+};
+
+void NoteFallbacks(const BcProgram& prog, FallbackCoverage* coverage) {
+  if (prog.stats().value_fallbacks > 0) ++coverage->value_programs;
+  if (prog.stats().filter_fallbacks > 0) ++coverage->filter_programs;
+}
+
+/// Runs every differential check for one expression over one row set:
+/// the compiled bytecode programs, optimized and raw, against the
+/// row-at-a-time oracle (EvalChecked / EvalBoolChecked) on values,
+/// selections and error verdicts.
 void CheckTree(const ExprPtr& expr, const RowVector& rows,
-               const SelVector& sel, BatchScratch* scratch,
-               const std::string& label) {
+               const SelVector& sel, const std::string& label,
+               FallbackCoverage* coverage) {
   RowSpan span{rows.data(), rows.row_size(), &rows.schema()};
   const size_t n = sel.size();
+  const BatchTag static_tag = expr->BatchType(rows.schema());
 
-  // 1. Value parity: batch kernel vs per-row Eval().
-  BatchColumn col;
-  Status st = expr->EvalBatch(span, sel.data(), n, &col, scratch);
-  ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
-  ASSERT_EQ(col.size(), n) << label;
-  ASSERT_EQ(col.tag, expr->BatchType(rows.schema())) << label;
-  for (size_t i = 0; i < n; ++i) {
-    Item expected = expr->Eval(rows.row(sel[i]));
-    ExpectValueEqual(col, i, expected, label + " row " + std::to_string(i));
+  // 1. Value parity: RunValue vs per-row EvalChecked.
+  std::vector<Item> expected(n);
+  bool value_error = false;
+  for (size_t i = 0; i < n && !value_error; ++i) {
+    value_error = !expr->EvalChecked(rows.row(sel[i]), &expected[i]).ok();
   }
-
-  // 1b. Bytecode value parity: byte-equal to the batch kernel column,
-  // with and without the optimizer.
   BcState bc_state;
   for (bool optimize : {true, false}) {
     BcProgram prog = BcProgram::CompileValue(expr, rows.schema(), optimize);
     ASSERT_TRUE(prog.valid()) << label;
+    NoteFallbacks(prog, coverage);
     // Dead-branch elimination may narrow a statically mixed-type (kItem)
     // IF to the taken branch's concrete tag; values are still checked
-    // per row against the interpreted oracle below.
-    if (col.tag != BatchTag::kItem) {
-      ASSERT_EQ(prog.value_tag(), col.tag) << label;
+    // per row against the oracle below.
+    if (static_tag != BatchTag::kItem) {
+      ASSERT_EQ(prog.value_tag(), static_tag) << label;
     }
-    BatchColumn bc_col;
-    st = prog.RunValue(span, sel.data(), n, &bc_col, &bc_state);
-    ASSERT_TRUE(st.ok()) << label << " (bc value opt=" << optimize
+    BatchColumn col;
+    Status st = prog.RunValue(span, sel.data(), n, &col, &bc_state);
+    if (value_error) {
+      ASSERT_FALSE(st.ok()) << label << " (value opt=" << optimize
+                            << "): oracle errored, bytecode did not";
+      continue;
+    }
+    ASSERT_TRUE(st.ok()) << label << " (value opt=" << optimize
                          << "): " << st.ToString();
-    ASSERT_EQ(bc_col.size(), n) << label;
-    if (col.tag != BatchTag::kItem) {
-      ASSERT_EQ(bc_col.tag, col.tag) << label;
-    }
+    ASSERT_EQ(col.size(), n) << label;
+    ASSERT_EQ(col.tag, prog.value_tag()) << label;
     for (size_t i = 0; i < n; ++i) {
-      Item expected = expr->Eval(rows.row(sel[i]));
-      ExpectValueEqual(bc_col, i, expected,
-                       label + " (bc value opt=" + std::to_string(optimize) +
+      ExpectValueEqual(col, i, expected[i],
+                       label + " (value opt=" + std::to_string(optimize) +
                            ") row " + std::to_string(i));
     }
   }
 
-  // 2. Checked predicate parity: FilterBatch vs per-row EvalBoolChecked.
+  // 2. Checked predicate parity: RunFilter vs per-row EvalBoolChecked —
+  // identical selections, or the same error verdict.
   SelVector expected_sel;
   bool oracle_error = false;
   for (size_t i = 0; i < n && !oracle_error; ++i) {
@@ -283,52 +296,47 @@ void CheckTree(const ExprPtr& expr, const RowVector& rows,
       expected_sel.push_back(sel[i]);
     }
   }
-  SelVector got_sel = sel;
-  st = expr->FilterBatch(span, &got_sel, scratch);
-  if (oracle_error) {
-    ASSERT_FALSE(st.ok()) << label << ": oracle errored, batch did not";
-  } else {
-    ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
-    ASSERT_EQ(got_sel, expected_sel) << label;
-  }
-
-  // 2b. Bytecode predicate parity: identical selections (or the same
-  // error verdict), with and without the optimizer.
   for (bool optimize : {true, false}) {
     BcProgram prog = BcProgram::CompileFilter(expr, rows.schema(), optimize);
     ASSERT_TRUE(prog.valid()) << label;
+    NoteFallbacks(prog, coverage);
     SelVector bc_sel = sel;
-    st = prog.RunFilter(span, &bc_sel, &bc_state);
+    Status st = prog.RunFilter(span, &bc_sel, &bc_state);
     if (oracle_error) {
       ASSERT_FALSE(st.ok())
-          << label << " (bc filter opt=" << optimize
+          << label << " (filter opt=" << optimize
           << "): oracle errored, bytecode did not";
     } else {
-      ASSERT_TRUE(st.ok()) << label << " (bc filter opt=" << optimize
+      ASSERT_TRUE(st.ok()) << label << " (filter opt=" << optimize
                            << "): " << st.ToString();
       ASSERT_EQ(bc_sel, expected_sel)
-          << label << " (bc filter opt=" << optimize << ")";
+          << label << " (filter opt=" << optimize << ")";
     }
   }
 
-  // 3. Empty selection: trivially OK on every path.
+  // 3. Empty selection: trivially OK on both entry points.
   SelVector empty;
-  st = expr->FilterBatch(span, &empty, scratch);
+  BcProgram fprog = BcProgram::CompileFilter(expr, rows.schema());
+  Status st = fprog.RunFilter(span, &empty, &bc_state);
   ASSERT_TRUE(st.ok()) << label;
   ASSERT_TRUE(empty.empty()) << label;
-  st = expr->EvalBatch(span, nullptr, 0, &col, scratch);
+  BcProgram vprog = BcProgram::CompileValue(expr, rows.schema());
+  BatchColumn col;
+  st = vprog.RunValue(span, nullptr, 0, &col, &bc_state);
   ASSERT_TRUE(st.ok()) << label;
   ASSERT_EQ(col.size(), 0u) << label;
-  BcProgram fprog = BcProgram::CompileFilter(expr, rows.schema());
-  st = fprog.RunFilter(span, &empty, &bc_state);
-  ASSERT_TRUE(st.ok()) << label;
-  ASSERT_TRUE(empty.empty()) << label;
+}
+
+SelVector AllRows(const RowVector& rows) {
+  SelVector all(rows.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  return all;
 }
 
 TEST(ExprBatchDifferentialTest, RandomTreesMatchInterpretedOracle) {
   const size_t kRows = 96;
   const int kTreesPerKind = 420;  // 3 kinds → 1260 trees total
-  BatchScratch scratch;
+  FallbackCoverage coverage;
   for (int kind = 0; kind < 3; ++kind) {
     for (int t = 0; t < kTreesPerKind; ++t) {
       std::mt19937_64 rng(1000003u * kind + t);  // seeded, reproducible
@@ -339,9 +347,7 @@ TEST(ExprBatchDifferentialTest, RandomTreesMatchInterpretedOracle) {
                           expr->ToString();
 
       // Identity selection over the full batch.
-      SelVector all(kRows);
-      for (size_t i = 0; i < kRows; ++i) all[i] = static_cast<uint32_t>(i);
-      CheckTree(expr, *rows, all, &scratch, label);
+      CheckTree(expr, *rows, AllRows(*rows), label, &coverage);
 
       // Random subset selection (kernels must honor gaps).
       SelVector subset;
@@ -349,39 +355,85 @@ TEST(ExprBatchDifferentialTest, RandomTreesMatchInterpretedOracle) {
       for (size_t i = 0; i < kRows; ++i) {
         if (coin(rng) == 0) subset.push_back(static_cast<uint32_t>(i));
       }
-      CheckTree(expr, *rows, subset, &scratch, label + " (subset)");
+      CheckTree(expr, *rows, subset, label + " (subset)", &coverage);
     }
   }
+  // Both per-lane fallback opcodes must actually run in the corpus, or
+  // the checks above never cover them.
+  EXPECT_GT(coverage.value_programs, 0u);
+  EXPECT_GT(coverage.filter_programs, 0u);
 }
 
 TEST(ExprBatchDifferentialTest, EmptyBatchAllPaths) {
   RowVectorPtr rows = RowVector::Make(TestSchema());
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  BatchScratch scratch;
   ExprPtr expr = ex::And(ex::Lt(ex::Col(0), ex::Lit(int64_t{3})),
                          ex::Like(ex::Col(2), "a%"));
-  SelVector sel;
-  ASSERT_TRUE(expr->FilterBatch(span, &sel, &scratch).ok());
-  EXPECT_TRUE(sel.empty());
-  BatchColumn col;
-  ASSERT_TRUE(expr->EvalBatch(span, nullptr, 0, &col, &scratch).ok());
-  EXPECT_EQ(col.size(), 0u);
+  BcState state;
+  for (bool optimize : {true, false}) {
+    SelVector sel;
+    BcProgram fprog = BcProgram::CompileFilter(expr, rows->schema(), optimize);
+    ASSERT_TRUE(fprog.RunFilter(span, &sel, &state).ok());
+    EXPECT_TRUE(sel.empty());
+    BcProgram vprog = BcProgram::CompileValue(expr, rows->schema(), optimize);
+    BatchColumn col;
+    ASSERT_TRUE(vprog.RunValue(span, nullptr, 0, &col, &state).ok());
+    EXPECT_EQ(col.size(), 0u);
+  }
 }
 
 TEST(ExprBatchDifferentialTest, DivisionByZeroYieldsFloat64Zero) {
   std::mt19937_64 rng(7);
   RowVectorPtr rows = MakeRows(&rng, 64);
-  BatchScratch scratch;
   ExprPtr expr = ex::Div(ex::Col(0), ex::Lit(int64_t{0}));
   ASSERT_EQ(expr->BatchType(rows->schema()), BatchTag::kF64);
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  CheckTree(expr, *rows, all, &scratch, "div-by-zero");
+  const SelVector all = AllRows(*rows);
+  FallbackCoverage coverage;
+  CheckTree(expr, *rows, all, "div-by-zero", &coverage);
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
+  BcProgram prog = BcProgram::CompileValue(expr, rows->schema());
+  BcState state;
   BatchColumn col;
-  ASSERT_TRUE(expr->EvalBatch(span, all.data(), all.size(), &col, &scratch)
-                  .ok());
+  ASSERT_TRUE(prog.RunValue(span, all.data(), all.size(), &col, &state).ok());
   for (size_t i = 0; i < col.size(); ++i) EXPECT_EQ(col.f64[i], 0.0);
+}
+
+TEST(ExprBatchDifferentialTest, PerLaneFallbacksMatchOracle) {
+  // Mixed-type IF branches are statically kItem: the compiler emits the
+  // per-lane EvalChecked fallbacks for them, in value and in filter
+  // position.
+  std::mt19937_64 rng(29);
+  RowVectorPtr rows = MakeRows(&rng, 64);
+  RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
+  const SelVector all = AllRows(*rows);
+  ExprPtr numeric = ex::If(ex::Gt(ex::Col(0), ex::Lit(int64_t{0})),
+                           ex::Col(0), ex::Lit(0.5));  // i64 vs f64
+  BcProgram vprog = BcProgram::CompileValue(numeric, rows->schema());
+  EXPECT_EQ(vprog.stats().value_fallbacks, 1u) << vprog.Disassemble();
+  EXPECT_EQ(vprog.value_tag(), BatchTag::kItem);
+  BcProgram fprog = BcProgram::CompileFilter(numeric, rows->schema());
+  EXPECT_EQ(fprog.stats().filter_fallbacks, 1u) << fprog.Disassemble();
+  FallbackCoverage coverage;
+  CheckTree(numeric, *rows, all, "numeric kItem IF", &coverage);
+  EXPECT_GT(coverage.value_programs, 0u);
+  EXPECT_GT(coverage.filter_programs, 0u);
+
+  // A kItem predicate yielding a string on some lanes: the filter
+  // fallback raises the oracle's exact error.
+  ExprPtr stringy = ex::If(ex::Gt(ex::Col(0), ex::Lit(int64_t{0})),
+                           ex::Lit(int64_t{1}), ex::Col(2));  // i64 vs str
+  Status want;
+  for (uint32_t r : all) {
+    bool keep = false;
+    want = stringy->EvalBoolChecked(rows->row(r), &keep);
+    if (!want.ok()) break;
+  }
+  ASSERT_FALSE(want.ok());
+  BcProgram sprog = BcProgram::CompileFilter(stringy, rows->schema());
+  BcState state;
+  SelVector sel = all;
+  Status got = sprog.RunFilter(span, &sel, &state);
+  EXPECT_EQ(got.ToString(), want.ToString());
 }
 
 // ---------------------------------------------------------------------------
@@ -407,16 +459,15 @@ TEST(StringPredicateTest, ExprLevelCheckedError) {
   // Legacy unchecked EvalBool keeps the silent-false behavior.
   EXPECT_FALSE(pred->EvalBool(rows->row(0)));
 
-  BatchScratch scratch;
+  // The bytecode tier raises the identical error, optimized or raw.
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector sel = {0, 1, 2};
-  EXPECT_FALSE(pred->FilterBatch(span, &sel, &scratch).ok());
-  // The bytecode tier raises the identical error.
-  BcProgram prog = BcProgram::CompileFilter(pred, rows->schema());
-  BcState state;
-  sel = {0, 1, 2};
-  Status bst = prog.RunFilter(span, &sel, &state);
-  EXPECT_FALSE(bst.ok());
+  for (bool optimize : {true, false}) {
+    BcProgram prog = BcProgram::CompileFilter(pred, rows->schema(), optimize);
+    BcState state;
+    SelVector sel = {0, 1, 2};
+    Status bst = prog.RunFilter(span, &sel, &state);
+    EXPECT_EQ(bst.ToString(), st.ToString()) << "opt=" << optimize;
+  }
 }
 
 TEST(StringPredicateTest, FilterRowPathFailsHard) {
@@ -428,7 +479,7 @@ TEST(StringPredicateTest, FilterRowPathFailsHard) {
   EXPECT_FALSE(filter.status().ok());
 }
 
-TEST(StringPredicateTest, FilterBatchPathFailsHard) {
+TEST(StringPredicateTest, FilterVectorizedPathFailsHard) {
   Filter filter(ScanOf(MixedRows(16)),
                 ex::And(ex::Ge(ex::Col(0), ex::Lit(int64_t{-1000000})),
                         ex::Col(2)));
@@ -612,21 +663,22 @@ TEST(BytecodeOptimizerTest, ConstantFoldingDivByZeroMatchesEvaluation) {
 TEST(BytecodeOptimizerTest, ShortCircuitSkipsErroringChild) {
   // AND narrows child by child; once the selection is empty, a later
   // child that would raise (a statically string-typed predicate) must
-  // never fire — on the interpreted tier or the compiled one.
+  // never fire — on the row oracle or the compiled tier.
   std::mt19937_64 rng(5);
   RowVectorPtr rows = MakeRows(&rng, 32);
   ExprPtr never = ex::Eq(ex::Col(0), ex::Lit(int64_t{123456789}));
   ExprPtr raising = ex::Col(2);  // string column as a predicate
   ExprPtr expr = ex::And(never, raising);
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  const SelVector all = AllRows(*rows);
 
-  BatchScratch scratch;
-  SelVector sel = all;
-  ASSERT_TRUE(expr->FilterBatch(span, &sel, &scratch).ok());
-  EXPECT_TRUE(sel.empty());
+  for (uint32_t r : all) {
+    bool keep = true;
+    ASSERT_TRUE(expr->EvalBoolChecked(rows->row(r), &keep).ok());
+    EXPECT_FALSE(keep);
+  }
 
+  SelVector sel;
   for (bool optimize : {true, false}) {
     BcProgram prog = BcProgram::CompileFilter(expr, rows->schema(), optimize);
     BcState state;
@@ -637,12 +689,12 @@ TEST(BytecodeOptimizerTest, ShortCircuitSkipsErroringChild) {
     EXPECT_TRUE(sel.empty());
   }
 
-  // Flipped order: every lane reaches the string predicate, so all
-  // three tiers must raise.
+  // Flipped order: every lane reaches the string predicate, so both
+  // tiers must raise.
   ExprPtr always = ex::Ge(ex::Col(0), ex::Lit(int64_t{-10000000}));
   ExprPtr bad = ex::And(always, raising);
-  sel = all;
-  EXPECT_FALSE(bad->FilterBatch(span, &sel, &scratch).ok());
+  bool keep = false;
+  EXPECT_FALSE(bad->EvalBoolChecked(rows->row(0), &keep).ok());
   BcProgram bad_prog = BcProgram::CompileFilter(bad, rows->schema());
   BcState state;
   sel = all;
@@ -651,8 +703,8 @@ TEST(BytecodeOptimizerTest, ShortCircuitSkipsErroringChild) {
 
 TEST(BytecodeOptimizerTest, DeadBranchEliminationUnderItemChildren) {
   // A constant condition selects one branch at compile time. The dead
-  // branch is a mixed-type IF (statically kItem) that would force an
-  // interpreted fallback — eliminating it must leave zero fallbacks.
+  // branch is a mixed-type IF (statically kItem) that would force a
+  // per-lane fallback — eliminating it must leave zero fallbacks.
   std::mt19937_64 rng(9);
   RowVectorPtr rows = MakeRows(&rng, 24);
   ExprPtr item_branch =
@@ -679,26 +731,35 @@ TEST(BytecodeOptimizerTest, DeadBranchEliminationUnderItemChildren) {
 
 TEST(BytecodeOptimizerTest, ComparisonFusionKeepsSemantics) {
   // col < const compiles into a single fused filter opcode; the result
-  // must match the unfused program and the interpreted kernel.
+  // must match the unfused program and the row oracle.
   std::mt19937_64 rng(13);
   RowVectorPtr rows = MakeRows(&rng, 64);
   ExprPtr expr = ex::Lt(ex::Col(0), ex::Lit(int64_t{10}));
   BcProgram fused = BcProgram::CompileFilter(expr, rows->schema());
   EXPECT_GT(fused.stats().fused, 0u) << fused.Disassemble();
+  BcProgram unfused =
+      BcProgram::CompileFilter(expr, rows->schema(), /*optimize=*/false);
+  EXPECT_EQ(unfused.stats().fused, 0u) << unfused.Disassemble();
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  BatchScratch scratch;
-  SelVector want = all;
-  ASSERT_TRUE(expr->FilterBatch(span, &want, &scratch).ok());
+  const SelVector all = AllRows(*rows);
+  SelVector want;
+  for (uint32_t r : all) {
+    bool keep = false;
+    ASSERT_TRUE(expr->EvalBoolChecked(rows->row(r), &keep).ok());
+    if (keep) want.push_back(r);
+  }
+  ASSERT_FALSE(want.empty());
+  ASSERT_LT(want.size(), all.size());
   BcState state;
-  SelVector got = all;
-  ASSERT_TRUE(fused.RunFilter(span, &got, &state).ok());
-  EXPECT_EQ(got, want);
+  for (const BcProgram* prog : {&fused, &unfused}) {
+    SelVector got = all;
+    ASSERT_TRUE(prog->RunFilter(span, &got, &state).ok());
+    EXPECT_EQ(got, want) << prog->Disassemble();
+  }
 }
 
 // ---------------------------------------------------------------------------
-// String-valued IF conditions are hard errors on all three tiers
+// String-valued IF conditions are hard errors on both tiers
 // ---------------------------------------------------------------------------
 
 TEST(StringPredicateTest, StringIfConditionHardErrorAllTiers) {
@@ -713,22 +774,17 @@ TEST(StringPredicateTest, StringIfConditionHardErrorAllTiers) {
   EXPECT_NE(st.ToString().find("non-numeric"), std::string::npos)
       << st.ToString();
 
-  // Batch tier: both branches are i64, so the typed split path runs the
-  // condition filter — which must raise.
-  BatchScratch scratch;
+  // Bytecode tier: both branches are i64, so the typed split path runs
+  // the condition filter — which must raise the oracle's error.
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  const SelVector all = AllRows(*rows);
   BatchColumn col;
-  EXPECT_FALSE(
-      expr->EvalBatch(span, all.data(), all.size(), &col, &scratch).ok());
-
-  // Bytecode tier.
   for (bool optimize : {true, false}) {
     BcProgram prog = BcProgram::CompileValue(expr, rows->schema(), optimize);
+    EXPECT_EQ(prog.fallback_count(), 0u) << prog.Disassemble();
     BcState state;
-    EXPECT_FALSE(
-        prog.RunValue(span, all.data(), all.size(), &col, &state).ok())
+    Status bst = prog.RunValue(span, all.data(), all.size(), &col, &state);
+    EXPECT_EQ(bst.ToString(), st.ToString())
         << "opt=" << optimize << "\n" << prog.Disassemble();
   }
 }

@@ -100,6 +100,12 @@ TEST(S3SelectEngineTest, PushesDownProjectionAndPredicate) {
   }
   // The transfer was charged to the client connection.
   EXPECT_GT(client.bytes_transferred(), 0);
+
+  // A string-valued pushed-down predicate is an error, not an empty
+  // result: every row would otherwise be silently dropped.
+  auto bad = engine.Select("t.csv", schema, {1, 2, 0}, ex::Col(0), &client);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+      << bad.status().ToString();
 }
 
 TEST(S3SelectEngineTest, MissingObjectIsNotFound) {

@@ -29,9 +29,6 @@ GATED_OPS = [
     ("expr_filter_interp_p01", False),
     ("expr_filter_interp_p50", False),
     ("expr_filter_interp_p99", False),
-    ("expr_filter_batch_p01", True),
-    ("expr_filter_batch_p50", True),
-    ("expr_filter_batch_p99", True),
     ("expr_bytecode_filter_p01", True),
     ("expr_bytecode_filter_p50", True),
     ("expr_bytecode_filter_p99", True),
