@@ -890,9 +890,10 @@ void BenchGroupBy() {
         // Memory governance (docs/DESIGN-memory.md). Budget-armed: a
         // limit far above the input, so the run only pays the accounting
         // hooks — bench_gate.py WIN_GATES holds it within 3% of the plain
-        // t4 entry. Spill: a limit at 1/8 of the input forces the
-        // Grace-style partitioned aggregation through the blob store;
-        // reported only, but the output must stay byte-equal to t1.
+        // t4 entry. Spill: at a limit of 1/8 of the input the 64k groups'
+        // state outgrows half the budget, so the hybrid aggregation spills
+        // the groups it refuses through the blob store; reported only, but
+        // the output must stay byte-equal to t1.
         storage::BlobStore spill_store;
         const size_t big_limit = size_t{1} << 30;
         const size_t tiny_limit = shape.data->byte_size() / 8;

@@ -115,6 +115,14 @@ inline bool ShouldSpill(size_t input_bytes, size_t limit_bytes) {
   return limit_bytes != 0 && input_bytes > limit_bytes / 2;
 }
 
+/// The group-state admission rule of the hybrid aggregation: resident
+/// group states plus their hash table may use the half of the budget that
+/// ShouldSpill reserves for them. A group whose admission would break it
+/// spills instead. Pure function of (limit, bytes).
+inline bool StateFits(size_t state_bytes, size_t limit_bytes) {
+  return limit_bytes == 0 || state_bytes <= limit_bytes / 2;
+}
+
 /// Per-partition in-memory quota under a budget: what one spill partition
 /// (or sort run) may occupy while being processed. A quarter of the budget
 /// (half of the non-input half), floored so tiny-budget tests degrade to

@@ -79,17 +79,17 @@ Status SpillSet::ReadChunk(int pass, int pid, int chunk, RowVector* rows,
     return Status::Internal("spill chunk " + key + " truncated header");
   }
   std::memcpy(&n, payload.data(), sizeof(n));
-  const uint32_t stride = rows != nullptr ? rows->row_size() : 0;
-  const size_t row_bytes = static_cast<size_t>(n) * stride;
+  // The row stride is what makes the payload size checkable, so every
+  // read decodes rows: nothing is copied out of a blob whose size
+  // disagrees with its count.
+  const size_t row_bytes = static_cast<size_t>(n) * rows->row_size();
   const size_t idx_bytes = static_cast<size_t>(n) * sizeof(uint32_t);
-  if (rows != nullptr && payload.size() != sizeof(n) + row_bytes + idx_bytes) {
+  if (payload.size() != sizeof(n) + row_bytes + idx_bytes) {
     return Status::Internal("spill chunk " + key + " size mismatch");
   }
   const uint8_t* p = reinterpret_cast<const uint8_t*>(payload.data()) +
                      sizeof(n);
-  if (rows != nullptr) {
-    rows->AppendRawBatch(p, n);
-  }
+  rows->AppendRawBatch(p, n);
   if (idx != nullptr) {
     const size_t old = idx->size();
     idx->resize(old + n);

@@ -60,7 +60,9 @@ class SpillSet {
   int NumChunks(int pass, int pid) const;
 
   /// Reads chunk `chunk` of (pass, pid), appending its rows into *rows
-  /// and its indices into *idx (either may be null to skip).
+  /// (required: its schema sizes the payload check) and its indices into
+  /// *idx (null to skip). A blob whose size disagrees with its row count
+  /// — truncated or corrupt — is a Status, never a read past its end.
   Status ReadChunk(int pass, int pid, int chunk, RowVector* rows,
                    std::vector<uint32_t>* idx);
 

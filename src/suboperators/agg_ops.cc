@@ -18,12 +18,13 @@ namespace modularis {
 // I64StateMap
 // ---------------------------------------------------------------------------
 
-void I64StateMap::Clear() {
+void I64StateMap::Clear(size_t first_slots) {
   keys_.clear();
   vals_.clear();
   used_.clear();
   mask_ = 0;
   size_ = 0;
+  first_slots_ = first_slots;
   rehashes_ = 0;
 }
 
@@ -46,30 +47,33 @@ void I64StateMap::Rehash(size_t cap) {
   }
 }
 
-void I64StateMap::Grow() {
-  Rehash(keys_.empty() ? 1024 : keys_.size() * 2);
-}
-
 void I64StateMap::Reserve(size_t keys) {
   size_t cap = 1024;
   while (keys * 10 >= cap * 7) cap *= 2;
   if (cap > keys_.size()) Rehash(cap);
 }
 
-uint32_t I64StateMap::FindOrInsert(int64_t key, bool* inserted) {
-  if (keys_.empty() || size_ * 10 >= keys_.size() * 7) Grow();
+size_t I64StateMap::Probe(int64_t key) const {
   size_t slot = MixHash64(static_cast<uint64_t>(key)) & mask_;
-  while (used_[slot]) {
-    if (keys_[slot] == key) {
-      *inserted = false;
-      return vals_[slot];
-    }
-    slot = (slot + 1) & mask_;
-  }
+  while (used_[slot] && keys_[slot] != key) slot = (slot + 1) & mask_;
+  return slot;
+}
+
+uint32_t I64StateMap::Find(int64_t key) const {
+  if (keys_.empty()) return kNoState;
+  const size_t slot = Probe(key);
+  return used_[slot] ? vals_[slot] : kNoState;
+}
+
+uint32_t I64StateMap::FindOrInsert(int64_t key, bool* inserted) {
+  const size_t slots = SlotsAfterInsert();
+  if (slots != keys_.size()) Rehash(slots);
+  const size_t slot = Probe(key);
+  *inserted = !used_[slot];
+  if (!*inserted) return vals_[slot];
   keys_[slot] = key;
   vals_[slot] = static_cast<uint32_t>(size_);
   used_[slot] = 1;
-  *inserted = true;
   return static_cast<uint32_t>(size_++);
 }
 
@@ -77,11 +81,12 @@ uint32_t I64StateMap::FindOrInsert(int64_t key, bool* inserted) {
 // ByteStateTable
 // ---------------------------------------------------------------------------
 
-void ByteStateTable::Clear() {
+void ByteStateTable::Clear(size_t first_slots) {
   slots_.clear();
   arena_.clear();
   mask_ = 0;
   size_ = 0;
+  first_slots_ = first_slots;
   rehashes_ = 0;
 }
 
@@ -113,22 +118,34 @@ void ByteStateTable::Reserve(size_t keys) {
   if (cap > slots_.size()) Rehash(cap);
 }
 
-uint32_t ByteStateTable::FindOrInsert(const uint8_t* key, uint32_t len,
-                                      uint64_t hash, bool* inserted) {
-  if (slots_.empty() || size_ * 10 >= slots_.size() * 7) {
-    Rehash(slots_.empty() ? 1024 : slots_.size() * 2);
-  }
+size_t ByteStateTable::Probe(const uint8_t* key, uint32_t len,
+                             uint64_t hash) const {
   size_t slot = hash & mask_;
   while (slots_[slot].len_plus1 != 0) {
     const Slot& s = slots_[slot];
     if (s.hash == hash && s.len_plus1 == len + 1 &&
         std::memcmp(SlotKey(s), key, len) == 0) {
-      *inserted = false;
-      return s.val;
+      break;
     }
     slot = (slot + 1) & mask_;
   }
-  Slot& s = slots_[slot];
+  return slot;
+}
+
+uint32_t ByteStateTable::Find(const uint8_t* key, uint32_t len,
+                              uint64_t hash) const {
+  if (slots_.empty()) return kNoState;
+  const Slot& s = slots_[Probe(key, len, hash)];
+  return s.len_plus1 != 0 ? s.val : kNoState;
+}
+
+uint32_t ByteStateTable::FindOrInsert(const uint8_t* key, uint32_t len,
+                                      uint64_t hash, bool* inserted) {
+  const size_t slots = SlotsAfterInsert();
+  if (slots != slots_.size()) Rehash(slots);
+  Slot& s = slots_[Probe(key, len, hash)];
+  *inserted = s.len_plus1 == 0;
+  if (!*inserted) return s.val;
   s.hash = hash;
   s.val = static_cast<uint32_t>(size_);
   s.len_plus1 = len + 1;
@@ -139,7 +156,6 @@ uint32_t ByteStateTable::FindOrInsert(const uint8_t* key, uint32_t len,
     arena_.insert(arena_.end(), key, key + len);
     std::memcpy(s.key, &off, sizeof(off));
   }
-  *inserted = true;
   return static_cast<uint32_t>(size_++);
 }
 
@@ -400,7 +416,7 @@ void ReduceByKey::AggregatePartition(
     const uint8_t* rows, size_t n, const Schema& schema, const uint32_t* idx,
     RowVector* states, std::vector<uint32_t>* first, I64StateMap* map,
     ByteStateTable* table, std::vector<uint8_t>* key_scratch,
-    std::vector<uint64_t>* hash_scratch, bool reset_tables) const {
+    std::vector<uint64_t>* hash_scratch) const {
   // The partition's row count is a hard upper bound on its distinct keys,
   // so reserving it guarantees zero mid-aggregation rehashes — but on a
   // duplicate-heavy skewed partition (all rows of a hot key in one
@@ -412,10 +428,8 @@ void ReduceByKey::AggregatePartition(
   const size_t reserve = std::min(n, kMaxReserveKeys);
   const uint32_t stride = schema.row_size();
   if (single_i64_key_) {
-    if (reset_tables) {
-      map->Clear();
-      map->Reserve(reserve);
-    }
+    map->Clear();
+    map->Reserve(reserve);
     const uint8_t* p = rows;
     for (size_t j = 0; j < n; ++j, p += stride) {
       RowRef row(p, &schema);
@@ -429,10 +443,8 @@ void ReduceByKey::AggregatePartition(
     }
     return;
   }
-  if (reset_tables) {
-    table->Clear();
-    table->Reserve(reserve);
-  }
+  table->Clear();
+  table->Reserve(reserve);
   const uint32_t ks = codec_.key_size();
   key_scratch->resize(kKeyChunkRows * ks);
   hash_scratch->resize(kKeyChunkRows);
@@ -594,30 +606,15 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   return Status::OK();
 }
 
-// -- Grace-style spill path (docs/DESIGN-memory.md) -------------------------
-
-void ReduceByKey::ComputeKeyHashes(const uint8_t* rows, size_t n,
-                                   const Schema& schema,
-                                   std::vector<uint64_t>* hashes) const {
-  hashes->resize(n);
-  const uint32_t stride = schema.row_size();
-  if (single_i64_key_) {
-    const uint8_t* p = rows;
-    for (size_t i = 0; i < n; ++i, p += stride) {
-      (*hashes)[i] = MixHash64(
-          static_cast<uint64_t>(KeyAt(RowRef(p, &schema), key_cols_[0])));
-    }
-    return;
-  }
-  const uint32_t ks = codec_.key_size();
-  std::vector<uint8_t> keys(kKeyChunkRows * ks);
-  RowSpan span{rows, stride, &schema};
-  for (size_t base = 0; base < n; base += kKeyChunkRows) {
-    const size_t m = std::min(n - base, kKeyChunkRows);
-    key_prog_.SerializeAndHash(span, base, m, keys.data(),
-                               hashes->data() + base);
-  }
-}
+// -- Hybrid hash aggregation under a budget (docs/DESIGN-memory.md) ---------
+//
+// Every level streams its rows in global input order. While the group
+// state fits half the budget each new group is admitted; from the first
+// refused group on the level admits none, so every resident group's first
+// occurrence precedes every spilled group's. Each group's rows accumulate
+// on exactly one side, in input order (float SUMs keep their bits), and
+// the level's output is its resident states in insertion order followed by
+// the first-occurrence merge of its overflow partitions' runs.
 
 void ReduceByKey::MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
                                std::vector<uint32_t>* first_out) const {
@@ -645,246 +642,200 @@ void ReduceByKey::MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
 }
 
 Status ReduceByKey::ConsumeAllSpill(RowVectorPtr input) {
-  const size_t mem_limit = ctx_->options.memory_limit_bytes;
-  const size_t quota = SpillQuotaBytes(mem_limit);
-  const Schema& schema = input->schema();
-  const uint32_t stride = input->row_size();
-  const size_t n = input->size();
-  // Denied the in-memory path — counted whether the spill fallback is
-  // viable (graceful degradation) or not (fail fast below).
-  if (ctx_->budget != nullptr) ctx_->budget->NoteDenial();
-  if (quota < stride) {
-    return Status::ResourceExhausted(
-        "ReduceByKey: memory_limit_bytes=" + std::to_string(mem_limit) +
-        " cannot hold one " + std::to_string(stride) +
-        "-byte row in the spill quota (" + std::to_string(quota) + " bytes)");
-  }
-  if (ctx_->spill_store == nullptr) {
-    return Status::ResourceExhausted(
-        "ReduceByKey: drained input of " + std::to_string(input->byte_size()) +
-        " bytes exceeds memory_limit_bytes=" + std::to_string(mem_limit) +
-        " and no spill store is configured");
-  }
-  AddStatCounter("spill.ops.ReduceByKey", 1);
-  storage::SpillSet spill(ctx_, "reduce");
-  constexpr int kFanout = 1 << kPartitionBits;
-  constexpr int kPidShift = 64 - kPartitionBits;
-
-  // Histogram over the first hash window. The keep/spill split below is
-  // a pure function of (limit, histogram) — never of the thread count or
-  // the live memory counter — so the output stays byte-equal to the
-  // in-memory paths.
-  std::vector<uint64_t> hashes;
-  ComputeKeyHashes(input->data(), n, schema, &hashes);
-  std::vector<size_t> part_rows(kFanout, 0);
-  for (size_t i = 0; i < n; ++i) ++part_rows[hashes[i] >> kPidShift];
-
-  // Hybrid rule: the greedy ascending-pid prefix stays in memory while it
-  // fits half the budget; everything else streams to the store.
-  std::vector<uint8_t> in_mem(kFanout, 0);
-  size_t kept_bytes = 0;
-  int64_t spilled_parts = 0;
-  for (int p = 0; p < kFanout; ++p) {
-    const size_t bytes_p = part_rows[p] * stride;
-    if (bytes_p == 0) continue;
-    if (kept_bytes + bytes_p <= mem_limit / 2) {
-      in_mem[p] = 1;
-      kept_bytes += bytes_p;
-    } else {
-      ++spilled_parts;
-    }
-  }
-
-  // Serial scatter in input order: every partition holds its rows in
-  // ascending global order whether it stays resident or streams out in
-  // chunks, so per-group float SUM accumulates exactly like one thread.
-  const int pass0 = spill.NewPass();
-  const size_t chunk_rows =
-      std::max<size_t>(1, quota / (static_cast<size_t>(stride) * kFanout));
-  std::vector<RowVectorPtr> mem_parts(kFanout);
-  std::vector<std::vector<uint32_t>> mem_idx(kFanout);
-  std::vector<RowVectorPtr> stage(kFanout);
-  std::vector<std::vector<uint32_t>> stage_idx(kFanout);
-  for (size_t i = 0; i < n; ++i) {
-    const int p = static_cast<int>(hashes[i] >> kPidShift);
-    if (in_mem[p]) {
-      if (mem_parts[p] == nullptr) {
-        mem_parts[p] = RowVector::Make(schema);
-        mem_parts[p]->Reserve(part_rows[p]);
-        mem_idx[p].reserve(part_rows[p]);
-      }
-      mem_parts[p]->AppendRaw(input->data() + i * stride);
-      mem_idx[p].push_back(static_cast<uint32_t>(i));
-      continue;
-    }
-    if (stage[p] == nullptr) stage[p] = RowVector::Make(schema);
-    stage[p]->AppendRaw(input->data() + i * stride);
-    stage_idx[p].push_back(static_cast<uint32_t>(i));
-    if (stage[p]->size() >= chunk_rows) {
-      MODULARIS_RETURN_NOT_OK(spill.WriteChunk(pass0, p, stage[p]->data(),
-                                               stage[p]->size(), stride,
-                                               stage_idx[p].data()));
-      stage[p]->Clear();
-      stage_idx[p].clear();
-    }
-  }
-  for (int p = 0; p < kFanout; ++p) {
-    if (stage[p] != nullptr && !stage[p]->empty()) {
-      MODULARIS_RETURN_NOT_OK(spill.WriteChunk(pass0, p, stage[p]->data(),
-                                               stage[p]->size(), stride,
-                                               stage_idx[p].data()));
-    }
-  }
-  stage.clear();
-  stage_idx.clear();
-  AddStatCounter("spill.partitions", spilled_parts);
-  AddStatCounter("spill.passes", 1);
-  std::vector<uint64_t>().swap(hashes);
-  input.reset();  // drop our reference to the drained input
-
-  // Aggregate partitions in ascending pid order; each yields one group
-  // run ascending by global first-occurrence index.
   SpillScratch scratch;
-  std::vector<AggRun> runs;
-  for (int p = 0; p < kFanout; ++p) {
-    if (part_rows[p] == 0) continue;
-    AggRun run;
-    run.states = RowVector::Make(out_schema_);
-    if (in_mem[p]) {
-      AggregatePartition(mem_parts[p]->data(), mem_parts[p]->size(), schema,
-                         mem_idx[p].data(), run.states.get(), &run.first,
-                         &scratch.map, &scratch.table, &scratch.keys,
-                         &scratch.hashes);
-      mem_parts[p].reset();
-      std::vector<uint32_t>().swap(mem_idx[p]);
-    } else {
-      MODULARIS_RETURN_NOT_OK(AggregateSpilledPartition(
-          &spill, pass0, p, kPidShift, part_rows[p], schema, &run, &scratch));
-    }
-    runs.push_back(std::move(run));
-  }
+  i64_map_.Clear(kHybridFirstSlots);
+  byte_table_.Clear(kHybridFirstSlots);
+  HybridLevel top{.states = states_.get(), .map = &i64_map_,
+                  .table = &byte_table_, .shift = 64 - kPartitionBits};
+  const Schema& schema = input->schema();
+  MODULARIS_RETURN_NOT_OK(AggregateHybrid(input->data(), input->size(),
+                                          schema, nullptr, &top, &scratch));
+  if (top.pass < 0) return Status::OK();  // every group stayed resident
+  input.reset();  // drop our reference to the drained input
+  return AggregateOverflow(&top, schema, &scratch);
+}
 
-  // The phase-4 merge over the partition runs: groups emit in global
-  // first-occurrence order, exactly like the in-memory paths.
-  MergeAggRuns(&runs, states_.get(), nullptr);
+Status ReduceByKey::AggregateHybrid(const uint8_t* rows, size_t n,
+                                    const Schema& schema, const uint32_t* idx,
+                                    HybridLevel* level,
+                                    SpillScratch* scratch) {
+  constexpr int kFanout = 1 << kPartitionBits;
+  const size_t mem_limit = ctx_->options.memory_limit_bytes;
+  const uint32_t stride = schema.row_size();
+  const size_t chunk_rows = std::max<size_t>(
+      1, SpillQuotaBytes(mem_limit) / (static_cast<size_t>(stride) * kFanout));
+  // Routes a row whose group is not resident: a new group (inserted by
+  // `insert`, which returns its state index) while the state with it
+  // fits, else a staged row of the overflow partition its hash picks.
+  auto place = [&](size_t j, uint64_t hash, size_t table_bytes,
+                   auto insert) -> Status {
+    const uint8_t* p = rows + j * stride;
+    const uint32_t gidx = idx != nullptr ? idx[j] : static_cast<uint32_t>(j);
+    if (level->admit_all ||
+        (level->pass < 0 &&
+         StateFits(level->states->byte_size() + out_schema_.row_size() +
+                       table_bytes,
+                   mem_limit))) {
+      const uint32_t state = insert();
+      RowRef row(p, &schema);
+      InitState(level->states, row);
+      if (level->first != nullptr) level->first->push_back(gidx);
+      UpdateStateRow(level->states->mutable_row(state), row);
+      return Status::OK();
+    }
+    if (level->pass < 0) MODULARIS_RETURN_NOT_OK(OpenOverflow(level, scratch));
+    const int pid = static_cast<int>((hash >> level->shift) & (kFanout - 1));
+    RowVectorPtr& stage = level->stage[pid];
+    std::vector<uint32_t>& stage_idx = level->stage_idx[pid];
+    if (stage == nullptr) stage = RowVector::Make(schema);
+    stage->AppendRaw(p);
+    stage_idx.push_back(gidx);
+    if (stage->size() < chunk_rows) return Status::OK();
+    MODULARIS_RETURN_NOT_OK(scratch->spill->WriteChunk(
+        level->pass, pid, stage->data(), stage->size(), stride,
+        stage_idx.data()));
+    stage->Clear();
+    stage_idx.clear();
+    return Status::OK();
+  };
+  bool inserted = false;
+  if (single_i64_key_) {
+    I64StateMap* map = level->map;
+    const uint8_t* p = rows;
+    for (size_t j = 0; j < n; ++j, p += stride) {
+      RowRef row(p, &schema);
+      const int64_t key = KeyAt(row, key_cols_[0]);
+      const uint32_t state = map->Find(key);
+      if (state != kNoState) {
+        UpdateStateRow(level->states->mutable_row(state), row);
+        continue;
+      }
+      MODULARIS_RETURN_NOT_OK(
+          place(j, MixHash64(static_cast<uint64_t>(key)),
+                map->byte_size_after_insert(),
+                [&] { return map->FindOrInsert(key, &inserted); }));
+    }
+    return Status::OK();
+  }
+  ByteStateTable* table = level->table;
+  const uint32_t ks = codec_.key_size();
+  key_scratch_.resize(kKeyChunkRows * ks);
+  hash_scratch_.resize(kKeyChunkRows);
+  RowSpan span{rows, stride, &schema};
+  for (size_t base = 0; base < n; base += kKeyChunkRows) {
+    const size_t m = std::min(n - base, kKeyChunkRows);
+    key_prog_.SerializeAndHash(span, base, m, key_scratch_.data(),
+                               hash_scratch_.data());
+    for (size_t i = 0; i < m; ++i) {
+      const uint8_t* key = key_scratch_.data() + i * ks;
+      const uint64_t hash = hash_scratch_[i];
+      const uint32_t state = table->Find(key, ks, hash);
+      if (state != kNoState) {
+        UpdateStateRow(level->states->mutable_row(state),
+                       RowRef(rows + (base + i) * stride, &schema));
+        continue;
+      }
+      MODULARIS_RETURN_NOT_OK(place(
+          base + i, hash, table->byte_size_after_insert(ks),
+          [&] { return table->FindOrInsert(key, ks, hash, &inserted); }));
+    }
+  }
   return Status::OK();
 }
 
-Status ReduceByKey::AggregateSpilledPartition(storage::SpillSet* spill,
-                                              int pass, int pid, int shift,
-                                              size_t part_rows,
+Status ReduceByKey::OpenOverflow(HybridLevel* level, SpillScratch* scratch) {
+  // The operator's first refused group decides whether spilling is
+  // possible at all — before anything is written.
+  if (scratch->spill == nullptr) {
+    if (ctx_->budget != nullptr) ctx_->budget->NoteDenial();
+    const size_t mem_limit = ctx_->options.memory_limit_bytes;
+    const size_t quota = SpillQuotaBytes(mem_limit);
+    const uint32_t stride = in_schema_.row_size();
+    if (quota < stride) {
+      return Status::ResourceExhausted(
+          "ReduceByKey: memory_limit_bytes=" + std::to_string(mem_limit) +
+          " cannot hold one " + std::to_string(stride) +
+          "-byte row in the spill quota (" + std::to_string(quota) +
+          " bytes)");
+    }
+    if (ctx_->spill_store == nullptr) {
+      return Status::ResourceExhausted(
+          "ReduceByKey: group state exceeds half of memory_limit_bytes=" +
+          std::to_string(mem_limit) + " and no spill store is configured");
+    }
+    AddStatCounter("spill.ops.ReduceByKey", 1);
+    scratch->spill = std::make_unique<storage::SpillSet>(ctx_, "reduce");
+  }
+  level->pass = scratch->spill->NewPass();
+  level->stage.resize(1 << kPartitionBits);
+  level->stage_idx.resize(1 << kPartitionBits);
+  AddStatCounter("spill.passes", 1);
+  return Status::OK();
+}
+
+Status ReduceByKey::AggregateOverflow(HybridLevel* level,
+                                      const Schema& schema,
+                                      SpillScratch* scratch) {
+  constexpr int kFanout = 1 << kPartitionBits;
+  storage::SpillSet* spill = scratch->spill.get();
+  for (int pid = 0; pid < kFanout; ++pid) {
+    const RowVectorPtr& stage = level->stage[pid];
+    if (stage != nullptr && !stage->empty()) {
+      MODULARIS_RETURN_NOT_OK(spill->WriteChunk(
+          level->pass, pid, stage->data(), stage->size(), schema.row_size(),
+          level->stage_idx[pid].data()));
+    }
+  }
+  level->stage.clear();
+  level->stage_idx.clear();
+
+  // Partitions aggregate ascending by id; each yields one run ascending by
+  // global first-occurrence index, and the merge restores global order.
+  std::vector<AggRun> runs;
+  for (int pid = 0; pid < kFanout; ++pid) {
+    if (spill->NumChunks(level->pass, pid) == 0) continue;
+    AggRun run;
+    run.states = RowVector::Make(out_schema_);
+    MODULARIS_RETURN_NOT_OK(AggregateSpilledPartition(
+        level->pass, pid, level->shift, schema, &run, scratch));
+    runs.push_back(std::move(run));
+  }
+  AddStatCounter("spill.partitions", static_cast<int64_t>(runs.size()));
+  MergeAggRuns(&runs, level->states, level->first);
+  return Status::OK();
+}
+
+Status ReduceByKey::AggregateSpilledPartition(int pass, int pid, int shift,
                                               const Schema& schema,
                                               AggRun* out,
                                               SpillScratch* scratch) {
   if (ctx_->cancel != nullptr) MODULARIS_RETURN_NOT_OK(ctx_->cancel->Check());
-  const size_t quota = SpillQuotaBytes(ctx_->options.memory_limit_bytes);
-  const uint32_t stride = schema.row_size();
-  constexpr int kFanout = 1 << kPartitionBits;
-
-  if (part_rows * stride <= quota) {
-    // Fits the quota: read the partition back whole (chunks concatenate
-    // in global input order) and aggregate it in one shot.
-    RowVectorPtr part = RowVector::Make(schema);
-    part->Reserve(part_rows);
-    std::vector<uint32_t> idx;
-    idx.reserve(part_rows);
-    MODULARIS_RETURN_NOT_OK(spill->ReadPartition(pass, pid, part.get(), &idx));
-    AggregatePartition(part->data(), part->size(), schema, idx.data(),
-                       out->states.get(), &out->first, &scratch->map,
-                       &scratch->table, &scratch->keys, &scratch->hashes);
-    spill->DeletePartition(pass, pid);
-    return Status::OK();
-  }
-
-  if (shift < kPartitionBits) {
-    // Hash exhausted: a partition every window maps to one id (a single
-    // hot key, practically). Stream the chunks through one accumulating
-    // table — its states are bounded by the partition's distinct keys,
-    // which is the operator's own irreducible output.
-    const int chunks = spill->NumChunks(pass, pid);
-    RowVectorPtr chunk = RowVector::Make(schema);
-    std::vector<uint32_t> idx;
-    bool reset = true;
-    for (int c = 0; c < chunks; ++c) {
-      chunk->Clear();
-      idx.clear();
-      MODULARIS_RETURN_NOT_OK(
-          spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
-      AggregatePartition(chunk->data(), chunk->size(), schema, idx.data(),
-                         out->states.get(), &out->first, &scratch->map,
-                         &scratch->table, &scratch->keys, &scratch->hashes,
-                         /*reset_tables=*/reset);
-      reset = false;
-    }
-    spill->DeletePartition(pass, pid);
-    return Status::OK();
-  }
-
-  // Recursive pass: re-scatter by the next 8-bit hash window into a
-  // fresh pass namespace, aggregate the sub-partitions ascending, and
-  // merge their runs (each ascending by first index) into this
-  // partition's run.
-  const int sub_shift = shift - kPartitionBits;
-  const int sub_pass = spill->NewPass();
-  AddStatCounter("spill.passes", 1);
-  const size_t chunk_rows =
-      std::max<size_t>(1, quota / (static_cast<size_t>(stride) * kFanout));
-  std::vector<size_t> sub_rows(kFanout, 0);
-  {
-    const int chunks = spill->NumChunks(pass, pid);
-    RowVectorPtr chunk = RowVector::Make(schema);
-    std::vector<uint32_t> idx;
-    std::vector<uint64_t> hashes;
-    std::vector<RowVectorPtr> stage(kFanout);
-    std::vector<std::vector<uint32_t>> stage_idx(kFanout);
-    for (int c = 0; c < chunks; ++c) {
-      chunk->Clear();
-      idx.clear();
-      MODULARIS_RETURN_NOT_OK(
-          spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
-      ComputeKeyHashes(chunk->data(), chunk->size(), schema, &hashes);
-      for (size_t i = 0; i < chunk->size(); ++i) {
-        const int sp =
-            static_cast<int>((hashes[i] >> sub_shift) & (kFanout - 1));
-        ++sub_rows[sp];
-        if (stage[sp] == nullptr) stage[sp] = RowVector::Make(schema);
-        stage[sp]->AppendRaw(chunk->data() + i * stride);
-        stage_idx[sp].push_back(idx[i]);
-        if (stage[sp]->size() >= chunk_rows) {
-          MODULARIS_RETURN_NOT_OK(spill->WriteChunk(
-              sub_pass, sp, stage[sp]->data(), stage[sp]->size(), stride,
-              stage_idx[sp].data()));
-          stage[sp]->Clear();
-          stage_idx[sp].clear();
-        }
-      }
-    }
-    for (int sp = 0; sp < kFanout; ++sp) {
-      if (stage[sp] != nullptr && !stage[sp]->empty()) {
-        MODULARIS_RETURN_NOT_OK(spill->WriteChunk(
-            sub_pass, sp, stage[sp]->data(), stage[sp]->size(), stride,
-            stage_idx[sp].data()));
-      }
-    }
+  // The tables are free again by the time the overflow recurses: this
+  // level's groups only update while its chunks stream.
+  scratch->map.Clear(kHybridFirstSlots);
+  scratch->table.Clear(kHybridFirstSlots);
+  // A partition cut by the last hash window cannot be split further (a
+  // single hot key, practically): it keeps every group, which is the
+  // operator's own irreducible output.
+  HybridLevel level{.states = out->states.get(), .first = &out->first,
+                    .map = &scratch->map, .table = &scratch->table,
+                    .shift = shift - kPartitionBits,
+                    .admit_all = shift < kPartitionBits};
+  storage::SpillSet* spill = scratch->spill.get();
+  const int chunks = spill->NumChunks(pass, pid);
+  RowVectorPtr chunk = RowVector::Make(schema);
+  std::vector<uint32_t> idx;
+  for (int c = 0; c < chunks; ++c) {
+    chunk->Clear();
+    idx.clear();
+    MODULARIS_RETURN_NOT_OK(spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
+    MODULARIS_RETURN_NOT_OK(AggregateHybrid(chunk->data(), chunk->size(),
+                                            schema, idx.data(), &level,
+                                            scratch));
   }
   spill->DeletePartition(pass, pid);
-  int64_t sub_parts = 0;
-  for (int sp = 0; sp < kFanout; ++sp) {
-    if (sub_rows[sp] > 0) ++sub_parts;
-  }
-  AddStatCounter("spill.partitions", sub_parts);
-
-  std::vector<AggRun> sub_runs;
-  for (int sp = 0; sp < kFanout; ++sp) {
-    if (sub_rows[sp] == 0) continue;
-    AggRun run;
-    run.states = RowVector::Make(out_schema_);
-    MODULARIS_RETURN_NOT_OK(AggregateSpilledPartition(
-        spill, sub_pass, sp, sub_shift, sub_rows[sp], schema, &run, scratch));
-    sub_runs.push_back(std::move(run));
-  }
-  MergeAggRuns(&sub_runs, out->states.get(), &out->first);
-  return Status::OK();
+  if (level.pass < 0) return Status::OK();
+  return AggregateOverflow(&level, schema, scratch);
 }
 
 Status ReduceByKey::ConsumeKeylessParallel(const RowVectorPtr& input,
@@ -999,8 +950,9 @@ Status ReduceByKey::ConsumeAll() {
 Status ReduceByKey::ConsumeAllInner() {
   if (ctx_->options.enable_vectorized) {
     // Under a memory budget the keyed path always drains (even at one
-    // thread), so the spill decision is a pure function of (limit, input
-    // bytes) — never of the thread count (docs/DESIGN-memory.md).
+    // thread), so the spill decisions are pure functions of the limit and
+    // the drained input — never of the thread count
+    // (docs/DESIGN-memory.md).
     const size_t mem_limit = ctx_->options.memory_limit_bytes;
     const bool budgeted = mem_limit > 0 && !key_cols_.empty();
     if (ctx_->options.ResolvedNumThreads() > 1 || budgeted) {

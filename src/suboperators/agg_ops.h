@@ -27,13 +27,20 @@ namespace storage {
 class SpillSet;
 }
 
+/// The state tables' "no such key" index.
+constexpr uint32_t kNoState = std::numeric_limits<uint32_t>::max();
+
 /// Open-addressing hash map from i64 keys to dense state indices.
 class I64StateMap {
  public:
   /// Returns the state index for `key`; sets `*inserted` if it was new.
   uint32_t FindOrInsert(int64_t key, bool* inserted);
+  /// Returns the state index for `key`, or kNoState.
+  uint32_t Find(int64_t key) const;
   size_t size() const { return size_; }
-  void Clear();
+  /// Empties the table; the next insert allocates `first_slots` slots and
+  /// growth doubles from there.
+  void Clear(size_t first_slots = 1024);
 
   /// Pre-sizes the table for up to `keys` distinct keys (capacity kept
   /// under the 0.7 load factor). The partition-owned aggregation pass
@@ -41,7 +48,7 @@ class I64StateMap {
   /// bound on its distinct keys — so aggregation never rehashes.
   void Reserve(size_t keys);
 
-  /// Grow calls that had to move live entries since the last Clear().
+  /// Growth steps that had to move live entries since the last Clear().
   int64_t rehashes() const { return rehashes_; }
 
   /// Allocated footprint in bytes, charged against the rank's
@@ -50,16 +57,30 @@ class I64StateMap {
     return keys_.capacity() * sizeof(int64_t) +
            vals_.capacity() * sizeof(uint32_t) + used_.capacity();
   }
+  /// byte_size() once one more key is inserted (the insert may grow the
+  /// table first) — the hybrid aggregation's admission input.
+  size_t byte_size_after_insert() const {
+    return SlotsAfterInsert() *
+           (sizeof(int64_t) + sizeof(uint32_t) + sizeof(uint8_t));
+  }
 
  private:
   void Rehash(size_t cap);
-  void Grow();
+  /// The slot count once one more key is inserted: the first insert
+  /// allocates, and an insert at the 0.7 load factor doubles.
+  size_t SlotsAfterInsert() const {
+    if (keys_.empty()) return first_slots_;
+    return size_ * 10 >= keys_.size() * 7 ? keys_.size() * 2 : keys_.size();
+  }
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  size_t Probe(int64_t key) const;
 
   std::vector<int64_t> keys_;
   std::vector<uint32_t> vals_;
   std::vector<uint8_t> used_;
   size_t mask_ = 0;
   size_t size_ = 0;
+  size_t first_slots_ = 1024;
   int64_t rehashes_ = 0;
 };
 
@@ -76,13 +97,23 @@ class ByteStateTable {
   /// HashKeyBytes(key, len). Sets `*inserted` if the key was new.
   uint32_t FindOrInsert(const uint8_t* key, uint32_t len, uint64_t hash,
                         bool* inserted);
+  /// Returns the state index for `key[0..len)`, or kNoState.
+  uint32_t Find(const uint8_t* key, uint32_t len, uint64_t hash) const;
   size_t size() const { return size_; }
-  void Clear();
+  /// See I64StateMap::Clear.
+  void Clear(size_t first_slots = 1024);
   /// Pre-sizes for up to `keys` distinct keys (see I64StateMap::Reserve).
   void Reserve(size_t keys);
   int64_t rehashes() const { return rehashes_; }
   /// Allocated footprint in bytes (slot array + overflow key arena).
   size_t byte_size() const;
+  /// byte_size() once a `len`-byte key is inserted (see
+  /// I64StateMap::byte_size_after_insert); a key past the inline bytes
+  /// adds its length to the arena.
+  size_t byte_size_after_insert(uint32_t len) const {
+    return SlotsAfterInsert() * sizeof(Slot) + arena_.capacity() +
+           (len > kInlineBytes ? len : 0);
+  }
 
  private:
   static constexpr uint32_t kInlineBytes = 16;
@@ -93,12 +124,19 @@ class ByteStateTable {
     uint8_t key[kInlineBytes];  // inline bytes, or a u64 arena offset
   };
   void Rehash(size_t cap);
+  /// See I64StateMap::SlotsAfterInsert.
+  size_t SlotsAfterInsert() const {
+    if (slots_.empty()) return first_slots_;
+    return size_ * 10 >= slots_.size() * 7 ? slots_.size() * 2 : slots_.size();
+  }
+  size_t Probe(const uint8_t* key, uint32_t len, uint64_t hash) const;
   const uint8_t* SlotKey(const Slot& s) const;
 
   std::vector<Slot> slots_;
   std::vector<uint8_t> arena_;  // overflow storage for keys > 16 bytes
   size_t mask_ = 0;
   size_t size_ = 0;
+  size_t first_slots_ = 1024;
   int64_t rehashes_ = 0;
 };
 
@@ -191,19 +229,19 @@ class ReduceByKey : public SubOperator {
   void UpdateStateRow(uint8_t* dst, const RowRef& row) const;
   /// Aggregates the rows of one key partition (ascending original order)
   /// into `states`, recording each new group's global first-occurrence
-  /// index. `map`/`table` are the caller's reusable scratch tables. With
-  /// `reset_tables` false the call continues accumulating into the live
-  /// tables/states — the chunk-streaming path for a spilled partition
-  /// that no remaining hash window can split (one hot key).
+  /// index. `map`/`table` are the caller's reusable scratch tables.
   void AggregatePartition(const uint8_t* rows, size_t n, const Schema& schema,
                           const uint32_t* idx, RowVector* states,
                           std::vector<uint32_t>* first, I64StateMap* map,
                           ByteStateTable* table,
                           std::vector<uint8_t>* key_scratch,
-                          std::vector<uint64_t>* hash_scratch,
-                          bool reset_tables = true) const;
+                          std::vector<uint64_t>* hash_scratch) const;
 
-  // -- Grace-style spill path (docs/DESIGN-memory.md) -----------------------
+  // -- Hybrid hash aggregation under a budget (docs/DESIGN-memory.md) -------
+
+  /// Slots a hybrid level's table starts with: small, so that tiny budgets
+  /// still admit groups; the table doubles from there.
+  static constexpr size_t kHybridFirstSlots = 8;
 
   /// A run of aggregated groups: the group states plus each group's
   /// global first-occurrence index, both ascending by that index.
@@ -211,28 +249,51 @@ class ReduceByKey : public SubOperator {
     RowVectorPtr states;
     std::vector<uint32_t> first;
   };
-  /// Reusable scratch threaded through the spill recursion.
+  /// What the hybrid levels share: the spill set (created at the
+  /// operator's first refused group) and the recursion's reusable tables.
   struct SpillScratch {
+    std::unique_ptr<storage::SpillSet> spill;
     I64StateMap map;
     ByteStateTable table;
-    std::vector<uint8_t> keys;
-    std::vector<uint64_t> hashes;
   };
-  /// The partition hash of every row — the same key hash the in-memory
-  /// partition pass uses, so a key lands in one partition at every pass.
-  void ComputeKeyHashes(const uint8_t* rows, size_t n, const Schema& schema,
-                        std::vector<uint64_t>* hashes) const;
-  /// Budget-forced degradation: hash-partition the drained input 256 ways
-  /// (greedy ascending-pid prefix stays in memory, the rest spills to the
-  /// blob store), aggregate the partitions one at a time, and merge their
-  /// group runs back into global first-occurrence order — byte-equal to
-  /// the in-memory path at any budget and thread count.
+  /// One level of the hybrid aggregation over a row stream: the groups
+  /// resident in `map`/`table`, and the staging of every row whose group
+  /// was refused, scattered by the hash window at `shift`.
+  struct HybridLevel {
+    RowVector* states = nullptr;            // resident states, insertion order
+    std::vector<uint32_t>* first = nullptr;  // their first indices, or null
+    I64StateMap* map = nullptr;
+    ByteStateTable* table = nullptr;
+    int shift = 0;  // overflow partition id = (hash >> shift) & 255
+    bool admit_all = false;  // hash exhausted: the terminal level keeps all
+    int pass = -1;  // overflow namespace, allocated at the first refusal
+    std::vector<RowVectorPtr> stage = {};
+    std::vector<std::vector<uint32_t>> stage_idx = {};
+  };
+  /// Budget-forced degradation: aggregates the drained input into the
+  /// operator's own table while the group state fits half the budget,
+  /// spills only the rows of the groups refused after that, and appends
+  /// their aggregation behind the resident groups — byte-equal to the
+  /// in-memory path at any budget and thread count.
   Status ConsumeAllSpill(RowVectorPtr input);
-  /// Aggregates one spilled partition into `out`: read-back when it fits
-  /// the quota, recursion by the next 8-bit hash window when it does not,
-  /// chunk-streaming once the hash is exhausted (a single hot key).
-  Status AggregateSpilledPartition(storage::SpillSet* spill, int pass,
-                                   int pid, int shift, size_t part_rows,
+  /// Streams rows (global indices `idx`, or 0..n-1 when null) through
+  /// `level`: resident groups update in place, a new group is admitted
+  /// while StateFits, and every other row is staged for the next window.
+  Status AggregateHybrid(const uint8_t* rows, size_t n, const Schema& schema,
+                         const uint32_t* idx, HybridLevel* level,
+                         SpillScratch* scratch);
+  /// At `level`'s first refused group: stops its admissions and opens its
+  /// overflow pass — and at the operator's first, its SpillSet, or fails
+  /// fast when spilling cannot work.
+  Status OpenOverflow(HybridLevel* level, SpillScratch* scratch);
+  /// Writes out `level`'s staged rows, aggregates its overflow partitions
+  /// in ascending id order and appends their merged runs behind its
+  /// resident groups.
+  Status AggregateOverflow(HybridLevel* level, const Schema& schema,
+                           SpillScratch* scratch);
+  /// Aggregates one spilled partition into `out` as a hybrid level of its
+  /// own, recursing into its overflow on the next 8-bit hash window.
+  Status AggregateSpilledPartition(int pass, int pid, int shift,
                                    const Schema& schema, AggRun* out,
                                    SpillScratch* scratch);
   /// K-way merge of group runs by ascending first-occurrence index

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +66,9 @@ TEST(MemoryBudgetTest, AdmissionRulesArePureFunctions) {
   EXPECT_TRUE(ShouldSpill(51, 100));           // beyond half: degrade
   EXPECT_EQ(SpillQuotaBytes(100), 25u);        // a quarter for the quota
   EXPECT_EQ(SpillQuotaBytes(0), 0u);
+  EXPECT_TRUE(StateFits(size_t{1} << 60, 0));  // unlimited admits any state
+  EXPECT_TRUE(StateFits(50, 100));             // group state may use half
+  EXPECT_FALSE(StateFits(51, 100));
 }
 
 TEST(MemoryBudgetTest, ScopedChargeReleasesOnDestruction) {
@@ -139,6 +143,58 @@ TEST(SpillSetTest, ChunkRoundTripPreservesRowsAndIndices) {
   }
   // Destruction deletes everything the set ever wrote.
   EXPECT_TRUE(store.List("spill/").empty());
+}
+
+TEST(SpillSetTest, CorruptChunksFailWithStatus) {
+  storage::BlobStore store;
+  ExecContext ctx;
+  ctx.spill_store = &store;
+
+  RowVectorPtr data = RowVector::Make(KeyValueSchema());
+  for (int64_t i = 0; i < 10; ++i) {
+    RowWriter w = data->AppendRow();
+    w.SetInt64(0, i);
+    w.SetInt64(1, -i);
+  }
+  std::vector<uint32_t> idx(10, 7);
+  storage::SpillSet spill(&ctx, "test");
+  ASSERT_TRUE(spill.WriteChunk(0, 0, data->data(), data->size(),
+                               data->row_size(), idx.data())
+                  .ok());
+  const std::string key = spill.prefix() + "p0/d0/c0";
+  auto blob = store.Get(key);
+  ASSERT_TRUE(blob.ok());
+  const std::string good = **blob;
+
+  auto with_count = [&](uint32_t n) {
+    std::string bad = good;
+    std::memcpy(bad.data(), &n, sizeof(n));
+    return bad;
+  };
+  const std::pair<const char*, std::string> corruptions[] = {
+      {"truncated header", good.substr(0, 2)},
+      {"truncated body", good.substr(0, good.size() - 3)},
+      {"count 0xFFFFFFFF", with_count(0xFFFFFFFFu)},
+      {"bit-flipped count", with_count(10u ^ (1u << 20))},
+  };
+  for (const auto& [what, payload] : corruptions) {
+    SCOPED_TRACE(what);
+    store.Put(key, payload);
+    RowVectorPtr rows = RowVector::Make(KeyValueSchema());
+    std::vector<uint32_t> back_idx;
+    Status st = spill.ReadChunk(0, 0, 0, rows.get(), &back_idx);
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+    EXPECT_TRUE(rows->empty());
+    EXPECT_TRUE(back_idx.empty());
+  }
+
+  // The intact blob still decodes, here with its indices skipped.
+  store.Put(key, good);
+  RowVectorPtr rows = RowVector::Make(KeyValueSchema());
+  ASSERT_TRUE(spill.ReadChunk(0, 0, 0, rows.get(), nullptr).ok());
+  ASSERT_EQ(rows->size(), data->size());
+  EXPECT_EQ(0, std::memcmp(rows->data(), data->data(),
+                           data->size() * data->row_size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -262,6 +318,124 @@ TEST(SpillAggTest, OversizedPartitionsRecurse) {
   ExpectBytesEqual(*expected, *actual);
   EXPECT_GE(run.stats.GetCounter("spill.passes"), 2);
   EXPECT_TRUE(run.store.List("spill/").empty());
+}
+
+// -- Hybrid aggregation: spill only the groups that do not fit -------------
+
+/// (i64 key, f64 value) rows. Float SUM is order-sensitive, so byte-equality
+/// also pins every group's accumulation order.
+RowVectorPtr MakeKeyFloat(const std::vector<std::pair<int64_t, double>>& kv) {
+  RowVectorPtr data =
+      RowVector::Make(Schema({Field::I64("k"), Field::F64("v")}));
+  data->Reserve(kv.size());
+  for (const auto& [k, v] : kv) {
+    RowWriter w = data->AppendRow();
+    w.SetInt64(0, k);
+    w.SetFloat64(1, v);
+  }
+  return data;
+}
+
+std::vector<AggSpec> FloatSumCountAggs() {
+  std::vector<AggSpec> aggs;
+  aggs.push_back(AggSpec{AggKind::kSum, ex::Col(1), "s", AtomType::kFloat64});
+  aggs.push_back(AggSpec{AggKind::kCount, nullptr, "c", AtomType::kInt64});
+  return aggs;
+}
+
+/// Values whose sums round differently in any other order.
+double OrderSensitiveValue(std::mt19937_64& rng) {
+  static constexpr double kValues[] = {1e16, -1e16, 1.0, 0.5, 3.0};
+  return kValues[rng() % 5];
+}
+
+/// Groups `data` by its first column at `threads` workers in `run`.
+RowVectorPtr AggregateIn(BudgetedRun* run, const RowVectorPtr& data,
+                         int threads) {
+  run->ctx.options.num_threads = threads;
+  run->ctx.options.parallel_min_rows = 256;
+  ReduceByKey rk(ScanOf(data), {0}, FloatSumCountAggs(), data->schema());
+  RowVectorPtr out;
+  Status st = DrainBatches(&rk, &run->ctx, rk.out_schema(), &out);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
+/// Checks the budgeted run at 1 and 4 threads against the unlimited run at
+/// the same thread count; `check` sees each budgeted run's counters.
+template <typename Check>
+void ExpectBudgetedMatchesUnlimited(const RowVectorPtr& data, size_t limit,
+                                    Check check) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BudgetedRun unlimited(0);
+    RowVectorPtr expected = AggregateIn(&unlimited, data, threads);
+    BudgetedRun run(limit);
+    RowVectorPtr actual = AggregateIn(&run, data, threads);
+    ASSERT_NE(expected, nullptr);
+    ASSERT_NE(actual, nullptr);
+    ExpectBytesEqual(*expected, *actual);
+    EXPECT_TRUE(run.store.List("spill/").empty()) << "spill files leaked";
+    check(run);
+  }
+}
+
+TEST(SpillAggTest, FewGroupsNeverSpill) {
+  // Q1's shape: a drained input far past half the budget (1 MiB against
+  // 128 KiB) but only 4 groups, whose state fits easily.
+  std::mt19937_64 rng(47);
+  std::vector<std::pair<int64_t, double>> kv;
+  for (int i = 0; i < (1 << 16); ++i) {
+    kv.emplace_back(static_cast<int64_t>(rng() % 4), OrderSensitiveValue(rng));
+  }
+  RowVectorPtr data = MakeKeyFloat(kv);
+  ASSERT_TRUE(ShouldSpill(data->byte_size(), 256 << 10));
+  ExpectBudgetedMatchesUnlimited(data, 256 << 10, [](BudgetedRun& run) {
+    EXPECT_EQ(run.stats.GetCounter("spill.bytes"), 0);
+    EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 0);
+    EXPECT_EQ(run.budget.denials(), 0);
+  });
+}
+
+TEST(SpillAggTest, OverflowSplitsResidentAndSpilled) {
+  // 4096 keys at 256 KiB: the state fills half the budget after roughly
+  // 2.9k groups, so first occurrences straddle the overflow point — the
+  // groups before it stay resident, the rest spill with their rows.
+  std::mt19937_64 rng(53);
+  std::vector<std::pair<int64_t, double>> kv;
+  for (int i = 0; i < (1 << 16); ++i) {
+    kv.emplace_back(static_cast<int64_t>(rng() % 4096),
+                    OrderSensitiveValue(rng));
+  }
+  RowVectorPtr data = MakeKeyFloat(kv);
+  const int64_t input_bytes = static_cast<int64_t>(data->byte_size());
+  ExpectBudgetedMatchesUnlimited(data, 256 << 10, [&](BudgetedRun& run) {
+    EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 1);
+    EXPECT_GT(run.stats.GetCounter("spill.bytes"), 0);
+    EXPECT_LT(run.stats.GetCounter("spill.bytes"), input_bytes)
+        << "resident groups' rows must not spill";
+    EXPECT_EQ(run.budget.denials(), 1);
+  });
+}
+
+TEST(SpillAggTest, HotKeyAfterOverflowReachesTerminalLevel) {
+  // A budget too small for even one group's table (64 of 128 bytes for
+  // the state) refuses every group on every level until the hash runs
+  // out: the top level and each of the seven splittable windows overflow
+  // (>= 8 passes), and the terminal level keeps all of the hot key's rows
+  // — 8 cold keys first, then the hot key, interleaved with them.
+  std::mt19937_64 rng(59);
+  std::vector<std::pair<int64_t, double>> kv;
+  for (int64_t k = 0; k < 8; ++k) kv.emplace_back(k, 1.0);
+  for (int i = 0; i < 600; ++i) {
+    const int64_t key = i % 5 == 0 ? static_cast<int64_t>(rng() % 8) : 1000;
+    kv.emplace_back(key, OrderSensitiveValue(rng));
+  }
+  RowVectorPtr data = MakeKeyFloat(kv);
+  ExpectBudgetedMatchesUnlimited(data, 128, [](BudgetedRun& run) {
+    EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 1);
+    EXPECT_GE(run.stats.GetCounter("spill.passes"), 8);
+  });
 }
 
 TEST(SpillSortTest, ExternalSortIsByteEqual) {
@@ -587,6 +761,32 @@ TEST(TpchMemoryTest, BudgetedQueriesMatchUnlimitedByteForByte) {
                               << " threads";
     EXPECT_GT(sort_spills, 0) << "no sort spilled at " << threads
                               << " threads";
+  }
+}
+
+TEST(TpchMemoryTest, Q1FewGroupsNeverSpillAt512KiB) {
+  // Q1's drained aggregation input is far past half of 512 KiB on every
+  // rank, but its 4 groups fit: nothing may be written to the store.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TpchRunOptions base = Unthrottled(TpchRunOptions::Rdma(4));
+    base.exec.network_radix_bits = 4;
+    base.exec.num_threads = threads;
+    auto ctx = PrepareTpch(Db(), base);
+    ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+
+    StatsRegistry ref_stats;
+    auto expected = RunTpchQuery(1, **ctx, base, &ref_stats);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    TpchRunOptions budgeted = base;
+    budgeted.exec.memory_limit_bytes = 512 << 10;
+    StatsRegistry stats;
+    auto result = RunTpchQuery(1, **ctx, budgeted, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectResultBytesEqual(**expected, **result);
+    EXPECT_EQ(stats.GetCounter("spill.bytes"), 0);
+    EXPECT_EQ(stats.GetCounter("spill.ops.ReduceByKey"), 0);
   }
 }
 
