@@ -1016,7 +1016,7 @@ ShuffleOut RunExchangeShuffle(const ShuffleFixture& fx, int threads,
                 std::vector<RowVectorPtr>{fx.local_hists[r]}),
             std::make_unique<CollectionSource>(
                 std::vector<RowVectorPtr>{fx.global_hist}),
-            xopts);
+            fx.frags[r]->schema(), xopts);
         MODULARIS_RETURN_NOT_OK(mx.Open(&ctx));
         uint64_t h = 1469598103934665603ull;  // FNV-1a over owned bytes
         auto fnv = [&h](const uint8_t* p, size_t bytes) {

@@ -88,7 +88,7 @@ Result<std::map<std::string, double>> RunJoinModel(
                   std::vector<Tuple>{hists[side][0]}),
               std::make_unique<TupleSource>(
                   std::vector<Tuple>{global_hists[side][0]}),
-              xopts);
+              KeyValueSchema(), xopts);
           MODULARIS_RETURN_NOT_OK(DrainDiscard(&mx, &ctx, &exchanged[side]));
         }
 

@@ -146,17 +146,21 @@ Status JoinWorker::Run(RowVectorPtr* result) {
 
   Relation rels[2] = {{&inner_, {}, {}, {}, -1, {}, 0},
                       {&outer_, {}, {}, {}, -1, {}, 0}};
+  // One timer re-bound per phase; stats_ is this rank's own registry.
+  PhaseTimer timer;
 
   // Phase 1+2: histograms for both relations, computed sequentially (the
   // original's structure, which the paper notes avoids interleaving
   // collectives with partitioning).
   {
-    ScopedTimer t(stats_, "phase.local_histogram");
+    timer.Bind(stats_, "phase.local_histogram");
+    ScopedPhase t(&timer);
     LocalHistogram(&rels[0]);
     LocalHistogram(&rels[1]);
   }
   {
-    ScopedTimer t(stats_, "phase.global_histogram");
+    timer.Bind(stats_, "phase.global_histogram");
+    ScopedPhase t(&timer);
     MODULARIS_RETURN_NOT_OK(GlobalHistogram(&rels[0]));
     MODULARIS_RETURN_NOT_OK(GlobalHistogram(&rels[1]));
   }
@@ -164,7 +168,8 @@ Status JoinWorker::Run(RowVectorPtr* result) {
   // Phase 3: network partitioning for both relations back to back, one
   // flush + barrier at the end.
   {
-    ScopedTimer t(stats_, "phase.network_partition");
+    timer.Bind(stats_, "phase.network_partition");
+    ScopedPhase t(&timer);
     MODULARIS_RETURN_NOT_OK(NetworkPartition(&rels[0]));
     MODULARIS_RETURN_NOT_OK(NetworkPartition(&rels[1]));
     MODULARIS_RETURN_NOT_OK(comm_->Barrier());
@@ -179,7 +184,8 @@ Status JoinWorker::Run(RowVectorPtr* result) {
   };
   LocalParts parts[2];
   {
-    ScopedTimer t(stats_, "phase.local_partition");
+    timer.Bind(stats_, "phase.local_partition");
+    ScopedPhase t(&timer);
     for (int rel_index = 0; rel_index < 2; ++rel_index) {
       Relation& rel = rels[rel_index];
       LocalParts& lp = parts[rel_index];
@@ -228,7 +234,8 @@ Status JoinWorker::Run(RowVectorPtr* result) {
       Schema({Field::I64("key"), Field::I64("value"),
               Field::I64("value_r")}));
   {
-    ScopedTimer t(stats_, "phase.build_probe");
+    timer.Bind(stats_, "phase.build_probe");
+    ScopedPhase t(&timer);
     out->Reserve(static_cast<size_t>(rels[1].my_rows));
     uint8_t row_buf[24];
     std::vector<uint32_t> heads;

@@ -36,11 +36,14 @@ struct ExecOptions {
   /// runs pure tuple-at-a-time through virtual Next() calls.
   bool enable_fusion = true;
 
-  /// Vector-at-a-time execution: consumers drain record streams through
-  /// NextBatch() and operators run loop-over-packed-bytes inner loops.
-  /// When false, every record crosses one virtual Next() call — the
-  /// row-at-a-time correctness oracle and ablation baseline (mirrors
-  /// enable_fusion).
+  /// How consumers pull their inputs, and nothing else: read only by
+  /// SubOperator::PullBatch(). When true, inputs arrive through
+  /// NextBatch() and operators run loop-over-packed-bytes inner loops;
+  /// when false, every record crosses one virtual Next() call (so
+  /// filters and maps evaluate the row interpreter) — the row-at-a-time
+  /// oracle and ablation baseline (mirrors enable_fusion). Parallel,
+  /// spill and admission decisions never depend on it: the serial
+  /// reference is num_threads = 1 in either mode.
   bool enable_vectorized = true;
 
   /// log2 of the network partitioning fan-out (radix bits). The number of

@@ -71,11 +71,11 @@ SubOpPtr PipelinePlan::CloneForWorker(WorkerCloneContext* cc) const {
 }
 
 Status PipelinePlan::Materialize(SubOperator* root, PipelineResult* sink) {
-  // Declared record streams drain through the batch protocol straight
-  // into one packed RowVector.
-  if (ctx_->options.enable_vectorized && root->ProducesRecordStream()) {
+  // Declared record streams drain through the pull path straight into
+  // one packed RowVector.
+  if (root->ProducesRecordStream()) {
     RowBatch batch;
-    while (root->NextBatch(&batch)) {
+    while (root->PullBatch(&batch)) {
       if (sink->rows == nullptr) sink->rows = RowVector::Make(batch.schema());
       if (sink->rows->empty()) sink->rows->Reserve(batch.size());
       sink->rows->AppendRawBatch(batch.data(), batch.size());

@@ -15,9 +15,9 @@
 /// results so that multiple downstream pipelines can read them.
 ///
 /// Record-stream pipelines materialize as one packed RowVector (drained
-/// through NextBatch when vectorized execution is on); non-record
-/// pipelines (⟨pid, collection⟩ pairs, histograms, ...) keep the generic
-/// tuple representation. PipelineRef replays either form and serves the
+/// through SubOperator::PullBatch); non-record pipelines (⟨pid,
+/// collection⟩ pairs, histograms, ...) keep the generic tuple
+/// representation. PipelineRef replays either form and serves the
 /// packed form zero-copy to batch-aware consumers.
 ///
 /// PipelinePlan is itself a sub-operator, so nested plans (inside

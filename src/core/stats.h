@@ -95,40 +95,16 @@ class StatsRegistry {
   std::atomic<uint64_t> epoch_{0};
 };
 
-/// RAII phase timer: adds elapsed wall time to `registry[key]` at scope exit.
-class ScopedTimer {
- public:
-  ScopedTimer(StatsRegistry* registry, std::string key)
-      : registry_(registry),
-        key_(std::move(key)),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() { Stop(); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Stops early (idempotent).
-  void Stop() {
-    if (registry_ == nullptr) return;
-    auto end = std::chrono::steady_clock::now();
-    registry_->AddTime(
-        key_, std::chrono::duration<double>(end - start_).count());
-    registry_ = nullptr;
-  }
-
- private:
-  StatsRegistry* registry_;
-  std::string key_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Phase timer with a pre-resolved registry slot. ScopedTimer pays a
-/// string copy, a mutex acquisition and a map lookup at every stop —
-/// noise that distorts phases which nested plans re-enter thousands of
-/// times (one BuildProbe per local-partition pair). PhaseTimer resolves
-/// the slot once per (registry, key) binding; Start/Stop is then two
-/// clock reads and an add. Bind at Open(), time whole batch drains —
-/// never individual rows.
+/// The one phase timer: accumulates wall time into a pre-resolved
+/// registry slot. Resolving a key costs a string copy, a mutex and a map
+/// lookup — noise that would distort phases which nested plans re-enter
+/// thousands of times (one BuildProbe per local-partition pair) — so
+/// PhaseTimer resolves the slot once per (registry, key) binding; Start/
+/// Stop is then two clock reads and an add. Bind before each timed phase,
+/// time whole batch drains — never individual rows. The slot is written
+/// without the registry's mutex, so only the thread that owns the
+/// registry (the rank, Lambda worker or pool worker it belongs to) may
+/// time into it.
 class PhaseTimer {
  public:
   void Bind(StatsRegistry* registry, const std::string& key) {
@@ -168,9 +144,16 @@ class PhaseTimer {
 class ScopedPhase {
  public:
   explicit ScopedPhase(PhaseTimer* timer) : timer_(timer) { timer_->Start(); }
-  ~ScopedPhase() { timer_->Stop(); }
+  ~ScopedPhase() { Stop(); }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
+
+  /// Stops early (idempotent).
+  void Stop() {
+    if (timer_ == nullptr) return;
+    timer_->Stop();
+    timer_ = nullptr;
+  }
 
  private:
   PhaseTimer* timer_;

@@ -132,6 +132,28 @@ class SubOperator {
     return nullptr;
   }
 
+  /// How a consumer pulls its input through PullBatch().
+  enum class Pull {
+    kBatch,      // NextBatch(): dense packed batches
+    kSelective,  // NextBatchSelective(): a selection vector may ride along
+    kTuples,     // Next() tuples batched by item 0, whatever the mode
+  };
+
+  /// The one pull path of every batch consumer, and the only reader of
+  /// ExecOptions::enable_vectorized: vectorized, it is NextBatch() (or
+  /// NextBatchSelective() for Pull::kSelective); otherwise, and always
+  /// for Pull::kTuples, it batches this operator's Next() tuples by item
+  /// 0 — rows packed, whole collections forwarded as one zero-copy
+  /// durable batch, anything else an error. The tuple form bumps no
+  /// adapter counter. Consumers keep one drain loop either way. Call
+  /// after Open().
+  bool PullBatch(RowBatch* out, Pull how = Pull::kBatch) {
+    if (how == Pull::kTuples || !ctx_->options.enable_vectorized) {
+      return NextBatchFromTuples(out, 0, /*require_arity_one=*/false);
+    }
+    return how == Pull::kSelective ? NextBatchSelective(out) : NextBatch(out);
+  }
+
   /// Selection-aware pull: like NextBatch(), but the producer may attach
   /// a selection vector to `*out` instead of compacting the surviving
   /// rows (Filter defers compaction this way, so filtered rows are never
@@ -166,12 +188,13 @@ class SubOperator {
   }
 
  protected:
-  /// The tuple-loop batching state machine shared by the default adapter
-  /// and single-item specializations (Projection): batches item
-  /// `item_index` of each Next() tuple — whole collections forwarded as
-  /// one zero-copy borrowed batch, rows packed into the scratch buffer in
-  /// kDefaultRows runs. With `require_arity_one`, multi-item tuples are
-  /// an error (the adapter contract).
+  /// The tuple-loop batching state machine shared by the default adapter,
+  /// PullBatch()'s tuple form and single-item specializations
+  /// (Projection): batches item `item_index` of each Next() tuple —
+  /// whole collections forwarded as one zero-copy borrowed batch, rows
+  /// packed into the scratch buffer in kDefaultRows runs. With
+  /// `require_arity_one`, multi-item tuples are an error (the adapter
+  /// contract).
   bool NextBatchFromTuples(RowBatch* out, int item_index,
                            bool require_arity_one) {
     out->Clear();
@@ -249,17 +272,27 @@ class SubOperator {
   std::string adapter_counter_key_;  // prebuilt: hot per-batch counter
 };
 
-/// Drains `child`'s record stream through the batch protocol into
-/// `*dest` (pre-made with the desired schema, initially empty): a single
-/// durable whole-collection batch is adopted zero-copy, anything else is
+/// Drains `child`'s record stream through PullBatch() into `*dest`
+/// (pre-made with the desired schema, initially empty): a single durable
+/// whole-collection batch is adopted zero-copy, anything else is
 /// bulk-copied. For consumers that hold the rows read-only for the rest
-/// of their Open cycle (hash-join build sides, sort inputs). Returns the
-/// child's status.
-inline Status DrainRecordStreamInto(SubOperator* child, RowVectorPtr* dest) {
+/// of their Open cycle (hash-join build sides, sort inputs, exchange
+/// inputs). Rows of another layout fail with InvalidArgument; otherwise
+/// returns the child's status.
+inline Status DrainRecordStreamInto(
+    SubOperator* child, RowVectorPtr* dest,
+    SubOperator::Pull how = SubOperator::Pull::kBatch) {
   RowBatch batch;
   RowVectorPtr adopted;
   bool first = true;
-  while (child->NextBatch(&batch)) {
+  while (child->PullBatch(&batch, how)) {
+    if (batch.empty()) continue;
+    if (!batch.schema().SameLayout((*dest)->schema())) {
+      return Status::InvalidArgument(
+          child->name() + ": rows " + batch.schema().ToString() +
+          " do not match the consumer schema " +
+          (*dest)->schema().ToString());
+    }
     if (first) {
       first = false;
       adopted = batch.ShareWhole();
@@ -290,7 +323,7 @@ inline Status DrainRecordStreamInto(SubOperator* child, RowVectorPtr* dest) {
 inline Status DrainRecordStream(SubOperator* child, RowVectorPtr* dest) {
   RowBatch batch;
   RowVectorPtr adopted;
-  while (child->NextBatch(&batch)) {
+  while (child->PullBatch(&batch)) {
     if (batch.empty()) continue;
     if (*dest == nullptr && adopted == nullptr) {
       adopted = batch.ShareWhole();

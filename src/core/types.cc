@@ -91,6 +91,17 @@ bool Schema::Equals(const Schema& other) const {
   return fields_ == other.fields_;
 }
 
+bool Schema::SameLayout(const Schema& other) const {
+  if (fields_.size() != other.fields_.size()) return false;
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    if (fields_[i].type != other.fields_[i].type ||
+        fields_[i].width != other.fields_[i].width) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string Schema::ToString() const {
   std::string out = "<";
   for (size_t i = 0; i < fields_.size(); ++i) {

@@ -89,6 +89,9 @@ class Schema {
   Schema Concat(const Schema& other) const;
 
   bool Equals(const Schema& other) const;
+  /// True when rows of `other` are byte-compatible with rows of this
+  /// schema: the same field types and widths in order (names may differ).
+  bool SameLayout(const Schema& other) const;
   std::string ToString() const;
 
  private:

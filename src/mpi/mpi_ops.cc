@@ -60,7 +60,9 @@ Status MpiExecutor::Open(ExecContext* ctx) {
             config_.rank_params ? config_.rank_params(r) : Tuple{};
         rctx.PushParams(&params);
 
-        ScopedTimer total(rctx.stats, "phase.rank_total");
+        PhaseTimer total_timer;
+        total_timer.Bind(rctx.stats, "phase.rank_total");
+        ScopedPhase total(&total_timer);
         SubOpPtr plan = config_.plan_factory(r);
         Status rank_st = [&]() -> Status {
           // Cancellation points: query start and every result tuple — the
@@ -157,7 +159,8 @@ bool MpiHistogram::Next(Tuple* out) {
     counts[i] = local->row(i).GetInt64(0);
   }
   {
-    ScopedTimer timer(ctx_->stats, timer_key_);
+    timer_.Bind(ctx_->stats, timer_key_);
+    ScopedPhase phase(&timer_);
     Status st = ctx_->comm->AllreduceSum(&counts);
     if (!st.ok()) return Fail(std::move(st));
   }
@@ -195,53 +198,15 @@ Status MpiExchange::DoExchange() {
   const int me = comm->rank();
   const int fanout = opts_.spec.fanout();
 
-  // Gather the input collections (the pipeline has materialized them).
-  std::vector<RowVectorPtr> inputs;
-  RowVectorPtr row_buffer;
-  if (ctx_->options.enable_vectorized && child(0)->ProducesRecordStream()) {
-    // Batched drain of record streams: durable whole-collection batches
-    // are shared zero-copy; anything else is bulk-copied. Mixing demotes
-    // to copies so the exchange scatters rows in stream order.
-    RowBatch batch;
-    while (child(0)->NextBatch(&batch)) {
-      if (batch.empty()) continue;
-      if (row_buffer == nullptr) {
-        RowVectorPtr shared = batch.ShareWhole();
-        if (shared != nullptr) {
-          inputs.push_back(std::move(shared));
-          continue;
-        }
-        row_buffer = RowVector::Make(batch.schema());
-        for (const RowVectorPtr& prev : inputs) {
-          row_buffer->Reserve(row_buffer->size() + prev->size());
-          row_buffer->AppendAll(*prev);
-        }
-        inputs.clear();
-      }
-      row_buffer->AppendRawBatch(batch.data(), batch.size());
-    }
-    MODULARIS_RETURN_NOT_OK(child(0)->status());
-    if (row_buffer != nullptr) inputs.push_back(std::move(row_buffer));
-  } else {
-    Tuple t;
-    while (child(0)->Next(&t)) {
-      const Item& item = t[0];
-      if (item.is_collection()) {
-        inputs.push_back(item.collection());
-      } else if (item.is_row()) {
-        if (row_buffer == nullptr) {
-          row_buffer = RowVector::Make(item.row().schema());
-        }
-        row_buffer->AppendRaw(item.row().data());
-      } else {
-        return Status::InvalidArgument(
-            "MpiExchange expects rows or collections, got " +
-            item.ToString());
-      }
-    }
-    MODULARIS_RETURN_NOT_OK(child(0)->status());
-    if (row_buffer != nullptr) inputs.push_back(std::move(row_buffer));
-  }
+  // Gather the input (the pipeline has materialized it) into one packed
+  // span: zero-copy when the upstream hands a single durable collection,
+  // bulk-copied in stream order otherwise. A child that is not a record
+  // stream (a plan input holding whole collections) is pulled through the
+  // tuple adapter.
+  RowVectorPtr input = RowVector::Make(schema_);
+  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(
+      child(0), &input,
+      child(0)->ProducesRecordStream() ? Pull::kBatch : Pull::kTuples));
 
   // Histograms.
   Tuple hist_tuple;
@@ -261,8 +226,7 @@ Status MpiExchange::DoExchange() {
     return Status::InvalidArgument("MpiExchange: histogram/fanout mismatch");
   }
 
-  Schema in_schema =
-      inputs.empty() ? KeyValueSchema() : inputs.front()->schema();
+  const Schema& in_schema = schema_;
   if (opts_.compress) {
     if (in_schema.num_fields() != 2 ||
         in_schema.field(0).type != AtomType::kInt64 ||
@@ -281,7 +245,8 @@ Status MpiExchange::DoExchange() {
       opts_.compress ? CompressedSchema() : in_schema;
   const uint32_t out_row = out_schema.row_size();
 
-  ScopedTimer timer(ctx_->stats, opts_.timer_key);
+  timer_.Bind(ctx_->stats, opts_.timer_key);
+  ScopedPhase phase(&timer_);
 
   // Exclusive write offsets from the allgathered local histograms.
   std::vector<std::vector<int64_t>> all_local;
@@ -359,12 +324,8 @@ Status MpiExchange::DoExchange() {
     stage_charge.Add(wire_stage.size());
   }
 
-  size_t total_rows = 0;
-  for (const RowVectorPtr& input : inputs) total_rows += input->size();
-  int workers = 1;
-  if (ctx_->options.enable_vectorized && total_rows > 0) {
-    workers = PlanWorkers(total_rows, ctx_->options);
-  }
+  const size_t total_rows = input->size();
+  const int workers = PlanWorkers(total_rows, ctx_->options);
 
   if (workers > 1) {
     // Morsel-parallel two-phase scatter (docs/DESIGN-exchange.md): static
@@ -373,19 +334,11 @@ Status MpiExchange::DoExchange() {
     // serial input order, then every worker streams its range through
     // write-combining buffers flushed by concurrent async Puts — wire
     // traffic starts while other workers are still partitioning.
-    RowVectorPtr flat;
-    if (inputs.size() == 1) {
-      flat = inputs.front();
-    } else {
-      flat = RowVector::Make(in_schema);
-      flat->Reserve(total_rows);
-      for (const RowVectorPtr& input : inputs) flat->AppendAll(*input);
-    }
     const std::vector<size_t> bounds = SplitRows(total_rows, workers);
     std::vector<std::vector<int64_t>> worker_counts(
         workers, std::vector<int64_t>(fanout, 0));
     MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-      CountSpan(flat->data() + bounds[w] * in_row, bounds[w + 1] - bounds[w],
+      CountSpan(input->data() + bounds[w] * in_row, bounds[w + 1] - bounds[w],
                 in_schema, opts_.spec, key_col, worker_counts[w].data());
       return Status::OK();
     }));
@@ -443,7 +396,7 @@ Status MpiExchange::DoExchange() {
         fill[p] = 0;
         return Status::OK();
       };
-      const uint8_t* p_row = flat->data() + bounds[w] * in_row;
+      const uint8_t* p_row = input->data() + bounds[w] * in_row;
       for (size_t i = bounds[w]; i < bounds[w + 1]; ++i, p_row += in_row) {
         const int64_t key = load_key(p_row);
         const uint32_t pid = opts_.spec.PartitionOf(key);
@@ -489,17 +442,14 @@ Status MpiExchange::DoExchange() {
       return Status::OK();
     };
 
-    for (const RowVectorPtr& input : inputs) {
-      const uint8_t* p = input->data();
-      const size_t n = input->size();
-      for (size_t i = 0; i < n; ++i, p += in_row) {
-        const int64_t key = load_key(p);
-        const uint32_t pid = opts_.spec.PartitionOf(key);
-        serialize_row(p, key,
-                      buffers[pid].data() + buffered[pid] * out_row);
-        if (++buffered[pid] == buf_rows) {
-          MODULARIS_RETURN_NOT_OK(flush_partition(static_cast<int>(pid)));
-        }
+    const uint8_t* p_row = input->data();
+    for (size_t i = 0; i < total_rows; ++i, p_row += in_row) {
+      const int64_t key = load_key(p_row);
+      const uint32_t pid = opts_.spec.PartitionOf(key);
+      serialize_row(p_row, key,
+                    buffers[pid].data() + buffered[pid] * out_row);
+      if (++buffered[pid] == buf_rows) {
+        MODULARIS_RETURN_NOT_OK(flush_partition(static_cast<int>(pid)));
       }
     }
     for (int p = 0; p < fanout; ++p) {
@@ -540,13 +490,10 @@ Status MpiExchange::DoExchange() {
   std::vector<int> owned;
   for (int p = me; p < fanout; p += world) owned.push_back(p);
   out_parts_.resize(owned.size());
-  int mat_workers = 1;
-  if (ctx_->options.enable_vectorized && !owned.empty()) {
-    mat_workers = std::min<int>(
-        PlanWorkers(static_cast<size_t>(owner_rows[me]), ctx_->options),
-        static_cast<int>(owned.size()));
-    if (mat_workers < 1) mat_workers = 1;
-  }
+  const int mat_workers = std::max(
+      1, std::min<int>(PlanWorkers(static_cast<size_t>(owner_rows[me]),
+                                   ctx_->options),
+                       static_cast<int>(owned.size())));
   const std::vector<size_t> obounds = SplitRows(owned.size(), mat_workers);
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, mat_workers, [&](int w) -> Status {
     for (size_t i = obounds[w]; i < obounds[w + 1]; ++i) {
@@ -560,7 +507,7 @@ Status MpiExchange::DoExchange() {
     return Status::OK();
   }));
   stage_charge.Add(static_cast<size_t>(owner_rows[me]) * out_row);
-  timer.Stop();
+  phase.Stop();
   return comm->WinFree(window);
 }
 
@@ -568,29 +515,15 @@ Status MpiBroadcast::DoBroadcast() {
   if (ctx_->comm == nullptr) {
     return Status::Internal("MpiBroadcast requires a communicator");
   }
+  // The packed allgather payload is assembled from whole batches
+  // (zero-copy when the upstream hands one durable collection).
   RowVectorPtr local = RowVector::Make(schema_);
-  if (ctx_->options.enable_vectorized && child(0)->ProducesRecordStream()) {
-    // Batched drain: the packed allgather payload is assembled from whole
-    // batches (zero-copy when the upstream hands one durable collection).
-    MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(child(0), &local));
-  } else {
-    Tuple t;
-    while (child(0)->Next(&t)) {
-      const Item& item = t[0];
-      if (item.is_collection()) {
-        local->AppendAll(*item.collection());
-      } else if (item.is_row()) {
-        local->AppendRaw(item.row().data());
-      } else {
-        return Status::InvalidArgument(
-            "MpiBroadcast expects rows or collections, got " +
-            item.ToString());
-      }
-    }
-    MODULARIS_RETURN_NOT_OK(child(0)->status());
-  }
+  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(
+      child(0), &local,
+      child(0)->ProducesRecordStream() ? Pull::kBatch : Pull::kTuples));
 
-  ScopedTimer timer(ctx_->stats, timer_key_);
+  timer_.Bind(ctx_->stats, timer_key_);
+  ScopedPhase phase(&timer_);
   std::vector<uint8_t> bytes(local->data(),
                              local->data() + local->byte_size());
   std::vector<std::vector<uint8_t>> all;

@@ -94,6 +94,7 @@ class MpiHistogram : public SubOperator {
 
  private:
   std::string timer_key_;
+  PhaseTimer timer_;
   bool done_ = false;
 };
 
@@ -133,9 +134,14 @@ class MpiExchange : public SubOperator {
   };
 
   /// Children: data, local histogram, global histogram (paper Fig. 3).
+  /// `schema` is the row schema of the data stream, fixed at plan time
+  /// so every rank agrees on the wire stride even when its own input is
+  /// empty; input rows of another layout fail with InvalidArgument.
   MpiExchange(SubOpPtr data, SubOpPtr local_hist, SubOpPtr global_hist,
-              Options options)
-      : SubOperator("MpiExchange"), opts_(std::move(options)) {
+              Schema schema, Options options)
+      : SubOperator("MpiExchange"),
+        schema_(std::move(schema)),
+        opts_(std::move(options)) {
     AddChild(std::move(data));
     AddChild(std::move(local_hist));
     AddChild(std::move(global_hist));
@@ -160,7 +166,9 @@ class MpiExchange : public SubOperator {
  private:
   Status DoExchange();
 
+  Schema schema_;
   Options opts_;
+  PhaseTimer timer_;
   bool exchanged_ = false;
   size_t emit_pos_ = 0;
   /// ⟨pid, partitionData⟩ for every partition this rank owns.
@@ -201,6 +209,7 @@ class MpiBroadcast : public SubOperator {
 
   Schema schema_;
   std::string timer_key_;
+  PhaseTimer timer_;
   bool done_ = false;
   RowVectorPtr merged_;
 };

@@ -16,48 +16,26 @@ Status TcpExchange::DoExchange() {
   const int me = comm->rank();
 
   // Drain the input into one packed span (zero-copy when the upstream
-  // hands a single durable collection through the batch protocol).
-  Schema schema = KeyValueSchema();
-  RowVectorPtr input;
-  if (ctx_->options.enable_vectorized && child(0)->ProducesRecordStream()) {
-    MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
-  } else {
-    Tuple t;
-    while (child(0)->Next(&t)) {
-      const Item& item = t[0];
-      if (item.is_collection()) {
-        if (input == nullptr) {
-          input = RowVector::Make(item.collection()->schema());
-        }
-        input->AppendAll(*item.collection());
-      } else if (item.is_row()) {
-        if (input == nullptr) {
-          input = RowVector::Make(item.row().schema());
-        }
-        input->AppendRaw(item.row().data());
-      } else {
-        return Status::InvalidArgument(
-            "TcpExchange expects rows or collections, got " +
-            item.ToString());
-      }
-    }
-    MODULARIS_RETURN_NOT_OK(child(0)->status());
-  }
-  if (input != nullptr) schema = input->schema();
-  const size_t n = input == nullptr ? 0 : input->size();
+  // hands a single durable collection). A child that is not a record
+  // stream (a plan input holding whole collections) is pulled through the
+  // tuple adapter.
+  const Schema& schema = schema_;
+  RowVectorPtr input = RowVector::Make(schema);
+  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(
+      child(0), &input,
+      child(0)->ProducesRecordStream() ? Pull::kBatch : Pull::kTuples));
+  const size_t n = input->size();
   const uint32_t stride = schema.row_size();
 
-  ScopedTimer timer(ctx_->stats, opts_.timer_key);
+  timer_.Bind(ctx_->stats, opts_.timer_key);
+  ScopedPhase phase(&timer_);
 
   // Route into one flat wire buffer ordered by destination rank; rows of a
   // destination replay input order, so N-thread routing is byte-equal to
   // serial per peer (docs/DESIGN-exchange.md).
   RowVectorPtr wire = RowVector::Make(schema);
   std::vector<size_t> dest_base(world + 1, 0);
-  int workers = 1;
-  if (n > 0 && ctx_->options.enable_vectorized) {
-    workers = PlanWorkers(n, ctx_->options);
-  }
+  const int workers = PlanWorkers(n, ctx_->options);
   auto dest_of = [&](const uint8_t* p) -> uint32_t {
     uint64_t h = MixHash64(static_cast<uint64_t>(
         KeyAt(RowRef(p, &schema), opts_.key_col)));
@@ -156,9 +134,16 @@ Status TcpExchange::DoExchange() {
         ctx_->options.retry, ctx_->stats, "fabric.recv",
         [&] { return comm->fabric().Recv(me, peer, &payload, ctx_->cancel); },
         ctx_->cancel));
+    if (payload.size() % stride != 0) {
+      return Status::InvalidArgument(
+          "TcpExchange: segment of " + std::to_string(payload.size()) +
+          " bytes from rank " + std::to_string(peer) +
+          " is not a whole number of " + std::to_string(stride) +
+          "-byte rows");
+    }
     mine_->AppendRawBatch(payload.data(), payload.size() / stride);
   }
-  timer.Stop();
+  phase.Stop();
   exchanged_ = true;
   return Status::OK();
 }

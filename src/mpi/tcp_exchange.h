@@ -34,8 +34,13 @@ class TcpExchange : public SubOperator {
     std::string timer_key = "phase.network_partition";
   };
 
-  TcpExchange(SubOpPtr data, Options options)
-      : SubOperator("TcpExchange"), opts_(std::move(options)) {
+  /// `schema` is the row schema of the data stream, fixed at plan time
+  /// so every rank agrees on the segment stride even when its own input
+  /// is empty; input rows of another layout fail with InvalidArgument.
+  TcpExchange(SubOpPtr data, Schema schema, Options options)
+      : SubOperator("TcpExchange"),
+        schema_(std::move(schema)),
+        opts_(std::move(options)) {
     AddChild(std::move(data));
   }
 
@@ -67,7 +72,9 @@ class TcpExchange : public SubOperator {
   /// over the fabric and collects this rank's partition into mine_.
   Status DoExchange();
 
+  Schema schema_;
   Options opts_;
+  PhaseTimer timer_;
   bool exchanged_ = false;
   bool done_ = false;  // the single output unit was emitted (either form)
   RowVectorPtr mine_;

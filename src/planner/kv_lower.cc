@@ -22,16 +22,18 @@ Schema KvGroupByOutSchema() {
   return Schema({Field::I64("key"), Field::I64("sum")});
 }
 
-/// The KV network exchange triple. The cascade variants keep full keys
-/// on the wire at every stage; the pairwise join/group-by compress per
-/// KvLowerOptions and carry the key-domain width for bit recovery.
+/// The KV network exchange triple over `src`'s rows of `schema`. The
+/// cascade variants keep full keys on the wire at every stage; the
+/// pairwise join/group-by compress per KvLowerOptions and carry the
+/// key-domain width for bit recovery.
 std::string AddNetExchange(PipelinePlan* plan, const std::string& base,
                            const std::function<SubOpPtr()>& src,
-                           const KvLowerOptions& opts, bool compress,
-                           bool carry_domain_bits) {
+                           const Schema& schema, const KvLowerOptions& opts,
+                           bool compress, bool carry_domain_bits) {
   plans::ExchangeConfig cfg;
   cfg.transport = plans::ExchangeConfig::Transport::kMpi;
   cfg.fused = opts.exec.enable_fusion;
+  cfg.schema = schema;
   cfg.key_col = 0;
   cfg.spec.bits = opts.exec.network_radix_bits;
   cfg.spec.shift = 0;  // hash stays kIdentity — KV keys are pre-mixed
@@ -195,8 +197,9 @@ SubOpPtr EmitKvJoin(JoinType join_type, const KvLowerOptions& opts) {
   std::string mx_names[2];
   for (int side = 0; side < 2; ++side) {
     mx_names[side] = AddNetExchange(
-        plan.get(), bases[side], [side]() { return ParamItem(side); }, opts,
-        /*compress=*/opts.compress, /*carry_domain_bits=*/true);
+        plan.get(), bases[side], [side]() { return ParamItem(side); },
+        KeyValueSchema(), opts, /*compress=*/opts.compress,
+        /*carry_domain_bits=*/true);
   }
 
   auto zip = std::make_unique<Zip>(plan->MakeRef(mx_names[0]),
@@ -299,8 +302,8 @@ SubOpPtr EmitKvGroupBy(const KvLowerOptions& opts) {
   const bool fused = opts.exec.enable_fusion;
   auto plan = std::make_unique<PipelinePlan>();
   std::string mx = AddNetExchange(
-      plan.get(), "data", []() { return ParamItem(0); }, opts,
-      /*compress=*/opts.compress, /*carry_domain_bits=*/true);
+      plan.get(), "data", []() { return ParamItem(0); }, KeyValueSchema(),
+      opts, /*compress=*/opts.compress, /*carry_domain_bits=*/true);
 
   auto nested = std::make_unique<NestedMap>(plan->MakeRef(mx),
                                             BuildLocalGroupNestedPlan(opts));
@@ -385,10 +388,12 @@ SubOpPtr EmitNaiveSequence(int num_joins, const KvLowerOptions& opts) {
       return p->MakeRef("out_" + std::to_string(j - 1));
     };
     auto right_src = [j]() -> SubOpPtr { return ParamItem(j); };
-    std::string mx_l = AddNetExchange(p, "l" + sj, left_src, opts,
+    std::string mx_l = AddNetExchange(p, "l" + sj, left_src,
+                                      KvStageSchema(j - 1), opts,
                                       /*compress=*/false,
                                       /*carry_domain_bits=*/false);
-    std::string mx_r = AddNetExchange(p, "r" + sj, right_src, opts,
+    std::string mx_r = AddNetExchange(p, "r" + sj, right_src,
+                                      KeyValueSchema(), opts,
                                       /*compress=*/false,
                                       /*carry_domain_bits=*/false);
     auto zip = std::make_unique<Zip>(plan->MakeRef(mx_l),
@@ -462,8 +467,8 @@ SubOpPtr EmitOptimizedSequence(int num_joins, const KvLowerOptions& opts) {
   for (int i = 0; i <= num_joins; ++i) {
     mx_names.push_back(AddNetExchange(
         plan.get(), "rel" + std::to_string(i),
-        [i]() { return ParamItem(i); }, opts, /*compress=*/false,
-        /*carry_domain_bits=*/false));
+        [i]() { return ParamItem(i); }, KeyValueSchema(), opts,
+        /*compress=*/false, /*carry_domain_bits=*/false));
   }
   SubOpPtr zipped = plan->MakeRef(mx_names[0]);
   for (int i = 1; i <= num_joins; ++i) {

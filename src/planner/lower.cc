@@ -75,16 +75,18 @@ void AddScan(PipelinePlan* plan, const std::string& name,
                                                          pruned));
 }
 
-/// Adds the platform's exchange for pipeline `src` keyed on `key_col`
-/// and returns the name of the pipeline yielding the exchanged data:
-/// ⟨pid, collection⟩ tuples on MPI/TCP, ⟨path, rg, rg⟩ triples on
-/// serverless. The transport wiring itself lives in
+/// Adds the platform's exchange for pipeline `src` (rows of `schema`)
+/// keyed on `key_col` and returns the name of the pipeline yielding the
+/// exchanged data: ⟨pid, collection⟩ tuples on MPI/TCP, ⟨path, rg, rg⟩
+/// triples on serverless. The transport wiring itself lives in
 /// plans::AddExchangePipelines; this only picks the configuration.
 std::string AddExchange(PipelinePlan* plan, LoweringContext* ctx,
-                        const std::string& src, int key_col) {
+                        const std::string& src, const Schema& schema,
+                        int key_col) {
   std::string base = src + "_x" + std::to_string(ctx->next_exchange++);
   plans::ExchangeConfig cfg;
   cfg.fused = ctx->fused;
+  cfg.schema = schema;
   cfg.key_col = key_col;
   if (!ctx->serverless && ctx->exec.tcp_exchange) {
     cfg.transport = plans::ExchangeConfig::Transport::kTcp;
@@ -162,8 +164,8 @@ void AddJoin(PipelinePlan* plan, LoweringContext* ctx,
     return;
   }
 
-  std::string xb = AddExchange(plan, ctx, build_pipe, build_key);
-  std::string xp = AddExchange(plan, ctx, probe_pipe, probe_key);
+  std::string xb = AddExchange(plan, ctx, build_pipe, build_schema, build_key);
+  std::string xp = AddExchange(plan, ctx, probe_pipe, probe_schema, probe_key);
 
   if (!ctx->serverless) {
     // NestedMap over zipped ⟨pid, data⟩ pairs (Fig. 6).
@@ -193,7 +195,7 @@ void AddShuffledAgg(PipelinePlan* plan, LoweringContext* ctx,
                     const Schema& in_schema, int key_col,
                     std::vector<int> keys, std::vector<AggSpec> aggs,
                     ExprPtr having, const Schema& out_schema) {
-  std::string x = AddExchange(plan, ctx, in_pipe, key_col);
+  std::string x = AddExchange(plan, ctx, in_pipe, in_schema, key_col);
 
   auto finish = [&](SubOpPtr records) -> SubOpPtr {
     SubOpPtr cur = std::make_unique<ReduceByKey>(

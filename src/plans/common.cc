@@ -17,7 +17,7 @@ std::string AddExchangePipelines(PipelinePlan* plan, const std::string& base,
       topts.key_col = cfg.key_col;
       plan->Add(base + "_tcp",
                 std::make_unique<TcpExchange>(MaybeScan(src(), cfg.fused),
-                                                   topts));
+                                              cfg.schema, topts));
       return base + "_tcp";
     }
     case ExchangeConfig::Transport::kS3: {
@@ -49,7 +49,8 @@ std::string AddExchangePipelines(PipelinePlan* plan, const std::string& base,
   plan->Add(base + "_mx", std::make_unique<MpiExchange>(
                               MaybeScan(src(), cfg.fused),
                               plan->MakeRef(base + "_lh"),
-                              plan->MakeRef(base + "_mh"), xopts));
+                              plan->MakeRef(base + "_mh"), cfg.schema,
+                              xopts));
   return base + "_mx";
 }
 

@@ -72,6 +72,10 @@ struct ExchangeConfig {
   /// Plan-time fusion decision: wraps each source in RowScan when false
   /// (see MaybeScan above).
   bool fused = true;
+  /// Row schema of the exchanged stream. kMpi/kTcp fix their wire stride
+  /// from it, so a rank whose own input is empty still agrees with its
+  /// peers.
+  Schema schema;
   /// Partitioning key column of the exchanged stream.
   int key_col = 0;
   /// Radix partitioning spec (kMpi: network fan-out; kS3: one partition

@@ -57,7 +57,9 @@ Status LambdaExecutor::Open(ExecContext* ctx) {
             config_.worker_params ? config_.worker_params(w) : Tuple{};
         rctx.PushParams(&params);
 
-        ScopedTimer total(rctx.stats, "phase.worker_total");
+        PhaseTimer total_timer;
+        total_timer.Bind(rctx.stats, "phase.worker_total");
+        ScopedPhase total(&total_timer);
         SubOpPtr plan = config_.plan_factory(w);
         Status worker_st = [&]() -> Status {
           // Cancellation points: query start and every result tuple (see
@@ -131,7 +133,8 @@ Status S3Exchange::DoExchange() {
   if (ctx_->blob == nullptr || ctx_->lambda == nullptr) {
     return Status::Internal("S3Exchange requires a Lambda worker context");
   }
-  ScopedTimer timer(ctx_->stats, opts_.timer_key);
+  timer_.Bind(ctx_->stats, opts_.timer_key);
+  ScopedPhase phase(&timer_);
   const int me = ctx_->rank;
   const int world = ctx_->world;
 
@@ -167,11 +170,8 @@ Status S3Exchange::DoExchange() {
   for (const RowVectorPtr& r : raw) {
     if (r != nullptr) total_rows += r->size();
   }
-  int workers = 1;
-  if (ctx_->options.enable_vectorized && total_rows > 0) {
-    workers = std::min(PlanWorkers(total_rows, ctx_->options), world);
-    if (workers < 1) workers = 1;
-  }
+  const int workers =
+      std::max(1, std::min(PlanWorkers(total_rows, ctx_->options), world));
   std::vector<ColumnTablePtr> parts(world);
   const std::vector<size_t> bounds =
       SplitRows(static_cast<size_t>(world), workers);
@@ -274,7 +274,8 @@ bool S3Exchange::NextBatch(RowBatch* out) {
       while (batch_rg_ <= batch_last_rg_ &&
              batch_rg_ < batch_reader_->num_row_groups()) {
         size_t rg = batch_rg_++;
-        ScopedTimer timer(ctx_->stats, opts_.timer_key);
+        timer_.Bind(ctx_->stats, opts_.timer_key);
+        ScopedPhase phase(&timer_);
         auto table = batch_reader_->ReadRowGroup(rg, {});
         if (!table.ok()) return Fail(table.status());
         if ((*table)->num_rows() == 0) continue;
@@ -287,7 +288,8 @@ bool S3Exchange::NextBatch(RowBatch* out) {
     }
     if (emit_pos_ >= out_.size()) return false;
     const Tuple& triple = out_[emit_pos_++];
-    ScopedTimer timer(ctx_->stats, opts_.timer_key);
+    timer_.Bind(ctx_->stats, opts_.timer_key);
+    ScopedPhase phase(&timer_);
     batch_path_ = triple[0].str();
     batch_source_ = std::make_shared<storage::BlobReader>(
         ctx_->blob, batch_path_, opts_.retry, ctx_->stats, ctx_->cancel);
@@ -322,7 +324,8 @@ bool ColumnFileScan::Next(Tuple* out) {
           }
           continue;
         }
-        ScopedTimer timer(ctx_->stats, opts_.timer_key);
+        timer_.Bind(ctx_->stats, opts_.timer_key);
+        ScopedPhase phase(&timer_);
         auto table = reader_->ReadRowGroup(rg, opts_.projection);
         if (!table.ok()) return Fail(table.status());
         out->clear();
@@ -340,7 +343,8 @@ bool ColumnFileScan::Next(Tuple* out) {
     if (ctx_->blob == nullptr) {
       return Fail(Status::Internal("ColumnFileScan: no storage client"));
     }
-    ScopedTimer timer(ctx_->stats, opts_.timer_key);
+    timer_.Bind(ctx_->stats, opts_.timer_key);
+    ScopedPhase phase(&timer_);
     source_ = std::make_shared<storage::BlobReader>(
         ctx_->blob, t[0].str(), opts_.retry, ctx_->stats, ctx_->cancel);
     auto reader = storage::ColumnFileReader::Open(source_);
@@ -408,7 +412,8 @@ bool S3SelectRequest::Next(Tuple* out) {
   if (ctx_->s3select == nullptr) {
     return Fail(Status::Internal("S3SelectRequest: no S3Select engine"));
   }
-  ScopedTimer timer(ctx_->stats, opts_.timer_key);
+  timer_.Bind(ctx_->stats, opts_.timer_key);
+  ScopedPhase phase(&timer_);
   auto csv = ctx_->s3select->Select(t[0].str(), opts_.object_schema,
                                     opts_.projection, opts_.predicate,
                                     ctx_->blob);

@@ -94,6 +94,7 @@ class S3Exchange : public SubOperator {
   Status DoExchange();
 
   Options opts_;
+  PhaseTimer timer_;
   bool exchanged_ = false;
   /// Triple cursor, shared by Next() and NextBatch().
   size_t emit_pos_ = 0;
@@ -146,6 +147,7 @@ class ColumnFileScan : public SubOperator {
 
  private:
   Options opts_;
+  PhaseTimer timer_;
   std::unique_ptr<storage::ColumnFileReader> reader_;
   std::shared_ptr<storage::RandomReader> source_;
   size_t current_rg_ = 0;
@@ -207,6 +209,7 @@ class S3SelectRequest : public SubOperator {
 
  private:
   Options opts_;
+  PhaseTimer timer_;
 };
 
 }  // namespace modularis

@@ -929,10 +929,6 @@ void ReduceByKey::AccumulateSpan(const uint8_t* rows, size_t n,
   }
 }
 
-void ReduceByKey::AccumulateBulk(const RowVector& rows) {
-  AccumulateSpan(rows.data(), rows.size(), rows.schema());
-}
-
 Status ReduceByKey::ConsumeAll() {
   timer_.Bind(ctx_->stats, timer_key_);
   ScopedPhase phase(&timer_);
@@ -948,62 +944,43 @@ Status ReduceByKey::ConsumeAll() {
 }
 
 Status ReduceByKey::ConsumeAllInner() {
-  if (ctx_->options.enable_vectorized) {
-    // Under a memory budget the keyed path always drains (even at one
-    // thread), so the spill decisions are pure functions of the limit and
-    // the drained input — never of the thread count
-    // (docs/DESIGN-memory.md).
-    const size_t mem_limit = ctx_->options.memory_limit_bytes;
-    const bool budgeted = mem_limit > 0 && !key_cols_.empty();
-    if (ctx_->options.ResolvedNumThreads() > 1 || budgeted) {
-      // Partition-owned (keyed) / fixed-chunk-tree (keyless) parallel
-      // aggregation covers every key and aggregate shape — float SUM,
-      // string and multi-column keys included — so there is no
-      // structural serial fallback left on the vectorized path.
-      RowVectorPtr input;
-      MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
-      if (input == nullptr) return Status::OK();
-      mem_charge_.Add(input->byte_size());
-      if (budgeted && ShouldSpill(input->byte_size(), mem_limit)) {
-        return ConsumeAllSpill(std::move(input));
-      }
-      const int workers = PlanWorkers(input->size(), ctx_->options);
-      if (workers <= 1) {
-        // Sizing decision (input too small to split), not a fallback.
-        AccumulateSpan(input->data(), input->size(), input->schema());
-        return Status::OK();
-      }
-      if (key_cols_.empty()) return ConsumeKeylessParallel(input, workers);
-      return ConsumeAllParallel(input, workers);
+  // Under a memory budget the keyed path always drains (even at one
+  // thread), so the spill decisions are pure functions of the limit and
+  // the drained input — never of the thread count
+  // (docs/DESIGN-memory.md).
+  const size_t mem_limit = ctx_->options.memory_limit_bytes;
+  const bool budgeted = mem_limit > 0 && !key_cols_.empty();
+  if (ctx_->options.ResolvedNumThreads() > 1 || budgeted) {
+    // Partition-owned (keyed) / fixed-chunk-tree (keyless) parallel
+    // aggregation covers every key and aggregate shape — float SUM,
+    // string and multi-column keys included — so there is no structural
+    // serial fallback.
+    RowVectorPtr input;
+    MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
+    if (input == nullptr) return Status::OK();
+    mem_charge_.Add(input->byte_size());
+    if (budgeted && ShouldSpill(input->byte_size(), mem_limit)) {
+      return ConsumeAllSpill(std::move(input));
     }
-    // Selective pull: an upstream Filter hands its input batch plus a
-    // selection vector, so rejected rows are never compacted just to be
-    // aggregated here.
-    RowBatch batch;
-    while (child(0)->NextBatchSelective(&batch)) {
-      if (batch.has_selection()) {
-        const size_t n = batch.size();
-        for (size_t i = 0; i < n; ++i) Accumulate(batch.row(i));
-      } else {
-        AccumulateSpan(batch.data(), batch.size(), batch.schema());
-      }
+    const int workers = PlanWorkers(input->size(), ctx_->options);
+    if (workers <= 1) {
+      // Sizing decision (input too small to split), not a fallback.
+      AccumulateSpan(input->data(), input->size(), input->schema());
+      return Status::OK();
     }
-    return child(0)->status();
+    if (key_cols_.empty()) return ConsumeKeylessParallel(input, workers);
+    return ConsumeAllParallel(input, workers);
   }
-  if (ctx_->options.ResolvedNumThreads() > 1) {
-    // Row-at-a-time streams have no packed span to partition.
-    NoteSerialFallback(ctx_, "ReduceByKey");
-  }
-  Tuple t;
-  while (child(0)->Next(&t)) {
-    const Item& item = t[0];
-    if (item.is_collection()) {
-      AccumulateBulk(*item.collection());
-    } else if (item.is_row()) {
-      Accumulate(item.row());
+  // Selective pull: an upstream Filter hands its input batch plus a
+  // selection vector, so rejected rows are never compacted just to be
+  // aggregated here.
+  RowBatch batch;
+  while (child(0)->PullBatch(&batch, Pull::kSelective)) {
+    if (batch.has_selection()) {
+      const size_t n = batch.size();
+      for (size_t i = 0; i < n; ++i) Accumulate(batch.row(i));
     } else {
-      return Status::InvalidArgument(
-          "ReduceByKey expects rows or collections, got " + item.ToString());
+      AccumulateSpan(batch.data(), batch.size(), batch.schema());
     }
   }
   return child(0)->status();
@@ -1026,6 +1003,8 @@ bool ReduceByKey::Next(Tuple* out) {
 // ---------------------------------------------------------------------------
 
 Status Reduce::Open(ExecContext* ctx) {
+  ctx_ = ctx;
+  status_ = Status::OK();
   emitted_ = false;
   return inner_.Open(ctx);
 }
@@ -1112,29 +1091,12 @@ Status SortOp::ConsumeAndSort(size_t limit) {
   timer_.Bind(ctx_->stats, timer_key_);
   ScopedPhase phase(&timer_);
   rows_ = RowVector::Make(schema_);
-  if (ctx_->options.enable_vectorized) {
-    // Sort only permutes an index array, so a single durable
-    // whole-collection input can be adopted without copying.
-    MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(child(0), &rows_));
-  } else {
-    Tuple t;
-    while (child(0)->Next(&t)) {
-      const Item& item = t[0];
-      if (item.is_collection()) {
-        rows_->AppendAll(*item.collection());
-      } else if (item.is_row()) {
-        rows_->AppendRaw(item.row().data());
-      } else {
-        return Status::InvalidArgument(
-            "Sort expects rows or collections, got " + item.ToString());
-      }
-    }
-  }
-  MODULARIS_RETURN_NOT_OK(child(0)->status());
+  // Sort only permutes an index array, so a single durable
+  // whole-collection input can be adopted without copying.
+  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(child(0), &rows_));
   mem_charge_.Add(rows_->byte_size());
   const size_t mem_limit = ctx_->options.memory_limit_bytes;
-  if (ctx_->options.enable_vectorized && mem_limit > 0 &&
-      ShouldSpill(rows_->byte_size(), mem_limit)) {
+  if (mem_limit > 0 && ShouldSpill(rows_->byte_size(), mem_limit)) {
     return ConsumeExternal(limit);
   }
   const size_t n = rows_->size();
@@ -1153,14 +1115,7 @@ Status SortOp::ConsumeAndSort(size_t limit) {
     return c != 0 ? c < 0 : x < y;
   };
 
-  int workers = 1;
-  if (ctx_->options.enable_vectorized) {
-    workers = PlanWorkers(n, ctx_->options);
-  } else if (ctx_->options.ResolvedNumThreads() > 1) {
-    // Row-at-a-time mode is the serial correctness oracle; it has no
-    // parallel path (structural, like the other parallel operators).
-    NoteSerialFallback(ctx_, "Sort");
-  }
+  const int workers = PlanWorkers(n, ctx_->options);
   if (workers <= 1) {
     if (cap < n) {
       // Bounded selection: heap-select the top `cap` (O(n log cap))

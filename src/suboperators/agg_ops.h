@@ -191,7 +191,7 @@ class ReduceByKey : public SubOperator {
   /// Fixed chunk size of the keyless (scalar Reduce) pairwise combine
   /// tree. A constant — NOT a thread-derived split — so the tree shape,
   /// and with it every float partial sum, is identical at any thread
-  /// count and in row-at-a-time mode.
+  /// count.
   static constexpr size_t kKeylessChunkRows = 1 << 14;
 
   Status ConsumeAll();
@@ -209,7 +209,6 @@ class ReduceByKey : public SubOperator {
   /// (PairwiseCombineRows), byte-stable at any thread count.
   Status ConsumeKeylessParallel(const RowVectorPtr& input, int workers);
   void Accumulate(const RowRef& row);
-  void AccumulateBulk(const RowVector& rows);
   void AccumulateSpan(const uint8_t* rows, size_t n, const Schema& schema);
   void AccumulateKeylessRow(const RowRef& row);
   /// Folds the keyless chunk partials through the fixed pairwise tree

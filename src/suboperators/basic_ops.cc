@@ -27,15 +27,10 @@ Status NestedMap::Open(ExecContext* ctx) {
   // Parallel mode: one nested-plan clone per worker, fed input tuples
   // dynamically (partition pairs are skewed, so dynamic claiming is the
   // load-balancing lever here); outputs replay in input order. Gated on
-  // enable_vectorized like every other parallel path, so the
-  // row-at-a-time oracle configuration stays a genuinely single-threaded
-  // reference execution.
+  // the thread count only, like every other parallel path: the serial
+  // reference execution is num_threads = 1.
   int threads = ctx->options.ResolvedNumThreads();
   if (threads <= 1) return Status::OK();
-  if (!ctx->options.enable_vectorized) {
-    NoteSerialFallback(ctx, "NestedMap");
-    return Status::OK();
-  }
   WorkerCloneContext cc;
   for (int w = 0; w < threads; ++w) {
     SubOpPtr clone = nested_->CloneForWorker(&cc);

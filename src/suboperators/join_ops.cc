@@ -267,31 +267,14 @@ Status BuildProbe::Open(ExecContext* ctx) {
 Status BuildProbe::BuildTable() {
   timer_.Bind(ctx_->stats, timer_key_);
   ScopedPhase phase(&timer_);
-  if (ctx_->options.enable_vectorized) {
-    // Bulk build: adopt a single durable whole-collection batch without
-    // copying (the common case: the build side is one partition);
-    // otherwise one memcpy per batch into the build buffer.
-    MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(child(0), &build_rows_));
-    mem_charge_.Add(build_rows_->byte_size());
-    const size_t mem_limit = ctx_->options.memory_limit_bytes;
-    if (mem_limit > 0 && ShouldSpill(build_rows_->byte_size(), mem_limit)) {
-      return GraceSpillJoin();
-    }
-  } else {
-    Tuple t;
-    while (child(0)->Next(&t)) {
-      const Item& item = t[0];
-      if (item.is_collection()) {
-        build_rows_->AppendAll(*item.collection());
-      } else if (item.is_row()) {
-        build_rows_->AppendRaw(item.row().data());
-      } else {
-        return Status::InvalidArgument(
-            "BuildProbe expects rows or collections on the build side, got " +
-            item.ToString());
-      }
-    }
-    MODULARIS_RETURN_NOT_OK(child(0)->status());
+  // Bulk build: adopt a single durable whole-collection batch without
+  // copying (the common case: the build side is one partition); otherwise
+  // one memcpy per batch into the build buffer.
+  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(child(0), &build_rows_));
+  mem_charge_.Add(build_rows_->byte_size());
+  const size_t mem_limit = ctx_->options.memory_limit_bytes;
+  if (mem_limit > 0 && ShouldSpill(build_rows_->byte_size(), mem_limit)) {
+    return GraceSpillJoin();
   }
   // Bulk insert: extract the (shifted) keys from the packed bytes with a
   // hoisted layout, then load the table with bucket prefetching.
@@ -299,20 +282,16 @@ Status BuildProbe::BuildTable() {
   key_scratch_.resize(n);
   ExtractShiftedKeys(build_rows_->data(), n, build_schema_, build_key_col_,
                      key_shift_, key_scratch_.data());
-  if (ctx_->options.enable_vectorized) {
-    int workers = PlanWorkers(n, ctx_->options);
-    int slices = 1;
-    while (slices * 2 <= workers) slices *= 2;
-    if (slices > 1 &&
-        table_.BuildParallel(key_scratch_.data(), n, slices).ok()) {
-      mem_charge_.Add(table_.byte_size());
-      return Status::OK();
-    }
-    // Too small to slice, or pathological skew overfilled a slice:
-    // rebuild serially (byte-identical either way).
-  } else if (ctx_->options.ResolvedNumThreads() > 1) {
-    NoteSerialFallback(ctx_, "BuildProbe");
+  const int workers = PlanWorkers(n, ctx_->options);
+  int slices = 1;
+  while (slices * 2 <= workers) slices *= 2;
+  if (slices > 1 &&
+      table_.BuildParallel(key_scratch_.data(), n, slices).ok()) {
+    mem_charge_.Add(table_.byte_size());
+    return Status::OK();
   }
+  // Too small to slice, or pathological skew overfilled a slice: rebuild
+  // serially (byte-identical either way).
   table_.Reserve(n);
   table_.InsertBatch(key_scratch_.data(), n, 0);
   mem_charge_.Add(table_.byte_size());
@@ -321,10 +300,7 @@ Status BuildProbe::BuildTable() {
 
 Status BuildProbe::MaybeSetupParallelProbe() {
   par_probe_decided_ = true;
-  if (!ctx_->options.enable_vectorized ||
-      ctx_->options.ResolvedNumThreads() <= 1) {
-    return Status::OK();
-  }
+  if (ctx_->options.ResolvedNumThreads() <= 1) return Status::OK();
   RowVectorPtr probe;
   MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(1), &probe));
   if (probe == nullptr || probe->empty()) {

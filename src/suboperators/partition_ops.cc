@@ -207,41 +207,21 @@ bool LocalHistogram::Next(Tuple* out) {
   if (done_) return false;
   std::vector<int64_t> counts(spec_.fanout(), 0);
   timer_.Bind(ctx_->stats, timer_key_);
-  if (ctx_->options.enable_vectorized &&
-      ctx_->options.ResolvedNumThreads() > 1) {
-    ScopedPhase phase(&timer_);
+  ScopedPhase phase(&timer_);
+  if (ctx_->options.ResolvedNumThreads() > 1) {
     Status st = CountParallel(&counts);
     if (!st.ok()) return Fail(std::move(st));
-  } else if (ctx_->options.enable_vectorized) {
-    // Batched drain: every batch is counted in one packed loop,
+  } else {
+    // Streaming drain: every batch is counted in one packed loop,
     // regardless of whether the upstream streams records or hands whole
     // collections.
-    ScopedPhase phase(&timer_);
     RowBatch batch;
-    while (child(0)->NextBatch(&batch)) {
+    while (child(0)->PullBatch(&batch)) {
       CountSpan(batch.data(), batch.size(), batch.schema(), spec_, key_col_,
                 counts.data());
     }
-  } else {
-    if (ctx_->options.ResolvedNumThreads() > 1) {
-      // Row-at-a-time streams have no packed span to split into morsels.
-      NoteSerialFallback(ctx_, "LocalHistogram");
-    }
-    ScopedPhase phase(&timer_);
-    Tuple t;
-    while (child(0)->Next(&t)) {
-      const Item& item = t[0];
-      if (item.is_collection()) {
-        CountRows(*item.collection(), spec_, key_col_, counts.data());
-      } else if (item.is_row()) {
-        ++counts[spec_.PartitionOf(KeyAt(item.row(), key_col_))];
-      } else {
-        return Fail(Status::InvalidArgument(
-            "LocalHistogram expects rows or collections, got " +
-            item.ToString()));
-      }
-    }
   }
+  phase.Stop();
   if (!child(0)->status().ok()) return Fail(child(0)->status());
   RowVectorPtr hist = RowVector::Make(HistogramSchema());
   hist->Reserve(counts.size());
@@ -394,12 +374,12 @@ Status LocalPartition::PartitionAllParallel(const RowVector& hist) {
   return ScatterRanges(*input, spec_, key_col_, plan, &parts_);
 }
 
-Status LocalPartition::PartitionAllVectorized(const RowVector& hist) {
+Status LocalPartition::PartitionAllStreaming(const RowVector& hist) {
   ScopedPhase phase(&timer_);
   std::vector<size_t> cursors;
   bool have_schema = false;
   RowBatch batch;
-  while (child(0)->NextBatch(&batch)) {
+  while (child(0)->PullBatch(&batch)) {
     if (batch.empty()) continue;
     if (!have_schema) {
       have_schema = true;
@@ -457,71 +437,10 @@ Status LocalPartition::PartitionAll() {
 
   timer_.Bind(ctx_->stats, timer_key_);
   parts_.reserve(spec_.fanout());
-  if (ctx_->options.enable_vectorized) {
-    if (ctx_->options.ResolvedNumThreads() > 1) {
-      return PartitionAllParallel(*hist);
-    }
-    return PartitionAllVectorized(*hist);
-  }
   if (ctx_->options.ResolvedNumThreads() > 1) {
-    NoteSerialFallback(ctx_, "LocalPartition");
+    return PartitionAllParallel(*hist);
   }
-
-  ScopedPhase phase(&timer_);
-  Schema data_schema;
-  bool have_schema = false;
-
-  // Collect input; reserve per-partition capacity on first sight of the
-  // data schema.
-  Tuple t;
-  while (child(0)->Next(&t)) {
-    const Item& item = t[0];
-    if (item.is_collection()) {
-      const RowVector& rows = *item.collection();
-      if (!have_schema) {
-        data_schema = rows.schema();
-        have_schema = true;
-        for (int p = 0; p < spec_.fanout(); ++p) {
-          size_t rows_p = 0;
-          MODULARIS_RETURN_NOT_OK(
-              CheckedHistCount(hist->row(p).GetInt64(0), p, &rows_p));
-          RowVectorPtr part = RowVector::Make(data_schema);
-          part->Reserve(rows_p);
-          parts_.push_back(std::move(part));
-        }
-      }
-      ScatterRows(rows, spec_, key_col_, &parts_);
-    } else if (item.is_row()) {
-      const RowRef& row = item.row();
-      if (!have_schema) {
-        data_schema = row.schema();
-        have_schema = true;
-        for (int p = 0; p < spec_.fanout(); ++p) {
-          size_t rows_p = 0;
-          MODULARIS_RETURN_NOT_OK(
-              CheckedHistCount(hist->row(p).GetInt64(0), p, &rows_p));
-          RowVectorPtr part = RowVector::Make(data_schema);
-          part->Reserve(rows_p);
-          parts_.push_back(std::move(part));
-        }
-      }
-      uint32_t pid = spec_.PartitionOf(KeyAt(row, key_col_));
-      parts_[pid]->AppendRaw(row.data());
-    } else {
-      return Status::InvalidArgument(
-          "LocalPartition expects rows or collections, got " +
-          item.ToString());
-    }
-  }
-  if (!child(0)->status().ok()) return child(0)->status();
-  if (!have_schema) {
-    // Empty input: emit empty partitions with a key/value placeholder
-    // schema derived from nothing — use the histogram's count of zero.
-    for (int p = 0; p < spec_.fanout(); ++p) {
-      parts_.push_back(RowVector::Make(KeyValueSchema()));
-    }
-  }
-  return Status::OK();
+  return PartitionAllStreaming(*hist);
 }
 
 bool LocalPartition::Next(Tuple* out) {
@@ -569,8 +488,7 @@ bool PartitionOp::Next(Tuple* out) {
       }
       have_parts = true;
     };
-    if (ctx_->options.enable_vectorized &&
-        ctx_->options.ResolvedNumThreads() > 1) {
+    if (ctx_->options.ResolvedNumThreads() > 1) {
       RowVectorPtr input;
       Status st = DrainRecordStream(child(0), &input);
       if (!st.ok()) return Fail(std::move(st));
@@ -586,33 +504,13 @@ bool PartitionOp::Next(Tuple* out) {
                       key_col_, &parts_);
         }
       }
-    } else if (ctx_->options.enable_vectorized) {
+    } else {
       RowBatch batch;
-      while (child(0)->NextBatch(&batch)) {
+      while (child(0)->PullBatch(&batch)) {
         if (batch.empty()) continue;
         ensure_parts(batch.schema());
         ScatterSpan(batch.data(), batch.size(), batch.schema(), spec_,
                     key_col_, &parts_);
-      }
-    } else {
-      if (ctx_->options.ResolvedNumThreads() > 1) {
-        NoteSerialFallback(ctx_, "Partition");
-      }
-      Tuple t;
-      while (child(0)->Next(&t)) {
-        const Item& item = t[0];
-        if (item.is_collection()) {
-          ensure_parts(item.collection()->schema());
-          ScatterRows(*item.collection(), spec_, key_col_, &parts_);
-        } else if (item.is_row()) {
-          ensure_parts(item.row().schema());
-          uint32_t pid = spec_.PartitionOf(KeyAt(item.row(), key_col_));
-          parts_[pid]->AppendRaw(item.row().data());
-        } else {
-          return Fail(Status::InvalidArgument(
-              "Partition expects rows or collections, got " +
-              item.ToString()));
-        }
       }
     }
     if (!child(0)->status().ok()) return Fail(child(0)->status());

@@ -54,7 +54,7 @@ class LocalHistogram : public SubOperator {
  private:
   /// Morsel-parallel counting over the materialized input; per-worker
   /// histograms sum-merge (order-insensitive, so morsels are claimed
-  /// dynamically). Used when the thread budget allows, vectorized only.
+  /// dynamically). Used when the thread budget allows.
   Status CountParallel(std::vector<int64_t>* counts);
 
   RadixSpec spec_;
@@ -103,10 +103,11 @@ class LocalPartition : public SubOperator {
 
  private:
   Status PartitionAll();
-  /// Vectorized variant: partitions are sized exactly from the histogram
-  /// up front (ResizeRows) and rows land at histogram prefix offsets in
-  /// one streaming pass — no per-row append bookkeeping.
-  Status PartitionAllVectorized(const RowVector& hist);
+  /// Single-thread variant: partitions are sized exactly from the
+  /// histogram up front (ResizeRows) and rows land at histogram prefix
+  /// offsets in one streaming pass over the pulled batches — no per-row
+  /// append bookkeeping and no drained copy of the input.
+  Status PartitionAllStreaming(const RowVector& hist);
   /// Morsel-parallel variant (docs/DESIGN-parallel.md): static contiguous
   /// worker ranges are counted, per-(worker, partition) write offsets are
   /// derived from the histogram prefix sums, then every worker scatters

@@ -82,14 +82,14 @@ bool ColumnScan::NextBatch(RowBatch* out) {
 bool MaterializeRowVector::Next(Tuple* out) {
   if (done_) return false;
   RowVectorPtr result = RowVector::Make(schema_);
-  // Vectorized drain when the upstream declares a record stream: batches
-  // land with one bulk memcpy each, and a released whole-vector batch
-  // (the common single-output-batch case of a nested BuildProbe) is
-  // adopted zero-copy. Streams that may carry atom tuples (driver-side
-  // result assembly) keep the row loop below.
-  if (ctx_->options.enable_vectorized && child(0)->ProducesRecordStream()) {
+  // Batch drain when the upstream declares a record stream: batches land
+  // with one bulk memcpy each, and a released whole-vector batch (the
+  // common single-output-batch case of a nested BuildProbe) is adopted
+  // zero-copy. Streams that may carry atom tuples (driver-side result
+  // assembly) keep the tuple loop below.
+  if (child(0)->ProducesRecordStream()) {
     RowBatch batch;
-    while (child(0)->NextBatch(&batch)) {
+    while (child(0)->PullBatch(&batch)) {
       if (result->empty() && batch.schema().Equals(schema_)) {
         RowVectorPtr stolen = batch.TakeReleased();
         if (stolen != nullptr) {

@@ -669,11 +669,18 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
   }
 
   // Driver-side merge: ReduceByKey → finalize Map → Sort/TopK (the RK /
-  // TK / MR tail of Figs. 6 and 7).
+  // TK / MR tail of Figs. 6 and 7). A keyless merge is a Reduce, which
+  // emits its identity row when every rank's partial is empty — one row,
+  // as SQL gives for an aggregate without GROUP BY.
   SubOpPtr cur = std::make_unique<CollectionSource>(
       std::vector<RowVectorPtr>{partials});
   Schema cur_schema = spec.rank_schema;
-  if (spec.merge) {
+  if (spec.merge && spec.merge_keys.empty()) {
+    auto r = std::make_unique<Reduce>(std::move(cur), spec.merge_aggs,
+                                      cur_schema, "phase.driver_merge");
+    cur_schema = r->out_schema();
+    cur = std::move(r);
+  } else if (spec.merge) {
     auto rk = std::make_unique<ReduceByKey>(std::move(cur), spec.merge_keys,
                                             spec.merge_aggs, cur_schema,
                                             "phase.driver_merge");

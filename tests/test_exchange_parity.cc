@@ -64,6 +64,51 @@ RowVectorPtr MakeKv(int64_t rows, int64_t key_space, uint32_t seed,
   return data;
 }
 
+/// 24-byte ⟨key, value, tag⟩ rows: a layout no exchange can guess from
+/// the 16-byte key/value default, so an empty rank must take its stride
+/// from the plan.
+Schema WideSchema() {
+  return Schema({Field::I64("key"), Field::I64("value"), Field::I64("tag")});
+}
+
+RowVectorPtr MakeWide(int64_t rows, int64_t key_space, uint32_t seed) {
+  RowVectorPtr data = RowVector::Make(WideSchema());
+  data->Reserve(rows);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int64_t> dist(0, key_space - 1);
+  for (int64_t i = 0; i < rows; ++i) {
+    RowWriter w = data->AppendRow();
+    w.SetInt64(0, dist(rng));
+    w.SetInt64(1, i);
+    w.SetInt64(2, static_cast<int64_t>(seed) * 1000003 + i);
+  }
+  return data;
+}
+
+/// Every input row arrives exactly once, at the input's stride.
+void ExpectRowsConserved(const std::vector<RowVectorPtr>& frags,
+                         const std::vector<RowVectorPtr>& outputs,
+                         const std::string& label) {
+  size_t in_rows = 0, out_rows = 0;
+  for (const RowVectorPtr& f : frags) in_rows += f->size();
+  for (const RowVectorPtr& o : outputs) {
+    EXPECT_EQ(o->row_size(), frags.front()->row_size()) << label;
+    out_rows += o->size();
+  }
+  EXPECT_EQ(in_rows, out_rows) << label;
+}
+
+/// The exchange's data child: the bare collection (not a record stream,
+/// so the exchange pulls it as tuples) or, with `scanned`, a RowScan
+/// over it (a record stream, pulled as batches that skip an empty
+/// fragment entirely).
+SubOpPtr DataSource(const RowVectorPtr& frag, bool scanned) {
+  SubOpPtr src = std::make_unique<CollectionSource>(
+      std::vector<RowVectorPtr>{frag});
+  if (!scanned) return src;
+  return std::make_unique<RowScan>(std::move(src));
+}
+
 std::vector<int64_t> CountPartitions(const RowVector& frag,
                                      const RadixSpec& spec) {
   std::vector<int64_t> counts(spec.fanout(), 0);
@@ -91,13 +136,15 @@ struct FabricTotals {
 // MPI transport: owned-partition parity + overlap.
 // ---------------------------------------------------------------------------
 
-/// Runs a bare MpiExchange (CollectionSource children, manually derived
+/// Runs a bare MpiExchange (DataSource child, manually derived
 /// histograms) on world = frags.size() ranks with `threads` workers per
-/// rank; returns the owned ⟨pid, partition⟩ pairs per rank.
+/// rank; returns the owned ⟨pid, partition⟩ pairs per rank. Every
+/// fragment shares one schema, which the exchange takes at construction.
 std::vector<std::vector<std::pair<int64_t, RowVectorPtr>>> RunMpiExchange(
     const std::vector<RowVectorPtr>& frags, int threads, bool compress,
     bool serial_wire, size_t buffer_bytes,
-    const net::FabricOptions& fabric, FabricTotals* totals) {
+    const net::FabricOptions& fabric, FabricTotals* totals,
+    bool scanned = false) {
   const int world = static_cast<int>(frags.size());
   const RadixSpec spec{4, 0, RadixHash::kIdentity};
   std::vector<int64_t> global(spec.fanout(), 0);
@@ -123,14 +170,13 @@ std::vector<std::vector<std::pair<int64_t, RowVectorPtr>>> RunMpiExchange(
         xopts.compress = compress;
         xopts.serial_wire = serial_wire;
         xopts.buffer_bytes = buffer_bytes;
-        MpiExchange mx(std::make_unique<CollectionSource>(
-                           std::vector<RowVectorPtr>{frags[r]}),
+        MpiExchange mx(DataSource(frags[r], scanned),
                        std::make_unique<CollectionSource>(
                            std::vector<RowVectorPtr>{HistVector(
                                CountPartitions(*frags[r], spec))}),
                        std::make_unique<CollectionSource>(
                            std::vector<RowVectorPtr>{HistVector(global)}),
-                       xopts);
+                       frags.front()->schema(), xopts);
         MODULARIS_RETURN_NOT_OK(mx.Open(&ctx));
         Tuple t;
         while (mx.Next(&t)) {
@@ -159,14 +205,21 @@ std::vector<std::vector<std::pair<int64_t, RowVectorPtr>>> RunMpiExchange(
 }
 
 void CheckMpiParity(const std::vector<RowVectorPtr>& frags, bool compress,
-                    const std::string& label) {
+                    const std::string& label, bool scanned = false) {
   auto base = RunMpiExchange(frags, 1, compress, /*serial_wire=*/false, 512,
-                             Unthrottled(), nullptr);
+                             Unthrottled(), nullptr, scanned);
   auto par = RunMpiExchange(frags, 4, compress, /*serial_wire=*/false, 512,
-                            Unthrottled(), nullptr);
+                            Unthrottled(), nullptr, scanned);
   // The ablation must produce the same window layout too.
   auto abl = RunMpiExchange(frags, 4, compress, /*serial_wire=*/true, 512,
-                            Unthrottled(), nullptr);
+                            Unthrottled(), nullptr, scanned);
+  if (!compress) {
+    std::vector<RowVectorPtr> outputs;
+    for (const auto& rank_parts : base) {
+      for (const auto& part : rank_parts) outputs.push_back(part.second);
+    }
+    ExpectRowsConserved(frags, outputs, label);
+  }
   for (const auto* other : {&par, &abl}) {
     ASSERT_EQ(base.size(), other->size()) << label;
     for (size_t r = 0; r < base.size(); ++r) {
@@ -214,6 +267,18 @@ TEST(MpiExchangeParityTest, EmptyFragment) {
     }
     CheckMpiParity(frags, /*compress=*/false,
                    "mpi empty-rank world=" + std::to_string(world));
+
+    std::vector<RowVectorPtr> wide;
+    wide.push_back(RowVector::Make(WideSchema()));  // rank 0 empty
+    for (int r = 1; r < world; ++r) {
+      wide.push_back(MakeWide(3000, 1 << 16, 350 + r));
+    }
+    for (bool scanned : {false, true}) {
+      CheckMpiParity(wide, /*compress=*/false,
+                     "mpi empty-rank 24-byte world=" + std::to_string(world) +
+                         " scanned=" + std::to_string(scanned),
+                     scanned);
+    }
   }
 }
 
@@ -268,7 +333,8 @@ TEST(MpiExchangeOverlapTest, PipelinedStallsLessThanPartitionThenSend) {
 // ---------------------------------------------------------------------------
 
 std::vector<RowVectorPtr> RunTcpExchange(
-    const std::vector<RowVectorPtr>& frags, int threads) {
+    const std::vector<RowVectorPtr>& frags, int threads,
+    bool scanned = false) {
   const int world = static_cast<int>(frags.size());
   std::vector<RowVectorPtr> mine(world);
   std::vector<StatsRegistry> rank_stats(world);
@@ -282,8 +348,7 @@ std::vector<RowVectorPtr> RunTcpExchange(
         ctx.options.num_threads = threads;
         ctx.options.parallel_min_rows = 256;
         ctx.stats = &rank_stats[r];
-        TcpExchange tx(std::make_unique<CollectionSource>(
-                           std::vector<RowVectorPtr>{frags[r]}),
+        TcpExchange tx(DataSource(frags[r], scanned), frags.front()->schema(),
                        TcpExchange::Options{});
         MODULARIS_RETURN_NOT_OK(tx.Open(&ctx));
         RowVectorPtr out = RowVector::Make(frags[r]->schema());
@@ -303,9 +368,10 @@ std::vector<RowVectorPtr> RunTcpExchange(
 }
 
 void CheckTcpParity(const std::vector<RowVectorPtr>& frags,
-                    const std::string& label) {
-  auto base = RunTcpExchange(frags, 1);
-  auto par = RunTcpExchange(frags, 4);
+                    const std::string& label, bool scanned = false) {
+  auto base = RunTcpExchange(frags, 1, scanned);
+  auto par = RunTcpExchange(frags, 4, scanned);
+  ExpectRowsConserved(frags, base, label);
   ASSERT_EQ(base.size(), par.size()) << label;
   for (size_t r = 0; r < base.size(); ++r) {
     ExpectBytesEqual(*base[r], *par[r],
@@ -337,6 +403,18 @@ TEST(TcpExchangeParityTest, SkewedAndEmpty) {
       sparse.push_back(MakeKv(3000, 1 << 16, 700 + r));
     }
     CheckTcpParity(sparse, "tcp empty-rank world=" + std::to_string(world));
+
+    std::vector<RowVectorPtr> wide;
+    wide.push_back(RowVector::Make(WideSchema()));
+    for (int r = 1; r < world; ++r) {
+      wide.push_back(MakeWide(3000, 1 << 16, 750 + r));
+    }
+    for (bool scanned : {false, true}) {
+      CheckTcpParity(wide,
+                     "tcp empty-rank 24-byte world=" + std::to_string(world) +
+                         " scanned=" + std::to_string(scanned),
+                     scanned);
+    }
   }
 }
 

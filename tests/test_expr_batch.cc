@@ -578,6 +578,7 @@ TEST(SelectionFlowTest, FilterMapReduceParity) {
     auto plan = make_plan();
     ExecContext ctx;
     ctx.options.enable_vectorized = vectorized;
+    if (!vectorized) ctx.options.num_threads = 1;  // serial reference
     ASSERT_TRUE(plan->Open(&ctx).ok());
     RowVectorPtr result = RowVector::Make(plan->out_schema());
     Tuple t;
@@ -617,6 +618,7 @@ TEST(SelectionFlowTest, MapMixedSchemaParity) {
     auto plan = make_plan();
     ExecContext ctx;
     ctx.options.enable_vectorized = vectorized;
+    if (!vectorized) ctx.options.num_threads = 1;  // serial reference
     MaterializeRowVector mat(std::move(plan), out);
     ASSERT_TRUE(mat.Open(&ctx).ok());
     Tuple t;

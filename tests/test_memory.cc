@@ -705,7 +705,9 @@ void ExpectResultBytesEqual(const RowVector& expected,
 /// All 8 queries at a budget small enough to force the spill paths in
 /// joins, aggregations and the driver-side top-k sorts, at 1 and 4
 /// threads: every result must be byte-equal to the unlimited run, and
-/// no spill object may outlive its query.
+/// no spill object may outlive its query. Row mode pulls its inputs
+/// through Next() but shares every admission and spill decision, so its
+/// Q3 at 1KB must spill all three families too.
 TEST(TpchMemoryTest, BudgetedQueriesMatchUnlimitedByteForByte) {
   constexpr size_t kBudget = 16 << 10;
   for (int threads : {1, 4}) {
@@ -720,19 +722,28 @@ TEST(TpchMemoryTest, BudgetedQueriesMatchUnlimitedByteForByte) {
     // sorts only see merged partials (a few hundred rows at sf 0.01),
     // so tripping that family's admission check needs a budget below
     // twice the partial size. Q3 at 1KB spills all three families.
-    const std::pair<int, size_t> runs[] = {
-        {1, kBudget},  {3, kBudget},  {4, kBudget},  {6, kBudget},
-        {12, kBudget}, {14, kBudget}, {18, kBudget}, {19, kBudget},
-        {3, size_t{1} << 10}};
-    for (const auto& [q, limit] : runs) {
+    struct Run {
+      int q;
+      size_t limit;
+      bool vectorized;
+    };
+    const Run runs[] = {
+        {1, kBudget, true},  {3, kBudget, true},  {4, kBudget, true},
+        {6, kBudget, true},  {12, kBudget, true}, {14, kBudget, true},
+        {18, kBudget, true}, {19, kBudget, true}, {3, size_t{1} << 10, true},
+        {3, size_t{1} << 10, false}};
+    for (const auto& [q, limit, vectorized] : runs) {
       SCOPED_TRACE("Q" + std::to_string(q) + " threads=" +
                    std::to_string(threads) + " limit=" +
-                   std::to_string(limit));
+                   std::to_string(limit) +
+                   " vectorized=" + std::to_string(vectorized));
+      TpchRunOptions unlimited = base;
+      unlimited.exec.enable_vectorized = vectorized;
       StatsRegistry ref_stats;
-      auto expected = RunTpchQuery(q, **ctx, base, &ref_stats);
+      auto expected = RunTpchQuery(q, **ctx, unlimited, &ref_stats);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-      TpchRunOptions budgeted = base;
+      TpchRunOptions budgeted = unlimited;
       budgeted.exec.memory_limit_bytes = limit;
       StatsRegistry stats;
       auto result = RunTpchQuery(q, **ctx, budgeted, &stats);
@@ -749,6 +760,11 @@ TEST(TpchMemoryTest, BudgetedQueriesMatchUnlimitedByteForByte) {
         EXPECT_GT(stats.GetCounter("spill.partitions"), 0);
         EXPECT_GT(stats.GetCounter("spill.bytes"), 0);
         EXPECT_GT(stats.GetCounter("mem.denials"), 0);
+      }
+      if (!vectorized) {
+        EXPECT_GT(stats.GetCounter("spill.ops.ReduceByKey"), 0);
+        EXPECT_GT(stats.GetCounter("spill.ops.BuildProbe"), 0);
+        EXPECT_GT(stats.GetCounter("spill.ops.Sort"), 0);
       }
       EXPECT_GT(stats.GetCounter("mem.peak_bytes"), 0);
       EXPECT_TRUE((*ctx)->store->List("spill/").empty())
@@ -791,20 +807,25 @@ TEST(TpchMemoryTest, Q1FewGroupsNeverSpillAt512KiB) {
 }
 
 TEST(TpchMemoryTest, UnsatisfiableBudgetFailsFastAndClean) {
-  TpchRunOptions opts = Unthrottled(TpchRunOptions::Rdma(2));
-  opts.exec.network_radix_bits = 4;
-  opts.exec.memory_limit_bytes = 64;  // quota of 16 bytes: nothing fits
-  auto ctx = PrepareTpch(Db(), opts);
-  ASSERT_TRUE(ctx.ok());
+  // Row mode shares the admission checks, so it fails fast the same way.
+  for (bool vectorized : {true, false}) {
+    SCOPED_TRACE("vectorized=" + std::to_string(vectorized));
+    TpchRunOptions opts = Unthrottled(TpchRunOptions::Rdma(2));
+    opts.exec.network_radix_bits = 4;
+    opts.exec.memory_limit_bytes = 64;  // quota of 16 bytes: nothing fits
+    opts.exec.enable_vectorized = vectorized;
+    auto ctx = PrepareTpch(Db(), opts);
+    ASSERT_TRUE(ctx.ok());
 
-  StatsRegistry stats;
-  auto result = RunTpchQuery(1, **ctx, opts, &stats);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-      << result.status().ToString();
-  EXPECT_NE(result.status().ToString().find("memory_limit_bytes"),
-            std::string::npos);
-  EXPECT_TRUE((*ctx)->store->List("spill/").empty());
+    StatsRegistry stats;
+    auto result = RunTpchQuery(1, **ctx, opts, &stats);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << result.status().ToString();
+    EXPECT_NE(result.status().ToString().find("memory_limit_bytes"),
+              std::string::npos);
+    EXPECT_TRUE((*ctx)->store->List("spill/").empty());
+  }
 }
 
 TEST(TpchMemoryTest, InjectedSpillFaultsConvergeByteEqual) {

@@ -322,7 +322,7 @@ TEST(MpiExchangeTest, RejectsCompressionOfNonKvSchemas) {
                 std::vector<RowVectorPtr>{hist}),
             std::make_unique<CollectionSource>(
                 std::vector<RowVectorPtr>{hist}),
-            xopts);
+            wide, xopts);
         MODULARIS_RETURN_NOT_OK(mx.Open(&ctx));
         Tuple t;
         if (mx.Next(&t)) return Status::Internal("should have failed");

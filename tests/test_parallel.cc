@@ -848,7 +848,7 @@ class TpchParallelParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(TpchParallelParity, FourThreadsByteEqual) {
   const int query = GetParam();
-  auto run = [&](int threads) {
+  auto run = [&](int threads, bool vectorized) {
     tpch::TpchRunOptions opts = tpch::TpchRunOptions::Rdma(2);
     opts.fabric.throttle = false;
     opts.storage.throttle = false;
@@ -858,17 +858,27 @@ TEST_P(TpchParallelParity, FourThreadsByteEqual) {
     opts.exec.network_radix_bits = 4;
     opts.exec.num_threads = threads;
     opts.exec.parallel_min_rows = 256;
+    opts.exec.enable_vectorized = vectorized;
     auto ctx = tpch::PrepareTpch(Db(), opts);
     EXPECT_TRUE(ctx.ok()) << ctx.status().ToString();
     StatsRegistry stats;
     auto result = tpch::RunTpchQuery(query, **ctx, opts, &stats);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
+    for (const auto& [key, value] : stats.counters()) {
+      EXPECT_TRUE(key.rfind("parallel.serial_fallback.", 0) != 0)
+          << key << " = " << value << " vectorized=" << vectorized;
+    }
     return *result;
   };
-  RowVectorPtr out1 = run(1);
-  // 8 across 2 ranks = 4 workers per rank.
-  RowVectorPtr out8 = run(8);
-  ExpectBytesEqual(*out1, *out8, "tpch q" + std::to_string(query));
+  RowVectorPtr out1 = run(1, /*vectorized=*/true);
+  // 8 across 2 ranks = 4 workers per rank. Row mode runs the same
+  // parallel paths; it only pulls its inputs through Next().
+  for (bool vectorized : {true, false}) {
+    RowVectorPtr out8 = run(8, vectorized);
+    ExpectBytesEqual(*out1, *out8,
+                     "tpch q" + std::to_string(query) +
+                         " vectorized=" + std::to_string(vectorized));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Queries, TpchParallelParity,

@@ -202,14 +202,14 @@ void AddInput(PipelinePlan* plan, const std::string& name,
 }
 
 std::string AddExchange(PipelinePlan* plan, Env* env, const std::string& src,
-                        int key_col) {
+                        const Schema& schema, int key_col) {
   std::string base = src + "_x" + std::to_string(env->next_exchange++);
   if (!env->serverless() && env->exec.tcp_exchange) {
     TcpExchange::Options topts;
     topts.key_col = key_col;
     plan->Add(base + "_tcp",
               std::make_unique<TcpExchange>(
-                  MaybeScan(plan->MakeRef(src), env->fused), topts));
+                  MaybeScan(plan->MakeRef(src), env->fused), schema, topts));
     return base + "_tcp";
   }
   if (!env->serverless()) {
@@ -231,7 +231,7 @@ std::string AddExchange(PipelinePlan* plan, Env* env, const std::string& src,
               std::make_unique<MpiExchange>(
                   MaybeScan(plan->MakeRef(src), env->fused),
                   plan->MakeRef(base + "_lh"),
-                  plan->MakeRef(base + "_mh"), xopts));
+                  plan->MakeRef(base + "_mh"), schema, xopts));
     return base + "_mx";
   }
   RadixSpec spec;
@@ -294,8 +294,8 @@ void AddJoin(PipelinePlan* plan, Env* env, const std::string& out_name,
     return;
   }
 
-  std::string xb = AddExchange(plan, env, build_pipe, build_key);
-  std::string xp = AddExchange(plan, env, probe_pipe, probe_key);
+  std::string xb = AddExchange(plan, env, build_pipe, build_schema, build_key);
+  std::string xp = AddExchange(plan, env, probe_pipe, probe_schema, probe_key);
 
   if (!env->serverless()) {
     auto nested = finish(std::make_unique<BuildProbe>(
@@ -319,7 +319,7 @@ void AddShuffledAgg(PipelinePlan* plan, Env* env, const std::string& out_name,
                     int key_col, std::vector<int> keys,
                     std::vector<AggSpec> aggs, ExprPtr having,
                     const Schema& out_schema) {
-  std::string x = AddExchange(plan, env, in_pipe, key_col);
+  std::string x = AddExchange(plan, env, in_pipe, in_schema, key_col);
 
   auto finish = [&](SubOpPtr records) -> SubOpPtr {
     SubOpPtr cur = std::make_unique<ReduceByKey>(

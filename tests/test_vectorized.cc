@@ -165,10 +165,14 @@ RowVectorPtr DrainPlan(SubOpPtr root, const Schema& schema,
   return t[0].collection();
 }
 
+/// Row mode is the reference side of every parity check here, so it is
+/// pinned to one thread: the serial oracle for the (multi-thread)
+/// vectorized runs.
 ExecOptions Variant(bool fused, bool vectorized) {
   ExecOptions o;
   o.enable_fusion = fused;
   o.enable_vectorized = vectorized;
+  if (!vectorized) o.num_threads = 1;
   return o;
 }
 
@@ -326,6 +330,7 @@ TEST(VectorizedParityTest, LocalPartitionPresizedScatter) {
   auto run = [&](bool vectorized) {
     ExecContext ctx;
     ctx.options.enable_vectorized = vectorized;
+    if (!vectorized) ctx.options.num_threads = 1;  // serial reference
     auto plan = std::make_unique<PipelinePlan>();
     plan->Add("lh", std::make_unique<LocalHistogram>(ScanOf(data), spec, 0));
     plan->SetOutput(std::make_unique<LocalPartition>(
@@ -552,7 +557,7 @@ TEST(BatchNativeOpsTest, TcpExchangeLoopbackParityAndNoAdapter) {
           TcpExchange exchange(
               std::make_unique<RowScan>(std::make_unique<CollectionSource>(
                   std::vector<RowVectorPtr>{frags[r]})),
-              opts);
+              KeyValueSchema(), opts);
           MODULARIS_RETURN_NOT_OK(exchange.Open(&ctx));
           if (use_batch) {
             per_rank[r] = DrainBatches(&exchange);
@@ -841,6 +846,7 @@ TEST_P(DistributedJoinParityTest, AllVariantsByteIdentical) {
       opts.join_type = p.join_type;
       opts.exec.enable_fusion = fused;
       opts.exec.enable_vectorized = vectorized;
+      if (!vectorized) opts.exec.num_threads = 1;  // serial reference
       opts.exec.network_radix_bits = 4;
       opts.exec.local_radix_bits = 3;
       opts.fabric.throttle = false;
@@ -885,6 +891,7 @@ TEST(DistributedJoinParityTest2, CompressedExchangeParity) {
       opts.compress = true;
       opts.exec.enable_fusion = fused;
       opts.exec.enable_vectorized = vectorized;
+      if (!vectorized) opts.exec.num_threads = 1;  // serial reference
       opts.exec.network_radix_bits = 4;
       opts.exec.local_radix_bits = 3;
       opts.exec.key_domain_bits = 16;
@@ -922,6 +929,7 @@ TEST(TpchVectorizedParityTest, AllQueriesByteIdentical) {
       opts.fabric.throttle = false;
       opts.storage.throttle = false;
       opts.exec.enable_vectorized = vectorized;
+      if (!vectorized) opts.exec.num_threads = 1;  // serial reference
       auto ctx = tpch::PrepareTpch(db, opts);
       ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
       StatsRegistry stats;
