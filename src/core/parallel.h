@@ -49,9 +49,9 @@ Status ParallelFor(const ExecContext* ctx, int num_workers,
 /// Picks the worker count for a phase over `rows` input rows: enough rows
 /// per worker (options.parallel_min_rows) to amortize thread startup and
 /// merge cost, capped at the resolved thread budget. Returns 1 when the
-/// input is too small to be worth splitting (callers then keep the serial
-/// path; that is a sizing decision, not a `parallel.serial_fallback.*`
-/// safety fallback).
+/// input is too small to be worth splitting (callers then run their
+/// one-worker kernel on the same input; that is a sizing decision, not a
+/// `parallel.serial_fallback.*` safety fallback).
 int PlanWorkers(size_t rows, const ExecOptions& options);
 
 /// Records that an operator requested parallel execution but had to fall

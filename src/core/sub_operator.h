@@ -1,6 +1,7 @@
 #ifndef MODULARIS_CORE_SUB_OPERATOR_H_
 #define MODULARIS_CORE_SUB_OPERATOR_H_
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -134,30 +135,28 @@ class SubOperator {
 
   /// How a consumer pulls its input through PullBatch().
   enum class Pull {
-    kBatch,      // NextBatch(): dense packed batches
-    kSelective,  // NextBatchSelective(): a selection vector may ride along
-    kTuples,     // Next() tuples batched by item 0, whatever the mode
+    kBatch,   // NextBatch(): dense packed batches
+    kTuples,  // Next() tuples batched by item 0, whatever the mode
   };
 
   /// The one pull path of every batch consumer, and the only reader of
-  /// ExecOptions::enable_vectorized: vectorized, it is NextBatch() (or
-  /// NextBatchSelective() for Pull::kSelective); otherwise, and always
-  /// for Pull::kTuples, it batches this operator's Next() tuples by item
-  /// 0 — rows packed, whole collections forwarded as one zero-copy
-  /// durable batch, anything else an error. The tuple form bumps no
-  /// adapter counter. Consumers keep one drain loop either way. Call
-  /// after Open().
+  /// ExecOptions::enable_vectorized: vectorized, it is NextBatch();
+  /// otherwise, and always for Pull::kTuples, it batches this operator's
+  /// Next() tuples by item 0 — rows packed, whole collections forwarded
+  /// as one zero-copy durable batch, anything else an error. The tuple
+  /// form bumps no adapter counter. Consumers keep one drain loop either
+  /// way. Call after Open().
   bool PullBatch(RowBatch* out, Pull how = Pull::kBatch) {
     if (how == Pull::kTuples || !ctx_->options.enable_vectorized) {
       return NextBatchFromTuples(out, 0, /*require_arity_one=*/false);
     }
-    return how == Pull::kSelective ? NextBatchSelective(out) : NextBatch(out);
+    return NextBatch(out);
   }
 
   /// Selection-aware pull: like NextBatch(), but the producer may attach
   /// a selection vector to `*out` instead of compacting the surviving
   /// rows (Filter defers compaction this way, so filtered rows are never
-  /// copied before the consumer projects or aggregates them). Only
+  /// copied before a chained Filter, MapOp or NestedMap reads them). Only
   /// consumers that iterate `out->row(i)` / honor `out->selection()` may
   /// call this; bulk-memcpy consumers must keep pulling via NextBatch().
   /// Default: the dense batch path.
@@ -194,12 +193,18 @@ class SubOperator {
   /// whole collections forwarded as one zero-copy borrowed batch, rows
   /// packed into the scratch buffer in kDefaultRows runs. With
   /// `require_arity_one`, multi-item tuples are an error (the adapter
-  /// contract).
+  /// contract). Rows of another layout than the batch's are an error too.
   bool NextBatchFromTuples(RowBatch* out, int item_index,
                            bool require_arity_one) {
     out->Clear();
     Tuple t;
     RowVector* sink = nullptr;
+    const Schema* fits = nullptr;  // last row schema checked against sink
+    auto layout_error = [&](const Schema& schema) {
+      return Fail(Status::InvalidArgument(
+          name_ + ": rows " + schema.ToString() +
+          " do not match the batch schema " + sink->schema().ToString()));
+    };
     while (Next(&t)) {
       if (require_arity_one && t.size() != 1) {
         return Fail(Status::InvalidArgument(
@@ -208,7 +213,8 @@ class SubOperator {
       }
       const Item& item = t[item_index];
       if (item.is_collection()) {
-        if (item.collection()->empty() && sink == nullptr) continue;
+        const RowVector& rows = *item.collection();
+        if (rows.empty() && sink == nullptr) continue;
         if (sink == nullptr) {
           out->Borrow(item.collection());
           out->MarkDurable();  // upstream-owned collection, read-only
@@ -216,7 +222,10 @@ class SubOperator {
         }
         // Mixed rows-then-collection: fold the collection into the
         // scratch batch and emit the combined run.
-        sink->AppendAll(*item.collection());
+        if (!rows.empty() && !rows.schema().SameLayout(sink->schema())) {
+          return layout_error(rows.schema());
+        }
+        sink->AppendAll(rows);
         out->SealScratch();
         return true;
       }
@@ -224,7 +233,14 @@ class SubOperator {
         return Fail(Status::InvalidArgument(
             name_ + ": cannot batch a " + item.ToString() + " item"));
       }
-      if (sink == nullptr) sink = out->Scratch(item.row().schema());
+      const Schema& schema = item.row().schema();
+      if (sink == nullptr) {
+        sink = out->Scratch(schema);
+        fits = &schema;
+      } else if (&schema != fits || schema.row_size() != sink->row_size()) {
+        if (!schema.SameLayout(sink->schema())) return layout_error(schema);
+        fits = &schema;
+      }
       sink->AppendRaw(item.row().data());
       if (sink->size() >= RowBatch::kDefaultRows) {
         out->SealScratch();
@@ -272,76 +288,62 @@ class SubOperator {
   std::string adapter_counter_key_;  // prebuilt: hot per-batch counter
 };
 
-/// Drains `child`'s record stream through PullBatch() into `*dest`
-/// (pre-made with the desired schema, initially empty): a single durable
+/// Drains `child`'s record stream through PullBatch() into `*dest`, the
+/// one materialization step of every blocking consumer: a single durable
 /// whole-collection batch is adopted zero-copy, anything else is
-/// bulk-copied. For consumers that hold the rows read-only for the rest
-/// of their Open cycle (hash-join build sides, sort inputs, exchange
-/// inputs). Rows of another layout fail with InvalidArgument; otherwise
-/// returns the child's status.
-inline Status DrainRecordStreamInto(
+/// bulk-copied. A null `*dest` takes the schema of the first non-empty
+/// batch (and stays null when the stream is empty); a non-null one must be
+/// empty and made with the consumer's schema. Every batch must share the
+/// layout of that schema, else InvalidArgument; otherwise returns the
+/// child's status.
+inline Status DrainRecordStream(
     SubOperator* child, RowVectorPtr* dest,
     SubOperator::Pull how = SubOperator::Pull::kBatch) {
+  // Batches collect as blocks (a durable batch shared, others copied into
+  // owned blocks that grow geometrically but are never reallocated), and
+  // several blocks are concatenated once into a span of exact size.
+  // Growing one vector by doubling would allocate and copy afresh at every
+  // step, which costs more than the stream itself on long row streams.
+  // Owned blocks stay under 64 KiB, below malloc's mmap threshold, so
+  // their memory is reused across drains instead of faulted in anew.
+  constexpr size_t kMaxBlockBytes = size_t{64} << 10;
   RowBatch batch;
-  RowVectorPtr adopted;
-  bool first = true;
+  std::vector<RowVectorPtr> blocks;
+  size_t block_cap = 0;  // rows reserved in blocks.back() if owned, else 0
+  size_t total = 0;
   while (child->PullBatch(&batch, how)) {
     if (batch.empty()) continue;
-    if (!batch.schema().SameLayout((*dest)->schema())) {
+    const Schema& layout = !blocks.empty()    ? blocks[0]->schema()
+                           : *dest != nullptr ? (*dest)->schema()
+                                              : batch.schema();
+    if (!batch.schema().SameLayout(layout)) {
       return Status::InvalidArgument(
           child->name() + ": rows " + batch.schema().ToString() +
-          " do not match the consumer schema " +
-          (*dest)->schema().ToString());
+          " do not match the stream schema " + layout.ToString());
     }
-    if (first) {
-      first = false;
-      adopted = batch.ShareWhole();
-      if (adopted != nullptr) continue;
+    total += batch.size();
+    if (RowVectorPtr shared = batch.ShareWhole()) {
+      blocks.push_back(std::move(shared));
+      block_cap = 0;
+      continue;
     }
-    if (adopted != nullptr) {
-      // More than one batch after all: fall back to copying (durable
-      // batches stay valid across later pulls).
-      (*dest)->Reserve(adopted->size() + batch.size());
-      (*dest)->AppendAll(*adopted);
-      adopted.reset();
-    } else if ((*dest)->empty()) {
-      (*dest)->Reserve(batch.size());
+    if (blocks.empty() || blocks.back()->size() + batch.size() > block_cap) {
+      const size_t max_rows =
+          kMaxBlockBytes / std::max<uint32_t>(1, batch.row_size());
+      block_cap = std::max(batch.size(), std::min(total, max_rows));
+      blocks.push_back(RowVector::Make(batch.schema()));
+      blocks.back()->Reserve(block_cap);
     }
-    (*dest)->AppendRawBatch(batch.data(), batch.size());
+    blocks.back()->AppendRawBatch(batch.data(), batch.size());
   }
   MODULARIS_RETURN_NOT_OK(child->status());
-  if (adopted != nullptr) *dest = std::move(adopted);
-  return Status::OK();
-}
-
-/// Schema-discovering variant of DrainRecordStreamInto: `*dest` starts
-/// null and takes the schema of the first non-empty batch (it stays null
-/// when the stream is empty). The parallel drivers use this to turn a
-/// record stream of unknown schema into one packed span they can split
-/// into morsels; the single-durable-collection hot case still adopts the
-/// vector zero-copy.
-inline Status DrainRecordStream(SubOperator* child, RowVectorPtr* dest) {
-  RowBatch batch;
-  RowVectorPtr adopted;
-  while (child->PullBatch(&batch)) {
-    if (batch.empty()) continue;
-    if (*dest == nullptr && adopted == nullptr) {
-      adopted = batch.ShareWhole();
-      if (adopted != nullptr) continue;
-      *dest = RowVector::Make(batch.schema());
-      (*dest)->Reserve(batch.size());
-    } else if (adopted != nullptr) {
-      // A second batch arrived after all: demote the adoption to a copy
-      // (durable batches stay valid across later pulls).
-      *dest = RowVector::Make(adopted->schema());
-      (*dest)->Reserve(adopted->size() + batch.size());
-      (*dest)->AppendAll(*adopted);
-      adopted.reset();
-    }
-    (*dest)->AppendRawBatch(batch.data(), batch.size());
+  if (blocks.size() == 1) {
+    *dest = std::move(blocks[0]);
+  } else if (!blocks.empty()) {
+    if (*dest == nullptr) *dest = RowVector::Make(blocks[0]->schema());
+    (*dest)->Reserve(total);
+    for (const RowVectorPtr& block : blocks) (*dest)->AppendAll(*block);
   }
-  MODULARIS_RETURN_NOT_OK(child->status());
-  if (adopted != nullptr) *dest = std::move(adopted);
   return Status::OK();
 }
 

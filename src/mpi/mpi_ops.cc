@@ -204,7 +204,7 @@ Status MpiExchange::DoExchange() {
   // stream (a plan input holding whole collections) is pulled through the
   // tuple adapter.
   RowVectorPtr input = RowVector::Make(schema_);
-  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(
+  MODULARIS_RETURN_NOT_OK(DrainRecordStream(
       child(0), &input,
       child(0)->ProducesRecordStream() ? Pull::kBatch : Pull::kTuples));
 
@@ -518,7 +518,7 @@ Status MpiBroadcast::DoBroadcast() {
   // The packed allgather payload is assembled from whole batches
   // (zero-copy when the upstream hands one durable collection).
   RowVectorPtr local = RowVector::Make(schema_);
-  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(
+  MODULARIS_RETURN_NOT_OK(DrainRecordStream(
       child(0), &local,
       child(0)->ProducesRecordStream() ? Pull::kBatch : Pull::kTuples));
 

@@ -21,7 +21,7 @@ Status TcpExchange::DoExchange() {
   // tuple adapter.
   const Schema& schema = schema_;
   RowVectorPtr input = RowVector::Make(schema);
-  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(
+  MODULARIS_RETURN_NOT_OK(DrainRecordStream(
       child(0), &input,
       child(0)->ProducesRecordStream() ? Pull::kBatch : Pull::kTuples));
   const size_t n = input->size();

@@ -185,7 +185,6 @@ Status ReduceByKey::Open(ExecContext* ctx) {
   i64_map_.Clear();
   byte_table_.Clear();
   keyless_partials_.reset();
-  keyless_fill_ = 0;
   consumed_ = false;
   emit_pos_ = 0;
   mem_charge_.Bind(ctx->budget);
@@ -196,7 +195,6 @@ Status ReduceByKey::Open(ExecContext* ctx) {
        in_schema_.field(key_cols_[0]).type == AtomType::kInt32 ||
        in_schema_.field(key_cols_[0]).type == AtomType::kDate);
   if (!single_i64_key_ && !key_cols_.empty()) {
-    codec_ = KeyCodec(in_schema_, key_cols_);
     // Fused serialize+hash program for the chunked byte-key kernels.
     // Byte-identical to SerializeKeys + HashKeysSpan by construction.
     key_prog_ = KeyProgram(in_schema_, key_cols_);
@@ -274,23 +272,6 @@ inline double LoadState(const uint8_t* row, uint32_t offset, bool is_float) {
 
 }  // namespace
 
-uint32_t ReduceByKey::StateFor(const RowRef& row) {
-  bool inserted = false;
-  uint32_t state;
-  if (single_i64_key_) {
-    state = i64_map_.FindOrInsert(KeyAt(row, key_cols_[0]), &inserted);
-  } else {
-    const uint32_t ks = codec_.key_size();
-    key_scratch_.resize(ks);
-    codec_.SerializeKey(row, key_scratch_.data());
-    state = byte_table_.FindOrInsert(key_scratch_.data(), ks,
-                                     HashKeyBytes(key_scratch_.data(), ks),
-                                     &inserted);
-  }
-  if (inserted) InitState(states_.get(), row);
-  return state;
-}
-
 void ReduceByKey::InitState(RowVector* states, const RowRef& row) const {
   // States are appended densely; the new state index == new row index.
   RowWriter w = states->AppendRow();
@@ -337,11 +318,6 @@ void ReduceByKey::InitStateAggs(uint8_t* dst) const {
   }
 }
 
-void ReduceByKey::UpdateState(RowVector* states, uint32_t state,
-                              const RowRef& row) {
-  UpdateStateRow(states->mutable_row(state), row);
-}
-
 void ReduceByKey::UpdateStateRow(uint8_t* dst, const RowRef& row) const {
   for (const AggSlot& s : slots_) {
     double v = 0;
@@ -375,14 +351,6 @@ void ReduceByKey::UpdateStateRow(uint8_t* dst, const RowRef& row) const {
       std::memcpy(dst + s.dst_offset, &cur, sizeof(cur));
     }
   }
-}
-
-void ReduceByKey::Accumulate(const RowRef& row) {
-  if (key_cols_.empty()) {
-    AccumulateKeylessRow(row);
-    return;
-  }
-  UpdateState(states_.get(), StateFor(row), row);
 }
 
 void ReduceByKey::MergeStateRow(uint8_t* dst, const uint8_t* src) const {
@@ -445,7 +413,7 @@ void ReduceByKey::AggregatePartition(
   }
   table->Clear();
   table->Reserve(reserve);
-  const uint32_t ks = codec_.key_size();
+  const uint32_t ks = key_prog_.key_size();
   key_scratch->resize(kKeyChunkRows * ks);
   hash_scratch->resize(kKeyChunkRows);
   RowSpan span{rows, stride, &schema};
@@ -495,7 +463,7 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
         ++counts[pid];
       }
     } else {
-      const uint32_t ks = codec_.key_size();
+      const uint32_t ks = key_prog_.key_size();
       std::vector<uint8_t> keys(kKeyChunkRows * ks);
       std::vector<uint64_t> hashes(kKeyChunkRows);
       RowSpan span{input->data(), stride, &schema};
@@ -718,7 +686,7 @@ Status ReduceByKey::AggregateHybrid(const uint8_t* rows, size_t n,
     return Status::OK();
   }
   ByteStateTable* table = level->table;
-  const uint32_t ks = codec_.key_size();
+  const uint32_t ks = key_prog_.key_size();
   key_scratch_.resize(kKeyChunkRows * ks);
   hash_scratch_.resize(kKeyChunkRows);
   RowSpan span{rows, stride, &schema};
@@ -838,15 +806,13 @@ Status ReduceByKey::AggregateSpilledPartition(int pass, int pid, int shift,
   return AggregateOverflow(&level, schema, scratch);
 }
 
-Status ReduceByKey::ConsumeKeylessParallel(const RowVectorPtr& input,
-                                           int workers) {
+Status ReduceByKey::ConsumeKeyless(const RowVectorPtr& input, int workers) {
   const size_t n = input->size();
   const Schema& schema = input->schema();
   const uint32_t stride = input->row_size();
   const size_t chunks = (n + kKeylessChunkRows - 1) / kKeylessChunkRows;
   keyless_partials_ = RowVector::Make(out_schema_);
-  // Zero-filled like the streaming path's AppendRow, so padding bytes
-  // match byte-for-byte.
+  // Zero-filled, so padding bytes are deterministic.
   keyless_partials_->ResizeRows(chunks);
   MorselCursor cursor(chunks, 1, ctx_->cancel);
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int) -> Status {
@@ -868,20 +834,6 @@ Status ReduceByKey::ConsumeKeylessParallel(const RowVectorPtr& input,
   return Status::OK();
 }
 
-void ReduceByKey::AccumulateKeylessRow(const RowRef& row) {
-  if (keyless_fill_ == 0) {
-    if (keyless_partials_ == nullptr) {
-      keyless_partials_ = RowVector::Make(out_schema_);
-    }
-    keyless_partials_->AppendRow();
-    InitStateAggs(
-        keyless_partials_->mutable_row(keyless_partials_->size() - 1));
-  }
-  UpdateStateRow(keyless_partials_->mutable_row(keyless_partials_->size() - 1),
-                 row);
-  if (++keyless_fill_ == kKeylessChunkRows) keyless_fill_ = 0;
-}
-
 void ReduceByKey::FinalizeKeyless() {
   if (keyless_partials_ == nullptr || keyless_partials_->empty()) return;
   PairwiseCombineRows(
@@ -894,23 +846,21 @@ void ReduceByKey::FinalizeKeyless() {
 void ReduceByKey::AccumulateSpan(const uint8_t* rows, size_t n,
                                  const Schema& schema) {
   const uint32_t stride = schema.row_size();
-  if (key_cols_.empty()) {
-    const uint8_t* p = rows;
-    for (size_t i = 0; i < n; ++i, p += stride) {
-      AccumulateKeylessRow(RowRef(p, &schema));
-    }
-    return;
-  }
   if (single_i64_key_) {
     const uint8_t* p = rows;
     for (size_t i = 0; i < n; ++i, p += stride) {
-      Accumulate(RowRef(p, &schema));
+      RowRef row(p, &schema);
+      bool inserted = false;
+      const uint32_t state =
+          i64_map_.FindOrInsert(KeyAt(row, key_cols_[0]), &inserted);
+      if (inserted) InitState(states_.get(), row);
+      UpdateStateRow(states_->mutable_row(state), row);
     }
     return;
   }
   // Byte keys: the same chunked serialize→hash→probe kernel the parallel
   // partitions run, against the operator-owned table.
-  const uint32_t ks = codec_.key_size();
+  const uint32_t ks = key_prog_.key_size();
   key_scratch_.resize(kKeyChunkRows * ks);
   hash_scratch_.resize(kKeyChunkRows);
   RowSpan span{rows, stride, &schema};
@@ -933,8 +883,7 @@ Status ReduceByKey::ConsumeAll() {
   timer_.Bind(ctx_->stats, timer_key_);
   ScopedPhase phase(&timer_);
   Status st = ConsumeAllInner();
-  // The keyless chunk partials combine through the fixed pairwise tree
-  // exactly once, whichever path accumulated them.
+  // The keyless chunk partials combine through the fixed pairwise tree.
   if (st.ok() && key_cols_.empty()) FinalizeKeyless();
   if (st.ok()) {
     mem_charge_.Add(states_->byte_size() + i64_map_.byte_size() +
@@ -944,46 +893,34 @@ Status ReduceByKey::ConsumeAll() {
 }
 
 Status ReduceByKey::ConsumeAllInner() {
-  // Under a memory budget the keyed path always drains (even at one
-  // thread), so the spill decisions are pure functions of the limit and
-  // the drained input — never of the thread count
-  // (docs/DESIGN-memory.md).
+  // Drain → size → run at every thread count: the drain adopts a single
+  // durable collection (every production input) zero-copy, so the spill
+  // decision and the worker count are pure functions of the limit and the
+  // drained input, and one worker is a sizing decision that runs the
+  // serial kernel on the drained span (docs/DESIGN-parallel.md).
+  RowVectorPtr input;
+  MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
+  if (input == nullptr) return Status::OK();
+  if (!input->schema().SameLayout(in_schema_)) {
+    return Status::InvalidArgument(
+        "ReduceByKey: rows " + input->schema().ToString() +
+        " do not match the input schema " + in_schema_.ToString());
+  }
+  mem_charge_.Add(input->byte_size());
   const size_t mem_limit = ctx_->options.memory_limit_bytes;
-  const bool budgeted = mem_limit > 0 && !key_cols_.empty();
-  if (ctx_->options.ResolvedNumThreads() > 1 || budgeted) {
-    // Partition-owned (keyed) / fixed-chunk-tree (keyless) parallel
-    // aggregation covers every key and aggregate shape — float SUM,
-    // string and multi-column keys included — so there is no structural
-    // serial fallback.
-    RowVectorPtr input;
-    MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
-    if (input == nullptr) return Status::OK();
-    mem_charge_.Add(input->byte_size());
-    if (budgeted && ShouldSpill(input->byte_size(), mem_limit)) {
-      return ConsumeAllSpill(std::move(input));
-    }
-    const int workers = PlanWorkers(input->size(), ctx_->options);
-    if (workers <= 1) {
-      // Sizing decision (input too small to split), not a fallback.
-      AccumulateSpan(input->data(), input->size(), input->schema());
-      return Status::OK();
-    }
-    if (key_cols_.empty()) return ConsumeKeylessParallel(input, workers);
-    return ConsumeAllParallel(input, workers);
+  if (mem_limit > 0 && !key_cols_.empty() &&
+      ShouldSpill(input->byte_size(), mem_limit)) {
+    return ConsumeAllSpill(std::move(input));
   }
-  // Selective pull: an upstream Filter hands its input batch plus a
-  // selection vector, so rejected rows are never compacted just to be
-  // aggregated here.
-  RowBatch batch;
-  while (child(0)->PullBatch(&batch, Pull::kSelective)) {
-    if (batch.has_selection()) {
-      const size_t n = batch.size();
-      for (size_t i = 0; i < n; ++i) Accumulate(batch.row(i));
-    } else {
-      AccumulateSpan(batch.data(), batch.size(), batch.schema());
-    }
+  const int workers = PlanWorkers(input->size(), ctx_->options);
+  // The keyless fixed-chunk tree is the same at any worker count
+  // (ParallelFor runs one worker inline).
+  if (key_cols_.empty()) return ConsumeKeyless(input, workers);
+  if (workers <= 1) {
+    AccumulateSpan(input->data(), input->size(), input->schema());
+    return Status::OK();
   }
-  return child(0)->status();
+  return ConsumeAllParallel(input, workers);
 }
 
 bool ReduceByKey::Next(Tuple* out) {
@@ -1093,7 +1030,7 @@ Status SortOp::ConsumeAndSort(size_t limit) {
   rows_ = RowVector::Make(schema_);
   // Sort only permutes an index array, so a single durable
   // whole-collection input can be adopted without copying.
-  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(child(0), &rows_));
+  MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &rows_));
   mem_charge_.Add(rows_->byte_size());
   const size_t mem_limit = ctx_->options.memory_limit_bytes;
   if (mem_limit > 0 && ShouldSpill(rows_->byte_size(), mem_limit)) {

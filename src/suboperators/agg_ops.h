@@ -205,23 +205,22 @@ class ReduceByKey : public SubOperator {
   /// construction. Groups are emitted in global first-occurrence order
   /// via a K-way merge over the per-partition discovery runs.
   Status ConsumeAllParallel(const RowVectorPtr& input, int workers);
-  /// Keyless parallel form: fixed-shape chunk partials combined pairwise
-  /// (PairwiseCombineRows), byte-stable at any thread count.
-  Status ConsumeKeylessParallel(const RowVectorPtr& input, int workers);
-  void Accumulate(const RowRef& row);
+  /// Keyless form, at any worker count: fixed-shape chunk partials
+  /// combined pairwise (PairwiseCombineRows), byte-stable at any thread
+  /// count.
+  Status ConsumeKeyless(const RowVectorPtr& input, int workers);
+  /// The one-worker keyed kernel: aggregates the drained span into the
+  /// operator-owned table.
   void AccumulateSpan(const uint8_t* rows, size_t n, const Schema& schema);
-  void AccumulateKeylessRow(const RowRef& row);
   /// Folds the keyless chunk partials through the fixed pairwise tree
   /// into the single output state. No-op when no input arrived.
   void FinalizeKeyless();
   /// Combines one partial state row into another (associative merge).
   void MergeStateRow(uint8_t* dst, const uint8_t* src) const;
-  uint32_t StateFor(const RowRef& row);
   void InitState(RowVector* states, const RowRef& row) const;
   /// Writes the aggregate identity values into a state row (keys
   /// untouched).
   void InitStateAggs(uint8_t* dst) const;
-  void UpdateState(RowVector* states, uint32_t state, const RowRef& row);
   /// The per-row update against an explicit state row — safe to run from
   /// worker threads (reads only immutable compiled slots; Expr::Eval is
   /// thread-safe).
@@ -325,11 +324,9 @@ class ReduceByKey : public SubOperator {
 
   RowVectorPtr states_;
   I64StateMap i64_map_;
-  /// Byte-key machinery shared by the serial and parallel paths:
-  /// fixed-stride serialized keys (KeyCodec) probed into the flat
+  /// Byte-key machinery shared by every path: the fused serialize+hash
+  /// program produces fixed-stride keys probed into the flat
   /// open-addressing ByteStateTable.
-  KeyCodec codec_;
-  /// Fused serialize+hash program; every chunked byte-key kernel runs it.
   KeyProgram key_prog_;
   ByteStateTable byte_table_;
   std::vector<uint8_t> key_scratch_;
@@ -338,7 +335,6 @@ class ReduceByKey : public SubOperator {
   /// Keyless (scalar) aggregation: one partial state per fixed-size input
   /// chunk, combined pairwise at finalize.
   RowVectorPtr keyless_partials_;
-  size_t keyless_fill_ = 0;
 
   bool consumed_ = false;
   size_t emit_pos_ = 0;

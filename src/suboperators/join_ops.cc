@@ -270,7 +270,7 @@ Status BuildProbe::BuildTable() {
   // Bulk build: adopt a single durable whole-collection batch without
   // copying (the common case: the build side is one partition); otherwise
   // one memcpy per batch into the build buffer.
-  MODULARIS_RETURN_NOT_OK(DrainRecordStreamInto(child(0), &build_rows_));
+  MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &build_rows_));
   mem_charge_.Add(build_rows_->byte_size());
   const size_t mem_limit = ctx_->options.memory_limit_bytes;
   if (mem_limit > 0 && ShouldSpill(build_rows_->byte_size(), mem_limit)) {

@@ -171,20 +171,17 @@ Status ScatterSpanPresized(const uint8_t* rows, size_t n,
 // LocalHistogram
 // ---------------------------------------------------------------------------
 
-Status LocalHistogram::CountParallel(std::vector<int64_t>* counts) {
+Status LocalHistogram::CountAll(std::vector<int64_t>* counts) {
   // Materialize the record stream as one packed span (zero-copy when the
   // upstream hands a single durable collection, the hot case) and count
   // dynamically claimed morsels into per-worker histograms; the sum-merge
   // is order-insensitive, so the dynamic schedule costs no determinism.
+  // One worker runs inline.
   RowVectorPtr input;
   MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
   if (input == nullptr) return Status::OK();
   const size_t n = input->size();
-  int workers = PlanWorkers(n, ctx_->options);
-  if (workers <= 1) {
-    CountRows(*input, spec_, key_col_, counts->data());
-    return Status::OK();
-  }
+  const int workers = PlanWorkers(n, ctx_->options);
   const uint32_t stride = input->row_size();
   std::vector<std::vector<int64_t>> worker_counts(
       workers, std::vector<int64_t>(spec_.fanout(), 0));
@@ -208,21 +205,9 @@ bool LocalHistogram::Next(Tuple* out) {
   std::vector<int64_t> counts(spec_.fanout(), 0);
   timer_.Bind(ctx_->stats, timer_key_);
   ScopedPhase phase(&timer_);
-  if (ctx_->options.ResolvedNumThreads() > 1) {
-    Status st = CountParallel(&counts);
-    if (!st.ok()) return Fail(std::move(st));
-  } else {
-    // Streaming drain: every batch is counted in one packed loop,
-    // regardless of whether the upstream streams records or hands whole
-    // collections.
-    RowBatch batch;
-    while (child(0)->PullBatch(&batch)) {
-      CountSpan(batch.data(), batch.size(), batch.schema(), spec_, key_col_,
-                counts.data());
-    }
-  }
+  Status st = CountAll(&counts);
+  if (!st.ok()) return Fail(std::move(st));
   phase.Stop();
-  if (!child(0)->status().ok()) return Fail(child(0)->status());
   RowVectorPtr hist = RowVector::Make(HistogramSchema());
   hist->Reserve(counts.size());
   for (int64_t c : counts) {
@@ -315,21 +300,36 @@ Status ScatterRanges(const RowVector& input, const RadixSpec& spec,
 // LocalPartition
 // ---------------------------------------------------------------------------
 
-Status LocalPartition::PartitionAllParallel(const RowVector& hist) {
+Status LocalPartition::PartitionAll() {
+  // Read the histogram to pre-size the output partitions exactly (the
+  // radix-partitioning discipline of [58, 63] that makes the scatter a
+  // single streaming pass).
+  Tuple hist_tuple;
+  if (!child(1)->Next(&hist_tuple)) {
+    if (!child(1)->status().ok()) return child(1)->status();
+    return Status::InvalidArgument("LocalPartition: missing histogram");
+  }
+  const RowVector& hist = *hist_tuple[0].collection();
+  const int fanout = spec_.fanout();
+  if (static_cast<int>(hist.size()) != fanout) {
+    return Status::InvalidArgument(
+        "LocalPartition: histogram size " + std::to_string(hist.size()) +
+        " != fanout " + std::to_string(fanout));
+  }
+
+  timer_.Bind(ctx_->stats, timer_key_);
   ScopedPhase phase(&timer_);
+  parts_.reserve(fanout);
   RowVectorPtr input;
   MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
   if (input == nullptr) {
-    // Empty input: empty partitions, as in the serial vectorized path.
-    for (int p = 0; p < spec_.fanout(); ++p) {
+    for (int p = 0; p < fanout; ++p) {
       parts_.push_back(RowVector::Make(KeyValueSchema()));
     }
     return Status::OK();
   }
   const size_t n = input->size();
   const Schema& schema = input->schema();
-  const int fanout = spec_.fanout();
-  const int workers = PlanWorkers(n, ctx_->options);
 
   // Exact allocation per partition from the histogram; every row is
   // overwritten by a full-stride copy below (count totals are verified
@@ -342,105 +342,34 @@ Status LocalPartition::PartitionAllParallel(const RowVector& hist) {
     part->ResizeRowsUninitialized(rows_p);
     parts_.push_back(std::move(part));
   }
+  auto check_count = [&](int p, size_t scattered) -> Status {
+    if (scattered == parts_[p]->size()) return Status::OK();
+    return Status::InvalidArgument(
+        "LocalPartition: histogram count " +
+        std::to_string(parts_[p]->size()) + " != scattered rows " +
+        std::to_string(scattered) + " for partition " + std::to_string(p));
+  };
 
+  const int workers = PlanWorkers(n, ctx_->options);
   if (workers <= 1) {
+    // The one-worker kernel: rows land at histogram prefix offsets with
+    // no counting pass of its own.
     std::vector<size_t> cursors(fanout, 0);
     MODULARIS_RETURN_NOT_OK(ScatterSpanPresized(
         input->data(), n, schema, spec_, key_col_, &parts_, &cursors));
     for (int p = 0; p < fanout; ++p) {
-      if (cursors[p] != parts_[p]->size()) {
-        return Status::InvalidArgument(
-            "LocalPartition: histogram count " +
-            std::to_string(parts_[p]->size()) + " != scattered rows " +
-            std::to_string(cursors[p]) + " for partition " +
-            std::to_string(p));
-      }
+      MODULARIS_RETURN_NOT_OK(check_count(p, cursors[p]));
     }
     return Status::OK();
   }
-
   RangedScatterPlan plan;
   MODULARIS_RETURN_NOT_OK(CountRanges(*input, spec_, key_col_, workers,
                                       &plan));
   for (int p = 0; p < fanout; ++p) {
-    if (plan.totals[p] != static_cast<int64_t>(parts_[p]->size())) {
-      return Status::InvalidArgument(
-          "LocalPartition: histogram count " +
-          std::to_string(parts_[p]->size()) + " != scattered rows " +
-          std::to_string(plan.totals[p]) + " for partition " +
-          std::to_string(p));
-    }
+    MODULARIS_RETURN_NOT_OK(
+        check_count(p, static_cast<size_t>(plan.totals[p])));
   }
   return ScatterRanges(*input, spec_, key_col_, plan, &parts_);
-}
-
-Status LocalPartition::PartitionAllStreaming(const RowVector& hist) {
-  ScopedPhase phase(&timer_);
-  std::vector<size_t> cursors;
-  bool have_schema = false;
-  RowBatch batch;
-  while (child(0)->PullBatch(&batch)) {
-    if (batch.empty()) continue;
-    if (!have_schema) {
-      have_schema = true;
-      // Exact allocation per partition from the histogram prefix counts;
-      // the scatter overwrites every row with a full-stride copy (the
-      // cursor check below guarantees full coverage), so the rows need
-      // no zero-fill.
-      for (int p = 0; p < spec_.fanout(); ++p) {
-        size_t rows_p = 0;
-        MODULARIS_RETURN_NOT_OK(CheckedHistCount(hist.row(p).GetInt64(0), p,
-                                                 &rows_p));
-        RowVectorPtr part = RowVector::Make(batch.schema());
-        part->ResizeRowsUninitialized(rows_p);
-        parts_.push_back(std::move(part));
-      }
-      cursors.assign(spec_.fanout(), 0);
-    }
-    MODULARIS_RETURN_NOT_OK(ScatterSpanPresized(batch.data(), batch.size(),
-                                                batch.schema(), spec_,
-                                                key_col_, &parts_, &cursors));
-  }
-  MODULARIS_RETURN_NOT_OK(child(0)->status());
-  if (!have_schema) {
-    for (int p = 0; p < spec_.fanout(); ++p) {
-      parts_.push_back(RowVector::Make(KeyValueSchema()));
-    }
-    return Status::OK();
-  }
-  for (int p = 0; p < spec_.fanout(); ++p) {
-    if (cursors[p] != parts_[p]->size()) {
-      return Status::InvalidArgument(
-          "LocalPartition: histogram count " +
-          std::to_string(parts_[p]->size()) + " != scattered rows " +
-          std::to_string(cursors[p]) + " for partition " + std::to_string(p));
-    }
-  }
-  return Status::OK();
-}
-
-Status LocalPartition::PartitionAll() {
-  // Read the histogram to pre-size the output partitions exactly (the
-  // radix-partitioning discipline of [58, 63] that makes the scatter a
-  // single streaming pass).
-  Tuple hist_tuple;
-  if (!child(1)->Next(&hist_tuple)) {
-    if (!child(1)->status().ok()) return child(1)->status();
-    return Status::InvalidArgument("LocalPartition: missing histogram");
-  }
-  const RowVectorPtr& hist = hist_tuple[0].collection();
-  if (static_cast<int>(hist->size()) != spec_.fanout()) {
-    return Status::InvalidArgument(
-        "LocalPartition: histogram size " + std::to_string(hist->size()) +
-        " != fanout " + std::to_string(spec_.fanout()));
-  }
-
-  timer_.Bind(ctx_->stats, timer_key_);
-  parts_.reserve(spec_.fanout());
-  if (ctx_->options.ResolvedNumThreads() > 1) {
-    return PartitionAllParallel(*hist);
-  }
-  return PartitionAllStreaming(*hist);
 }
 
 bool LocalPartition::Next(Tuple* out) {
@@ -476,49 +405,31 @@ Status PartitionOp::PartitionAllParallel(const RowVectorPtr& input,
   return ScatterRanges(*input, spec_, key_col_, plan, &parts_);
 }
 
+Status PartitionOp::PartitionAll() {
+  timer_.Bind(ctx_->stats, timer_key_);
+  ScopedPhase phase(&timer_);
+  RowVectorPtr input;
+  MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
+  if (input == nullptr) {
+    for (int p = 0; p < spec_.fanout(); ++p) {
+      parts_.push_back(RowVector::Make(KeyValueSchema()));
+    }
+    return Status::OK();
+  }
+  const int workers = PlanWorkers(input->size(), ctx_->options);
+  if (workers > 1) return PartitionAllParallel(input, workers);
+  for (int p = 0; p < spec_.fanout(); ++p) {
+    parts_.push_back(RowVector::Make(input->schema()));
+  }
+  ScatterSpan(input->data(), input->size(), input->schema(), spec_, key_col_,
+              &parts_);
+  return Status::OK();
+}
+
 bool PartitionOp::Next(Tuple* out) {
   if (!partitioned_) {
-    timer_.Bind(ctx_->stats, timer_key_);
-    ScopedPhase phase(&timer_);
-    bool have_parts = false;
-    auto ensure_parts = [&](const Schema& schema) {
-      if (have_parts) return;
-      for (int p = 0; p < spec_.fanout(); ++p) {
-        parts_.push_back(RowVector::Make(schema));
-      }
-      have_parts = true;
-    };
-    if (ctx_->options.ResolvedNumThreads() > 1) {
-      RowVectorPtr input;
-      Status st = DrainRecordStream(child(0), &input);
-      if (!st.ok()) return Fail(std::move(st));
-      if (input != nullptr && !input->empty()) {
-        int workers = PlanWorkers(input->size(), ctx_->options);
-        if (workers > 1) {
-          st = PartitionAllParallel(input, workers);
-          if (!st.ok()) return Fail(std::move(st));
-          have_parts = true;
-        } else {
-          ensure_parts(input->schema());
-          ScatterSpan(input->data(), input->size(), input->schema(), spec_,
-                      key_col_, &parts_);
-        }
-      }
-    } else {
-      RowBatch batch;
-      while (child(0)->PullBatch(&batch)) {
-        if (batch.empty()) continue;
-        ensure_parts(batch.schema());
-        ScatterSpan(batch.data(), batch.size(), batch.schema(), spec_,
-                    key_col_, &parts_);
-      }
-    }
-    if (!child(0)->status().ok()) return Fail(child(0)->status());
-    if (!have_parts) {
-      for (int p = 0; p < spec_.fanout(); ++p) {
-        parts_.push_back(RowVector::Make(KeyValueSchema()));
-      }
-    }
+    Status st = PartitionAll();
+    if (!st.ok()) return Fail(std::move(st));
     partitioned_ = true;
   }
   if (emit_pos_ >= parts_.size()) return false;

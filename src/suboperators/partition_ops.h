@@ -52,10 +52,10 @@ class LocalHistogram : public SubOperator {
   const RadixSpec& spec() const { return spec_; }
 
  private:
-  /// Morsel-parallel counting over the materialized input; per-worker
-  /// histograms sum-merge (order-insensitive, so morsels are claimed
-  /// dynamically). Used when the thread budget allows.
-  Status CountParallel(std::vector<int64_t>* counts);
+  /// Drains the input and counts it in morsels on PlanWorkers() workers;
+  /// per-worker histograms sum-merge (order-insensitive, so morsels are
+  /// claimed dynamically).
+  Status CountAll(std::vector<int64_t>* counts);
 
   RadixSpec spec_;
   int key_col_;
@@ -102,19 +102,14 @@ class LocalPartition : public SubOperator {
   }
 
  private:
+  /// Reads the histogram, drains the input and sizes every partition
+  /// exactly from the histogram. One worker scatters the drained span at
+  /// histogram prefix offsets; more (docs/DESIGN-parallel.md) count
+  /// static contiguous ranges, derive per-(worker, partition) write
+  /// offsets from the prefix sums and scatter their ranges through
+  /// software write-combining buffers — byte-identical to one worker
+  /// because the offsets replay the input order.
   Status PartitionAll();
-  /// Single-thread variant: partitions are sized exactly from the
-  /// histogram up front (ResizeRows) and rows land at histogram prefix
-  /// offsets in one streaming pass over the pulled batches — no per-row
-  /// append bookkeeping and no drained copy of the input.
-  Status PartitionAllStreaming(const RowVector& hist);
-  /// Morsel-parallel variant (docs/DESIGN-parallel.md): static contiguous
-  /// worker ranges are counted, per-(worker, partition) write offsets are
-  /// derived from the histogram prefix sums, then every worker scatters
-  /// its range through software write-combining buffers into the shared
-  /// pre-sized partitions — byte-identical to the serial scatter because
-  /// offsets replay the input order.
-  Status PartitionAllParallel(const RowVector& hist);
 
   RadixSpec spec_;
   int key_col_;
@@ -156,6 +151,9 @@ class PartitionOp : public SubOperator {
   }
 
  private:
+  /// Drains the input and scatters it: appended by one worker, or through
+  /// PartitionAllParallel when the input splits.
+  Status PartitionAll();
   /// Single-pass parallel form: parallel count over static ranges sizes
   /// the partitions exactly, then the same write-combining scatter as
   /// LocalPartition. No histogram child, so no count/histogram mismatch

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <random>
 #include <string>
@@ -534,6 +535,20 @@ TEST(ReduceByKeyParity, EmptyInput) {
 // PartitionOp (single-pass) parity.
 // ---------------------------------------------------------------------------
 
+/// Drains `root` (opened under `ctx`) into its ⟨pid, partition⟩ pairs.
+std::vector<RowVectorPtr> DrainParts(SubOperator* root, ExecContext* ctx) {
+  EXPECT_TRUE(root->Open(ctx).ok());
+  std::vector<RowVectorPtr> parts;
+  Tuple t;
+  while (root->Next(&t)) {
+    EXPECT_EQ(t[0].i64(), static_cast<int64_t>(parts.size()));
+    parts.push_back(t[1].collection());
+  }
+  EXPECT_TRUE(root->status().ok()) << root->status().ToString();
+  EXPECT_TRUE(root->Close().ok());
+  return parts;
+}
+
 TEST(PartitionOpParity, FourThreadsByteEqual) {
   RowVectorPtr data = MakeKv(50000, 100000, 21);
   RadixSpec spec{5, 0, RadixHash::kIdentity};
@@ -544,16 +559,7 @@ TEST(PartitionOpParity, FourThreadsByteEqual) {
                        std::make_unique<CollectionSource>(
                            std::vector<RowVectorPtr>{data})),
                    spec, 0);
-    EXPECT_TRUE(op.Open(&ctx).ok());
-    std::vector<RowVectorPtr> parts;
-    Tuple t;
-    while (op.Next(&t)) {
-      EXPECT_EQ(t[0].i64(), static_cast<int64_t>(parts.size()));
-      parts.push_back(t[1].collection());
-    }
-    EXPECT_TRUE(op.status().ok()) << op.status().ToString();
-    EXPECT_TRUE(op.Close().ok());
-    return parts;
+    return DrainParts(&op, &ctx);
   };
   StatsRegistry stats1, stats4;
   auto parts1 = run(1, &stats1);
@@ -564,6 +570,152 @@ TEST(PartitionOpParity, FourThreadsByteEqual) {
                      "partition " + std::to_string(p));
   }
   ExpectNoFallback(stats4, "Partition");
+}
+
+// ---------------------------------------------------------------------------
+// The drain's copy branch: every blocking operator drains its input into
+// one span at every thread count. A stream of several non-durable scratch
+// batches (a Filter over a RowScan of two collections) is copied, a single
+// durable collection adopted; both must give the same bytes, at 1 and 4
+// threads, vectorized or not.
+// ---------------------------------------------------------------------------
+
+TEST(DrainCopyParity, ScratchBatchesMatchOneCollection) {
+  constexpr int64_t kBound = 3000;
+  RowVectorPtr data = MakeKv(40000, 4000, 41);
+  RowVectorPtr kept = RowVector::Make(KeyValueSchema());
+  for (size_t i = 0; i < data->size(); ++i) {
+    if (data->row(i).GetInt64(0) < kBound) kept->AppendRaw(data->row(i).data());
+  }
+  const size_t half = data->size() / 2;
+  RowVectorPtr lo = RowVector::Make(KeyValueSchema());
+  RowVectorPtr hi = RowVector::Make(KeyValueSchema());
+  lo->AppendRawBatch(data->data(), half);
+  hi->AppendRawBatch(data->data() + half * data->row_size(),
+                     data->size() - half);
+  auto one_collection = [&]() -> SubOpPtr {
+    return std::make_unique<RowScan>(std::make_unique<CollectionSource>(
+        std::vector<RowVectorPtr>{kept}));
+  };
+  auto scratch_batches = [&]() -> SubOpPtr {
+    return std::make_unique<Filter>(
+        std::make_unique<RowScan>(std::make_unique<CollectionSource>(
+            std::vector<RowVectorPtr>{lo, hi})),
+        ex::Lt(ex::Col(0), ex::Lit(kBound)));
+  };
+  {
+    // The filtered stream really arrives as several scratch batches.
+    ExecContext ctx;
+    SubOpPtr stream = scratch_batches();
+    ASSERT_TRUE(stream->Open(&ctx).ok());
+    RowBatch batch;
+    size_t batches = 0;
+    while (stream->PullBatch(&batch)) {
+      EXPECT_EQ(batch.ShareWhole(), nullptr);
+      ++batches;
+    }
+    EXPECT_GT(batches, 1u);
+  }
+
+  std::vector<AggSpec> keyless_aggs;
+  keyless_aggs.push_back(
+      AggSpec{AggKind::kSum, ex::Col(1), "s", AtomType::kFloat64});
+  keyless_aggs.push_back(
+      AggSpec{AggKind::kCount, nullptr, "c", AtomType::kInt64});
+  const RadixSpec spec{4, 0, RadixHash::kIdentity};
+  // Every blocking operator under test, as the partitions it emits (one
+  // partition for the record-stream outputs of the aggregations).
+  using MakeInput = std::function<SubOpPtr()>;
+  auto run = [&](const std::string& op, const MakeInput& input, int threads,
+                 bool vectorized) {
+    StatsRegistry stats;
+    ExecContext ctx;
+    InitCtx(&ctx, threads, &stats);
+    ctx.options.enable_vectorized = vectorized;
+    if (op == "reduce_by_key") {
+      ReduceByKey r(input(), {0}, IntAggs(), KeyValueSchema());
+      return std::vector<RowVectorPtr>{DrainRoot(&r, &ctx, false)};
+    }
+    if (op == "reduce") {
+      Reduce r(input(), keyless_aggs, KeyValueSchema());
+      return std::vector<RowVectorPtr>{DrainRoot(&r, &ctx, false)};
+    }
+    if (op == "partition") {
+      PartitionOp p(input(), spec, 0);
+      return DrainParts(&p, &ctx);
+    }
+    PipelinePlan plan;
+    plan.Add("lh", std::make_unique<LocalHistogram>(input(), spec, 0));
+    plan.SetOutput(std::make_unique<LocalPartition>(
+        input(), plan.MakeRef("lh"), spec, 0));
+    return DrainParts(&plan, &ctx);
+  };
+  for (const std::string op :
+       {"reduce_by_key", "reduce", "partition", "histogram_partition"}) {
+    const std::vector<RowVectorPtr> expected =
+        run(op, one_collection, 1, true);
+    ASSERT_FALSE(expected.empty()) << op;
+    ASSERT_GT(expected[0]->size(), 0u) << op;
+    for (int threads : {1, 4}) {
+      for (bool vectorized : {true, false}) {
+        for (bool scratch : {false, true}) {
+          const std::string label =
+              op + " threads=" + std::to_string(threads) +
+              " vectorized=" + std::to_string(vectorized) +
+              (scratch ? " scratch batches" : " one collection");
+          const std::vector<RowVectorPtr> got =
+              run(op, scratch ? MakeInput(scratch_batches)
+                              : MakeInput(one_collection),
+                  threads, vectorized);
+          ASSERT_EQ(expected.size(), got.size()) << label;
+          for (size_t p = 0; p < got.size(); ++p) {
+            ExpectBytesEqual(*expected[p], *got[p],
+                             label + " part " + std::to_string(p));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DrainLayoutCheck, ReduceByKeyRejectsMixedRowLayouts) {
+  // 24-byte rows next to 16-byte KV rows in one stream: the drain (or the
+  // tuple batching of row mode) must refuse the second layout instead of
+  // copying rows of the first one's stride, and ReduceByKey must refuse a
+  // drained layout other than its input schema.
+  const Schema wide({Field::I64("k"), Field::I64("v"), Field::I64("w")});
+  RowVectorPtr w = RowVector::Make(wide);
+  for (int64_t i = 0; i < 600; ++i) {
+    RowWriter row = w->AppendRow();
+    row.SetInt64(0, i % 7);
+    row.SetInt64(1, i);
+    row.SetInt64(2, -i);
+  }
+  RowVectorPtr kv = MakeKv(600, 7, 43);
+  const std::vector<std::vector<RowVectorPtr>> inputs = {
+      {w, kv}, {kv, w}, {kv}};
+  for (int threads : {1, 4}) {
+    for (bool vectorized : {true, false}) {
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " vectorized=" +
+                     std::to_string(vectorized) + " input " +
+                     std::to_string(i));
+        StatsRegistry stats;
+        ExecContext ctx;
+        InitCtx(&ctx, threads, &stats);
+        ctx.options.enable_vectorized = vectorized;
+        ReduceByKey r(std::make_unique<RowScan>(
+                          std::make_unique<CollectionSource>(inputs[i])),
+                      {0}, IntAggs(), wide);
+        ASSERT_TRUE(r.Open(&ctx).ok());
+        Tuple t;
+        EXPECT_FALSE(r.Next(&t));
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+            << r.status().ToString();
+        EXPECT_TRUE(r.Close().ok());
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
