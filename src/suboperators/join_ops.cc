@@ -231,29 +231,20 @@ Status BuildProbe::Open(ExecContext* ctx) {
   MODULARIS_RETURN_NOT_OK(SubOperator::Open(ctx));
   mem_charge_.Bind(ctx->budget);
   built_ = false;
-  par_probe_decided_ = false;
-  par_probe_ = false;
-  par_sinks_.clear();
-  par_sink_ = 0;
-  par_row_ = 0;
-  bulk_probe_ = false;
-  have_probe_row_ = false;
-  probe_bulk_.reset();
-  probe_bulk_pos_ = 0;
-  match_entry_ = JoinHashTable::kNone;
-  in_match_chain_ = false;
+  probe_done_ = false;
+  sinks_.clear();
+  sink_ = 0;
+  row_ = 0;
   build_rows_ = RowVector::Make(build_schema_);
-  scratch_ = RowVector::Make(out_schema_);
-  scratch_->AppendRow();
   build_copies_.clear();
   probe_copies_.clear();
   if (type_ == JoinType::kInner) {
     MakeCopyPlan(build_schema_, out_schema_, 0, &build_copies_);
     MakeCopyPlan(probe_schema_, out_schema_, build_schema_.num_fields(),
                  &probe_copies_);
-    // The staging emit path overwrites whole rows; it is only valid when
+    // The direct emit path overwrites whole rows; it is only valid when
     // the copy plans cover every output byte (no alignment gaps that the
-    // zeroed-scratch path would have kept at zero).
+    // zeroed staging row would have kept at zero).
     size_t covered = 0;
     for (const FieldCopy& c : build_copies_) covered += c.bytes;
     for (const FieldCopy& c : probe_copies_) covered += c.bytes;
@@ -298,44 +289,58 @@ Status BuildProbe::BuildTable() {
   return Status::OK();
 }
 
-Status BuildProbe::MaybeSetupParallelProbe() {
-  par_probe_decided_ = true;
-  if (ctx_->options.ResolvedNumThreads() <= 1) return Status::OK();
-  RowVectorPtr probe;
-  MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(1), &probe));
-  if (probe == nullptr || probe->empty()) {
-    par_probe_ = true;  // empty stream: emit nothing
-    return Status::OK();
+Status BuildProbe::FillSinks() {
+  if (!built_) {
+    built_ = true;
+    MODULARIS_RETURN_NOT_OK(BuildTable());
   }
-  int workers = PlanWorkers(probe->size(), ctx_->options);
-  if (workers <= 1) {
-    // Below the sizing threshold: replay the materialized rows through
-    // the serial streaming cursor.
-    probe_bulk_ = std::move(probe);
-    probe_bulk_pos_ = 0;
-    bulk_probe_ = true;
-    have_probe_row_ = true;
-    return Status::OK();
+  while (true) {
+    for (; sink_ < sinks_.size(); ++sink_, row_ = 0) {
+      if (sinks_[sink_] != nullptr && row_ < sinks_[sink_]->size()) {
+        return Status::OK();
+      }
+    }
+    if (probe_done_) return Status::OK();
+    if (!child(1)->PullBatch(&probe_in_)) {
+      probe_done_ = true;
+      MODULARIS_RETURN_NOT_OK(child(1)->status());
+      continue;
+    }
+    if (probe_in_.empty()) continue;
+    if (!probe_in_.schema().SameLayout(probe_schema_)) {
+      return Status::InvalidArgument(
+          "BuildProbe: probe rows " + probe_in_.schema().ToString() +
+          " do not match the probe schema " + probe_schema_.ToString());
+    }
+    MODULARIS_RETURN_NOT_OK(ProbeBatch(probe_in_));
   }
-  const uint32_t stride = probe->row_size();
-  std::vector<size_t> bounds = SplitRows(probe->size(), workers);
-  par_sinks_.resize(workers);
-  MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-    par_sinks_[w] = RowVector::Make(out_schema_);
-    ProbeScratch scratch;
-    ProbeSpanInto(probe->data() + bounds[w] * stride,
-                  bounds[w + 1] - bounds[w], &scratch, par_sinks_[w].get());
+}
+
+Status BuildProbe::ProbeBatch(const RowBatch& batch) {
+  const int workers = PlanWorkers(batch.size(), ctx_->options);
+  const std::vector<size_t> bounds = SplitRows(batch.size(), workers);
+  const uint32_t stride = batch.row_size();
+  sinks_.assign(workers, nullptr);
+  sink_ = 0;
+  row_ = 0;
+  if (probe_scratch_.size() < static_cast<size_t>(workers)) {
+    probe_scratch_.resize(workers);
+  }
+  return ParallelFor(ctx_, workers, [&](int w) -> Status {
+    const size_t n = bounds[w + 1] - bounds[w];
+    sinks_[w] = RowVector::Make(out_schema_);
+    sinks_[w]->Reserve(n);
+    ProbeSpanInto(batch.data() + bounds[w] * stride, n, &probe_scratch_[w],
+                  sinks_[w].get());
     return Status::OK();
-  }));
-  par_probe_ = true;
-  return Status::OK();
+  });
 }
 
 void BuildProbe::EmitInnerInto(uint32_t entry, const uint8_t* probe_row,
                                RowVector* staging, RowVector* sink) const {
   // Assemble in the zero-initialized staging row (alignment gaps stay
-  // zero, matching the row-at-a-time path byte for byte), then append
-  // with one packed copy — no per-row zero-fill in the sink.
+  // zero, so the output bytes are deterministic), then append with one
+  // packed copy — no per-row zero-fill in the sink.
   uint8_t* dst = staging->mutable_row(0);
   const uint8_t* bsrc = build_rows_->row(table_.RowOf(entry)).data();
   for (const FieldCopy& c : build_copies_) {
@@ -464,13 +469,9 @@ void BuildProbe::MergeOutRuns(std::vector<OutRun>* runs, RowVector* sink,
 }
 
 Status BuildProbe::GraceSpillJoin() {
-  // The result is surfaced through the parallel-probe emission path:
-  // par_sinks_ ends up holding the one merged output vector.
-  par_probe_decided_ = true;
-  par_probe_ = true;
-  par_sinks_.clear();
-  par_sink_ = 0;
-  par_row_ = 0;
+  // The result is emitted like a probed batch: sinks_ ends up holding the
+  // one merged output vector, and there is no probe stream left to pull.
+  probe_done_ = true;
   const size_t mem_limit = ctx_->options.memory_limit_bytes;
   const size_t quota = SpillQuotaBytes(mem_limit);
   const uint32_t stride_b = build_schema_.row_size();
@@ -498,10 +499,10 @@ Status BuildProbe::GraceSpillJoin() {
   constexpr int kPidShift = 56;
 
   // Grace co-partitions both inputs, so drain the probe side up front.
-  RowVectorPtr probe;
+  RowVectorPtr probe = RowVector::Make(probe_schema_);
   MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(1), &probe));
-  const size_t n_p = probe == nullptr ? 0 : probe->size();
-  if (probe != nullptr) mem_charge_.Add(probe->byte_size());
+  const size_t n_p = probe->size();
+  mem_charge_.Add(probe->byte_size());
   const size_t n_b = build_rows_->size();
 
   // Both sides' partition ids come from the same hash of the same
@@ -775,178 +776,32 @@ Status BuildProbe::GraceSpillJoin() {
   RowVectorPtr merged = RowVector::Make(out_schema_);
   MergeOutRuns(&part_runs, merged.get(), nullptr);
   mem_charge_.Add(merged->byte_size());
-  if (!merged->empty()) par_sinks_.push_back(std::move(merged));
+  sinks_.push_back(std::move(merged));
   build_rows_ = RowVector::Make(build_schema_);
   table_ = JoinHashTable();
   return Status::OK();
 }
 
-void BuildProbe::EmitInner(uint32_t entry, const RowRef& probe_row,
-                           Tuple* out) {
-  uint8_t* dst = scratch_->mutable_row(0);
-  const uint8_t* bsrc = build_rows_->row(table_.RowOf(entry)).data();
-  for (const FieldCopy& c : build_copies_) {
-    std::memcpy(dst + c.dst_offset, bsrc + c.src_offset, c.bytes);
-  }
-  const uint8_t* psrc = probe_row.data();
-  for (const FieldCopy& c : probe_copies_) {
-    std::memcpy(dst + c.dst_offset, psrc + c.src_offset, c.bytes);
-  }
-  out->clear();
-  out->push_back(Item(scratch_->row(0)));
-}
-
 bool BuildProbe::NextBatch(RowBatch* out) {
-  if (!built_) {
-    Status st = BuildTable();
-    if (!st.ok()) return Fail(st);
-    built_ = true;
-  }
-  if (!par_probe_decided_) {
-    Status st = MaybeSetupParallelProbe();
-    if (!st.ok()) return Fail(st);
-  }
   out->Clear();
-  if (par_probe_) {
-    // Emit the per-worker sinks in worker order (the serial emission
-    // order); a sink partially consumed through Next() yields its
-    // remainder as one borrowed batch.
-    if (!AdvanceParSink()) return false;
-    RowVectorPtr& sink = par_sinks_[par_sink_];
-    out->BorrowRange(sink, par_row_, sink->size() - par_row_);
-    out->MarkDurable();  // sinks are immutable once probed
-    par_row_ = sink->size();
-    return true;
-  }
-  if (out_rows_ == nullptr) {
-    out_rows_ = RowVector::Make(out_schema_);
-  } else {
-    out_rows_->Clear();
-  }
-
-  // Flush probe state a prior Next() left behind: finish the in-flight
-  // duplicate-match chain, then the rest of the current probe unit.
-  if (have_probe_row_) {
-    RowRef row = CurrentProbeRow();
-    if (in_match_chain_) {
-      for (uint32_t e = match_entry_; e != JoinHashTable::kNone;
-           e = table_.NextMatch(e)) {
-        EmitInnerInto(e, row.data(), scratch_.get(), out_rows_.get());
-      }
-      in_match_chain_ = false;
-      match_entry_ = JoinHashTable::kNone;
-      AdvanceProbe();
-    }
-    if (have_probe_row_) {
-      if (bulk_probe_) {
-        ProbeSpanInto(probe_bulk_->data() +
-                          probe_bulk_pos_ * probe_bulk_->row_size(),
-                      probe_bulk_->size() - probe_bulk_pos_,
-                      &probe_scratch_, out_rows_.get());
-        probe_bulk_pos_ = probe_bulk_->size();
-      } else {
-        ProbeSpanInto(CurrentProbeRow().data(), 1, &probe_scratch_,
-                      out_rows_.get());
-      }
-      have_probe_row_ = false;
-    }
-    if (!out_rows_->empty()) {
-      // Hand the whole output vector to the consumer (it may adopt it
-      // zero-copy); allocate fresh on the next call.
-      out->Borrow(std::move(out_rows_));
-      out->MarkReleased();
-      return true;
-    }
-  }
-
-  while (child(1)->NextBatch(&probe_in_)) {
-    if (probe_in_.empty()) continue;
-    out_rows_->Reserve(probe_in_.size());
-    ProbeSpanInto(probe_in_.data(), probe_in_.size(), &probe_scratch_,
-                  out_rows_.get());
-    if (out_rows_->empty()) continue;  // no matches in this batch
-    out->Borrow(std::move(out_rows_));
-    out->MarkReleased();
-    return true;
-  }
-  return ChildEnd(child(1));
+  Status st = FillSinks();
+  if (!st.ok()) return Fail(st);
+  if (sink_ == sinks_.size()) return false;
+  const size_t rows = sinks_[sink_]->size() - row_;
+  out->BorrowRange(std::move(sinks_[sink_]), row_, rows);
+  out->MarkReleased();  // every probe range fills a fresh sink
+  ++sink_;
+  row_ = 0;
+  return true;
 }
 
 bool BuildProbe::Next(Tuple* out) {
-  if (!built_) {
-    Status st = BuildTable();
-    if (!st.ok()) return Fail(st);
-    built_ = true;
-  }
-  if (!par_probe_decided_) {
-    Status st = MaybeSetupParallelProbe();
-    if (!st.ok()) return Fail(st);
-  }
-  if (par_probe_) {
-    if (!AdvanceParSink()) return false;
-    out->clear();
-    out->push_back(Item(par_sinks_[par_sink_]->row(par_row_++)));
-    return true;
-  }
-
-  while (true) {
-    if (have_probe_row_) {
-      RowRef row = CurrentProbeRow();
-      if (in_match_chain_) {
-        // Continue emitting duplicate matches for the current probe row.
-        uint32_t e = match_entry_;
-        match_entry_ = table_.NextMatch(e);
-        if (match_entry_ == JoinHashTable::kNone) {
-          in_match_chain_ = false;
-          AdvanceProbe();
-        }
-        EmitInner(e, row, out);
-        return true;
-      }
-      uint32_t e =
-          table_.Find(KeyAt(row, probe_key_col_) >> key_shift_);
-      bool matched = e != JoinHashTable::kNone;
-      if (type_ == JoinType::kInner) {
-        if (!matched) {
-          AdvanceProbe();
-          continue;
-        }
-        match_entry_ = table_.NextMatch(e);
-        if (match_entry_ != JoinHashTable::kNone) {
-          in_match_chain_ = true;
-        } else {
-          AdvanceProbe();
-        }
-        EmitInner(e, row, out);
-        return true;
-      }
-      // Semi / anti: emit the probe row itself when (un)matched.
-      bool emit = (type_ == JoinType::kSemi) == matched;
-      AdvanceProbe();
-      if (!emit) continue;
-      out->clear();
-      out->push_back(Item(row));
-      return true;
-    }
-
-    Tuple t;
-    if (!child(1)->Next(&t)) return ChildEnd(child(1));
-    const Item& item = t[0];
-    if (item.is_collection()) {
-      probe_bulk_ = item.collection();
-      probe_bulk_pos_ = 0;
-      bulk_probe_ = true;
-      have_probe_row_ = probe_bulk_->size() > 0;
-    } else if (item.is_row()) {
-      probe_tuple_ = std::move(t);
-      bulk_probe_ = false;
-      have_probe_row_ = true;
-    } else {
-      return Fail(Status::InvalidArgument(
-          "BuildProbe expects rows or collections on the probe side, got " +
-          item.ToString()));
-    }
-  }
+  Status st = FillSinks();
+  if (!st.ok()) return Fail(st);
+  if (sink_ == sinks_.size()) return false;
+  out->clear();
+  out->push_back(Item(sinks_[sink_]->row(row_++)));
+  return true;
 }
 
 }  // namespace modularis

@@ -126,11 +126,13 @@ class BuildProbe : public SubOperator {
   }
 
   Status Open(ExecContext* ctx) override;
+  /// Emits the next row of the current output sink.
   bool Next(Tuple* out) override;
   bool ProducesRecordStream() const override { return true; }
-  /// Batch path: probes a whole input batch per call, emitting all
-  /// matches (concatenated via the FieldCopy plans) into one output
-  /// batch. Flushes any probe state a prior Next() left behind first.
+  /// Hands over the unread rest of the current output sink as one
+  /// released batch: a whole sink (the join output of one probe range) is
+  /// adopted zero-copy by MaterializeRowVector; a sink Next() has partly
+  /// read yields its remainder.
   bool NextBatch(RowBatch* out) override;
 
   const Schema& out_schema() const { return out_schema_; }
@@ -157,14 +159,15 @@ class BuildProbe : public SubOperator {
   };
 
   Status BuildTable();
-  /// Decides the probe strategy once per Open when a thread budget
-  /// exists: materializes the probe side and either fans morsel ranges
-  /// out to workers (per-worker sinks concatenated in input order — the
-  /// serial emission order) or, below the sizing threshold, replays the
-  /// materialized rows through the serial streaming path.
-  Status MaybeSetupParallelProbe();
-  /// Emits the concatenated row for (build entry, current probe row).
-  void EmitInner(uint32_t entry, const RowRef& probe_row, Tuple* out);
+  /// The one probe loop: builds the table on first use, then pulls probe
+  /// batches through PullBatch and probes each until a sink holds an
+  /// unread row. On OK, sink_ == sinks_.size() means end of stream.
+  Status FillSinks();
+  /// Probes one batch: PlanWorkers sizes it, SplitRows cuts it into
+  /// static ranges and each worker probes its range into its own sink.
+  /// Sinks are emitted in range order, so one worker gives the same
+  /// bytes as N.
+  Status ProbeBatch(const RowBatch& batch);
   /// Assembles the concatenated ⟨build, probe⟩ row into `sink` via the
   /// given staging row.
   void EmitInnerInto(uint32_t entry, const uint8_t* probe_row,
@@ -201,31 +204,6 @@ class BuildProbe : public SubOperator {
   /// build-row order across chunked build groups.
   void MergeOutRuns(std::vector<OutRun>* runs, RowVector* sink,
                     std::vector<uint32_t>* idx_out) const;
-  /// Advances the par-sink cursor past exhausted sinks. True when
-  /// (par_sink_, par_row_) points at an unread row; false at end.
-  bool AdvanceParSink() {
-    while (par_sink_ < par_sinks_.size()) {
-      if (par_row_ < par_sinks_[par_sink_]->size()) return true;
-      ++par_sink_;
-      par_row_ = 0;
-    }
-    return false;
-  }
-
-  /// The probe cursor: the row currently being probed, from either a bulk
-  /// collection or a streamed record tuple.
-  RowRef CurrentProbeRow() const {
-    return bulk_probe_ ? probe_bulk_->row(probe_bulk_pos_)
-                       : probe_tuple_[0].row();
-  }
-  void AdvanceProbe() {
-    if (bulk_probe_) {
-      ++probe_bulk_pos_;
-      have_probe_row_ = probe_bulk_pos_ < probe_bulk_->size();
-    } else {
-      have_probe_row_ = false;
-    }
-  }
 
   Schema build_schema_;
   Schema probe_schema_;
@@ -242,36 +220,24 @@ class BuildProbe : public SubOperator {
 
   JoinHashTable table_;
   RowVectorPtr build_rows_;
-  RowVectorPtr scratch_;
   RowBatch probe_in_;
-  RowVectorPtr out_rows_;
-  ProbeScratch probe_scratch_;
+  std::vector<ProbeScratch> probe_scratch_;  // one per probe worker
   std::vector<int64_t> key_scratch_;
   /// True when the inner-join copy plans cover every output byte, which
   /// enables direct emission into uninitialized sink rows.
   bool gapless_out_ = false;
   bool built_ = false;
+  bool probe_done_ = false;
 
-  // Probe cursor state.
-  bool bulk_probe_ = false;
-  bool have_probe_row_ = false;
-  RowVectorPtr probe_bulk_;
-  size_t probe_bulk_pos_ = 0;
-  Tuple probe_tuple_;
-  /// Remaining duplicate-match chain for the current probe row.
-  uint32_t match_entry_ = JoinHashTable::kNone;
-  bool in_match_chain_ = false;
+  // Output sinks of the last probed batch (or the Grace merge), emitted
+  // in order; (sink_, row_) is the next unread row.
+  std::vector<RowVectorPtr> sinks_;
+  size_t sink_ = 0;
+  size_t row_ = 0;
 
-  // Parallel probe state: per-worker output sinks emitted in worker
-  // (= input range) order.
-  bool par_probe_decided_ = false;
-  bool par_probe_ = false;
-  std::vector<RowVectorPtr> par_sinks_;
-  size_t par_sink_ = 0;
-  size_t par_row_ = 0;
-
-  /// Accounting for the blocking state (build side, hash table, drained
-  /// probe) against the rank's MemoryBudget.
+  /// Accounting for the blocking state (build side, hash table, and on
+  /// the Grace path the drained probe and merged output) against the
+  /// rank's MemoryBudget.
   ScopedCharge mem_charge_;
 };
 

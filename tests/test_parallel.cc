@@ -18,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/memory.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
+#include "storage/blob_store.h"
 #include "suboperators/agg_ops.h"
 #include "suboperators/basic_ops.h"
 #include "suboperators/join_ops.h"
@@ -27,6 +29,7 @@
 #include "suboperators/scan_ops.h"
 #include "tpch/queries.h"
 #include "tpch/reference.h"
+#include "reference_join.h"
 
 namespace modularis {
 namespace {
@@ -200,18 +203,53 @@ TEST(PartitionedJoinParity, EmptyInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat BuildProbe: sliced parallel build + morsel-parallel probe.
+// Flat BuildProbe: sliced parallel build + per-batch parallel probe.
 // ---------------------------------------------------------------------------
 
-SubOpPtr FlatJoin(const RowVectorPtr& build, const RowVectorPtr& probe,
-                  JoinType type) {
+SubOpPtr FlatJoin(const RowVectorPtr& build, SubOpPtr probe, JoinType type) {
   const Schema kv = KeyValueSchema();
   return std::make_unique<BuildProbe>(
       std::make_unique<RowScan>(std::make_unique<CollectionSource>(
           std::vector<RowVectorPtr>{build})),
-      std::make_unique<RowScan>(std::make_unique<CollectionSource>(
-          std::vector<RowVectorPtr>{probe})),
-      kv, kv, 0, 0, type);
+      std::move(probe), kv, kv, 0, 0, type);
+}
+
+SubOpPtr FlatJoin(const RowVectorPtr& build,
+                  const std::vector<RowVectorPtr>& probe, JoinType type) {
+  return FlatJoin(build,
+                  std::make_unique<RowScan>(
+                      std::make_unique<CollectionSource>(probe)),
+                  type);
+}
+
+SubOpPtr FlatJoin(const RowVectorPtr& build, const RowVectorPtr& probe,
+                  JoinType type) {
+  return FlatJoin(build, std::vector<RowVectorPtr>{probe}, type);
+}
+
+/// Cuts `all` into consecutive collections of the given sizes, plus one
+/// for the rest.
+std::vector<RowVectorPtr> SplitCollection(const RowVectorPtr& all,
+                                          const std::vector<size_t>& sizes) {
+  std::vector<RowVectorPtr> parts;
+  size_t pos = 0;
+  for (size_t i = 0; i <= sizes.size(); ++i) {
+    const size_t n = i < sizes.size() ? sizes[i] : all->size() - pos;
+    RowVectorPtr part = RowVector::Make(all->schema());
+    part->AppendRawBatch(all->data() + pos * all->row_size(), n);
+    parts.push_back(std::move(part));
+    pos += n;
+  }
+  return parts;
+}
+
+RowVectorPtr DrainAtThreads(SubOpPtr root, int threads, bool batched) {
+  StatsRegistry stats;
+  ExecContext ctx;
+  InitCtx(&ctx, threads, &stats);
+  RowVectorPtr out = DrainRoot(root.get(), &ctx, batched);
+  ExpectNoFallback(stats, "BuildProbe");
+  return out;
 }
 
 TEST(FlatBuildProbeParity, JoinTypesAndDuplicates) {
@@ -253,19 +291,99 @@ TEST(FlatBuildProbeParity, EmptySides) {
   }
 }
 
+TEST(FlatBuildProbeParity, ProbeBatchesStraddleSizingThreshold) {
+  // Each probe collection is one batch, sized by PlanWorkers on its own:
+  // with parallel_min_rows = 256 the batches below get 1, 1, 1, 2, 4 and
+  // 1 workers at 4 threads. Every mix must equal the one-collection run
+  // and the nested-loop reference.
+  RowVectorPtr build = MakeKv(2000, 700, 51, /*sequential_dup=*/3);
+  RowVectorPtr probe = MakeKv(6500, 900, 52);
+  const std::vector<RowVectorPtr> parts =
+      SplitCollection(probe, {1, 255, 300, 600, 5000});
+  for (JoinType type :
+       {JoinType::kInner, JoinType::kSemi, JoinType::kAnti}) {
+    const std::string label =
+        "join type=" + std::to_string(static_cast<int>(type));
+    RowVectorPtr expected =
+        DrainAtThreads(FlatJoin(build, probe, type), 1, true);
+    ExpectBytesEqual(*testing_ref::ReferenceJoin(*build, *probe, 0, 0, type),
+                     *expected, label + " one collection vs reference");
+    for (int threads : {1, 4}) {
+      for (bool batched : {false, true}) {
+        RowVectorPtr got =
+            DrainAtThreads(FlatJoin(build, parts, type), threads, batched);
+        ExpectBytesEqual(*expected, *got,
+                         label + " threads=" + std::to_string(threads) +
+                             " batched=" + std::to_string(batched));
+      }
+    }
+  }
+}
+
+TEST(FlatBuildProbeParity, ChainedNonDurableProbe) {
+  // BuildProbe → MapOp → BuildProbe, the KV optimized-sequence shape: the
+  // outer probe reads MapOp's reused output buffer, one batch per inner
+  // output sink, so its batches are non-durable and vary in size.
+  const Schema kv = KeyValueSchema();
+  RowVectorPtr build1 = MakeKv(1500, 500, 61, /*sequential_dup=*/3);
+  RowVectorPtr probe1 = MakeKv(3000, 600, 62);
+  RowVectorPtr build2 = MakeKv(1200, 1, 63, /*sequential_dup=*/2);
+  const std::vector<RowVectorPtr> parts1 =
+      SplitCollection(probe1, {1, 255, 300, 1800});
+  // The map keys the inner output on the build row's value (its row
+  // index) and carries the probe row's value.
+  auto chained_probe = [&] {
+    return std::make_unique<MapOp>(
+        FlatJoin(build1, parts1, JoinType::kInner), kv,
+        std::vector<MapOutput>{MapOutput::Pass(1), MapOutput::Pass(3)});
+  };
+  RowVectorPtr ref_inner =
+      testing_ref::ReferenceJoin(*build1, *probe1, 0, 0, JoinType::kInner);
+  RowVectorPtr mapped = RowVector::Make(kv);
+  for (size_t i = 0; i < ref_inner->size(); ++i) {
+    RowWriter w = mapped->AppendRow();
+    w.SetInt64(0, ref_inner->row(i).GetInt64(1));
+    w.SetInt64(1, ref_inner->row(i).GetInt64(3));
+  }
+  for (JoinType type :
+       {JoinType::kInner, JoinType::kSemi, JoinType::kAnti}) {
+    const std::string label =
+        "chained join type=" + std::to_string(static_cast<int>(type));
+    RowVectorPtr expected =
+        DrainAtThreads(FlatJoin(build2, mapped, type), 1, true);
+    ExpectBytesEqual(
+        *testing_ref::ReferenceJoin(*build2, *mapped, 0, 0, type), *expected,
+        label + " one collection vs reference");
+    for (int threads : {1, 4}) {
+      for (bool batched : {false, true}) {
+        RowVectorPtr got = DrainAtThreads(
+            FlatJoin(build2, chained_probe(), type), threads, batched);
+        ExpectBytesEqual(*expected, *got,
+                         label + " threads=" + std::to_string(threads) +
+                             " batched=" + std::to_string(batched));
+      }
+    }
+  }
+}
+
 TEST(FlatBuildProbeParity, MixedNextAndNextBatch) {
+  // The first probe batch yields ~28 rows and the second is probed by
+  // several workers, so the row pulls cross the first batch and, at 4
+  // threads, a sink boundary of the second; the batch pulls then start
+  // from a partly read sink.
   RowVectorPtr build = MakeKv(20000, 2000, 8, /*sequential_dup=*/4);
   RowVectorPtr probe = MakeKv(20000, 2000, 9);
+  const std::vector<RowVectorPtr> parts = SplitCollection(probe, {7, 1200});
   auto drain_mixed = [&](int threads) {
     StatsRegistry stats;
     ExecContext ctx;
     InitCtx(&ctx, threads, &stats);
-    auto j = FlatJoin(build, probe, JoinType::kInner);
+    auto j = FlatJoin(build, parts, JoinType::kInner);
     EXPECT_TRUE(j->Open(&ctx).ok());
     RowVectorPtr out;
     Tuple t;
-    // A few row pulls first, then batch pulls for the remainder.
-    for (int i = 0; i < 100 && j->Next(&t); ++i) {
+    // Row pulls first, then batch pulls for the remainder.
+    for (int i = 0; i < 1500 && j->Next(&t); ++i) {
       if (out == nullptr) out = RowVector::Make(t[0].row().schema());
       out->AppendRaw(t[0].row().data());
     }
@@ -277,9 +395,11 @@ TEST(FlatBuildProbeParity, MixedNextAndNextBatch) {
     EXPECT_TRUE(j->Close().ok());
     return out;
   };
-  RowVectorPtr out1 = drain_mixed(1);
-  RowVectorPtr out4 = drain_mixed(4);
-  ExpectBytesEqual(*out1, *out4, "mixed protocol flat join");
+  RowVectorPtr expected =
+      DrainAtThreads(FlatJoin(build, probe, JoinType::kInner), 1, true);
+  ASSERT_GT(expected->size(), 1500u);
+  ExpectBytesEqual(*expected, *drain_mixed(1), "mixed protocol, 1 thread");
+  ExpectBytesEqual(*expected, *drain_mixed(4), "mixed protocol, 4 threads");
 }
 
 // ---------------------------------------------------------------------------
@@ -713,6 +833,49 @@ TEST(DrainLayoutCheck, ReduceByKeyRejectsMixedRowLayouts) {
         EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
             << r.status().ToString();
         EXPECT_TRUE(r.Close().ok());
+      }
+    }
+  }
+}
+
+TEST(DrainLayoutCheck, BuildProbeRejectsMismatchedRowLayouts) {
+  // 8-byte rows against the 16-byte KV schema, on the probe side (in
+  // memory and on the Grace spill path) and on the build side: the join
+  // must refuse them instead of reading rows of the wrong stride.
+  const Schema narrow({Field::I64("k")});
+  RowVectorPtr n = RowVector::Make(narrow);
+  for (int64_t i = 0; i < 3000; ++i) n->AppendRow().SetInt64(0, i % 97);
+  RowVectorPtr kv = MakeKv(3000, 97, 44);
+  struct Case {
+    const char* name;
+    RowVectorPtr build, probe;
+    size_t memory_limit;
+  };
+  const Case cases[] = {{"probe", kv, n, 0},
+                        {"probe, Grace", kv, n, size_t{16} << 10},
+                        {"build", n, kv, 0}};
+  for (int threads : {1, 4}) {
+    for (bool vectorized : {true, false}) {
+      for (const Case& c : cases) {
+        SCOPED_TRACE(std::string(c.name) + " threads=" +
+                     std::to_string(threads) +
+                     " vectorized=" + std::to_string(vectorized));
+        storage::BlobStore store;
+        MemoryBudget budget(c.memory_limit);
+        StatsRegistry stats;
+        ExecContext ctx;
+        InitCtx(&ctx, threads, &stats);
+        ctx.options.enable_vectorized = vectorized;
+        ctx.options.memory_limit_bytes = c.memory_limit;
+        ctx.budget = &budget;
+        ctx.spill_store = &store;
+        auto j = FlatJoin(c.build, c.probe, JoinType::kInner);
+        ASSERT_TRUE(j->Open(&ctx).ok());
+        Tuple t;
+        EXPECT_FALSE(j->Next(&t));
+        EXPECT_EQ(j->status().code(), StatusCode::kInvalidArgument)
+            << j->status().ToString();
+        EXPECT_TRUE(j->Close().ok());
       }
     }
   }
