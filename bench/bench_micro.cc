@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <random>
@@ -640,6 +641,88 @@ void BenchThreadScaling() {
       }
     }
   }
+}
+
+/// Scan pipeline, the leaf of every in-memory TPC-H scan: 1M wide rows
+/// (lineitem-like, 96 bytes) through MaterializeRowVector(Map(prune) ∘
+/// Filter ∘ RowScan) at ~2 % selectivity, at 1 and 4 threads. The 4-thread
+/// result must be byte-equal to the 1-thread one. Reported, not gated.
+/// Also prints what one empty ParallelFor region with its WorkerSet costs
+/// at 4 workers: the fixed price a scan pipeline pays for its split.
+void BenchScanPipeline() {
+  const size_t n = 1 << 20;
+  Schema wide({Field::I64("sel"), Field::I64("k1"), Field::I64("k2"),
+               Field::I64("k3"), Field::F64("qty"), Field::F64("price"),
+               Field::F64("disc"), Field::Date("ship"), Field::Date("commit"),
+               Field::Str("flags", 2), Field::Str("mode", 10),
+               Field::Str("note", 12)});
+  RowVectorPtr data = RowVector::Make(wide);
+  data->Reserve(n);
+  std::mt19937_64 rng(17);
+  for (size_t i = 0; i < n; ++i) {
+    RowWriter w = data->AppendRow();
+    w.SetInt64(0, static_cast<int64_t>(rng() % 1000));
+    for (int c = 1; c <= 3; ++c) w.SetInt64(c, static_cast<int64_t>(rng()));
+    for (int c = 4; c <= 6; ++c) w.SetFloat64(c, (rng() % 10000) / 100.0);
+    w.SetInt32(7, static_cast<int32_t>(8000 + rng() % 2500));
+    w.SetInt32(8, static_cast<int32_t>(8000 + rng() % 2500));
+    w.SetString(9, "NO");
+    w.SetString(10, "TRUCK");
+    w.SetString(11, "regular");
+  }
+  Schema pruned({Field::F64("price"), Field::F64("disc")});
+  auto run = [&](int threads) {
+    ExecContext ctx;
+    ctx.options.num_threads = threads;
+    MaterializeRowVector root(
+        std::make_unique<MapOp>(
+            std::make_unique<Filter>(
+                std::make_unique<RowScan>(std::make_unique<CollectionSource>(
+                    std::vector<RowVectorPtr>{data})),
+                ex::Lt(ex::Col(0), ex::Lit(int64_t{20}))),
+            pruned,
+            std::vector<MapOutput>{MapOutput::Pass(5), MapOutput::Pass(6)}),
+        pruned);
+    if (!root.Open(&ctx).ok()) std::abort();
+    Tuple t;
+    if (!root.Next(&t)) std::abort();
+    RowVectorPtr out = t[0].collection();
+    if (!root.Close().ok()) std::abort();
+    return out;
+  };
+  RowVectorPtr out_t1 = run(1);
+  for (int t : {1, 4}) {
+    RowVectorPtr out = run(t);
+    if (out->size() != out_t1->size() ||
+        (out->byte_size() > 0 &&
+         std::memcmp(out->data(), out_t1->data(), out->byte_size()) != 0)) {
+      std::fprintf(stderr, "FAIL: scan_pipeline t%d output differs from t1\n",
+                   t);
+      std::exit(1);
+    }
+    RunBench("scan_pipeline_t" + std::to_string(t), n, data->byte_size(), 1,
+             [&] { run(t); }, t);
+  }
+  std::printf("scan_pipeline: %zu of %zu rows kept\n", out_t1->size(), n);
+
+  constexpr int kRegions = 200;
+  ExecContext ctx;
+  ctx.options.num_threads = 4;
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRegions; ++i) {
+    WorkerSet ws(&ctx, 4);
+    if (!ParallelFor(&ctx, 4, [](int) { return Status::OK(); }).ok()) {
+      std::abort();
+    }
+    ws.MergeStats();
+  }
+  const double per_region =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count() /
+      kRegions;
+  std::printf("scan_pipeline dispatch: %.1f us per 4-worker region "
+              "(thread spawn + join + WorkerSet)\n",
+              per_region * 1e6);
 }
 
 /// Sort/TopK thread sweep (1/2/4/8): 1M rows with an f64 sort key — the
@@ -1289,6 +1372,7 @@ int main(int argc, char** argv) {
   BenchPartitionBuildProbe();
   BenchJoinSpill();
   BenchThreadScaling();
+  BenchScanPipeline();
   BenchSortTopK();
   BenchGroupBy();
   BenchExchangeShuffle();

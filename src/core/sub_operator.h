@@ -288,58 +288,72 @@ class SubOperator {
   std::string adapter_counter_key_;  // prebuilt: hot per-batch counter
 };
 
-/// Drains `child`'s record stream through PullBatch() into `*dest`, the
-/// one materialization step of every blocking consumer: a single durable
-/// whole-collection batch is adopted zero-copy, anything else is
-/// bulk-copied. A null `*dest` takes the schema of the first non-empty
-/// batch (and stays null when the stream is empty); a non-null one must be
-/// empty and made with the consumer's schema. Every batch must share the
-/// layout of that schema, else InvalidArgument; otherwise returns the
-/// child's status.
-inline Status DrainRecordStream(
-    SubOperator* child, RowVectorPtr* dest,
+/// Drains `child`'s record stream through PullBatch() into `*blocks`, in
+/// stream order: a durable whole-collection batch is shared as a block of
+/// its own, every other batch is copied into owned blocks. Every batch
+/// must share the layout of the first block, or of `layout` when the
+/// drain starts with no block, else InvalidArgument; otherwise returns
+/// the child's status.
+inline Status DrainRecordBlocks(
+    SubOperator* child, const Schema* layout,
+    std::vector<RowVectorPtr>* blocks,
     SubOperator::Pull how = SubOperator::Pull::kBatch) {
-  // Batches collect as blocks (a durable batch shared, others copied into
-  // owned blocks that grow geometrically but are never reallocated), and
-  // several blocks are concatenated once into a span of exact size.
-  // Growing one vector by doubling would allocate and copy afresh at every
-  // step, which costs more than the stream itself on long row streams.
-  // Owned blocks stay under 64 KiB, below malloc's mmap threshold, so
-  // their memory is reused across drains instead of faulted in anew.
+  // Owned blocks grow geometrically but are never reallocated: growing
+  // one vector by doubling would allocate and copy afresh at every step,
+  // which costs more than the stream itself on long row streams. They
+  // stay under 64 KiB, below malloc's mmap threshold, so their memory is
+  // reused across drains instead of faulted in anew.
   constexpr size_t kMaxBlockBytes = size_t{64} << 10;
   RowBatch batch;
-  std::vector<RowVectorPtr> blocks;
-  size_t block_cap = 0;  // rows reserved in blocks.back() if owned, else 0
+  size_t block_cap = 0;  // rows reserved in blocks->back() if owned, else 0
   size_t total = 0;
   while (child->PullBatch(&batch, how)) {
     if (batch.empty()) continue;
-    const Schema& layout = !blocks.empty()    ? blocks[0]->schema()
-                           : *dest != nullptr ? (*dest)->schema()
-                                              : batch.schema();
-    if (!batch.schema().SameLayout(layout)) {
+    const Schema& want = !blocks->empty()  ? (*blocks)[0]->schema()
+                         : layout != nullptr ? *layout
+                                             : batch.schema();
+    if (!batch.schema().SameLayout(want)) {
       return Status::InvalidArgument(
           child->name() + ": rows " + batch.schema().ToString() +
-          " do not match the stream schema " + layout.ToString());
+          " do not match the stream schema " + want.ToString());
     }
     total += batch.size();
     if (RowVectorPtr shared = batch.ShareWhole()) {
-      blocks.push_back(std::move(shared));
+      blocks->push_back(std::move(shared));
       block_cap = 0;
       continue;
     }
-    if (blocks.empty() || blocks.back()->size() + batch.size() > block_cap) {
+    if (blocks->empty() || blocks->back()->size() + batch.size() > block_cap) {
       const size_t max_rows =
           kMaxBlockBytes / std::max<uint32_t>(1, batch.row_size());
       block_cap = std::max(batch.size(), std::min(total, max_rows));
-      blocks.push_back(RowVector::Make(batch.schema()));
-      blocks.back()->Reserve(block_cap);
+      blocks->push_back(RowVector::Make(batch.schema()));
+      blocks->back()->Reserve(block_cap);
     }
-    blocks.back()->AppendRawBatch(batch.data(), batch.size());
+    blocks->back()->AppendRawBatch(batch.data(), batch.size());
   }
-  MODULARIS_RETURN_NOT_OK(child->status());
+  return child->status();
+}
+
+/// Drains `child`'s record stream into `*dest`, the one materialization
+/// step of every blocking consumer: a single durable whole-collection
+/// batch is adopted zero-copy, anything else is bulk-copied. A null
+/// `*dest` takes the schema of the first non-empty batch (and stays null
+/// when the stream is empty); a non-null one must be empty and made with
+/// the consumer's schema. Every batch must share the layout of that
+/// schema, else InvalidArgument; otherwise returns the child's status.
+inline Status DrainRecordStream(
+    SubOperator* child, RowVectorPtr* dest,
+    SubOperator::Pull how = SubOperator::Pull::kBatch) {
+  // Several blocks are concatenated once into a span of exact size.
+  std::vector<RowVectorPtr> blocks;
+  MODULARIS_RETURN_NOT_OK(DrainRecordBlocks(
+      child, *dest != nullptr ? &(*dest)->schema() : nullptr, &blocks, how));
   if (blocks.size() == 1) {
     *dest = std::move(blocks[0]);
   } else if (!blocks.empty()) {
+    size_t total = 0;
+    for (const RowVectorPtr& block : blocks) total += block->size();
     if (*dest == nullptr) *dest = RowVector::Make(blocks[0]->schema());
     (*dest)->Reserve(total);
     for (const RowVectorPtr& block : blocks) (*dest)->AppendAll(*block);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "mpi/mpi_ops.h"
+#include "planner/passes.h"
 #include "serverless/serverless_ops.h"
 #include "suboperators/agg_ops.h"
 #include "suboperators/join_ops.h"
@@ -30,19 +31,30 @@ std::string AllocName(LoweringContext* ctx, const std::string& base) {
 /// Adds pipeline `name` yielding this rank's filtered + pruned shard of
 /// the scanned table — the only plan fragment that differs per scan leaf
 /// (Figs. 6/7).
-void AddScan(PipelinePlan* plan, const std::string& name,
-             const LogicalPlan& n, const LoweringContext& ctx) {
+Status AddScan(PipelinePlan* plan, const std::string& name,
+               const LogicalPlan& n, const LoweringContext& ctx) {
   const Schema& pruned = n.schema;
   SubOpPtr rows;
   switch (ctx.scan_leaf) {
     case ScanLeafKind::kMemoryRows: {
-      // In-memory base table fragment: prune + filter record-wise.
+      // In-memory base table fragment: filter the wide table row first,
+      // with the predicate compiled against the table schema, then gather
+      // the pruned columns of the surviving rows only.
+      rows = std::make_unique<RowScan>(ParamItem(n.table));
+      if (n.scan_filter != nullptr) {
+        ExprPtr pred = RemapColumns(n.scan_filter, n.scan_cols);
+        if (pred == nullptr) {
+          return Status::InvalidArgument(
+              "lower: scan filter of " + n.table_name +
+              " does not map onto the table columns");
+        }
+        rows = std::make_unique<Filter>(std::move(rows), std::move(pred));
+      }
       std::vector<MapOutput> prune;
       prune.reserve(n.scan_cols.size());
       for (int c : n.scan_cols) prune.push_back(MapOutput::Pass(c));
-      rows = std::make_unique<MapOp>(
-          std::make_unique<RowScan>(ParamItem(n.table)), pruned,
-          std::move(prune));
+      rows = std::make_unique<MapOp>(std::move(rows), pruned,
+                                     std::move(prune));
       break;
     }
     case ScanLeafKind::kColumnFile: {
@@ -53,6 +65,9 @@ void AddScan(PipelinePlan* plan, const std::string& name,
       rows = std::make_unique<ColumnScan>(
           std::make_unique<ColumnFileScan>(ParamItem(n.table), copts),
           pruned);
+      if (n.scan_filter != nullptr) {
+        rows = std::make_unique<Filter>(std::move(rows), n.scan_filter);
+      }
       break;
     }
     case ScanLeafKind::kS3Select: {
@@ -65,14 +80,12 @@ void AddScan(PipelinePlan* plan, const std::string& name,
       plan->Add(name, std::make_unique<TableToCollection>(
                           std::make_unique<S3SelectRequest>(
                               ParamItem(n.table), std::move(sopts))));
-      return;
+      return Status::OK();
     }
-  }
-  if (n.scan_filter != nullptr) {
-    rows = std::make_unique<Filter>(std::move(rows), n.scan_filter);
   }
   plan->Add(name, std::make_unique<MaterializeRowVector>(std::move(rows),
                                                          pruned));
+  return Status::OK();
 }
 
 /// Adds the platform's exchange for pipeline `src` (rows of `schema`)
@@ -264,7 +277,7 @@ Result<LoweredPlan> LowerNode(const LogicalPlan& n, PipelinePlan* plan,
     case NodeKind::kScan: {
       std::string name = AllocName(
           ctx, n.table_name.empty() ? "scan" : n.table_name);
-      AddScan(plan, name, n, *ctx);
+      MODULARIS_RETURN_NOT_OK(AddScan(plan, name, n, *ctx));
       return LoweredPlan{name, n.schema};
     }
     case NodeKind::kFilter:

@@ -615,12 +615,14 @@ Status ReduceByKey::ConsumeAllSpill(RowVectorPtr input) {
   byte_table_.Clear(kHybridFirstSlots);
   HybridLevel top{.states = states_.get(), .map = &i64_map_,
                   .table = &byte_table_, .shift = 64 - kPartitionBits};
-  const Schema& schema = input->schema();
+  // The drained input has in_schema_'s layout (checked by the caller);
+  // its own schema dies with it when this is the last reference.
   MODULARIS_RETURN_NOT_OK(AggregateHybrid(input->data(), input->size(),
-                                          schema, nullptr, &top, &scratch));
+                                          in_schema_, nullptr, &top,
+                                          &scratch));
   if (top.pass < 0) return Status::OK();  // every group stayed resident
   input.reset();  // drop our reference to the drained input
-  return AggregateOverflow(&top, schema, &scratch);
+  return AggregateOverflow(&top, in_schema_, &scratch);
 }
 
 Status ReduceByKey::AggregateHybrid(const uint8_t* rows, size_t n,

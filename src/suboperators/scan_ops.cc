@@ -3,7 +3,61 @@
 #include <algorithm>
 #include <cstring>
 
+#include "suboperators/basic_ops.h"
+
 namespace modularis {
+
+// ---------------------------------------------------------------------------
+// RowScan
+// ---------------------------------------------------------------------------
+
+bool RowScan::Advance() {
+  if (ranged_) {
+    if (remaining_ == 0 || next_source_ >= sources_.size()) return false;
+    current_ = sources_[next_source_++];
+    pos_ = 0;
+    return true;
+  }
+  Tuple t;
+  if (!child(0)->Next(&t)) return ChildEnd(child(0));
+  const Item& item = t[item_index_];
+  if (!item.is_collection()) {
+    return Fail(Status::InvalidArgument(
+        "RowScan expects a collection item, got " + item.ToString()));
+  }
+  current_ = item.collection();
+  pos_ = 0;
+  return true;
+}
+
+Status RowScan::ReadSources(size_t* rows) {
+  *rows = 0;
+  while (Advance()) {
+    *rows += current_->size();
+    sources_.push_back(std::move(current_));
+  }
+  MODULARIS_RETURN_NOT_OK(status_);
+  read_sources_ = true;
+  return Status::OK();
+}
+
+void RowScan::SetRange(size_t begin, size_t end) {
+  ranged_ = true;
+  remaining_ = end - begin;
+  current_.reset();
+  pos_ = 0;
+  next_source_ = 0;
+  // Skip the collections wholly before the range; the range starts
+  // `begin` rows into the next one.
+  while (next_source_ < sources_.size() &&
+         begin >= sources_[next_source_]->size()) {
+    begin -= sources_[next_source_++]->size();
+  }
+  if (next_source_ < sources_.size()) {
+    current_ = sources_[next_source_++];
+    pos_ = begin;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // ColumnScan
@@ -79,6 +133,97 @@ bool ColumnScan::NextBatch(RowBatch* out) {
   }
 }
 
+namespace {
+
+/// The RowScan under a scan pipeline: `op` and every operator below it
+/// down to that scan are record-stream Filters or MapOps. Null for any
+/// other chain.
+RowScan* ScanPipelineLeaf(SubOperator* op) {
+  while (dynamic_cast<Filter*>(op) != nullptr ||
+         dynamic_cast<MapOp*>(op) != nullptr) {
+    if (!op->ProducesRecordStream()) return nullptr;
+    op = op->child(0);
+  }
+  return dynamic_cast<RowScan*>(op);
+}
+
+}  // namespace
+
+Status MaterializeRowVector::DrainStream(RowVectorPtr* result) {
+  RowBatch batch;
+  while (child(0)->PullBatch(&batch)) {
+    if ((*result)->empty() && batch.schema().Equals(schema_)) {
+      RowVectorPtr stolen = batch.TakeReleased();
+      if (stolen != nullptr) {
+        *result = std::move(stolen);
+        continue;
+      }
+    }
+    if ((*result)->empty()) (*result)->Reserve(batch.size());
+    (*result)->AppendRawBatch(batch.data(), batch.size());
+  }
+  return child(0)->status();
+}
+
+Status MaterializeRowVector::DrainScanPipeline(RowScan* scan,
+                                               RowVectorPtr* result) {
+  scan_timer_.Bind(ctx_->stats, "phase.scan_pipeline");
+  ScopedPhase phase(&scan_timer_);
+  size_t total = 0;
+  MODULARIS_RETURN_NOT_OK(scan->ReadSources(&total));
+  // Worker w drains global rows [bounds[w], bounds[w+1]) across the
+  // source collections in order, so the blocks concatenated in worker
+  // order are the one-worker stream at any worker count.
+  const int workers = PlanWorkers(total, ctx_->options);
+  const std::vector<size_t> bounds = SplitRows(total, workers);
+  std::vector<std::vector<RowVectorPtr>> blocks(workers);
+  auto drain = [&](SubOperator* chain, RowScan* leaf, int w) {
+    leaf->SetRange(bounds[w], bounds[w + 1]);
+    return DrainRecordBlocks(chain, &schema_, &blocks[w]);
+  };
+  if (workers == 1) {
+    MODULARIS_RETURN_NOT_OK(drain(child(0), scan, 0));
+  } else {
+    // Filter, MapOp and a RowScan that has read its sources always clone.
+    WorkerCloneContext cc;
+    std::vector<SubOpPtr> chains;
+    for (int w = 0; w < workers; ++w) {
+      chains.push_back(child(0)->CloneForWorker(&cc));
+    }
+    WorkerSet ws(ctx_, workers);
+    Status st = ParallelFor(ctx_, workers, [&](int w) -> Status {
+      SubOperator* chain = chains[w].get();
+      MODULARIS_RETURN_NOT_OK(chain->Open(ws.ctx(w)));
+      RowScan* leaf = ScanPipelineLeaf(chain);
+      size_t rows = 0;
+      Status run = leaf->ReadSources(&rows);
+      if (run.ok()) run = drain(chain, leaf, w);
+      Status close = chain->Close();
+      return run.ok() ? close : run;
+    });
+    ws.MergeStats();
+    MODULARIS_RETURN_NOT_OK(st);
+  }
+  // Worker w copies its blocks to rows [offsets[w], offsets[w+1]) of the
+  // result, so the concatenation runs on the workers too.
+  std::vector<size_t> offsets(workers + 1, 0);
+  for (int w = 0; w < workers; ++w) {
+    offsets[w + 1] = offsets[w];
+    for (const RowVectorPtr& block : blocks[w]) offsets[w + 1] += block->size();
+  }
+  (*result)->ResizeRowsUninitialized(offsets[workers]);
+  uint8_t* base = (*result)->mutable_data();
+  const size_t stride = (*result)->row_size();
+  return ParallelFor(ctx_, workers, [&](int w) -> Status {
+    uint8_t* dst = base + offsets[w] * stride;
+    for (const RowVectorPtr& block : blocks[w]) {
+      std::memcpy(dst, block->data(), block->byte_size());
+      dst += block->byte_size();
+    }
+    return Status::OK();
+  });
+}
+
 bool MaterializeRowVector::Next(Tuple* out) {
   if (done_) return false;
   RowVectorPtr result = RowVector::Make(schema_);
@@ -88,19 +233,10 @@ bool MaterializeRowVector::Next(Tuple* out) {
   // zero-copy. Streams that may carry atom tuples (driver-side result
   // assembly) keep the tuple loop below.
   if (child(0)->ProducesRecordStream()) {
-    RowBatch batch;
-    while (child(0)->PullBatch(&batch)) {
-      if (result->empty() && batch.schema().Equals(schema_)) {
-        RowVectorPtr stolen = batch.TakeReleased();
-        if (stolen != nullptr) {
-          result = std::move(stolen);
-          continue;
-        }
-      }
-      if (result->empty()) result->Reserve(batch.size());
-      result->AppendRawBatch(batch.data(), batch.size());
-    }
-    if (!child(0)->status().ok()) return Fail(child(0)->status());
+    RowScan* scan = ScanPipelineLeaf(child(0));
+    Status st = scan != nullptr ? DrainScanPipeline(scan, &result)
+                                : DrainStream(&result);
+    if (!st.ok()) return Fail(std::move(st));
     done_ = true;
     out->clear();
     out->push_back(Item(std::move(result)));

@@ -1,6 +1,7 @@
 #ifndef MODULARIS_SUBOPERATORS_SCAN_OPS_H_
 #define MODULARIS_SUBOPERATORS_SCAN_OPS_H_
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,6 +77,12 @@ class CollectionSource : public SubOperator {
 /// RowScan extracts individual records from RowVector collections: for
 /// every input tuple (whose item `item_index` is a RowVector) it streams
 /// one borrowed-row tuple per contained record.
+///
+/// A scan pipeline (MaterializeRowVector over Filter/MapOp over RowScan,
+/// docs/DESIGN-parallel.md) may instead read the scan's whole input with
+/// ReadSources() and pin the scan to one contiguous range of its rows
+/// with SetRange(); the scan then walks that range in kDefaultRows
+/// morsels. Open() drops both, restoring the unranged stream.
 class RowScan : public SubOperator {
  public:
   explicit RowScan(SubOpPtr child, int item_index = 0)
@@ -86,64 +93,89 @@ class RowScan : public SubOperator {
   Status Open(ExecContext* ctx) override {
     current_.reset();
     pos_ = 0;
+    sources_.clear();
+    read_sources_ = false;
+    ranged_ = false;
     return SubOperator::Open(ctx);
   }
 
   bool Next(Tuple* out) override {
     while (true) {
       if (current_ != nullptr && pos_ < current_->size()) {
+        if (ranged_) {
+          if (remaining_ == 0) return false;
+          --remaining_;
+        }
         out->clear();
         out->push_back(Item(current_->row(pos_++)));
         return true;
       }
-      Tuple t;
-      if (!child(0)->Next(&t)) return ChildEnd(child(0));
-      const Item& item = t[item_index_];
-      if (!item.is_collection()) {
-        return Fail(Status::InvalidArgument(
-            "RowScan expects a collection item, got " + item.ToString()));
-      }
-      current_ = item.collection();
-      pos_ = 0;
+      if (!Advance()) return false;
     }
   }
 
   bool ProducesRecordStream() const override { return true; }
 
+  /// Once ReadSources() has run, a clone scans the same collections
+  /// through a CollectionSource, so the child need not be clonable.
   SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override {
+    if (read_sources_) {
+      return std::make_unique<RowScan>(
+          std::make_unique<CollectionSource>(sources_));
+    }
     SubOpPtr child_clone = child(0)->CloneForWorker(cc);
     if (child_clone == nullptr) return nullptr;
     return std::make_unique<RowScan>(std::move(child_clone), item_index_);
   }
 
-  /// Native batch path: each input collection is forwarded as one
-  /// zero-copy borrowed batch (the remainder of it, if Next() already
-  /// consumed a prefix).
+  /// Native batch path. Unranged, each input collection is forwarded as
+  /// one zero-copy durable batch (the remainder of it, if Next() already
+  /// consumed a prefix), which blocking consumers adopt without copying.
+  /// Ranged, the range is borrowed in morsels of at most kDefaultRows
+  /// rows, so the operators above work on cache-resident batches.
   bool NextBatch(RowBatch* out) override {
     out->Clear();
     while (true) {
       if (current_ != nullptr && pos_ < current_->size()) {
-        out->BorrowRange(current_, pos_, current_->size() - pos_);
+        size_t n = current_->size() - pos_;
+        if (ranged_) {
+          n = std::min({n, remaining_, RowBatch::kDefaultRows});
+          if (n == 0) return false;
+          remaining_ -= n;
+        }
+        out->BorrowRange(current_, pos_, n);
         out->MarkDurable();  // upstream-owned collection, read-only
-        pos_ = current_->size();
+        pos_ += n;
         return true;
       }
-      Tuple t;
-      if (!child(0)->Next(&t)) return ChildEnd(child(0));
-      const Item& item = t[item_index_];
-      if (!item.is_collection()) {
-        return Fail(Status::InvalidArgument(
-            "RowScan expects a collection item, got " + item.ToString()));
-      }
-      current_ = item.collection();
-      pos_ = 0;
+      if (!Advance()) return false;
     }
   }
 
+  /// Reads the scan's whole input (every collection, in stream order) on
+  /// the calling thread and sets `*rows` to their total row count. Call
+  /// right after Open(), before any row is read.
+  Status ReadSources(size_t* rows);
+
+  /// Restricts this Open cycle to rows [begin, end) of the collections
+  /// ReadSources() read, counted across them in order.
+  void SetRange(size_t begin, size_t end);
+
  private:
+  /// Moves to the next input collection; false at the end of the input
+  /// (or of the range) or on error.
+  bool Advance();
+
   int item_index_;
   RowVectorPtr current_;
   size_t pos_ = 0;
+  // Ranged mode: the collections ReadSources() read, the next one to
+  // scan, and the rows of the range not yet emitted.
+  std::vector<RowVectorPtr> sources_;
+  bool read_sources_ = false;
+  bool ranged_ = false;
+  size_t next_source_ = 0;
+  size_t remaining_ = 0;
 };
 
 /// ColumnScan extracts individual records from columnar collections
@@ -255,6 +287,11 @@ class TableToCollection : public SubOperator {
 /// yields a single collection tuple. Every nested plan ends with one
 /// (paper §4.1.2). Inputs may be borrowed-row tuples (fast packed copy)
 /// or all-atom tuples matching `schema` (driver-side result assembly).
+///
+/// Over a scan pipeline — only record-stream Filters and MapOps down to
+/// a RowScan — it splits the scan's rows into PlanWorkers() contiguous
+/// ranges, drains one chain clone per range on the rank's workers, and
+/// concatenates the blocks in range order (docs/DESIGN-parallel.md).
 class MaterializeRowVector : public SubOperator {
  public:
   MaterializeRowVector(SubOpPtr child, Schema schema)
@@ -277,8 +314,16 @@ class MaterializeRowVector : public SubOperator {
   }
 
  private:
+  /// Batch drain of any other record stream: a released whole-vector
+  /// batch is adopted zero-copy, every other batch appended.
+  Status DrainStream(RowVectorPtr* result);
+  /// The scan-pipeline drain over `scan`, the chain's leaf, timed as
+  /// `phase.scan_pipeline`.
+  Status DrainScanPipeline(RowScan* scan, RowVectorPtr* result);
+
   Schema schema_;
   bool done_ = false;
+  PhaseTimer scan_timer_;
 };
 
 }  // namespace modularis

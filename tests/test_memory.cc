@@ -295,6 +295,37 @@ TEST(SpillAggTest, SpilledAggregationIsByteEqual) {
   EXPECT_TRUE(run.store.List("spill/").empty()) << "spill files leaked";
 }
 
+TEST(SpillAggTest, SpilledCopiedInputIsByteEqual) {
+  // A MapOp between scan and aggregation makes the drained input a copy
+  // that ReduceByKey owns alone, so dropping it before the overflow
+  // passes frees its schema too; the passes must not read that schema.
+  RowVectorPtr data = MakeKv(1 << 16, 1 << 12, 11);
+  auto reduce = [&] {
+    std::vector<MapOutput> pass = {MapOutput::Pass(0), MapOutput::Pass(1)};
+    return std::make_unique<ReduceByKey>(
+        std::make_unique<MapOp>(ScanOf(data), KeyValueSchema(),
+                                std::move(pass)),
+        std::vector<int>{0}, SumCountAggs(), KeyValueSchema());
+  };
+  RowVectorPtr expected;
+  {
+    BudgetedRun run(0);
+    auto rk = reduce();
+    ASSERT_TRUE(
+        DrainBatches(rk.get(), &run.ctx, rk->out_schema(), &expected).ok());
+  }
+  BudgetedRun run(256 << 10);
+  RowVectorPtr actual;
+  {
+    auto rk = reduce();
+    ASSERT_TRUE(
+        DrainBatches(rk.get(), &run.ctx, rk->out_schema(), &actual).ok());
+  }
+  ExpectBytesEqual(*expected, *actual);
+  EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 1);
+  EXPECT_TRUE(run.store.List("spill/").empty()) << "spill files leaked";
+}
+
 TEST(SpillAggTest, OversizedPartitionsRecurse) {
   // 8KB budget -> 2KB quota (128 rows), but the 256-way first pass leaves
   // ~256 rows per partition: every spilled partition must recurse at

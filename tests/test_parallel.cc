@@ -1127,6 +1127,202 @@ TEST(SortTopKParallelParity, MixedNextAndNextBatch) {
 }
 
 // ---------------------------------------------------------------------------
+// Scan pipelines: MaterializeRowVector over Filter/MapOp over a RowScan
+// splits the scan's rows into contiguous ranges, one chain clone per
+// range, and concatenates the blocks in range order — byte-equal to one
+// worker in batch and row mode, across collection boundaries and for
+// ranges smaller than a morsel.
+// ---------------------------------------------------------------------------
+
+Schema TaggedSchema() {
+  return Schema({Field::I64("key"), Field::I64("value"), Field::Str("tag", 8)});
+}
+
+/// Rows i = 0..rows-1 with key i, a random value and a short tag.
+RowVectorPtr MakeTagged(size_t rows, uint32_t seed) {
+  RowVectorPtr data = RowVector::Make(TaggedSchema());
+  std::mt19937_64 rng(seed);
+  for (size_t i = 0; i < rows; ++i) {
+    RowWriter w = data->AppendRow();
+    w.SetInt64(0, static_cast<int64_t>(i));
+    w.SetInt64(1, static_cast<int64_t>(rng() % 1000));
+    w.SetString(2, "t" + std::to_string(rng() % 97));
+  }
+  return data;
+}
+
+/// Output of the prune map: ⟨tag, value⟩.
+Schema PrunedSchema() {
+  return Schema({Field::Str("tag", 8), Field::I64("value")});
+}
+
+/// MaterializeRowVector(Map(prune) ∘ [Filter(pred)] ∘ RowScan(sources)).
+SubOpPtr ScanPipeline(const std::vector<RowVectorPtr>& sources,
+                      const ExprPtr& pred) {
+  SubOpPtr rows = std::make_unique<RowScan>(
+      std::make_unique<CollectionSource>(sources));
+  if (pred != nullptr) rows = std::make_unique<Filter>(std::move(rows), pred);
+  rows = std::make_unique<MapOp>(
+      std::move(rows), PrunedSchema(),
+      std::vector<MapOutput>{MapOutput::Pass(2), MapOutput::Pass(1)});
+  return std::make_unique<MaterializeRowVector>(std::move(rows),
+                                                PrunedSchema());
+}
+
+/// The pipeline's result computed row by row, sharing no operator code.
+RowVectorPtr ReferenceScan(const std::vector<RowVectorPtr>& sources,
+                           int64_t value_below) {
+  RowVectorPtr out = RowVector::Make(PrunedSchema());
+  for (const RowVectorPtr& src : sources) {
+    for (size_t i = 0; i < src->size(); ++i) {
+      RowRef r = src->row(i);
+      if (r.GetInt64(1) >= value_below) continue;
+      RowWriter w = out->AppendRow();
+      w.SetString(0, r.GetString(2));
+      w.SetInt64(1, r.GetInt64(1));
+    }
+  }
+  return out;
+}
+
+/// Runs a MaterializeRowVector root once; returns its collection, or
+/// null with `*st` set when it failed.
+RowVectorPtr RunMaterialize(SubOperator* root, int threads, bool vectorized,
+                            StatsRegistry* stats, Status* st,
+                            size_t min_rows = 256) {
+  ExecContext ctx;
+  InitCtx(&ctx, threads, stats);
+  ctx.options.enable_vectorized = vectorized;
+  ctx.options.parallel_min_rows = min_rows;
+  *st = root->Open(&ctx);
+  if (!st->ok()) return nullptr;
+  Tuple t;
+  const bool got = root->Next(&t);
+  *st = root->status();
+  EXPECT_TRUE(root->Close().ok());
+  if (!got) return nullptr;
+  EXPECT_EQ(t.size(), 1u);
+  return t[0].collection();
+}
+
+/// Checks 1 vs 4 threads, batch and row mode, against `expected`. Row
+/// mode pulls Next() through the ranged scans: a range honoured only by
+/// NextBatch() would emit rows twice there.
+void ExpectScanParity(const std::function<SubOpPtr()>& make,
+                      const RowVector& expected, const std::string& label,
+                      size_t min_rows = 256) {
+  for (int threads : {1, 4}) {
+    for (bool vectorized : {true, false}) {
+      const std::string run_label = label +
+                                    " threads=" + std::to_string(threads) +
+                                    " vectorized=" +
+                                    std::to_string(vectorized);
+      StatsRegistry stats;
+      Status st;
+      SubOpPtr root = make();
+      RowVectorPtr got =
+          RunMaterialize(root.get(), threads, vectorized, &stats, &st,
+                         min_rows);
+      ASSERT_TRUE(st.ok()) << run_label << ": " << st.ToString();
+      ASSERT_NE(got, nullptr) << run_label;
+      EXPECT_TRUE(got->schema().Equals(expected.schema())) << run_label;
+      ExpectBytesEqual(expected, *got, run_label);
+      EXPECT_EQ(stats.times().count("phase.scan_pipeline"), 1u) << run_label;
+      for (const auto& [key, value] : stats.counters()) {
+        EXPECT_TRUE(key.rfind("parallel.serial_fallback.", 0) != 0)
+            << run_label << ": " << key << " = " << value;
+      }
+    }
+  }
+}
+
+TEST(ScanPipelineParity, MultiCollectionSource) {
+  // Ranges straddle collection boundaries (and an empty collection), and
+  // every collection but the last is smaller than a 1024-row morsel.
+  RowVectorPtr all = MakeTagged(7000, 71);
+  std::vector<RowVectorPtr> parts = SplitCollection(all, {1, 255, 0, 600});
+  const ExprPtr pred = ex::Lt(ex::Col(1), ex::Lit(int64_t{300}));
+  RowVectorPtr expected = ReferenceScan(parts, 300);
+  ASSERT_GT(expected->size(), 0u);
+  ASSERT_LT(expected->size(), all->size());
+  ExpectScanParity([&] { return ScanPipeline(parts, pred); }, *expected,
+                   "multi-collection");
+  ExpectScanParity([&] { return ScanPipeline({all}, pred); }, *expected,
+                   "one collection");
+}
+
+TEST(ScanPipelineParity, EmptyFragment) {
+  const ExprPtr pred = ex::Lt(ex::Col(1), ex::Lit(int64_t{300}));
+  RowVectorPtr expected = RowVector::Make(PrunedSchema());
+  ExpectScanParity([&] { return ScanPipeline({}, pred); }, *expected,
+                   "no collection");
+  RowVectorPtr empty = RowVector::Make(TaggedSchema());
+  ExpectScanParity([&] { return ScanPipeline({empty, empty}, pred); },
+                   *expected, "empty collections");
+}
+
+TEST(ScanPipelineParity, FewerRowsThanWorkers) {
+  // Three rows on four threads: one worker at the usual sizing, and one
+  // row per worker when every row is worth a worker.
+  RowVectorPtr tiny = MakeTagged(3, 73);
+  for (size_t min_rows : {size_t{256}, size_t{1}}) {
+    ExpectScanParity([&] { return ScanPipeline({tiny}, nullptr); },
+                     *ReferenceScan({tiny}, 1000),
+                     "three rows min_rows=" + std::to_string(min_rows),
+                     min_rows);
+  }
+}
+
+TEST(ScanPipelineParity, NoFilter) {
+  RowVectorPtr all = MakeTagged(6000, 77);
+  const std::vector<RowVectorPtr> parts = SplitCollection(all, {1500});
+  ExpectScanParity([&] { return ScanPipeline(parts, nullptr); },
+                   *ReferenceScan(parts, 1000), "prune only");
+  // A bare RowScan is a scan pipeline too: the rows come back unchanged.
+  ExpectScanParity(
+      [&] {
+        return std::make_unique<MaterializeRowVector>(
+            std::make_unique<RowScan>(std::make_unique<CollectionSource>(parts)),
+            TaggedSchema());
+      },
+      *all, "bare scan");
+}
+
+TEST(ScanPipelineParity, ErrorInLastRangeSurfaces) {
+  // Keys at or above the cut evaluate the string column as the
+  // predicate, a hard error; only the last of four ranges holds them.
+  RowVectorPtr all = MakeTagged(4000, 79);
+  auto pred_from = [](int64_t cut) {
+    return ex::If(ex::Lt(ex::Col(0), ex::Lit(cut)), ex::Lit(int64_t{1}),
+                  ex::Col(2));
+  };
+  for (bool vectorized : {true, false}) {
+    for (int threads : {1, 4}) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " vectorized=" + std::to_string(vectorized);
+      StatsRegistry stats;
+      Status st;
+      SubOpPtr ok_root = ScanPipeline({all}, pred_from(4000));
+      RowVectorPtr got =
+          RunMaterialize(ok_root.get(), threads, vectorized, &stats, &st);
+      ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
+      ASSERT_EQ(got->size(), all->size()) << label;
+      SubOpPtr bad_root = ScanPipeline({all}, pred_from(3990));
+      got = RunMaterialize(bad_root.get(), threads, vectorized, &stats, &st);
+      EXPECT_EQ(got, nullptr) << label;
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << label << ": " << st.ToString();
+      EXPECT_EQ(bad_root->status().code(), StatusCode::kInvalidArgument)
+          << label;
+      for (const auto& [key, value] : stats.counters()) {
+        EXPECT_TRUE(key.rfind("parallel.serial_fallback.", 0) != 0)
+            << label << ": " << key << " = " << value;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // num_threads=1 must take exactly today's serial code paths (no fallback
 // counters, no parallel counters — it never even plans workers).
 // ---------------------------------------------------------------------------
