@@ -876,7 +876,8 @@ void BenchGroupBy() {
                      size_t* groups_out,
                      const CancellationToken* cancel = nullptr,
                      size_t mem_limit = 0,
-                     storage::BlobStore* spill_store = nullptr) {
+                     storage::BlobStore* spill_store = nullptr,
+                     int64_t* spill_bytes = nullptr) {
     ExecContext ctx;
     ctx.options.num_threads = threads;
     ctx.options.memory_limit_bytes = mem_limit;
@@ -920,6 +921,9 @@ void BenchGroupBy() {
     }
     if (checksum != nullptr) *checksum = h;
     if (groups_out != nullptr) *groups_out = groups;
+    if (spill_bytes != nullptr) {
+      *spill_bytes = ctx.stats->GetCounter("spill.bytes");
+    }
     return groups;
   };
 
@@ -1004,6 +1008,32 @@ void BenchGroupBy() {
                            &spill_store);
                  },
                  4);
+
+        // Resident: at a limit of the input's size ShouldSpill holds, so the
+        // run aggregates through a budgeted level, yet the 64k groups' state
+        // fits the half of the budget it may use — the admission rule's cost
+        // with nothing spilled. The budgeted level runs on one worker.
+        // Reported only; the output must match t1 and nothing may spill.
+        const size_t resident_limit = shape.data->byte_size();
+        uint64_t resident = 0;
+        int64_t resident_spill = -1;
+        run_one(shape, 1, &resident, nullptr, nullptr, resident_limit,
+                &spill_store, &resident_spill);
+        if (!ShouldSpill(shape.data->byte_size(), resident_limit) ||
+            resident != sum_t1 || resident_spill != 0) {
+          std::fprintf(stderr,
+                       "FAIL: groupby int g64k resident run differs from t1 "
+                       "or spilled %lld bytes\n",
+                       static_cast<long long>(resident_spill));
+          std::exit(1);
+        }
+        RunBench("groupby_1m_int_g64k_resident_t1", n,
+                 shape.data->byte_size(), 1,
+                 [&] {
+                   run_one(shape, 1, nullptr, nullptr, nullptr, resident_limit,
+                           &spill_store);
+                 },
+                 1);
       }
     }
   }

@@ -47,34 +47,10 @@ void I64StateMap::Rehash(size_t cap) {
   }
 }
 
-void I64StateMap::Reserve(size_t keys) {
-  size_t cap = 1024;
-  while (keys * 10 >= cap * 7) cap *= 2;
-  if (cap > keys_.size()) Rehash(cap);
-}
-
-size_t I64StateMap::Probe(int64_t key) const {
-  size_t slot = MixHash64(static_cast<uint64_t>(key)) & mask_;
+size_t I64StateMap::Probe(int64_t key, uint64_t hash) const {
+  size_t slot = hash & mask_;
   while (used_[slot] && keys_[slot] != key) slot = (slot + 1) & mask_;
   return slot;
-}
-
-uint32_t I64StateMap::Find(int64_t key) const {
-  if (keys_.empty()) return kNoState;
-  const size_t slot = Probe(key);
-  return used_[slot] ? vals_[slot] : kNoState;
-}
-
-uint32_t I64StateMap::FindOrInsert(int64_t key, bool* inserted) {
-  const size_t slots = SlotsAfterInsert();
-  if (slots != keys_.size()) Rehash(slots);
-  const size_t slot = Probe(key);
-  *inserted = !used_[slot];
-  if (!*inserted) return vals_[slot];
-  keys_[slot] = key;
-  vals_[slot] = static_cast<uint32_t>(size_);
-  used_[slot] = 1;
-  return static_cast<uint32_t>(size_++);
 }
 
 // ---------------------------------------------------------------------------
@@ -112,12 +88,6 @@ void ByteStateTable::Rehash(size_t cap) {
   }
 }
 
-void ByteStateTable::Reserve(size_t keys) {
-  size_t cap = 1024;
-  while (keys * 10 >= cap * 7) cap *= 2;
-  if (cap > slots_.size()) Rehash(cap);
-}
-
 size_t ByteStateTable::Probe(const uint8_t* key, uint32_t len,
                              uint64_t hash) const {
   size_t slot = hash & mask_;
@@ -132,31 +102,18 @@ size_t ByteStateTable::Probe(const uint8_t* key, uint32_t len,
   return slot;
 }
 
-uint32_t ByteStateTable::Find(const uint8_t* key, uint32_t len,
-                              uint64_t hash) const {
-  if (slots_.empty()) return kNoState;
-  const Slot& s = slots_[Probe(key, len, hash)];
-  return s.len_plus1 != 0 ? s.val : kNoState;
-}
-
-uint32_t ByteStateTable::FindOrInsert(const uint8_t* key, uint32_t len,
-                                      uint64_t hash, bool* inserted) {
-  const size_t slots = SlotsAfterInsert();
-  if (slots != slots_.size()) Rehash(slots);
-  Slot& s = slots_[Probe(key, len, hash)];
-  *inserted = s.len_plus1 == 0;
-  if (!*inserted) return s.val;
-  s.hash = hash;
-  s.val = static_cast<uint32_t>(size_);
-  s.len_plus1 = len + 1;
+void ByteStateTable::Insert(Slot* s, const uint8_t* key, uint32_t len,
+                            uint64_t hash) {
+  s->hash = hash;
+  s->val = static_cast<uint32_t>(size_);
+  s->len_plus1 = len + 1;
   if (len <= kInlineBytes) {
-    std::memcpy(s.key, key, len);
+    std::memcpy(s->key, key, len);
   } else {
     const uint64_t off = arena_.size();
     arena_.insert(arena_.end(), key, key + len);
-    std::memcpy(s.key, &off, sizeof(off));
+    std::memcpy(s->key, &off, sizeof(off));
   }
-  return static_cast<uint32_t>(size_++);
 }
 
 size_t ByteStateTable::byte_size() const {
@@ -182,8 +139,7 @@ Schema ReduceByKey::MakeOutputSchema(const Schema& in,
 Status ReduceByKey::Open(ExecContext* ctx) {
   MODULARIS_RETURN_NOT_OK(SubOperator::Open(ctx));
   states_ = RowVector::Make(out_schema_);
-  i64_map_.Clear();
-  byte_table_.Clear();
+  tables_.Clear();
   keyless_partials_.reset();
   consumed_ = false;
   emit_pos_ = 0;
@@ -195,7 +151,7 @@ Status ReduceByKey::Open(ExecContext* ctx) {
        in_schema_.field(key_cols_[0]).type == AtomType::kInt32 ||
        in_schema_.field(key_cols_[0]).type == AtomType::kDate);
   if (!single_i64_key_ && !key_cols_.empty()) {
-    // Fused serialize+hash program for the chunked byte-key kernels.
+    // Fused serialize+hash program for the (key, hash) walk.
     // Byte-identical to SerializeKeys + HashKeysSpan by construction.
     key_prog_ = KeyProgram(in_schema_, key_cols_);
     assert(key_prog_.valid());
@@ -380,59 +336,129 @@ void ReduceByKey::MergeStateRow(uint8_t* dst, const uint8_t* src) const {
   }
 }
 
-void ReduceByKey::AggregatePartition(
-    const uint8_t* rows, size_t n, const Schema& schema, const uint32_t* idx,
-    RowVector* states, std::vector<uint32_t>* first, I64StateMap* map,
-    ByteStateTable* table, std::vector<uint8_t>* key_scratch,
-    std::vector<uint64_t>* hash_scratch) const {
-  // The partition's row count is a hard upper bound on its distinct keys,
-  // so reserving it guarantees zero mid-aggregation rehashes — but on a
-  // duplicate-heavy skewed partition (all rows of a hot key in one
-  // place) it would also allocate O(rows) slots for a handful of groups.
-  // Cap the up-front reservation; a partition with more rows than the
-  // cap falls back to (deterministic — table internals never affect the
-  // output) geometric growth only if it really holds that many groups.
-  constexpr size_t kMaxReserveKeys = size_t{1} << 20;
-  const size_t reserve = std::min(n, kMaxReserveKeys);
-  const uint32_t stride = schema.row_size();
+namespace {
+
+// The slot count a state table needs for up to `keys` distinct keys under
+// the 0.7 load factor (at least 1024).
+size_t StateSlotsFor(size_t keys) {
+  size_t cap = 1024;
+  while (keys * 10 >= cap * 7) cap *= 2;
+  return cap;
+}
+
+// A chunk of the (key, hash) walk over a single integer key: each row's
+// key is read, and hashed, as it is probed.
+struct I64Keys {
+  const uint8_t* rows;  // the chunk's first row
+  uint32_t stride;
+  const Schema* schema;
+  int col;
+
+  int64_t Key(size_t i) const {
+    return KeyAt(RowRef(rows + i * stride, schema), col);
+  }
+  uint64_t Hash(size_t i) const {
+    return MixHash64(static_cast<uint64_t>(Key(i)));
+  }
+  template <typename Admit>
+  uint32_t FindOrAdmit(StateTables* tables, size_t i, Admit& admit,
+                       bool* inserted) const {
+    const int64_t key = Key(i);
+    return tables->i64.FindOrAdmit(key, MixHash64(static_cast<uint64_t>(key)),
+                                   admit, inserted);
+  }
+};
+
+// A chunk of the walk over serialized keys, serialized and hashed up front.
+struct ByteKeys {
+  const uint8_t* keys;
+  uint32_t key_size;
+  const uint64_t* hashes;
+
+  uint64_t Hash(size_t i) const { return hashes[i]; }
+  template <typename Admit>
+  uint32_t FindOrAdmit(StateTables* tables, size_t i, Admit& admit,
+                       bool* inserted) const {
+    return tables->bytes.FindOrAdmit(keys + i * key_size, key_size, hashes[i],
+                                     admit, inserted);
+  }
+};
+
+}  // namespace
+
+template <typename Fn>
+Status ReduceByKey::WalkKeys(const RowSpan& span, size_t lo, size_t hi,
+                             KeyChunk* kc, Fn&& fn) const {
   if (single_i64_key_) {
-    map->Clear();
-    map->Reserve(reserve);
-    const uint8_t* p = rows;
-    for (size_t j = 0; j < n; ++j, p += stride) {
-      RowRef row(p, &schema);
-      bool inserted = false;
-      uint32_t state = map->FindOrInsert(KeyAt(row, key_cols_[0]), &inserted);
-      if (inserted) {
-        InitState(states, row);
-        first->push_back(idx[j]);
-      }
-      UpdateStateRow(states->mutable_row(state), row);
+    for (size_t base = lo; base < hi; base += kKeyChunkRows) {
+      MODULARIS_RETURN_NOT_OK(
+          fn(base, std::min(hi - base, kKeyChunkRows),
+             I64Keys{span.data + base * span.stride, span.stride, span.schema,
+                     key_cols_[0]}));
     }
-    return;
+    return Status::OK();
   }
-  table->Clear();
-  table->Reserve(reserve);
   const uint32_t ks = key_prog_.key_size();
-  key_scratch->resize(kKeyChunkRows * ks);
-  hash_scratch->resize(kKeyChunkRows);
-  RowSpan span{rows, stride, &schema};
-  for (size_t base = 0; base < n; base += kKeyChunkRows) {
-    const size_t m = std::min(n - base, kKeyChunkRows);
-    key_prog_.SerializeAndHash(span, base, m, key_scratch->data(),
-                               hash_scratch->data());
-    for (size_t i = 0; i < m; ++i) {
-      bool inserted = false;
-      uint32_t state = table->FindOrInsert(key_scratch->data() + i * ks, ks,
-                                           (*hash_scratch)[i], &inserted);
-      RowRef row(rows + (base + i) * stride, &schema);
-      if (inserted) {
-        InitState(states, row);
-        first->push_back(idx[base + i]);
-      }
-      UpdateStateRow(states->mutable_row(state), row);
-    }
+  const size_t chunk = std::min(hi - lo, kKeyChunkRows);
+  kc->bytes.resize(chunk * ks);
+  kc->hash.resize(chunk);
+  for (size_t base = lo; base < hi; base += kKeyChunkRows) {
+    const size_t m = std::min(hi - base, kKeyChunkRows);
+    key_prog_.SerializeAndHash(span, base, m, kc->bytes.data(),
+                               kc->hash.data());
+    MODULARIS_RETURN_NOT_OK(
+        fn(base, m, ByteKeys{kc->bytes.data(), ks, kc->hash.data()}));
   }
+  return Status::OK();
+}
+
+Status ReduceByKey::AggregateSpan(const uint8_t* rows, size_t n,
+                                  const Schema& schema, const uint32_t* idx,
+                                  AggLevel* level, KeyChunk* kc,
+                                  SpillScratch* scratch) {
+  const size_t mem_limit = ctx_->options.memory_limit_bytes;
+  const size_t state_row = out_schema_.row_size();
+  // Asked on a miss only, with the table's bytes once the group is in.
+  // Under a budget a level admits while the state with the new group
+  // fits, and none from its first refusal on, so every resident group's
+  // first occurrence precedes every staged group's.
+  auto admit = [&](size_t table_bytes) {
+    return level->admit_all ||
+           (level->pass < 0 &&
+            StateFits(level->states->byte_size() + state_row + table_bytes,
+                      mem_limit));
+  };
+  const uint32_t stride = schema.row_size();
+  RowVector* const states = level->states;
+  StateTables* const tables = level->tables;
+  auto global = [idx](size_t j) {
+    return idx != nullptr ? idx[j] : static_cast<uint32_t>(j);
+  };
+  return WalkKeys(
+      RowSpan{rows, stride, &schema}, 0, n, kc,
+      [&](size_t base, size_t m, const auto& keys) -> Status {
+        const uint8_t* p = rows + base * stride;
+        for (size_t i = 0; i < m; ++i, p += stride) {
+          bool inserted = false;
+          const uint32_t state =
+              keys.FindOrAdmit(tables, i, admit, &inserted);
+          if (state == kNoState) {
+            MODULARIS_RETURN_NOT_OK(StageRow(p, global(base + i),
+                                             keys.Hash(i), schema, level,
+                                             scratch));
+            continue;
+          }
+          const RowRef row(p, &schema);
+          if (inserted) {
+            InitState(states, row);
+            if (level->first != nullptr) {
+              level->first->push_back(global(base + i));
+            }
+          }
+          UpdateStateRow(states->mutable_row(state), row);
+        }
+        return Status::OK();
+      });
 }
 
 Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
@@ -440,6 +466,7 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   const size_t n = input->size();
   const Schema& schema = input->schema();
   const uint32_t stride = input->row_size();
+  const RowSpan span{input->data(), stride, &schema};
   constexpr int kFanout = 1 << kPartitionBits;
   constexpr int kPidShift = 64 - kPartitionBits;
 
@@ -453,32 +480,17 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
       workers, std::vector<int64_t>(kFanout, 0));
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
     int64_t* counts = wcounts[w].data();
-    if (single_i64_key_) {
-      const uint8_t* p = input->data() + bounds[w] * stride;
-      for (size_t i = bounds[w]; i < bounds[w + 1]; ++i, p += stride) {
-        const uint64_t key =
-            static_cast<uint64_t>(KeyAt(RowRef(p, &schema), key_cols_[0]));
-        const uint8_t pid = static_cast<uint8_t>(MixHash64(key) >> kPidShift);
-        pids[i] = pid;
-        ++counts[pid];
-      }
-    } else {
-      const uint32_t ks = key_prog_.key_size();
-      std::vector<uint8_t> keys(kKeyChunkRows * ks);
-      std::vector<uint64_t> hashes(kKeyChunkRows);
-      RowSpan span{input->data(), stride, &schema};
-      for (size_t base = bounds[w]; base < bounds[w + 1];
-           base += kKeyChunkRows) {
-        const size_t m = std::min(bounds[w + 1] - base, kKeyChunkRows);
-        key_prog_.SerializeAndHash(span, base, m, keys.data(), hashes.data());
-        for (size_t i = 0; i < m; ++i) {
-          const uint8_t pid = static_cast<uint8_t>(hashes[i] >> kPidShift);
-          pids[base + i] = pid;
-          ++counts[pid];
-        }
-      }
-    }
-    return Status::OK();
+    KeyChunk kc;
+    return WalkKeys(span, bounds[w], bounds[w + 1], &kc,
+                    [&](size_t base, size_t m, const auto& keys) -> Status {
+                      for (size_t i = 0; i < m; ++i) {
+                        const auto pid =
+                            static_cast<uint8_t>(keys.Hash(i) >> kPidShift);
+                        pids[base + i] = pid;
+                        ++counts[pid];
+                      }
+                      return Status::OK();
+                    });
   }));
 
   // Phase 2: prefix offsets + write-combining scatter into one flat
@@ -515,28 +527,36 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   // Phase 3: partition-owned aggregation. Each partition is claimed by
   // exactly one worker (dynamic claiming — ownership is exclusive, so
   // the schedule costs no determinism) and aggregated in its original
-  // row order with zero cross-thread merging. Tables are reserved from
-  // the partition's row count, so aggregation never rehashes.
-  std::vector<RowVectorPtr> part_states(kFanout);
-  std::vector<std::vector<uint32_t>> part_first(kFanout);
+  // row order with zero cross-thread merging, recording each group's
+  // global first-occurrence index.
+  //
+  // The partition's row count bounds its distinct keys, so a table sized
+  // from it never rehashes — but on a duplicate-heavy skewed partition
+  // (all rows of a hot key in one place) it would also allocate O(rows)
+  // slots for a handful of groups. The size is capped; a partition past
+  // the cap grows geometrically only if it really holds that many groups
+  // (deterministic — table internals never affect the output).
+  constexpr size_t kMaxReserveKeys = size_t{1} << 20;
+  std::vector<AggRun> runs(kFanout);
   std::vector<int64_t> wrehash(workers, 0);
   MorselCursor cursor(kFanout, 1, ctx_->cancel);
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-    I64StateMap map;
-    ByteStateTable table;
-    std::vector<uint8_t> keys;
-    std::vector<uint64_t> hashes;
+    StateTables tables;
+    KeyChunk kc;
     size_t begin = 0, count = 0;
     while (cursor.Claim(&begin, &count)) {
       for (size_t p = begin; p < begin + count; ++p) {
         const size_t rows_p = prefix[p + 1] - prefix[p];
         if (rows_p == 0) continue;
-        RowVectorPtr states = RowVector::Make(out_schema_);
-        AggregatePartition(scat->data() + prefix[p] * stride, rows_p, schema,
-                           idx.data() + prefix[p], states.get(),
-                           &part_first[p], &map, &table, &keys, &hashes);
-        wrehash[w] += single_i64_key_ ? map.rehashes() : table.rehashes();
-        part_states[p] = std::move(states);
+        tables.Clear(StateSlotsFor(std::min(rows_p, kMaxReserveKeys)));
+        AggRun& run = runs[p];
+        run.states = RowVector::Make(out_schema_);
+        AggLevel level{.states = run.states.get(), .first = &run.first,
+                       .tables = &tables};
+        MODULARIS_RETURN_NOT_OK(AggregateSpan(
+            scat->data() + prefix[p] * stride, rows_p, schema,
+            idx.data() + prefix[p], &level, &kc, nullptr));
+        wrehash[w] += tables.rehashes();
       }
     }
     return Status::OK();
@@ -544,45 +564,17 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
 
   // Phase 4: emit groups in global first-occurrence order. Each
   // partition discovers its groups in ascending first-occurrence index
-  // (its rows are in original order), so a K-way merge over the
-  // per-partition runs replays the serial emission order exactly.
-  size_t total_groups = 0;
-  for (int p = 0; p < kFanout; ++p) total_groups += part_first[p].size();
-  states_->Reserve(total_groups);
-  using Head = std::pair<uint32_t, uint32_t>;  // (first index, partition)
-  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heap;
-  std::vector<uint32_t> pos(kFanout, 0);
+  // (its rows are in original order), so merging the per-partition runs
+  // replays the serial emission order exactly.
   int used_partitions = 0;
-  for (int p = 0; p < kFanout; ++p) {
-    if (!part_first[p].empty()) {
-      heap.emplace(part_first[p][0], static_cast<uint32_t>(p));
-      ++used_partitions;
-    }
-  }
-  while (!heap.empty()) {
-    const uint32_t p = heap.top().second;
-    heap.pop();
-    states_->AppendRaw(part_states[p]->row(pos[p]).data());
-    if (++pos[p] < part_first[p].size()) {
-      heap.emplace(part_first[p][pos[p]], p);
-    }
-  }
+  for (const AggRun& run : runs) used_partitions += !run.first.empty();
+  MergeAggRuns(&runs, states_.get(), nullptr);
   int64_t rehashes = 0;
   for (int w = 0; w < workers; ++w) rehashes += wrehash[w];
   AddStatCounter("reduce.rehash", rehashes);
   AddStatCounter("parallel.reduce.partitions", used_partitions);
   return Status::OK();
 }
-
-// -- Hybrid hash aggregation under a budget (docs/DESIGN-memory.md) ---------
-//
-// Every level streams its rows in global input order. While the group
-// state fits half the budget each new group is admitted; from the first
-// refused group on the level admits none, so every resident group's first
-// occurrence precedes every spilled group's. Each group's rows accumulate
-// on exactly one side, in input order (float SUMs keep their bits), and
-// the level's output is its resident states in insertion order followed by
-// the first-occurrence merge of its overflow partitions' runs.
 
 void ReduceByKey::MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
                                std::vector<uint32_t>* first_out) const {
@@ -609,111 +601,56 @@ void ReduceByKey::MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
   }
 }
 
+// -- Hybrid hash aggregation under a budget (docs/DESIGN-memory.md) ---------
+//
+// Every level streams its rows in global input order through the one
+// aggregation kernel, with StateFits as its admission rule. From the first
+// refused group on the level admits none, so every resident group's first
+// occurrence precedes every spilled group's. Each group's rows accumulate
+// on exactly one side, in input order (float SUMs keep their bits), and
+// the level's output is its resident states in insertion order followed by
+// the first-occurrence merge of its overflow partitions' runs.
+
 Status ReduceByKey::ConsumeAllSpill(RowVectorPtr input) {
   SpillScratch scratch;
-  i64_map_.Clear(kHybridFirstSlots);
-  byte_table_.Clear(kHybridFirstSlots);
-  HybridLevel top{.states = states_.get(), .map = &i64_map_,
-                  .table = &byte_table_, .shift = 64 - kPartitionBits};
+  tables_.Clear(kHybridFirstSlots);
+  AggLevel top{.states = states_.get(), .tables = &tables_,
+               .admit_all = false, .shift = 64 - kPartitionBits};
   // The drained input has in_schema_'s layout (checked by the caller);
   // its own schema dies with it when this is the last reference.
-  MODULARIS_RETURN_NOT_OK(AggregateHybrid(input->data(), input->size(),
-                                          in_schema_, nullptr, &top,
-                                          &scratch));
+  MODULARIS_RETURN_NOT_OK(AggregateSpan(input->data(), input->size(),
+                                        in_schema_, nullptr, &top,
+                                        &key_chunk_, &scratch));
   if (top.pass < 0) return Status::OK();  // every group stayed resident
   input.reset();  // drop our reference to the drained input
   return AggregateOverflow(&top, in_schema_, &scratch);
 }
 
-Status ReduceByKey::AggregateHybrid(const uint8_t* rows, size_t n,
-                                    const Schema& schema, const uint32_t* idx,
-                                    HybridLevel* level,
-                                    SpillScratch* scratch) {
+Status ReduceByKey::StageRow(const uint8_t* p, uint32_t gidx, uint64_t hash,
+                             const Schema& schema, AggLevel* level,
+                             SpillScratch* scratch) {
   constexpr int kFanout = 1 << kPartitionBits;
-  const size_t mem_limit = ctx_->options.memory_limit_bytes;
+  if (level->pass < 0) MODULARIS_RETURN_NOT_OK(OpenOverflow(level, scratch));
+  const int pid = static_cast<int>((hash >> level->shift) & (kFanout - 1));
+  RowVectorPtr& stage = level->stage[pid];
+  std::vector<uint32_t>& stage_idx = level->stage_idx[pid];
+  if (stage == nullptr) stage = RowVector::Make(schema);
+  stage->AppendRaw(p);
+  stage_idx.push_back(gidx);
   const uint32_t stride = schema.row_size();
   const size_t chunk_rows = std::max<size_t>(
-      1, SpillQuotaBytes(mem_limit) / (static_cast<size_t>(stride) * kFanout));
-  // Routes a row whose group is not resident: a new group (inserted by
-  // `insert`, which returns its state index) while the state with it
-  // fits, else a staged row of the overflow partition its hash picks.
-  auto place = [&](size_t j, uint64_t hash, size_t table_bytes,
-                   auto insert) -> Status {
-    const uint8_t* p = rows + j * stride;
-    const uint32_t gidx = idx != nullptr ? idx[j] : static_cast<uint32_t>(j);
-    if (level->admit_all ||
-        (level->pass < 0 &&
-         StateFits(level->states->byte_size() + out_schema_.row_size() +
-                       table_bytes,
-                   mem_limit))) {
-      const uint32_t state = insert();
-      RowRef row(p, &schema);
-      InitState(level->states, row);
-      if (level->first != nullptr) level->first->push_back(gidx);
-      UpdateStateRow(level->states->mutable_row(state), row);
-      return Status::OK();
-    }
-    if (level->pass < 0) MODULARIS_RETURN_NOT_OK(OpenOverflow(level, scratch));
-    const int pid = static_cast<int>((hash >> level->shift) & (kFanout - 1));
-    RowVectorPtr& stage = level->stage[pid];
-    std::vector<uint32_t>& stage_idx = level->stage_idx[pid];
-    if (stage == nullptr) stage = RowVector::Make(schema);
-    stage->AppendRaw(p);
-    stage_idx.push_back(gidx);
-    if (stage->size() < chunk_rows) return Status::OK();
-    MODULARIS_RETURN_NOT_OK(scratch->spill->WriteChunk(
-        level->pass, pid, stage->data(), stage->size(), stride,
-        stage_idx.data()));
-    stage->Clear();
-    stage_idx.clear();
-    return Status::OK();
-  };
-  bool inserted = false;
-  if (single_i64_key_) {
-    I64StateMap* map = level->map;
-    const uint8_t* p = rows;
-    for (size_t j = 0; j < n; ++j, p += stride) {
-      RowRef row(p, &schema);
-      const int64_t key = KeyAt(row, key_cols_[0]);
-      const uint32_t state = map->Find(key);
-      if (state != kNoState) {
-        UpdateStateRow(level->states->mutable_row(state), row);
-        continue;
-      }
-      MODULARIS_RETURN_NOT_OK(
-          place(j, MixHash64(static_cast<uint64_t>(key)),
-                map->byte_size_after_insert(),
-                [&] { return map->FindOrInsert(key, &inserted); }));
-    }
-    return Status::OK();
-  }
-  ByteStateTable* table = level->table;
-  const uint32_t ks = key_prog_.key_size();
-  key_scratch_.resize(kKeyChunkRows * ks);
-  hash_scratch_.resize(kKeyChunkRows);
-  RowSpan span{rows, stride, &schema};
-  for (size_t base = 0; base < n; base += kKeyChunkRows) {
-    const size_t m = std::min(n - base, kKeyChunkRows);
-    key_prog_.SerializeAndHash(span, base, m, key_scratch_.data(),
-                               hash_scratch_.data());
-    for (size_t i = 0; i < m; ++i) {
-      const uint8_t* key = key_scratch_.data() + i * ks;
-      const uint64_t hash = hash_scratch_[i];
-      const uint32_t state = table->Find(key, ks, hash);
-      if (state != kNoState) {
-        UpdateStateRow(level->states->mutable_row(state),
-                       RowRef(rows + (base + i) * stride, &schema));
-        continue;
-      }
-      MODULARIS_RETURN_NOT_OK(place(
-          base + i, hash, table->byte_size_after_insert(ks),
-          [&] { return table->FindOrInsert(key, ks, hash, &inserted); }));
-    }
-  }
+      1, SpillQuotaBytes(ctx_->options.memory_limit_bytes) /
+             (static_cast<size_t>(stride) * kFanout));
+  if (stage->size() < chunk_rows) return Status::OK();
+  MODULARIS_RETURN_NOT_OK(scratch->spill->WriteChunk(
+      level->pass, pid, stage->data(), stage->size(), stride,
+      stage_idx.data()));
+  stage->Clear();
+  stage_idx.clear();
   return Status::OK();
 }
 
-Status ReduceByKey::OpenOverflow(HybridLevel* level, SpillScratch* scratch) {
+Status ReduceByKey::OpenOverflow(AggLevel* level, SpillScratch* scratch) {
   // The operator's first refused group decides whether spilling is
   // possible at all — before anything is written.
   if (scratch->spill == nullptr) {
@@ -743,8 +680,7 @@ Status ReduceByKey::OpenOverflow(HybridLevel* level, SpillScratch* scratch) {
   return Status::OK();
 }
 
-Status ReduceByKey::AggregateOverflow(HybridLevel* level,
-                                      const Schema& schema,
+Status ReduceByKey::AggregateOverflow(AggLevel* level, const Schema& schema,
                                       SpillScratch* scratch) {
   constexpr int kFanout = 1 << kPartitionBits;
   storage::SpillSet* spill = scratch->spill.get();
@@ -782,15 +718,14 @@ Status ReduceByKey::AggregateSpilledPartition(int pass, int pid, int shift,
   if (ctx_->cancel != nullptr) MODULARIS_RETURN_NOT_OK(ctx_->cancel->Check());
   // The tables are free again by the time the overflow recurses: this
   // level's groups only update while its chunks stream.
-  scratch->map.Clear(kHybridFirstSlots);
-  scratch->table.Clear(kHybridFirstSlots);
+  scratch->tables.Clear(kHybridFirstSlots);
   // A partition cut by the last hash window cannot be split further (a
   // single hot key, practically): it keeps every group, which is the
   // operator's own irreducible output.
-  HybridLevel level{.states = out->states.get(), .first = &out->first,
-                    .map = &scratch->map, .table = &scratch->table,
-                    .shift = shift - kPartitionBits,
-                    .admit_all = shift < kPartitionBits};
+  AggLevel level{.states = out->states.get(), .first = &out->first,
+                 .tables = &scratch->tables,
+                 .admit_all = shift < kPartitionBits,
+                 .shift = shift - kPartitionBits};
   storage::SpillSet* spill = scratch->spill.get();
   const int chunks = spill->NumChunks(pass, pid);
   RowVectorPtr chunk = RowVector::Make(schema);
@@ -799,9 +734,9 @@ Status ReduceByKey::AggregateSpilledPartition(int pass, int pid, int shift,
     chunk->Clear();
     idx.clear();
     MODULARIS_RETURN_NOT_OK(spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
-    MODULARIS_RETURN_NOT_OK(AggregateHybrid(chunk->data(), chunk->size(),
-                                            schema, idx.data(), &level,
-                                            scratch));
+    MODULARIS_RETURN_NOT_OK(AggregateSpan(chunk->data(), chunk->size(),
+                                          schema, idx.data(), &level,
+                                          &key_chunk_, scratch));
   }
   spill->DeletePartition(pass, pid);
   if (level.pass < 0) return Status::OK();
@@ -845,42 +780,6 @@ void ReduceByKey::FinalizeKeyless() {
   states_->AppendRaw(keyless_partials_->data());
 }
 
-void ReduceByKey::AccumulateSpan(const uint8_t* rows, size_t n,
-                                 const Schema& schema) {
-  const uint32_t stride = schema.row_size();
-  if (single_i64_key_) {
-    const uint8_t* p = rows;
-    for (size_t i = 0; i < n; ++i, p += stride) {
-      RowRef row(p, &schema);
-      bool inserted = false;
-      const uint32_t state =
-          i64_map_.FindOrInsert(KeyAt(row, key_cols_[0]), &inserted);
-      if (inserted) InitState(states_.get(), row);
-      UpdateStateRow(states_->mutable_row(state), row);
-    }
-    return;
-  }
-  // Byte keys: the same chunked serialize→hash→probe kernel the parallel
-  // partitions run, against the operator-owned table.
-  const uint32_t ks = key_prog_.key_size();
-  key_scratch_.resize(kKeyChunkRows * ks);
-  hash_scratch_.resize(kKeyChunkRows);
-  RowSpan span{rows, stride, &schema};
-  for (size_t base = 0; base < n; base += kKeyChunkRows) {
-    const size_t m = std::min(n - base, kKeyChunkRows);
-    key_prog_.SerializeAndHash(span, base, m, key_scratch_.data(),
-                               hash_scratch_.data());
-    for (size_t i = 0; i < m; ++i) {
-      bool inserted = false;
-      uint32_t state = byte_table_.FindOrInsert(
-          key_scratch_.data() + i * ks, ks, hash_scratch_[i], &inserted);
-      RowRef row(rows + (base + i) * stride, &schema);
-      if (inserted) InitState(states_.get(), row);
-      UpdateStateRow(states_->mutable_row(state), row);
-    }
-  }
-}
-
 Status ReduceByKey::ConsumeAll() {
   timer_.Bind(ctx_->stats, timer_key_);
   ScopedPhase phase(&timer_);
@@ -888,8 +787,7 @@ Status ReduceByKey::ConsumeAll() {
   // The keyless chunk partials combine through the fixed pairwise tree.
   if (st.ok() && key_cols_.empty()) FinalizeKeyless();
   if (st.ok()) {
-    mem_charge_.Add(states_->byte_size() + i64_map_.byte_size() +
-                    byte_table_.byte_size());
+    mem_charge_.Add(states_->byte_size() + tables_.byte_size());
   }
   return st;
 }
@@ -899,7 +797,8 @@ Status ReduceByKey::ConsumeAllInner() {
   // durable collection (every production input) zero-copy, so the spill
   // decision and the worker count are pure functions of the limit and the
   // drained input, and one worker is a sizing decision that runs the
-  // serial kernel on the drained span (docs/DESIGN-parallel.md).
+  // aggregation kernel on the drained span into the operator's own tables
+  // (docs/DESIGN-parallel.md).
   RowVectorPtr input;
   MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
   if (input == nullptr) return Status::OK();
@@ -918,11 +817,10 @@ Status ReduceByKey::ConsumeAllInner() {
   // The keyless fixed-chunk tree is the same at any worker count
   // (ParallelFor runs one worker inline).
   if (key_cols_.empty()) return ConsumeKeyless(input, workers);
-  if (workers <= 1) {
-    AccumulateSpan(input->data(), input->size(), input->schema());
-    return Status::OK();
-  }
-  return ConsumeAllParallel(input, workers);
+  if (workers > 1) return ConsumeAllParallel(input, workers);
+  AggLevel level{.states = states_.get(), .tables = &tables_};
+  return AggregateSpan(input->data(), input->size(), input->schema(), nullptr,
+                       &level, &key_chunk_, nullptr);
 }
 
 bool ReduceByKey::Next(Tuple* out) {
@@ -1013,6 +911,27 @@ SortOp::SortOp(SubOpPtr child, std::vector<SortKey> keys, Schema schema,
 
 SortOp::~SortOp() = default;
 
+namespace {
+
+// Orders the first `keep` entries of [first, last) by `less` — a bounded
+// heap-select (O(n log keep)) when only that prefix can be emitted, a full
+// sort when `keep` covers the range.
+template <typename It, typename Less>
+void SortPrefix(It first, It last, size_t keep, const Less& less) {
+  if (keep < static_cast<size_t>(last - first)) {
+    std::partial_sort(first, first + keep, last, less);
+  } else {
+    std::sort(first, last, less);
+  }
+}
+
+}  // namespace
+
+bool SortOp::RowBefore(uint32_t x, uint32_t y) const {
+  const int c = CompareRows(rows_->row(x), rows_->row(y), keys_);
+  return c != 0 ? c < 0 : x < y;
+}
+
 Status SortOp::Open(ExecContext* ctx) {
   sorted_ = false;
   emit_pos_ = 0;
@@ -1045,47 +964,21 @@ Status SortOp::ConsumeAndSort(size_t limit) {
   emit_limit_ = cap;
   if (n < 2 || cap == 0) return Status::OK();
 
-  // Strict TOTAL order: the NaN-safe key comparator, tie-broken by the
-  // original row index. At one thread this reproduces stable_sort's
-  // order exactly; across threads it makes the merged order independent
-  // of the run partitioning — N workers byte-equal to 1 by construction.
-  auto less = [this](uint32_t x, uint32_t y) {
-    int c = CompareRows(rows_->row(x), rows_->row(y), keys_);
-    return c != 0 ? c < 0 : x < y;
-  };
-
-  const int workers = PlanWorkers(n, ctx_->options);
-  if (workers <= 1) {
-    if (cap < n) {
-      // Bounded selection: heap-select the top `cap` (O(n log cap))
-      // instead of fully sorting the input just to emit `cap` rows.
-      std::partial_sort(order_.begin(), order_.begin() + cap, order_.end(),
-                        less);
-    } else {
-      std::sort(order_.begin(), order_.end(), less);
-    }
-    return Status::OK();
-  }
-
   // Morsel-parallel run formation: each worker orders its static
   // contiguous range (its top-`cap` prefix under a limit) by the total
-  // order.
+  // order; one worker orders the whole input as one run.
+  auto less = [this](uint32_t x, uint32_t y) { return RowBefore(x, y); };
+  const int workers = PlanWorkers(n, ctx_->options);
   std::vector<size_t> bounds = SplitRows(n, workers);
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-    auto first = order_.begin() + bounds[w];
-    auto last = order_.begin() + bounds[w + 1];
-    const size_t run_n = bounds[w + 1] - bounds[w];
-    if (cap < run_n) {
-      std::partial_sort(first, first + cap, last, less);
-    } else {
-      std::sort(first, last, less);
-    }
+    SortPrefix(order_.begin() + bounds[w], order_.begin() + bounds[w + 1], cap,
+               less);
     return Status::OK();
   }));
-  // K-way loser-tree merge of the per-worker runs. Under a limit each
-  // run descriptor is clipped to its top-`cap` prefix; popping `cap`
-  // elements total can take at most `cap` from any one run, so the
-  // unsorted tails are never read.
+  // K-way loser-tree merge of the runs. Under a limit each run descriptor
+  // is clipped to its top-`cap` prefix; popping `cap` elements total can
+  // take at most `cap` from any one run, so the unsorted tails are never
+  // read.
   std::vector<uint32_t> merged(cap);
   MergeIndexRuns(BuildIndexRuns(order_.data(), bounds, cap), cap, less,
                  merged.data());
@@ -1138,20 +1031,13 @@ Status SortOp::ConsumeExternal(size_t limit) {
     std::vector<uint32_t> perm;
     RowVectorPtr out_rows = RowVector::Make(schema_);
     std::vector<uint32_t> out_idx;
-    auto less = [this](uint32_t x, uint32_t y) {
-      const int c = CompareRows(rows_->row(x), rows_->row(y), keys_);
-      return c != 0 ? c < 0 : x < y;
-    };
+    auto less = [this](uint32_t x, uint32_t y) { return RowBefore(x, y); };
     for (size_t base = 0; base < n; base += run_rows, ++num_runs) {
       const size_t m = std::min(n - base, run_rows);
       perm.resize(m);
       for (size_t i = 0; i < m; ++i) perm[i] = static_cast<uint32_t>(base + i);
       const size_t keep = std::min(emit_limit_, m);
-      if (keep < m) {
-        std::partial_sort(perm.begin(), perm.begin() + keep, perm.end(), less);
-      } else {
-        std::sort(perm.begin(), perm.end(), less);
-      }
+      SortPrefix(perm.begin(), perm.end(), keep, less);
       for (size_t lo = 0; lo < keep; lo += chunk_rows) {
         const size_t cm = std::min(keep - lo, chunk_rows);
         out_rows->Clear();

@@ -33,20 +33,34 @@ constexpr uint32_t kNoState = std::numeric_limits<uint32_t>::max();
 /// Open-addressing hash map from i64 keys to dense state indices.
 class I64StateMap {
  public:
-  /// Returns the state index for `key`; sets `*inserted` if it was new.
-  uint32_t FindOrInsert(int64_t key, bool* inserted);
-  /// Returns the state index for `key`, or kNoState.
-  uint32_t Find(int64_t key) const;
-  size_t size() const { return size_; }
+  /// Returns the state index for `key`, whose hash is
+  /// MixHash64(key). On a miss, inserts the key (sets `*inserted`) when
+  /// `admit(byte_size_after_insert())` holds, and returns kNoState with
+  /// the table unchanged otherwise — so every lookup is one probe, and
+  /// the table only grows on an admitted insert.
+  template <typename Admit>
+  uint32_t FindOrAdmit(int64_t key, uint64_t hash, Admit&& admit,
+                       bool* inserted) {
+    size_t slot = 0;
+    if (!keys_.empty()) {
+      slot = Probe(key, hash);
+      if (used_[slot]) return vals_[slot];
+    }
+    if (!admit(byte_size_after_insert())) return kNoState;
+    const size_t slots = SlotsAfterInsert();
+    if (slots != keys_.size()) {
+      Rehash(slots);
+      slot = Probe(key, hash);
+    }
+    keys_[slot] = key;
+    vals_[slot] = static_cast<uint32_t>(size_);
+    used_[slot] = 1;
+    *inserted = true;
+    return static_cast<uint32_t>(size_++);
+  }
   /// Empties the table; the next insert allocates `first_slots` slots and
   /// growth doubles from there.
   void Clear(size_t first_slots = 1024);
-
-  /// Pre-sizes the table for up to `keys` distinct keys (capacity kept
-  /// under the 0.7 load factor). The partition-owned aggregation pass
-  /// reserves from each partition's histogram row count — a hard upper
-  /// bound on its distinct keys — so aggregation never rehashes.
-  void Reserve(size_t keys);
 
   /// Growth steps that had to move live entries since the last Clear().
   int64_t rehashes() const { return rehashes_; }
@@ -73,7 +87,7 @@ class I64StateMap {
     return size_ * 10 >= keys_.size() * 7 ? keys_.size() * 2 : keys_.size();
   }
   /// The slot holding `key`, or the empty slot that ends its probe run.
-  size_t Probe(int64_t key) const;
+  size_t Probe(int64_t key, uint64_t hash) const;
 
   std::vector<int64_t> keys_;
   std::vector<uint32_t> vals_;
@@ -86,24 +100,34 @@ class I64StateMap {
 
 /// Flat open-addressing hash table from serialized byte keys (KeyCodec
 /// output) to dense state indices — the string / multi-column / float-key
-/// analog of I64StateMap, shared by the serial and partition-owned
-/// parallel aggregation paths. Linear probing over a power-of-two slot
-/// array; keys of up to 16 bytes live inline in the slot, longer keys
-/// spill into an append-only overflow arena (offsets stay stable across
-/// growth, so rehashing never touches key bytes).
+/// analog of I64StateMap. Linear probing over a power-of-two slot array;
+/// keys of up to 16 bytes live inline in the slot, longer keys spill into
+/// an append-only overflow arena (offsets stay stable across growth, so
+/// rehashing never touches key bytes).
 class ByteStateTable {
  public:
-  /// Returns the state index for `key[0..len)`; `hash` must be
-  /// HashKeyBytes(key, len). Sets `*inserted` if the key was new.
-  uint32_t FindOrInsert(const uint8_t* key, uint32_t len, uint64_t hash,
-                        bool* inserted);
-  /// Returns the state index for `key[0..len)`, or kNoState.
-  uint32_t Find(const uint8_t* key, uint32_t len, uint64_t hash) const;
-  size_t size() const { return size_; }
+  /// I64StateMap::FindOrAdmit for the key `key[0..len)`; `hash` must be
+  /// HashKeyBytes(key, len).
+  template <typename Admit>
+  uint32_t FindOrAdmit(const uint8_t* key, uint32_t len, uint64_t hash,
+                       Admit&& admit, bool* inserted) {
+    size_t slot = 0;
+    if (!slots_.empty()) {
+      slot = Probe(key, len, hash);
+      if (slots_[slot].len_plus1 != 0) return slots_[slot].val;
+    }
+    if (!admit(byte_size_after_insert(len))) return kNoState;
+    const size_t slots = SlotsAfterInsert();
+    if (slots != slots_.size()) {
+      Rehash(slots);
+      slot = Probe(key, len, hash);
+    }
+    Insert(&slots_[slot], key, len, hash);
+    *inserted = true;
+    return static_cast<uint32_t>(size_++);
+  }
   /// See I64StateMap::Clear.
   void Clear(size_t first_slots = 1024);
-  /// Pre-sizes for up to `keys` distinct keys (see I64StateMap::Reserve).
-  void Reserve(size_t keys);
   int64_t rehashes() const { return rehashes_; }
   /// Allocated footprint in bytes (slot array + overflow key arena).
   size_t byte_size() const;
@@ -130,6 +154,8 @@ class ByteStateTable {
     return size_ * 10 >= slots_.size() * 7 ? slots_.size() * 2 : slots_.size();
   }
   size_t Probe(const uint8_t* key, uint32_t len, uint64_t hash) const;
+  /// Fills the empty slot `s` with the key as state index size_.
+  void Insert(Slot* s, const uint8_t* key, uint32_t len, uint64_t hash);
   const uint8_t* SlotKey(const Slot& s) const;
 
   std::vector<Slot> slots_;
@@ -138,6 +164,20 @@ class ByteStateTable {
   size_t size_ = 0;
   size_t first_slots_ = 1024;
   int64_t rehashes_ = 0;
+};
+
+/// The state tables of one aggregation level: the one the operator's key
+/// kind probes is used, the other stays empty.
+struct StateTables {
+  I64StateMap i64;
+  ByteStateTable bytes;
+
+  void Clear(size_t first_slots = 1024) {
+    i64.Clear(first_slots);
+    bytes.Clear(first_slots);
+  }
+  size_t byte_size() const { return i64.byte_size() + bytes.byte_size(); }
+  int64_t rehashes() const { return i64.rehashes() + bytes.rehashes(); }
 };
 
 /// ReduceByKey aggregates records by one or more key columns.
@@ -186,13 +226,54 @@ class ReduceByKey : public SubOperator {
   /// alias — and the id is a pure function of the key, never of the
   /// worker count, which is what makes the plan deterministic.
   static constexpr int kPartitionBits = 8;
-  /// Rows per serialize+hash+probe chunk of the byte-key paths.
+  /// Rows per chunk of the (key, hash) walk.
   static constexpr size_t kKeyChunkRows = 1024;
   /// Fixed chunk size of the keyless (scalar Reduce) pairwise combine
   /// tree. A constant — NOT a thread-derived split — so the tree shape,
   /// and with it every float partial sum, is identical at any thread
   /// count.
   static constexpr size_t kKeylessChunkRows = 1 << 14;
+  /// Slots a budgeted level's table starts with: small, so that tiny
+  /// budgets still admit groups; the table doubles from there.
+  static constexpr size_t kHybridFirstSlots = 8;
+
+  /// Buffers of one chunk of the (key, hash) walk over a key that is not
+  /// a single integer: KeyProgram's fixed-stride serialized keys and their
+  /// hashes.
+  struct KeyChunk {
+    std::vector<uint8_t> bytes;
+    std::vector<uint64_t> hash;
+  };
+  /// A run of aggregated groups: the group states plus each group's
+  /// global first-occurrence index, both ascending by that index.
+  struct AggRun {
+    RowVectorPtr states;
+    std::vector<uint32_t> first;
+  };
+  /// What the budgeted levels share: the spill set (created at the
+  /// operator's first refused group) and the recursion's reusable tables.
+  struct SpillScratch {
+    std::unique_ptr<storage::SpillSet> spill;
+    StateTables tables;
+  };
+  /// The groups one pass of the aggregation kernel fills: their states in
+  /// insertion order, optionally their global first-occurrence indices,
+  /// and the tables keyed on them. A level either admits every new group
+  /// or — under a budget — admits one while StateFits, and from its first
+  /// refusal on stages every row of a non-resident group for its overflow,
+  /// scattered by the hash window at `shift`.
+  struct AggLevel {
+    RowVector* states = nullptr;
+    std::vector<uint32_t>* first = nullptr;  // or null: not recorded
+    StateTables* tables = nullptr;
+    /// Admit every new group: no budget binds the level, or its hash is
+    /// exhausted (the terminal level keeps all).
+    bool admit_all = true;
+    int shift = 0;  // overflow partition id = (hash >> shift) & 255
+    int pass = -1;  // overflow namespace, allocated at the first refusal
+    std::vector<RowVectorPtr> stage = {};
+    std::vector<std::vector<uint32_t>> stage_idx = {};
+  };
 
   Status ConsumeAll();
   Status ConsumeAllInner();
@@ -203,15 +284,12 @@ class ReduceByKey : public SubOperator {
   /// by one worker — zero cross-thread merging, so float SUM accumulates
   /// in exactly the serial order and N threads are byte-equal to 1 by
   /// construction. Groups are emitted in global first-occurrence order
-  /// via a K-way merge over the per-partition discovery runs.
+  /// by MergeAggRuns over the per-partition runs.
   Status ConsumeAllParallel(const RowVectorPtr& input, int workers);
   /// Keyless form, at any worker count: fixed-shape chunk partials
   /// combined pairwise (PairwiseCombineRows), byte-stable at any thread
   /// count.
   Status ConsumeKeyless(const RowVectorPtr& input, int workers);
-  /// The one-worker keyed kernel: aggregates the drained span into the
-  /// operator-owned table.
-  void AccumulateSpan(const uint8_t* rows, size_t n, const Schema& schema);
   /// Folds the keyless chunk partials through the fixed pairwise tree
   /// into the single output state. No-op when no input arrived.
   void FinalizeKeyless();
@@ -225,78 +303,57 @@ class ReduceByKey : public SubOperator {
   /// worker threads (reads only immutable compiled slots; Expr::Eval is
   /// thread-safe).
   void UpdateStateRow(uint8_t* dst, const RowRef& row) const;
-  /// Aggregates the rows of one key partition (ascending original order)
-  /// into `states`, recording each new group's global first-occurrence
-  /// index. `map`/`table` are the caller's reusable scratch tables.
-  void AggregatePartition(const uint8_t* rows, size_t n, const Schema& schema,
-                          const uint32_t* idx, RowVector* states,
-                          std::vector<uint32_t>* first, I64StateMap* map,
-                          ByteStateTable* table,
-                          std::vector<uint8_t>* key_scratch,
-                          std::vector<uint64_t>* hash_scratch) const;
+
+  /// The (key, hash) walk every keyed pass shares, and the one place the
+  /// key kind is read: walks rows [lo, hi) of `span` one kKeyChunkRows
+  /// chunk at a time and calls fn(base, m, keys) per chunk of `m` rows
+  /// from `base`. `keys` gives row i's Hash(i) and probes the row's key
+  /// into the state table of its kind (FindOrAdmit); serialized keys are
+  /// hashed a chunk at a time into `kc`.
+  template <typename Fn>
+  Status WalkKeys(const RowSpan& span, size_t lo, size_t hi, KeyChunk* kc,
+                  Fn&& fn) const;
+  /// The one aggregation kernel: walks `n` rows (global indices `idx`, or
+  /// 0..n-1 when null) through `level` — a resident group updates in
+  /// place, a new group the level admits is initialized, and any other
+  /// row is staged for the level's overflow. Safe to run from worker
+  /// threads on a level that admits every group.
+  Status AggregateSpan(const uint8_t* rows, size_t n, const Schema& schema,
+                       const uint32_t* idx, AggLevel* level, KeyChunk* kc,
+                       SpillScratch* scratch);
 
   // -- Hybrid hash aggregation under a budget (docs/DESIGN-memory.md) -------
 
-  /// Slots a hybrid level's table starts with: small, so that tiny budgets
-  /// still admit groups; the table doubles from there.
-  static constexpr size_t kHybridFirstSlots = 8;
-
-  /// A run of aggregated groups: the group states plus each group's
-  /// global first-occurrence index, both ascending by that index.
-  struct AggRun {
-    RowVectorPtr states;
-    std::vector<uint32_t> first;
-  };
-  /// What the hybrid levels share: the spill set (created at the
-  /// operator's first refused group) and the recursion's reusable tables.
-  struct SpillScratch {
-    std::unique_ptr<storage::SpillSet> spill;
-    I64StateMap map;
-    ByteStateTable table;
-  };
-  /// One level of the hybrid aggregation over a row stream: the groups
-  /// resident in `map`/`table`, and the staging of every row whose group
-  /// was refused, scattered by the hash window at `shift`.
-  struct HybridLevel {
-    RowVector* states = nullptr;            // resident states, insertion order
-    std::vector<uint32_t>* first = nullptr;  // their first indices, or null
-    I64StateMap* map = nullptr;
-    ByteStateTable* table = nullptr;
-    int shift = 0;  // overflow partition id = (hash >> shift) & 255
-    bool admit_all = false;  // hash exhausted: the terminal level keeps all
-    int pass = -1;  // overflow namespace, allocated at the first refusal
-    std::vector<RowVectorPtr> stage = {};
-    std::vector<std::vector<uint32_t>> stage_idx = {};
-  };
   /// Budget-forced degradation: aggregates the drained input into the
   /// operator's own table while the group state fits half the budget,
   /// spills only the rows of the groups refused after that, and appends
   /// their aggregation behind the resident groups — byte-equal to the
   /// in-memory path at any budget and thread count.
   Status ConsumeAllSpill(RowVectorPtr input);
-  /// Streams rows (global indices `idx`, or 0..n-1 when null) through
-  /// `level`: resident groups update in place, a new group is admitted
-  /// while StateFits, and every other row is staged for the next window.
-  Status AggregateHybrid(const uint8_t* rows, size_t n, const Schema& schema,
-                         const uint32_t* idx, HybridLevel* level,
-                         SpillScratch* scratch);
+  /// Stages row `p` (global index `gidx`) of a group `level` refused into
+  /// the overflow partition its hash picks, writing the stage out when
+  /// it fills the spill quota.
+  Status StageRow(const uint8_t* p, uint32_t gidx, uint64_t hash,
+                  const Schema& schema, AggLevel* level,
+                  SpillScratch* scratch);
   /// At `level`'s first refused group: stops its admissions and opens its
   /// overflow pass — and at the operator's first, its SpillSet, or fails
   /// fast when spilling cannot work.
-  Status OpenOverflow(HybridLevel* level, SpillScratch* scratch);
+  Status OpenOverflow(AggLevel* level, SpillScratch* scratch);
   /// Writes out `level`'s staged rows, aggregates its overflow partitions
   /// in ascending id order and appends their merged runs behind its
   /// resident groups.
-  Status AggregateOverflow(HybridLevel* level, const Schema& schema,
+  Status AggregateOverflow(AggLevel* level, const Schema& schema,
                            SpillScratch* scratch);
-  /// Aggregates one spilled partition into `out` as a hybrid level of its
-  /// own, recursing into its overflow on the next 8-bit hash window.
+  /// Aggregates one spilled partition into `out` as a level of its own,
+  /// recursing into its overflow on the next 8-bit hash window.
   Status AggregateSpilledPartition(int pass, int pid, int shift,
                                    const Schema& schema, AggRun* out,
                                    SpillScratch* scratch);
-  /// K-way merge of group runs by ascending first-occurrence index
-  /// (the phase-4 merge generalized to arbitrary runs). `first_out` may
-  /// be null when the caller does not need the merged index run.
+  /// K-way merge of group runs by ascending first-occurrence index — the
+  /// partition-owned pass's emission and each overflow level's. Runs with
+  /// no groups may have null states. `first_out` may be null when the
+  /// caller does not need the merged index run.
   void MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
                     std::vector<uint32_t>* first_out) const;
 
@@ -323,14 +380,11 @@ class ReduceByKey : public SubOperator {
   bool single_i64_key_ = false;
 
   RowVectorPtr states_;
-  I64StateMap i64_map_;
-  /// Byte-key machinery shared by every path: the fused serialize+hash
-  /// program produces fixed-stride keys probed into the flat
-  /// open-addressing ByteStateTable.
+  StateTables tables_;
+  /// The fused serialize+hash program of a key that is not a single
+  /// integer: fixed-stride keys probed into a ByteStateTable.
   KeyProgram key_prog_;
-  ByteStateTable byte_table_;
-  std::vector<uint8_t> key_scratch_;
-  std::vector<uint64_t> hash_scratch_;
+  KeyChunk key_chunk_;
 
   /// Keyless (scalar) aggregation: one partial state per fixed-size input
   /// chunk, combined pairwise at finalize.
@@ -444,6 +498,12 @@ class SortOp : public SubOperator {
 
   /// Lazily drains + sorts on first pull; false (status set) on error.
   bool EnsureSorted();
+
+  /// The sort's strict TOTAL order over rows_ indices: the NaN-safe key
+  /// comparator, tie-broken by the original row index. It makes the
+  /// merged order independent of how the input is cut into runs — N
+  /// workers byte-equal to 1 by construction.
+  bool RowBefore(uint32_t x, uint32_t y) const;
 
   /// Materializes the input and produces the sorted index permutation.
   /// Under `limit`, per-run selection is bounded: each run partial-sorts

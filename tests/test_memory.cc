@@ -367,9 +367,10 @@ RowVectorPtr MakeKeyFloat(const std::vector<std::pair<int64_t, double>>& kv) {
   return data;
 }
 
-std::vector<AggSpec> FloatSumCountAggs() {
+std::vector<AggSpec> FloatSumCountAggs(int value_col) {
   std::vector<AggSpec> aggs;
-  aggs.push_back(AggSpec{AggKind::kSum, ex::Col(1), "s", AtomType::kFloat64});
+  aggs.push_back(
+      AggSpec{AggKind::kSum, ex::Col(value_col), "s", AtomType::kFloat64});
   aggs.push_back(AggSpec{AggKind::kCount, nullptr, "c", AtomType::kInt64});
   return aggs;
 }
@@ -380,12 +381,15 @@ double OrderSensitiveValue(std::mt19937_64& rng) {
   return kValues[rng() % 5];
 }
 
-/// Groups `data` by its first column at `threads` workers in `run`.
+/// Groups `data` by `keys` at `threads` workers in `run`, summing its last
+/// column.
 RowVectorPtr AggregateIn(BudgetedRun* run, const RowVectorPtr& data,
-                         int threads) {
+                         const std::vector<int>& keys, int threads) {
   run->ctx.options.num_threads = threads;
   run->ctx.options.parallel_min_rows = 256;
-  ReduceByKey rk(ScanOf(data), {0}, FloatSumCountAggs(), data->schema());
+  const int value_col = static_cast<int>(data->schema().num_fields()) - 1;
+  ReduceByKey rk(ScanOf(data), keys, FloatSumCountAggs(value_col),
+                 data->schema());
   RowVectorPtr out;
   Status st = DrainBatches(&rk, &run->ctx, rk.out_schema(), &out);
   EXPECT_TRUE(st.ok()) << st.ToString();
@@ -395,14 +399,15 @@ RowVectorPtr AggregateIn(BudgetedRun* run, const RowVectorPtr& data,
 /// Checks the budgeted run at 1 and 4 threads against the unlimited run at
 /// the same thread count; `check` sees each budgeted run's counters.
 template <typename Check>
-void ExpectBudgetedMatchesUnlimited(const RowVectorPtr& data, size_t limit,
-                                    Check check) {
+void ExpectBudgetedMatchesUnlimited(const RowVectorPtr& data,
+                                    const std::vector<int>& keys,
+                                    size_t limit, Check check) {
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     BudgetedRun unlimited(0);
-    RowVectorPtr expected = AggregateIn(&unlimited, data, threads);
+    RowVectorPtr expected = AggregateIn(&unlimited, data, keys, threads);
     BudgetedRun run(limit);
-    RowVectorPtr actual = AggregateIn(&run, data, threads);
+    RowVectorPtr actual = AggregateIn(&run, data, keys, threads);
     ASSERT_NE(expected, nullptr);
     ASSERT_NE(actual, nullptr);
     ExpectBytesEqual(*expected, *actual);
@@ -421,7 +426,7 @@ TEST(SpillAggTest, FewGroupsNeverSpill) {
   }
   RowVectorPtr data = MakeKeyFloat(kv);
   ASSERT_TRUE(ShouldSpill(data->byte_size(), 256 << 10));
-  ExpectBudgetedMatchesUnlimited(data, 256 << 10, [](BudgetedRun& run) {
+  ExpectBudgetedMatchesUnlimited(data, {0}, 256 << 10, [](BudgetedRun& run) {
     EXPECT_EQ(run.stats.GetCounter("spill.bytes"), 0);
     EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 0);
     EXPECT_EQ(run.budget.denials(), 0);
@@ -440,7 +445,7 @@ TEST(SpillAggTest, OverflowSplitsResidentAndSpilled) {
   }
   RowVectorPtr data = MakeKeyFloat(kv);
   const int64_t input_bytes = static_cast<int64_t>(data->byte_size());
-  ExpectBudgetedMatchesUnlimited(data, 256 << 10, [&](BudgetedRun& run) {
+  ExpectBudgetedMatchesUnlimited(data, {0}, 256 << 10, [&](BudgetedRun& run) {
     EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 1);
     EXPECT_GT(run.stats.GetCounter("spill.bytes"), 0);
     EXPECT_LT(run.stats.GetCounter("spill.bytes"), input_bytes)
@@ -463,10 +468,77 @@ TEST(SpillAggTest, HotKeyAfterOverflowReachesTerminalLevel) {
     kv.emplace_back(key, OrderSensitiveValue(rng));
   }
   RowVectorPtr data = MakeKeyFloat(kv);
-  ExpectBudgetedMatchesUnlimited(data, 128, [](BudgetedRun& run) {
+  ExpectBudgetedMatchesUnlimited(data, {0}, 128, [](BudgetedRun& run) {
     EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 1);
     EXPECT_GE(run.stats.GetCounter("spill.passes"), 8);
   });
+}
+
+// -- Hybrid aggregation over byte keys (ByteStateTable levels) --------------
+
+/// A byte-keyed shape: a string key, or an (i32, string) key.
+struct ByteKeyShape {
+  const char* name;
+  std::vector<int> keys;
+};
+
+const ByteKeyShape kByteKeyShapes[] = {{"string", {0}}, {"i32+string", {0, 1}}};
+
+/// `rows` rows over `key_space` distinct keys of `shape`, each with an
+/// order-sensitive f64 value in the last column.
+RowVectorPtr MakeByteKeyRows(const ByteKeyShape& shape, int rows,
+                             int64_t key_space, uint32_t seed) {
+  const bool multi = shape.keys.size() > 1;
+  RowVectorPtr data = RowVector::Make(
+      multi ? Schema({Field::I32("a"), Field::Str("b", 8), Field::F64("v")})
+            : Schema({Field::Str("k", 12), Field::F64("v")}));
+  data->Reserve(rows);
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < rows; ++i) {
+    const int64_t key = static_cast<int64_t>(rng() % key_space);
+    RowWriter w = data->AppendRow();
+    if (multi) {
+      w.SetInt32(0, static_cast<int32_t>(key / 16));
+      w.SetString(1, "m" + std::to_string(key % 16));
+      w.SetFloat64(2, OrderSensitiveValue(rng));
+    } else {
+      w.SetString(0, "k" + std::to_string(key));
+      w.SetFloat64(1, OrderSensitiveValue(rng));
+    }
+  }
+  return data;
+}
+
+TEST(SpillAggTest, ByteKeyFewGroupsNeverSpill) {
+  // tpch_spill's case on byte keys: the drained input is far past half the
+  // budget, but its 64 groups' state fits, so nothing spills.
+  for (const ByteKeyShape& shape : kByteKeyShapes) {
+    SCOPED_TRACE(shape.name);
+    RowVectorPtr data = MakeByteKeyRows(shape, 1 << 15, 64, 61);
+    ASSERT_TRUE(ShouldSpill(data->byte_size(), 256 << 10));
+    ExpectBudgetedMatchesUnlimited(
+        data, shape.keys, 256 << 10, [](BudgetedRun& run) {
+          EXPECT_EQ(run.stats.GetCounter("spill.bytes"), 0);
+          EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 0);
+          EXPECT_EQ(run.budget.denials(), 0);
+        });
+  }
+}
+
+TEST(SpillAggTest, ByteKeyOverflowRecurses) {
+  // 8 KiB leaves the state 4 KiB: the top level keeps a few dozen of the
+  // 32k groups, and each of the 256 overflow partitions (~80 groups)
+  // overflows again on the next hash window.
+  for (const ByteKeyShape& shape : kByteKeyShapes) {
+    SCOPED_TRACE(shape.name);
+    RowVectorPtr data = MakeByteKeyRows(shape, 1 << 15, 1 << 15, 67);
+    ExpectBudgetedMatchesUnlimited(
+        data, shape.keys, 8 << 10, [](BudgetedRun& run) {
+          EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 1);
+          EXPECT_GE(run.stats.GetCounter("spill.passes"), 2);
+          EXPECT_GT(run.stats.GetCounter("spill.bytes"), 0);
+        });
+  }
 }
 
 TEST(SpillSortTest, ExternalSortIsByteEqual) {

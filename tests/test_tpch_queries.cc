@@ -180,11 +180,14 @@ TEST(TpchQueryTest, BytecodeTierAgreesWithInterpretedOnAllQueries) {
   // must be byte-identical between the two at 1 and 4 intra-rank
   // threads, and no TPC-H predicate or map expression may need a
   // per-lane fallback. The interpreted side is pinned to one thread so
-  // it stays the serial reference.
+  // it stays the serial reference. SF 0.01 leaves ~30k rows per rank,
+  // below the default split threshold, so the 4-thread leg lowers it to
+  // actually run the partitioned operators.
   for (int threads : {1, 4}) {
     TpchRunOptions base = Unthrottled(TpchRunOptions::Rdma(2));
     base.exec.network_radix_bits = 4;
     base.exec.num_threads = threads;
+    if (threads > 1) base.exec.parallel_min_rows = 256;
 
     TpchRunOptions interp = base;
     interp.exec.enable_vectorized = false;
@@ -219,6 +222,10 @@ TEST(TpchQueryTest, BytecodeTierAgreesWithInterpretedOnAllQueries) {
           << "Q" << q << " threads=" << threads;
       EXPECT_EQ(bc_stats.GetCounter("expr.bc_fallback.value"), 0)
           << "Q" << q << " threads=" << threads;
+      if (q == 1 && threads > 1) {
+        EXPECT_GT(bc_stats.GetCounter("parallel.reduce.partitions"), 0)
+            << "Q1's group-by never split over the 4 workers";
+      }
     }
   }
 }
