@@ -128,30 +128,47 @@ void BenchRadixHistogram() {
 void BenchRadixScatter() {
   RowVectorPtr data = MakeKv(1 << 20, 1 << 20);
   RadixSpec spec{8, 0, RadixHash::kIdentity};
+  ExecContext ctx;
+  ctx.options.num_threads = 1;
+  // The ranged scatter at one worker, as PartitionOp runs it: count the
+  // span, size the partitions from the counts, scatter.
   RunBench("radix_scatter", data->size(), data->byte_size(), -1, [&] {
+    RangedScatter scatter(&ctx, "bench", data->data(), data->size(),
+                          data->row_size(),
+                          ScatterRoute::Radix(spec, data->schema(), 0), 1);
     std::vector<RowVectorPtr> parts;
-    for (int p = 0; p < spec.fanout(); ++p) {
-      parts.push_back(RowVector::Make(KeyValueSchema()));
+    Status st = scatter.Count();
+    for (int64_t rows_p : scatter.totals()) {
+      RowVectorPtr part = RowVector::Make(KeyValueSchema());
+      part->ResizeRowsUninitialized(static_cast<size_t>(rows_p));
+      parts.push_back(std::move(part));
     }
-    ScatterRows(*data, spec, 0, &parts);
+    if (st.ok()) {
+      st = scatter.Scatter({}, InMemoryStageRows(data->row_size()), false,
+                           PartitionsSink(&parts));
+    }
+    if (!st.ok()) std::abort();
   });
-  // Pre-sized variant: exact per-partition allocation from a histogram,
-  // rows written in place at prefix offsets.
+  // Pre-sized variant, as LocalPartition runs it: exact per-partition
+  // allocation from a histogram, which stands in for the count pass.
   std::vector<int64_t> counts(spec.fanout(), 0);
   CountRows(*data, spec, 0, counts.data());
   RunBench("radix_scatter_presized", data->size(), data->byte_size(), -1,
            [&] {
              std::vector<RowVectorPtr> parts;
-             std::vector<size_t> cursors(spec.fanout(), 0);
              for (int p = 0; p < spec.fanout(); ++p) {
                RowVectorPtr part = RowVector::Make(KeyValueSchema());
                part->ResizeRows(static_cast<size_t>(counts[p]));
                parts.push_back(std::move(part));
              }
-             Status st =
-                 ScatterSpanPresized(data->data(), data->size(),
-                                     data->schema(), spec, 0, &parts,
-                                     &cursors);
+             RangedScatter scatter(
+                 &ctx, "bench", data->data(), data->size(), data->row_size(),
+                 ScatterRoute::Radix(spec, data->schema(), 0), 1);
+             Status st = scatter.Count(&counts);
+             if (st.ok()) {
+               st = scatter.Scatter({}, InMemoryStageRows(data->row_size()),
+                                    false, PartitionsSink(&parts));
+             }
              if (!st.ok()) std::abort();
            });
 }

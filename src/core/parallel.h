@@ -55,10 +55,9 @@ Status ParallelFor(const ExecContext* ctx, int num_workers,
 int PlanWorkers(size_t rows, const ExecOptions& options);
 
 /// Records that an operator requested parallel execution but had to fall
-/// back to the serial path for a structural reason (an unclonable chain,
-/// a >256-rank TCP routing table). Keyed "parallel.serial_fallback.<op>";
-/// the parity suite asserts these stay zero for the operators with
-/// native parallel paths.
+/// back to the serial path for a structural reason (an unclonable chain).
+/// Keyed "parallel.serial_fallback.<op>"; the parity suite asserts these
+/// stay zero for the operators with native parallel paths.
 void NoteSerialFallback(ExecContext* ctx, const char* op_name);
 
 /// Static contiguous split of [0, total) into `workers` ranges in input

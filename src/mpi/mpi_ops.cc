@@ -262,11 +262,11 @@ Status MpiExchange::DoExchange() {
   }
 
   // My starting write offset inside each partition's region.
-  std::vector<int64_t> write_offset(fanout);  // in rows, absolute in window
+  std::vector<size_t> write_offset(fanout);  // in rows, absolute in window
   for (int p = 0; p < fanout; ++p) {
     int64_t before_me = 0;
     for (int r = 0; r < me; ++r) before_me += all_local[r][p];
-    write_offset[p] = partition_base[p] + before_me;
+    write_offset[p] = static_cast<size_t>(partition_base[p] + before_me);
   }
 
   MODULARIS_ASSIGN_OR_RETURN(
@@ -280,182 +280,64 @@ Status MpiExchange::DoExchange() {
   ScopedCharge stage_charge(ctx_->budget);
   stage_charge.Add(static_cast<size_t>(owner_rows[me]) * out_row);
 
-  const int key_col = opts_.key_col;
+  // The ranged scatter (docs/DESIGN-exchange.md): the local histogram is
+  // its totals (one worker counts nothing; more check their counts against
+  // it, and every flush is bounds-checked, because a mismatch would
+  // corrupt a peer's window), and each (worker, partition) region of the
+  // owner's window starts where the input order puts it. Every full
+  // write-combining buffer ships as one async Put, so wire traffic starts
+  // while the scatter is still running.
   const uint32_t in_row = in_schema.row_size();
-  const uint32_t key_offset = in_schema.offset(key_col);
-  const bool wide = in_schema.field(key_col).type == AtomType::kInt64;
-  const uint32_t val_offset =
-      in_schema.num_fields() > 1 ? in_schema.offset(1) : 0;
-  auto load_key = [&](const uint8_t* p) -> int64_t {
-    if (wide) {
-      int64_t k;
-      std::memcpy(&k, p + key_offset, sizeof(k));
-      return k;
-    }
-    int32_t k32;
-    std::memcpy(&k32, p + key_offset, sizeof(k32));
-    return k32;
-  };
-  auto serialize_row = [&](const uint8_t* src, int64_t key, uint8_t* dst) {
-    if (opts_.compress) {
-      int64_t value;
-      std::memcpy(&value, src + val_offset, sizeof(value));
-      int64_t word =
-          CompressKV(key, value, opts_.spec.bits, opts_.domain_bits);
-      std::memcpy(dst, &word, sizeof(word));
-    } else {
-      std::memcpy(dst, src, in_row);
-    }
-  };
+  RangedScatter scatter(ctx_, "MpiExchange", input->data(), input->size(),
+                        in_row,
+                        ScatterRoute::Radix(opts_.spec, in_schema,
+                                            opts_.key_col),
+                        PlanWorkers(input->size(), ctx_->options));
+  MODULARIS_RETURN_NOT_OK(scatter.Count(&local_counts));
 
   // Serial-wire ablation staging (opts_.serial_wire): the scatter lands in
   // a local buffer laid out by local prefix offsets and ships only after
   // partitioning completes — no overlap, the baseline the stall gate
   // compares against.
-  std::vector<int64_t> local_base(fanout, 0);
-  int64_t local_total = 0;
+  std::vector<size_t> local_base(fanout, 0);
+  size_t local_total = 0;
   for (int p = 0; p < fanout; ++p) {
     local_base[p] = local_total;
-    local_total += local_counts[p];
+    local_total += static_cast<size_t>(local_counts[p]);
   }
   std::vector<uint8_t> wire_stage;
   if (opts_.serial_wire) {
-    wire_stage.resize(static_cast<size_t>(local_total) * out_row);
+    wire_stage.resize(local_total * out_row);
     stage_charge.Add(wire_stage.size());
   }
 
-  const size_t total_rows = input->size();
-  const int workers = PlanWorkers(total_rows, ctx_->options);
-
-  if (workers > 1) {
-    // Morsel-parallel two-phase scatter (docs/DESIGN-exchange.md): static
-    // contiguous ranges are counted, each (worker, partition) pair gets an
-    // exclusive region of the owner's window at an offset that replays the
-    // serial input order, then every worker streams its range through
-    // write-combining buffers flushed by concurrent async Puts — wire
-    // traffic starts while other workers are still partitioning.
-    const std::vector<size_t> bounds = SplitRows(total_rows, workers);
-    std::vector<std::vector<int64_t>> worker_counts(
-        workers, std::vector<int64_t>(fanout, 0));
-    MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-      CountSpan(input->data() + bounds[w] * in_row, bounds[w + 1] - bounds[w],
-                in_schema, opts_.spec, key_col, worker_counts[w].data());
+  // The write-combining budget is shared across the workers, so the
+  // staging footprint does not grow with them.
+  const size_t buf_rows = std::max<size_t>(
+      4, opts_.buffer_bytes / static_cast<size_t>(scatter.ranges()) / out_row);
+  // Compression packs each row into its wire word as it is staged.
+  const ScatterPacking packing{opts_.spec.bits, opts_.domain_bits,
+                               opts_.compress ? in_schema.offset(1) : 0};
+  auto sink = [&](const ScatterFlush& f) -> Status {
+    if (opts_.serial_wire) {
+      std::memcpy(wire_stage.data() + f.at * out_row, f.rows,
+                  f.count * out_row);
       return Status::OK();
-    }));
-    // The cross-rank window layout was derived from the local histogram;
-    // a mismatch would corrupt a peer's window, so verify before writing.
-    for (int p = 0; p < fanout; ++p) {
-      int64_t counted = 0;
-      for (int w = 0; w < workers; ++w) counted += worker_counts[w][p];
-      if (counted != local_counts[p]) {
-        return Status::InvalidArgument(
-            "MpiExchange: local histogram count " +
-            std::to_string(local_counts[p]) + " != counted rows " +
-            std::to_string(counted) + " for partition " + std::to_string(p));
-      }
     }
-    std::vector<std::vector<int64_t>> offsets(
-        workers, std::vector<int64_t>(fanout, 0));
-    for (int p = 0; p < fanout; ++p) {
-      int64_t off = opts_.serial_wire ? local_base[p] : write_offset[p];
-      for (int w = 0; w < workers; ++w) {
-        offsets[w][p] = off;
-        off += worker_counts[w][p];
-      }
-    }
-    // The write-combining budget is shared across the pool so the total
-    // staging footprint matches the serial path's.
-    const size_t buf_rows = std::max<size_t>(
-        4, opts_.buffer_bytes / static_cast<size_t>(workers) / out_row);
-    MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-      std::vector<uint8_t> stage(static_cast<size_t>(fanout) * buf_rows *
-                                 out_row);
-      std::vector<uint32_t> fill(fanout, 0);
-      auto flush = [&](int p) -> Status {
-        if (fill[p] == 0) return Status::OK();
-        const uint8_t* buf =
-            stage.data() + static_cast<size_t>(p) * buf_rows * out_row;
-        if (opts_.serial_wire) {
-          std::memcpy(
-              wire_stage.data() + static_cast<size_t>(offsets[w][p]) * out_row,
-              buf, fill[p] * out_row);
-        } else {
-          // An injected Put failure fires before any byte lands, so the
-          // retry writes the same exclusive region exactly once.
-          MODULARIS_RETURN_NOT_OK(RetryCall(
-              ctx_->options.retry, ctx_->stats, "fabric.put",
-              [&] {
-                return comm->WinPut(
-                    p % world, window,
-                    static_cast<size_t>(offsets[w][p]) * out_row, buf,
-                    fill[p] * out_row);
-              },
-              ctx_->cancel));
-        }
-        offsets[w][p] += fill[p];
-        fill[p] = 0;
-        return Status::OK();
-      };
-      const uint8_t* p_row = input->data() + bounds[w] * in_row;
-      for (size_t i = bounds[w]; i < bounds[w + 1]; ++i, p_row += in_row) {
-        const int64_t key = load_key(p_row);
-        const uint32_t pid = opts_.spec.PartitionOf(key);
-        serialize_row(
-            p_row, key,
-            stage.data() +
-                (static_cast<size_t>(pid) * buf_rows + fill[pid]) * out_row);
-        if (++fill[pid] == buf_rows) {
-          MODULARIS_RETURN_NOT_OK(flush(static_cast<int>(pid)));
-        }
-      }
-      for (int p = 0; p < fanout; ++p) MODULARIS_RETURN_NOT_OK(flush(p));
-      return Status::OK();
-    }));
-  } else {
-    // Serial scatter through software write-combining buffers, flushed by
-    // async one-sided writes as they fill.
-    const size_t buf_rows = std::max<size_t>(1, opts_.buffer_bytes / out_row);
-    std::vector<std::vector<uint8_t>> buffers(fanout);
-    std::vector<size_t> buffered(fanout, 0);
-    for (auto& b : buffers) b.resize(buf_rows * out_row);
-    std::vector<int64_t> cursor =
-        opts_.serial_wire ? local_base : write_offset;
-
-    auto flush_partition = [&](int p) -> Status {
-      if (buffered[p] == 0) return Status::OK();
-      if (opts_.serial_wire) {
-        std::memcpy(
-            wire_stage.data() + static_cast<size_t>(cursor[p]) * out_row,
-            buffers[p].data(), buffered[p] * out_row);
-      } else {
-        MODULARIS_RETURN_NOT_OK(RetryCall(
-            ctx_->options.retry, ctx_->stats, "fabric.put",
-            [&] {
-              return comm->WinPut(
-                  p % world, window, static_cast<size_t>(cursor[p]) * out_row,
-                  buffers[p].data(), buffered[p] * out_row);
-            },
-            ctx_->cancel));
-      }
-      cursor[p] += static_cast<int64_t>(buffered[p]);
-      buffered[p] = 0;
-      return Status::OK();
-    };
-
-    const uint8_t* p_row = input->data();
-    for (size_t i = 0; i < total_rows; ++i, p_row += in_row) {
-      const int64_t key = load_key(p_row);
-      const uint32_t pid = opts_.spec.PartitionOf(key);
-      serialize_row(p_row, key,
-                    buffers[pid].data() + buffered[pid] * out_row);
-      if (++buffered[pid] == buf_rows) {
-        MODULARIS_RETURN_NOT_OK(flush_partition(static_cast<int>(pid)));
-      }
-    }
-    for (int p = 0; p < fanout; ++p) {
-      MODULARIS_RETURN_NOT_OK(flush_partition(p));
-    }
-  }
+    // An injected Put failure fires before any byte lands, so the retry
+    // writes the same exclusive region exactly once.
+    return RetryCall(
+        ctx_->options.retry, ctx_->stats, "fabric.put",
+        [&] {
+          return comm->WinPut(f.dest % world, window, f.at * out_row,
+                              f.rows, f.count * out_row);
+        },
+        ctx_->cancel);
+  };
+  MODULARIS_RETURN_NOT_OK(
+      scatter.Scatter(opts_.serial_wire ? local_base : write_offset, buf_rows,
+                      /*track_index=*/false, sink,
+                      opts_.compress ? &packing : nullptr));
 
   if (opts_.serial_wire) {
     // Partition-then-send: every byte ships only now, after the scatter —
@@ -467,10 +349,8 @@ Status MpiExchange::DoExchange() {
           ctx_->options.retry, ctx_->stats, "fabric.put",
           [&] {
             return comm->WinPut(
-                p % world, window,
-                static_cast<size_t>(write_offset[p]) * out_row,
-                wire_stage.data() +
-                    static_cast<size_t>(local_base[p]) * out_row,
+                p % world, window, write_offset[p] * out_row,
+                wire_stage.data() + local_base[p] * out_row,
                 static_cast<size_t>(local_counts[p]) * out_row);
           },
           ctx_->cancel));

@@ -23,21 +23,6 @@ namespace modularis {
 /// (paper §4.1.2: key and value packed into 8 bytes for dense domains).
 Schema CompressedSchema();
 
-/// Packs key/value into the 8-byte exchange word given the network radix
-/// width F and the domain width P (2·P − F ≤ 64 required).
-inline int64_t CompressKV(int64_t key, int64_t value, int radix_bits,
-                          int domain_bits) {
-  int64_t key_hi = key >> radix_bits;
-  return (key_hi << domain_bits) | value;
-}
-/// Recovers ⟨key, value⟩ from a word and its network partition id.
-inline void DecompressKV(int64_t word, int64_t pid, int radix_bits,
-                         int domain_bits, int64_t* key, int64_t* value) {
-  int64_t key_hi = word >> domain_bits;
-  *key = (key_hi << radix_bits) | pid;
-  *value = word & ((int64_t{1} << domain_bits) - 1);
-}
-
 /// MpiExecutor runs a nested plan on every rank of a simulated cluster in
 /// a data-parallel fashion (the stacked frame of Fig. 3). The nested plan
 /// is produced per rank by a factory; each rank's plan-input tuple comes
@@ -109,14 +94,16 @@ class MpiHistogram : public SubOperator {
 ///     emits ⟨networkPartitionID, partitionData⟩ in ascending pid order.
 /// Partition ownership is round-robin: owner(p) = p mod world.
 ///
-/// With a thread budget, the scatter runs morsel-parallel inside the rank
-/// (docs/DESIGN-exchange.md): static worker ranges are counted, each
-/// (worker, partition) pair gets an exclusive window region whose offset
-/// replays the serial input order, and every worker flushes its
-/// write-combining buffers straight into async one-sided Puts while the
-/// other workers are still partitioning — compute/network overlap with a
-/// single Flush/Barrier at drain end. N threads × R ranks is byte-equal
-/// to 1 × R per owned partition.
+/// Step 3 is the engine's one ranged scatter (RangedScatter,
+/// docs/DESIGN-exchange.md) with the local histogram as its totals: at
+/// any worker count each (worker, partition) pair gets an exclusive
+/// window region whose offset replays the input order, every flush is
+/// bounds-checked against it (a histogram that disagrees with the data is
+/// InvalidArgument), and every worker flushes its write-combining buffers
+/// straight into async one-sided Puts while the others are still
+/// partitioning — compute/network overlap with a single Flush/Barrier at
+/// drain end. N threads × R ranks is byte-equal to 1 × R per owned
+/// partition.
 class MpiExchange : public SubOperator {
  public:
   struct Options {

@@ -30,74 +30,23 @@ Status TcpExchange::DoExchange() {
   timer_.Bind(ctx_->stats, opts_.timer_key);
   ScopedPhase phase(&timer_);
 
-  // Route into one flat wire buffer ordered by destination rank; rows of a
-  // destination replay input order, so N-thread routing is byte-equal to
-  // serial per peer (docs/DESIGN-exchange.md).
-  RowVectorPtr wire = RowVector::Make(schema);
+  // Route into one flat wire buffer ordered by destination rank through
+  // the ranged scatter; rows of a destination replay input order, so
+  // N-thread routing is byte-equal to serial per peer
+  // (docs/DESIGN-exchange.md).
+  RangedScatter scatter(ctx_, "TcpExchange", input->data(), n, stride,
+                        ScatterRoute::HashMod(world, schema, opts_.key_col),
+                        PlanWorkers(n, ctx_->options));
+  MODULARIS_RETURN_NOT_OK(scatter.Count());
   std::vector<size_t> dest_base(world + 1, 0);
-  const int workers = PlanWorkers(n, ctx_->options);
-  auto dest_of = [&](const uint8_t* p) -> uint32_t {
-    uint64_t h = MixHash64(static_cast<uint64_t>(
-        KeyAt(RowRef(p, &schema), opts_.key_col)));
-    return static_cast<uint32_t>(h % world);
-  };
-  if (workers > 1 && world <= 256) {
-    // Two-phase count→write-combining scatter over static worker ranges:
-    // the routing hash is computed once into a pid array, per-(worker,
-    // destination) offsets replay the input order, and every worker
-    // scatters through the shared WC kernel into its exclusive region.
-    wire->ResizeRowsUninitialized(n);
-    const std::vector<size_t> bounds = SplitRows(n, workers);
-    std::vector<uint8_t> pids(n);
-    std::vector<std::vector<size_t>> worker_counts(
-        workers, std::vector<size_t>(world, 0));
-    MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-      const uint8_t* p = input->data() + bounds[w] * stride;
-      for (size_t i = bounds[w]; i < bounds[w + 1]; ++i, p += stride) {
-        const uint32_t d = dest_of(p);
-        pids[i] = static_cast<uint8_t>(d);
-        ++worker_counts[w][d];
-      }
-      return Status::OK();
-    }));
-    for (int r = 0; r < world; ++r) {
-      size_t total = 0;
-      for (int w = 0; w < workers; ++w) total += worker_counts[w][r];
-      dest_base[r + 1] = dest_base[r] + total;
-    }
-    std::vector<std::vector<size_t>> offsets(
-        workers, std::vector<size_t>(world, 0));
-    for (int r = 0; r < world; ++r) {
-      size_t off = dest_base[r];
-      for (int w = 0; w < workers; ++w) {
-        offsets[w][r] = off;
-        off += worker_counts[w][r];
-      }
-    }
-    MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-      ScatterSpanByPidWc(input->data() + bounds[w] * stride,
-                         bounds[w + 1] - bounds[w], stride,
-                         pids.data() + bounds[w], world, bounds[w],
-                         wire->mutable_row(0), /*dst_idx=*/nullptr,
-                         &offsets[w]);
-      return Status::OK();
-    }));
-  } else if (n > 0) {
-    if (workers > 1) {
-      // pids are staged as uint8_t, so a >256-rank world routes serially.
-      NoteSerialFallback(ctx_, "TcpExchange");
-    }
-    wire->ResizeRowsUninitialized(n);
-    std::vector<size_t> counts(world, 0);
-    const uint8_t* p = input->data();
-    for (size_t i = 0; i < n; ++i, p += stride) ++counts[dest_of(p)];
-    for (int r = 0; r < world; ++r) dest_base[r + 1] = dest_base[r] + counts[r];
-    std::vector<size_t> cursor(dest_base.begin(), dest_base.end() - 1);
-    p = input->data();
-    for (size_t i = 0; i < n; ++i, p += stride) {
-      std::memcpy(wire->mutable_row(cursor[dest_of(p)]++), p, stride);
-    }
+  for (int r = 0; r < world; ++r) {
+    dest_base[r + 1] = dest_base[r] + static_cast<size_t>(scatter.totals()[r]);
   }
+  RowVectorPtr wire = RowVector::Make(schema);
+  wire->ResizeRowsUninitialized(n);
+  MODULARIS_RETURN_NOT_OK(scatter.Scatter(
+      dest_base, InMemoryStageRows(stride), /*track_index=*/false,
+      FlatSink(wire->mutable_data(), stride, /*idx=*/nullptr)));
 
   // Two-sided push of packed RowVector segments: send each peer its
   // contiguous slice of the wire buffer, then collect world-1 messages

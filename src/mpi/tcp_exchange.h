@@ -22,9 +22,9 @@ namespace modularis {
 
 /// Two-sided hash exchange. Consumes records/collections; emits a single
 /// ⟨pid = rank, partitionData⟩ tuple holding everything routed here.
-/// Routing runs morsel-parallel over static worker ranges (two-phase
-/// count→write-combining scatter into one destination-ordered wire
-/// buffer, docs/DESIGN-exchange.md), and each peer receives its packed
+/// Routing is the engine's ranged scatter (route MixHash64(key) % world,
+/// any world size) into one destination-ordered wire buffer
+/// (docs/DESIGN-exchange.md), and each peer receives its packed
 /// RowVector segment in one message — rows of a destination replay input
 /// order, so N-thread routing is byte-equal to serial.
 class TcpExchange : public SubOperator {

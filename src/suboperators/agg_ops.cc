@@ -475,54 +475,37 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   // tables use the low bits), so the assignment never depends on the
   // worker count.
   std::vector<uint8_t> pids(n);
-  std::vector<size_t> bounds = SplitRows(n, workers);
-  std::vector<std::vector<int64_t>> wcounts(
-      workers, std::vector<int64_t>(kFanout, 0));
+  const std::vector<size_t> bounds = SplitRows(n, workers);
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-    int64_t* counts = wcounts[w].data();
     KeyChunk kc;
     return WalkKeys(span, bounds[w], bounds[w + 1], &kc,
                     [&](size_t base, size_t m, const auto& keys) -> Status {
                       for (size_t i = 0; i < m; ++i) {
-                        const auto pid =
+                        pids[base + i] =
                             static_cast<uint8_t>(keys.Hash(i) >> kPidShift);
-                        pids[base + i] = pid;
-                        ++counts[pid];
                       }
                       return Status::OK();
                     });
   }));
 
-  // Phase 2: prefix offsets + write-combining scatter into one flat
-  // pre-sized buffer (rows and their original indices side by side).
-  // Static ranges at prefix offsets replay the input order, so every
-  // partition holds its rows in ascending original order — the property
-  // that makes per-group float SUM accumulate exactly like one thread.
+  // Phase 2: the ranged scatter into one flat pre-sized buffer, rows and
+  // their original indices side by side. Ranges at prefix offsets replay
+  // the input order, so every partition holds its rows in ascending
+  // original order — the property that makes per-group float SUM
+  // accumulate exactly like one thread.
+  RangedScatter scatter(ctx_, "ReduceByKey", input->data(), n, stride,
+                        ScatterRoute::Pids(pids.data(), kFanout), workers);
+  MODULARIS_RETURN_NOT_OK(scatter.Count());
   std::vector<size_t> prefix(kFanout + 1, 0);
   for (int p = 0; p < kFanout; ++p) {
-    int64_t total = 0;
-    for (int w = 0; w < workers; ++w) total += wcounts[w][p];
-    prefix[p + 1] = prefix[p] + static_cast<size_t>(total);
-  }
-  std::vector<std::vector<size_t>> offsets(workers,
-                                           std::vector<size_t>(kFanout, 0));
-  for (int p = 0; p < kFanout; ++p) {
-    size_t off = prefix[p];
-    for (int w = 0; w < workers; ++w) {
-      offsets[w][p] = off;
-      off += static_cast<size_t>(wcounts[w][p]);
-    }
+    prefix[p + 1] = prefix[p] + static_cast<size_t>(scatter.totals()[p]);
   }
   RowVectorPtr scat = RowVector::Make(schema);
   scat->ResizeRowsUninitialized(n);
   std::vector<uint32_t> idx(n);
-  MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-    ScatterSpanByPidWc(input->data() + bounds[w] * stride,
-                       bounds[w + 1] - bounds[w], stride,
-                       pids.data() + bounds[w], kFanout, bounds[w],
-                       scat->mutable_data(), idx.data(), &offsets[w]);
-    return Status::OK();
-  }));
+  MODULARIS_RETURN_NOT_OK(scatter.Scatter(
+      prefix, InMemoryStageRows(stride), /*track_index=*/true,
+      FlatSink(scat->mutable_data(), stride, idx.data())));
 
   // Phase 3: partition-owned aggregation. Each partition is claimed by
   // exactly one worker (dynamic claiming — ownership is exclusive, so

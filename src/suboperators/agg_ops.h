@@ -278,13 +278,13 @@ class ReduceByKey : public SubOperator {
   Status ConsumeAll();
   Status ConsumeAllInner();
   /// Partition-owned parallel aggregation (docs/DESIGN-parallel.md):
-  /// radix-partition the input by the key hash with the two-phase
-  /// count→write-combining scatter (rows land grouped by key partition in
-  /// original row order), then each partition is aggregated exclusively
-  /// by one worker — zero cross-thread merging, so float SUM accumulates
-  /// in exactly the serial order and N threads are byte-equal to 1 by
-  /// construction. Groups are emitted in global first-occurrence order
-  /// by MergeAggRuns over the per-partition runs.
+  /// partition the input by the key hash's high bits with the ranged
+  /// scatter (rows land grouped by key partition in original row order,
+  /// their input indices alongside), then each partition is aggregated
+  /// exclusively by one worker — zero cross-thread merging, so float SUM
+  /// accumulates in exactly the serial order and N threads are
+  /// byte-equal to 1 by construction. Groups are emitted in global
+  /// first-occurrence order by MergeAggRuns over the per-partition runs.
   Status ConsumeAllParallel(const RowVectorPtr& input, int workers);
   /// Keyless form, at any worker count: fixed-shape chunk partials
   /// combined pairwise (PairwiseCombineRows), byte-stable at any thread

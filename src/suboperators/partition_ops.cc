@@ -1,6 +1,8 @@
 #include "suboperators/partition_ops.h"
 
+#include <algorithm>
 #include <limits>
+#include <memory>
 
 namespace modularis {
 
@@ -23,25 +25,35 @@ inline int64_t LoadKey(const uint8_t* row, uint32_t offset, bool wide) {
   return k;
 }
 
-struct KeyLayout {
-  uint32_t offset;
-  bool wide;
-};
+}  // namespace
 
-KeyLayout KeyLayoutOf(const Schema& schema, int key_col) {
-  return KeyLayout{schema.offset(key_col),
-                   schema.field(key_col).type == AtomType::kInt64};
+ScatterRoute ScatterRoute::Radix(const RadixSpec& spec, const Schema& schema,
+                                 int key_col) {
+  ScatterRoute r = HashMod(spec.fanout(), schema, key_col);
+  r.kind = Kind::kRadix;
+  r.spec = spec;
+  return r;
 }
 
-}  // namespace
+ScatterRoute ScatterRoute::HashMod(int fanout, const Schema& schema,
+                                   int key_col) {
+  return ScatterRoute{Kind::kHashMod, fanout, RadixSpec{},
+                      schema.offset(key_col),
+                      schema.field(key_col).type == AtomType::kInt64,
+                      nullptr};
+}
+
+ScatterRoute ScatterRoute::Pids(const uint8_t* pids, int fanout) {
+  return ScatterRoute{Kind::kPids, fanout, RadixSpec{}, 0, false, pids};
+}
 
 void CountSpan(const uint8_t* rows, size_t n, const Schema& schema,
                const RadixSpec& spec, int key_col, int64_t* counts) {
-  const KeyLayout kl = KeyLayoutOf(schema, key_col);
+  const ScatterRoute r = ScatterRoute::Radix(spec, schema, key_col);
   const uint32_t stride = schema.row_size();
   const uint8_t* p = rows;
   for (size_t i = 0; i < n; ++i, p += stride) {
-    ++counts[spec.PartitionOf(LoadKey(p, kl.offset, kl.wide))];
+    ++counts[spec.PartitionOf(LoadKey(p, r.key_offset, r.wide_key))];
   }
 }
 
@@ -50,121 +62,196 @@ void CountRows(const RowVector& rows, const RadixSpec& spec, int key_col,
   CountSpan(rows.data(), rows.size(), rows.schema(), spec, key_col, counts);
 }
 
-void ScatterSpan(const uint8_t* rows, size_t n, const Schema& schema,
-                 const RadixSpec& spec, int key_col,
-                 std::vector<RowVectorPtr>* parts) {
-  const KeyLayout kl = KeyLayoutOf(schema, key_col);
-  const uint32_t stride = schema.row_size();
-  const uint8_t* p = rows;
-  for (size_t i = 0; i < n; ++i, p += stride) {
-    uint32_t pid = spec.PartitionOf(LoadKey(p, kl.offset, kl.wide));
-    (*parts)[pid]->AppendRaw(p);
+namespace {
+
+/// Calls `fn` with the route as an inlinable `dest(row, i)` callable, so
+/// each routing rule instantiates the count and scatter loops once.
+template <typename Fn>
+Status WithRoute(const ScatterRoute& r, Fn&& fn) {
+  if (r.kind == ScatterRoute::Kind::kRadix) {
+    return fn([r](const uint8_t* p, size_t) {
+      return r.spec.PartitionOf(LoadKey(p, r.key_offset, r.wide_key));
+    });
   }
+  if (r.kind == ScatterRoute::Kind::kHashMod) {
+    return fn([r, fanout = static_cast<uint64_t>(r.fanout)](const uint8_t* p,
+                                                           size_t) {
+      return static_cast<uint32_t>(
+          MixHash64(static_cast<uint64_t>(
+              LoadKey(p, r.key_offset, r.wide_key))) % fanout);
+    });
+  }
+  return fn([pids = r.pids](const uint8_t*, size_t i) {
+    return static_cast<uint32_t>(pids[i]);
+  });
 }
 
-void ScatterRows(const RowVector& rows, const RadixSpec& spec, int key_col,
-                 std::vector<RowVectorPtr>* parts) {
-  ScatterSpan(rows.data(), rows.size(), rows.schema(), spec, key_col, parts);
-}
+}  // namespace
 
-void ScatterSpanPresizedWc(const uint8_t* rows, size_t n,
-                           const Schema& schema, const RadixSpec& spec,
-                           int key_col, std::vector<RowVectorPtr>* parts,
-                           std::vector<size_t>* cursors) {
-  const KeyLayout kl = KeyLayoutOf(schema, key_col);
-  const uint32_t stride = schema.row_size();
-  const int fanout = spec.fanout();
-  // ~512B of staging per partition: large enough that flushes amortize
-  // the random partition access, small enough that fanout * buffer stays
-  // cache-resident per worker.
-  size_t wc_rows = 512 / stride;
-  if (wc_rows < 4) wc_rows = 4;
-  std::vector<uint8_t> stage(static_cast<size_t>(fanout) * wc_rows * stride);
-  std::vector<uint32_t> fill(fanout, 0);
-  const size_t buf_bytes = wc_rows * stride;
-  const uint8_t* p = rows;
-  for (size_t i = 0; i < n; ++i, p += stride) {
-    uint32_t pid = spec.PartitionOf(LoadKey(p, kl.offset, kl.wide));
-    uint8_t* buf = stage.data() + pid * buf_bytes;
-    std::memcpy(buf + fill[pid] * stride, p, stride);
-    if (++fill[pid] == wc_rows) {
-      std::memcpy((*parts)[pid]->mutable_row((*cursors)[pid]), buf,
-                  buf_bytes);
-      (*cursors)[pid] += wc_rows;
-      fill[pid] = 0;
-    }
-  }
-  for (int pid = 0; pid < fanout; ++pid) {
-    if (fill[pid] == 0) continue;
-    std::memcpy((*parts)[pid]->mutable_row((*cursors)[pid]),
-                stage.data() + pid * buf_bytes, fill[pid] * stride);
-    (*cursors)[pid] += fill[pid];
-  }
-}
+RangedScatter::RangedScatter(const ExecContext* ctx, const char* site,
+                             const uint8_t* rows, size_t n, uint32_t stride,
+                             const ScatterRoute& route, int workers)
+    : ctx_(ctx),
+      site_(site),
+      rows_(rows),
+      stride_(stride),
+      route_(route),
+      bounds_(SplitRows(n, std::max(1, workers))) {}
 
-void ScatterSpanByPidWc(const uint8_t* rows, size_t n, uint32_t stride,
-                        const uint8_t* pids, int fanout, size_t base_index,
-                        uint8_t* dst_rows, uint32_t* dst_idx,
-                        std::vector<size_t>* cursors) {
-  // Same ~512B-per-partition staging discipline as ScatterSpanPresizedWc;
-  // the original-row indices ride along in a parallel staging array so
-  // both flush as bursts.
-  size_t wc_rows = 512 / stride;
-  if (wc_rows < 4) wc_rows = 4;
-  std::vector<uint8_t> stage(static_cast<size_t>(fanout) * wc_rows * stride);
-  std::vector<uint32_t> istage(static_cast<size_t>(fanout) * wc_rows);
-  std::vector<uint32_t> fill(fanout, 0);
-  const size_t buf_bytes = wc_rows * stride;
-  const uint8_t* p = rows;
-  for (size_t i = 0; i < n; ++i, p += stride) {
-    const uint32_t pid = pids[i];
-    uint8_t* buf = stage.data() + pid * buf_bytes;
-    std::memcpy(buf + fill[pid] * stride, p, stride);
-    istage[pid * wc_rows + fill[pid]] = static_cast<uint32_t>(base_index + i);
-    if (++fill[pid] == wc_rows) {
-      size_t& cur = (*cursors)[pid];
-      std::memcpy(dst_rows + cur * stride, buf, buf_bytes);
-      if (dst_idx != nullptr) {
-        std::memcpy(dst_idx + cur, istage.data() + pid * wc_rows,
-                    wc_rows * sizeof(uint32_t));
+Status RangedScatter::Count(const std::vector<int64_t>* known) {
+  const int fanout = route_.fanout;
+  if (ranges() == 1 && known != nullptr) {
+    for (int64_t c : *known) {
+      if (c < 0) {
+        return Status::InvalidArgument(std::string(site_) +
+                                       ": negative histogram count " +
+                                       std::to_string(c));
       }
-      cur += wc_rows;
-      fill[pid] = 0;
     }
+    counts_.assign(1, *known);
+    totals_ = *known;
+    return Status::OK();
   }
-  for (int pid = 0; pid < fanout; ++pid) {
-    if (fill[pid] == 0) continue;
-    size_t& cur = (*cursors)[pid];
-    std::memcpy(dst_rows + cur * stride, stage.data() + pid * buf_bytes,
-                fill[pid] * stride);
-    if (dst_idx != nullptr) {
-      std::memcpy(dst_idx + cur, istage.data() + pid * wc_rows,
-                  fill[pid] * sizeof(uint32_t));
-    }
-    cur += fill[pid];
+  counts_.assign(ranges(), std::vector<int64_t>(fanout, 0));
+  MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, ranges(), [&](int w) -> Status {
+    return WithRoute(route_, [&](auto dest) {
+      int64_t* counts = counts_[w].data();
+      const uint8_t* p = rows_ + bounds_[w] * stride_;
+      for (size_t i = bounds_[w]; i < bounds_[w + 1]; ++i, p += stride_) {
+        ++counts[dest(p, i)];
+      }
+      return Status::OK();
+    });
+  }));
+  totals_.assign(fanout, 0);
+  for (const std::vector<int64_t>& c : counts_) {
+    for (int d = 0; d < fanout; ++d) totals_[d] += c[d];
   }
-}
-
-Status ScatterSpanPresized(const uint8_t* rows, size_t n,
-                           const Schema& schema, const RadixSpec& spec,
-                           int key_col, std::vector<RowVectorPtr>* parts,
-                           std::vector<size_t>* cursors) {
-  const KeyLayout kl = KeyLayoutOf(schema, key_col);
-  const uint32_t stride = schema.row_size();
-  const uint8_t* p = rows;
-  for (size_t i = 0; i < n; ++i, p += stride) {
-    uint32_t pid = spec.PartitionOf(LoadKey(p, kl.offset, kl.wide));
-    size_t& cursor = (*cursors)[pid];
-    RowVector& part = *(*parts)[pid];
-    if (cursor >= part.size()) {
+  if (known == nullptr) return Status::OK();
+  for (int d = 0; d < fanout; ++d) {
+    if (totals_[d] != (*known)[d]) {
       return Status::InvalidArgument(
-          "presized scatter: partition " + std::to_string(pid) +
-          " overflows its histogram count " + std::to_string(part.size()));
+          std::string(site_) + ": histogram count " +
+          std::to_string((*known)[d]) + " != counted rows " +
+          std::to_string(totals_[d]) + " for partition " + std::to_string(d));
     }
-    std::memcpy(part.mutable_row(cursor), p, stride);
-    ++cursor;
   }
   return Status::OK();
+}
+
+Status RangedScatter::Scatter(const std::vector<size_t>& base,
+                              size_t stage_rows, bool track_index,
+                              const ScatterSink& sink,
+                              const ScatterPacking* pack) const {
+  const int fanout = route_.fanout;
+  const int workers = ranges();
+  // Range w's region for destination d starts after the rows earlier
+  // ranges send to d, so every destination replays the input order.
+  std::vector<std::vector<size_t>> start(workers,
+                                         std::vector<size_t>(fanout, 0));
+  for (int d = 0; d < fanout; ++d) {
+    size_t off = base.empty() ? 0 : base[d];
+    for (int w = 0; w < workers; ++w) {
+      start[w][d] = off;
+      off += static_cast<size_t>(counts_[w][d]);
+    }
+  }
+  const uint32_t out_stride = pack != nullptr ? sizeof(int64_t) : stride_;
+  const size_t buf_bytes = stage_rows * out_stride;
+  return ParallelFor(ctx_, workers, [&](int w) -> Status {
+    // One uninitialized block per destination: an exchange's 64 KiB
+    // buffers then come from memory the allocator reuses, not from one
+    // fresh multi-MiB mapping paged in on every call.
+    std::vector<std::unique_ptr<uint8_t[]>> stage(fanout);
+    for (auto& buf : stage) buf.reset(new uint8_t[buf_bytes]);
+    std::unique_ptr<uint32_t[]> istage(
+        track_index ? new uint32_t[static_cast<size_t>(fanout) * stage_rows]
+                    : nullptr);
+    std::vector<uint32_t> fill(fanout, 0);
+    std::vector<size_t> written(fanout, 0);
+    const std::vector<int64_t>& region = counts_[w];
+    auto flush = [&](int d) -> Status {
+      const size_t m = fill[d];
+      if (m == 0) return Status::OK();
+      if (written[d] + m > static_cast<size_t>(region[d])) {
+        return Status::InvalidArgument(
+            std::string(site_) + ": partition " + std::to_string(d) +
+            " receives more rows than its count " +
+            std::to_string(region[d]));
+      }
+      MODULARIS_RETURN_NOT_OK(sink(ScatterFlush{
+          w, d, start[w][d] + written[d],
+          stage[d].get(),
+          track_index ? istage.get() + static_cast<size_t>(d) * stage_rows
+                      : nullptr,
+          m}));
+      written[d] += m;
+      fill[d] = 0;
+      return Status::OK();
+    };
+    auto scatter = [&](auto dest, auto put) -> Status {
+      const uint8_t* p = rows_ + bounds_[w] * stride_;
+      for (size_t i = bounds_[w]; i < bounds_[w + 1]; ++i, p += stride_) {
+        const uint32_t d = dest(p, i);
+        put(stage[d].get() + fill[d] * out_stride, p);
+        if (track_index) {
+          istage[d * stage_rows + fill[d]] = static_cast<uint32_t>(i);
+        }
+        if (++fill[d] == stage_rows) {
+          MODULARIS_RETURN_NOT_OK(flush(static_cast<int>(d)));
+        }
+      }
+      return Status::OK();
+    };
+    MODULARIS_RETURN_NOT_OK(WithRoute(route_, [&](auto dest) -> Status {
+      if (pack == nullptr) {
+        return scatter(dest, [this](uint8_t* dst, const uint8_t* p) {
+          std::memcpy(dst, p, stride_);
+        });
+      }
+      return scatter(dest, [this, pack](uint8_t* dst, const uint8_t* p) {
+        int64_t key, value;
+        std::memcpy(&key, p + route_.key_offset, sizeof(key));
+        std::memcpy(&value, p + pack->value_offset, sizeof(value));
+        const int64_t word =
+            CompressKV(key, value, pack->radix_bits, pack->domain_bits);
+        std::memcpy(dst, &word, sizeof(word));
+      });
+    }));
+    for (int d = 0; d < fanout; ++d) {
+      MODULARIS_RETURN_NOT_OK(flush(d));
+      if (written[d] != static_cast<size_t>(region[d])) {
+        return Status::InvalidArgument(
+            std::string(site_) + ": histogram count " +
+            std::to_string(region[d]) + " != scattered rows " +
+            std::to_string(written[d]) + " for partition " +
+            std::to_string(d));
+      }
+    }
+    return Status::OK();
+  });
+}
+
+size_t InMemoryStageRows(uint32_t stride) {
+  return std::max<size_t>(4, 512 / stride);
+}
+
+ScatterSink PartitionsSink(std::vector<RowVectorPtr>* parts) {
+  return [parts](const ScatterFlush& f) {
+    RowVector& part = *(*parts)[f.dest];
+    std::memcpy(part.mutable_row(f.at), f.rows, f.count * part.row_size());
+    return Status::OK();
+  };
+}
+
+ScatterSink FlatSink(uint8_t* rows, uint32_t stride, uint32_t* idx) {
+  return [rows, stride, idx](const ScatterFlush& f) {
+    std::memcpy(rows + f.at * stride, f.rows, f.count * stride);
+    if (idx != nullptr) {
+      std::memcpy(idx + f.at, f.idx, f.count * sizeof(uint32_t));
+    }
+    return Status::OK();
+  };
 }
 
 // ---------------------------------------------------------------------------
@@ -227,7 +314,7 @@ namespace {
 /// wrap to a multi-exabyte size_t, and even a positive count beyond the
 /// uint32 row-index space the operators use cannot be a real partition.
 /// Either one is a protocol violation (kInternal), not a planner error.
-Status CheckedHistCount(int64_t count, int pid, size_t* out) {
+Status CheckHistCount(int64_t count, int pid) {
   if (count < 0 ||
       count > static_cast<int64_t>(std::numeric_limits<uint32_t>::max())) {
     return Status::Internal("LocalPartition: histogram count " +
@@ -235,73 +322,58 @@ Status CheckedHistCount(int64_t count, int pid, size_t* out) {
                             std::to_string(pid) +
                             " is outside the valid row range");
   }
-  *out = static_cast<size_t>(count);
   return Status::OK();
-}
-
-/// The shared two-phase parallel scatter skeleton: per-worker counts over
-/// static contiguous ranges (which replay the input order), then
-/// per-(worker, partition) write offsets as the prefix sums across
-/// workers, then every worker scatters its range through write-combining
-/// buffers into its private, contiguous region of each partition.
-struct RangedScatterPlan {
-  std::vector<size_t> bounds;                      // worker row ranges
-  std::vector<std::vector<int64_t>> worker_counts;  // [worker][partition]
-  std::vector<int64_t> totals;                      // per-partition rows
-};
-
-Status CountRanges(const RowVector& input, const RadixSpec& spec, int key_col,
-                   int workers, RangedScatterPlan* plan) {
-  const uint32_t stride = input.row_size();
-  plan->bounds = SplitRows(input.size(), workers);
-  plan->worker_counts.assign(workers,
-                             std::vector<int64_t>(spec.fanout(), 0));
-  MODULARIS_RETURN_NOT_OK(ParallelFor(workers, [&](int w) -> Status {
-    CountSpan(input.data() + plan->bounds[w] * stride,
-              plan->bounds[w + 1] - plan->bounds[w], input.schema(), spec,
-              key_col, plan->worker_counts[w].data());
-    return Status::OK();
-  }));
-  plan->totals.assign(spec.fanout(), 0);
-  for (int p = 0; p < spec.fanout(); ++p) {
-    for (int w = 0; w < workers; ++w) {
-      plan->totals[p] += plan->worker_counts[w][p];
-    }
-  }
-  return Status::OK();
-}
-
-Status ScatterRanges(const RowVector& input, const RadixSpec& spec,
-                     int key_col, const RangedScatterPlan& plan,
-                     std::vector<RowVectorPtr>* parts) {
-  const int workers = static_cast<int>(plan.worker_counts.size());
-  const int fanout = spec.fanout();
-  const uint32_t stride = input.row_size();
-  std::vector<std::vector<size_t>> offsets(workers,
-                                           std::vector<size_t>(fanout, 0));
-  for (int p = 0; p < fanout; ++p) {
-    size_t off = 0;
-    for (int w = 0; w < workers; ++w) {
-      offsets[w][p] = off;
-      off += static_cast<size_t>(plan.worker_counts[w][p]);
-    }
-  }
-  return ParallelFor(workers, [&](int w) -> Status {
-    ScatterSpanPresizedWc(input.data() + plan.bounds[w] * stride,
-                          plan.bounds[w + 1] - plan.bounds[w], input.schema(),
-                          spec, key_col, parts, &offsets[w]);
-    return Status::OK();
-  });
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// LocalPartition
+// RadixPartitioner: LocalPartition, PartitionOp
 // ---------------------------------------------------------------------------
 
+Status RadixPartitioner::DrainAndScatter(const std::vector<int64_t>* known) {
+  timer_.Bind(ctx_->stats, timer_key_);
+  ScopedPhase phase(&timer_);
+  RowVectorPtr input;
+  MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
+  if (input == nullptr) {
+    for (int p = 0; p < spec_.fanout(); ++p) {
+      parts_.push_back(RowVector::Make(KeyValueSchema()));
+    }
+    return Status::OK();
+  }
+  RangedScatter scatter(ctx_, name().c_str(), input->data(), input->size(),
+                        input->row_size(),
+                        ScatterRoute::Radix(spec_, input->schema(), key_col_),
+                        PlanWorkers(input->size(), ctx_->options));
+  MODULARIS_RETURN_NOT_OK(scatter.Count(known));
+  // Exact sizes; the scatter writes every row (a histogram that disagrees
+  // with the data fails it), so no zero-fill.
+  for (int64_t rows_p : scatter.totals()) {
+    RowVectorPtr part = RowVector::Make(input->schema());
+    part->ResizeRowsUninitialized(static_cast<size_t>(rows_p));
+    parts_.push_back(std::move(part));
+  }
+  return scatter.Scatter({}, InMemoryStageRows(input->row_size()),
+                         /*track_index=*/false, PartitionsSink(&parts_));
+}
+
+bool RadixPartitioner::Next(Tuple* out) {
+  if (!partitioned_) {
+    Status st = PartitionAll();
+    if (!st.ok()) return Fail(std::move(st));
+    partitioned_ = true;
+  }
+  if (emit_pos_ >= parts_.size()) return false;
+  out->clear();
+  out->push_back(Item(static_cast<int64_t>(emit_pos_)));
+  out->push_back(Item(parts_[emit_pos_]));
+  ++emit_pos_;
+  return true;
+}
+
 Status LocalPartition::PartitionAll() {
-  // Read the histogram to pre-size the output partitions exactly (the
+  // The histogram sizes the output partitions exactly (the
   // radix-partitioning discipline of [58, 63] that makes the scatter a
   // single streaming pass).
   Tuple hist_tuple;
@@ -316,128 +388,12 @@ Status LocalPartition::PartitionAll() {
         "LocalPartition: histogram size " + std::to_string(hist.size()) +
         " != fanout " + std::to_string(fanout));
   }
-
-  timer_.Bind(ctx_->stats, timer_key_);
-  ScopedPhase phase(&timer_);
-  parts_.reserve(fanout);
-  RowVectorPtr input;
-  MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
-  if (input == nullptr) {
-    for (int p = 0; p < fanout; ++p) {
-      parts_.push_back(RowVector::Make(KeyValueSchema()));
-    }
-    return Status::OK();
-  }
-  const size_t n = input->size();
-  const Schema& schema = input->schema();
-
-  // Exact allocation per partition from the histogram; every row is
-  // overwritten by a full-stride copy below (count totals are verified
-  // against the histogram first), so no zero-fill.
+  std::vector<int64_t> counts(fanout);
   for (int p = 0; p < fanout; ++p) {
-    size_t rows_p = 0;
-    MODULARIS_RETURN_NOT_OK(CheckedHistCount(hist.row(p).GetInt64(0), p,
-                                             &rows_p));
-    RowVectorPtr part = RowVector::Make(schema);
-    part->ResizeRowsUninitialized(rows_p);
-    parts_.push_back(std::move(part));
+    counts[p] = hist.row(p).GetInt64(0);
+    MODULARIS_RETURN_NOT_OK(CheckHistCount(counts[p], p));
   }
-  auto check_count = [&](int p, size_t scattered) -> Status {
-    if (scattered == parts_[p]->size()) return Status::OK();
-    return Status::InvalidArgument(
-        "LocalPartition: histogram count " +
-        std::to_string(parts_[p]->size()) + " != scattered rows " +
-        std::to_string(scattered) + " for partition " + std::to_string(p));
-  };
-
-  const int workers = PlanWorkers(n, ctx_->options);
-  if (workers <= 1) {
-    // The one-worker kernel: rows land at histogram prefix offsets with
-    // no counting pass of its own.
-    std::vector<size_t> cursors(fanout, 0);
-    MODULARIS_RETURN_NOT_OK(ScatterSpanPresized(
-        input->data(), n, schema, spec_, key_col_, &parts_, &cursors));
-    for (int p = 0; p < fanout; ++p) {
-      MODULARIS_RETURN_NOT_OK(check_count(p, cursors[p]));
-    }
-    return Status::OK();
-  }
-  RangedScatterPlan plan;
-  MODULARIS_RETURN_NOT_OK(CountRanges(*input, spec_, key_col_, workers,
-                                      &plan));
-  for (int p = 0; p < fanout; ++p) {
-    MODULARIS_RETURN_NOT_OK(
-        check_count(p, static_cast<size_t>(plan.totals[p])));
-  }
-  return ScatterRanges(*input, spec_, key_col_, plan, &parts_);
-}
-
-bool LocalPartition::Next(Tuple* out) {
-  if (!partitioned_) {
-    Status st = PartitionAll();
-    if (!st.ok()) return Fail(st);
-    partitioned_ = true;
-  }
-  if (emit_pos_ >= parts_.size()) return false;
-  out->clear();
-  out->push_back(Item(static_cast<int64_t>(emit_pos_)));
-  out->push_back(Item(parts_[emit_pos_]));
-  ++emit_pos_;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// PartitionOp
-// ---------------------------------------------------------------------------
-
-Status PartitionOp::PartitionAllParallel(const RowVectorPtr& input,
-                                         int workers) {
-  RangedScatterPlan plan;
-  MODULARIS_RETURN_NOT_OK(CountRanges(*input, spec_, key_col_, workers,
-                                      &plan));
-  // Counts come from the data itself, so the pre-sizing is exact by
-  // construction and every uninitialized row gets overwritten.
-  for (int p = 0; p < spec_.fanout(); ++p) {
-    RowVectorPtr part = RowVector::Make(input->schema());
-    part->ResizeRowsUninitialized(static_cast<size_t>(plan.totals[p]));
-    parts_.push_back(std::move(part));
-  }
-  return ScatterRanges(*input, spec_, key_col_, plan, &parts_);
-}
-
-Status PartitionOp::PartitionAll() {
-  timer_.Bind(ctx_->stats, timer_key_);
-  ScopedPhase phase(&timer_);
-  RowVectorPtr input;
-  MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
-  if (input == nullptr) {
-    for (int p = 0; p < spec_.fanout(); ++p) {
-      parts_.push_back(RowVector::Make(KeyValueSchema()));
-    }
-    return Status::OK();
-  }
-  const int workers = PlanWorkers(input->size(), ctx_->options);
-  if (workers > 1) return PartitionAllParallel(input, workers);
-  for (int p = 0; p < spec_.fanout(); ++p) {
-    parts_.push_back(RowVector::Make(input->schema()));
-  }
-  ScatterSpan(input->data(), input->size(), input->schema(), spec_, key_col_,
-              &parts_);
-  return Status::OK();
-}
-
-bool PartitionOp::Next(Tuple* out) {
-  if (!partitioned_) {
-    Status st = PartitionAll();
-    if (!st.ok()) return Fail(std::move(st));
-    partitioned_ = true;
-  }
-  if (emit_pos_ >= parts_.size()) return false;
-  out->clear();
-  out->push_back(Item(static_cast<int64_t>(emit_pos_)));
-  out->push_back(Item(parts_[emit_pos_]));
-  ++emit_pos_;
-  return true;
+  return DrainAndScatter(&counts);
 }
 
 }  // namespace modularis

@@ -1,6 +1,7 @@
 #ifndef MODULARIS_SUBOPERATORS_PARTITION_OPS_H_
 #define MODULARIS_SUBOPERATORS_PARTITION_OPS_H_
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,9 +11,13 @@
 #include "suboperators/radix.h"
 
 /// \file partition_ops.h
-/// Histogram and partitioning sub-operators. Factoring the partitioning
-/// logic out of the join lets the same code improve cache locality in
-/// grouping too (design principle (1), §3.2).
+/// Histogram and partitioning sub-operators, and the one ranged scatter
+/// (RangedScatter) that every partitioning site runs: the local
+/// partitioners here, the MPI and TCP exchanges and ReduceByKey's
+/// partition-owned aggregation differ only in how rows are routed and
+/// where a flushed buffer goes. Factoring the partitioning logic out of
+/// the join lets the same code improve cache locality in grouping too
+/// (design principle (1), §3.2).
 
 namespace modularis {
 
@@ -64,24 +69,13 @@ class LocalHistogram : public SubOperator {
   bool done_ = false;
 };
 
-/// LocalPartition scatters its data upstream into per-partition
-/// collections, sized exactly from the histogram upstream, and emits
-/// ⟨partitionID, partitionData⟩ pairs for every partition in dense,
-/// ordered sequence (so that Zip can align the two join sides).
-class LocalPartition : public SubOperator {
+/// The emit side LocalPartition and PartitionOp share: on the first
+/// Next() the data child is drained and run through the ranged scatter
+/// into exactly sized partitions, which are then emitted as
+/// ⟨partitionID, partitionData⟩ pairs in dense, ordered sequence (so that
+/// Zip can align the two join sides).
+class RadixPartitioner : public SubOperator {
  public:
-  /// Children: data (records or collections), histogram (single tuple).
-  LocalPartition(SubOpPtr data, SubOpPtr histogram, RadixSpec spec,
-                 int key_col,
-                 std::string timer_key = "phase.local_partition")
-      : SubOperator("LocalPartition"),
-        spec_(spec),
-        key_col_(key_col),
-        timer_key_(std::move(timer_key)) {
-    AddChild(std::move(data));
-    AddChild(std::move(histogram));
-  }
-
   Status Open(ExecContext* ctx) override {
     partitioned_ = false;
     emit_pos_ = 0;
@@ -90,6 +84,46 @@ class LocalPartition : public SubOperator {
   }
 
   bool Next(Tuple* out) override;
+
+ protected:
+  RadixPartitioner(std::string name, RadixSpec spec, int key_col,
+                   std::string timer_key)
+      : SubOperator(std::move(name)),
+        spec_(spec),
+        key_col_(key_col),
+        timer_key_(std::move(timer_key)) {}
+
+  /// Builds parts_ (called once per Open).
+  virtual Status PartitionAll() = 0;
+
+  /// Drains child 0 and scatters it into parts_. `known` (the histogram)
+  /// is the ranged scatter's totals: one worker runs no count pass, more
+  /// check their counts against it; without it the count sizes the
+  /// partitions.
+  Status DrainAndScatter(const std::vector<int64_t>* known);
+
+  RadixSpec spec_;
+  int key_col_;
+  std::string timer_key_;
+  PhaseTimer timer_;
+  bool partitioned_ = false;
+  size_t emit_pos_ = 0;
+  std::vector<RowVectorPtr> parts_;
+};
+
+/// LocalPartition scatters its data upstream into per-partition
+/// collections, sized exactly from the histogram upstream.
+class LocalPartition : public RadixPartitioner {
+ public:
+  /// Children: data (records or collections), histogram (single tuple).
+  LocalPartition(SubOpPtr data, SubOpPtr histogram, RadixSpec spec,
+                 int key_col,
+                 std::string timer_key = "phase.local_partition")
+      : RadixPartitioner("LocalPartition", spec, key_col,
+                         std::move(timer_key)) {
+    AddChild(std::move(data));
+    AddChild(std::move(histogram));
+  }
 
   SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override {
     SubOpPtr data_clone = child(0)->CloneForWorker(cc);
@@ -102,46 +136,21 @@ class LocalPartition : public SubOperator {
   }
 
  private:
-  /// Reads the histogram, drains the input and sizes every partition
-  /// exactly from the histogram. One worker scatters the drained span at
-  /// histogram prefix offsets; more (docs/DESIGN-parallel.md) count
-  /// static contiguous ranges, derive per-(worker, partition) write
-  /// offsets from the prefix sums and scatter their ranges through
-  /// software write-combining buffers — byte-identical to one worker
-  /// because the offsets replay the input order.
-  Status PartitionAll();
-
-  RadixSpec spec_;
-  int key_col_;
-  std::string timer_key_;
-  PhaseTimer timer_;
-  bool partitioned_ = false;
-  size_t emit_pos_ = 0;
-  std::vector<RowVectorPtr> parts_;
+  /// Reads and validates the histogram, then scatters with it as totals.
+  Status PartitionAll() override;
 };
 
 /// Partition is the single-pass variant that computes its own histogram
 /// (Table 1's generic Partition; used by the serverless exchange where
 /// partitioning is only a pre-processing step for the S3 exchange, §4.4).
-class PartitionOp : public SubOperator {
+/// Its counts size the partitions, so no mismatch is possible.
+class PartitionOp : public RadixPartitioner {
  public:
   PartitionOp(SubOpPtr data, RadixSpec spec, int key_col,
               std::string timer_key = "phase.partition")
-      : SubOperator("Partition"),
-        spec_(spec),
-        key_col_(key_col),
-        timer_key_(std::move(timer_key)) {
+      : RadixPartitioner("Partition", spec, key_col, std::move(timer_key)) {
     AddChild(std::move(data));
   }
-
-  Status Open(ExecContext* ctx) override {
-    partitioned_ = false;
-    emit_pos_ = 0;
-    parts_.clear();
-    return SubOperator::Open(ctx);
-  }
-
-  bool Next(Tuple* out) override;
 
   SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override {
     SubOpPtr child_clone = child(0)->CloneForWorker(cc);
@@ -151,77 +160,116 @@ class PartitionOp : public SubOperator {
   }
 
  private:
-  /// Drains the input and scatters it: appended by one worker, or through
-  /// PartitionAllParallel when the input splits.
-  Status PartitionAll();
-  /// Single-pass parallel form: parallel count over static ranges sizes
-  /// the partitions exactly, then the same write-combining scatter as
-  /// LocalPartition. No histogram child, so no count/histogram mismatch
-  /// is possible.
-  Status PartitionAllParallel(const RowVectorPtr& input, int workers);
-
-  RadixSpec spec_;
-  int key_col_;
-  std::string timer_key_;
-  PhaseTimer timer_;
-  bool partitioned_ = false;
-  size_t emit_pos_ = 0;
-  std::vector<RowVectorPtr> parts_;
+  Status PartitionAll() override { return DrainAndScatter(nullptr); }
 };
 
-/// Shared scatter routine: appends every record of `rows` to
-/// `parts[PartitionOf(key)]`. Key must be an i64/i32/date column.
-void ScatterRows(const RowVector& rows, const RadixSpec& spec, int key_col,
-                 std::vector<RowVectorPtr>* parts);
-/// Span form of ScatterRows (batch inputs).
-void ScatterSpan(const uint8_t* rows, size_t n, const Schema& schema,
-                 const RadixSpec& spec, int key_col,
-                 std::vector<RowVectorPtr>* parts);
+/// Where each row of a ranged scatter goes: a destination in
+/// [0, fanout). The three routing rules of the partitioning sites:
+///  * Radix: `spec.PartitionOf(key)` (LocalPartition, PartitionOp,
+///    MpiExchange);
+///  * HashMod: `MixHash64(key) % fanout` (TcpExchange, one destination per
+///    rank, any world size);
+///  * Pids: a caller-computed id per row, `pids[i]` for input row i
+///    (ReduceByKey's high hash bits over arbitrary group keys).
+/// Keys are i64/i32/date columns.
+struct ScatterRoute {
+  enum class Kind { kRadix, kHashMod, kPids };
 
-/// Pre-sized scatter: writes each record of the span at
-/// `parts[pid]->mutable_row(cursors[pid]++)`. Partitions must already be
-/// ResizeRows'd to their exact histogram counts; returns
-/// InvalidArgument if a partition overflows (histogram/data mismatch).
-Status ScatterSpanPresized(const uint8_t* rows, size_t n,
-                           const Schema& schema, const RadixSpec& spec,
-                           int key_col, std::vector<RowVectorPtr>* parts,
-                           std::vector<size_t>* cursors);
+  static ScatterRoute Radix(const RadixSpec& spec, const Schema& schema,
+                            int key_col);
+  static ScatterRoute HashMod(int fanout, const Schema& schema, int key_col);
+  static ScatterRoute Pids(const uint8_t* pids, int fanout);
 
-/// Write-combining pre-sized scatter (the per-worker form): rows are
-/// staged in a small per-partition buffer and flushed with one memcpy per
-/// full buffer, so a high-fanout scatter touches each partition's cache
-/// lines in bursts instead of per row. `cursors` holds this worker's
-/// absolute start row per partition and must have been reserved so that
-/// every row of the span fits (counts verified by the caller); advanced
-/// past the written rows on return.
-void ScatterSpanPresizedWc(const uint8_t* rows, size_t n,
-                           const Schema& schema, const RadixSpec& spec,
-                           int key_col, std::vector<RowVectorPtr>* parts,
-                           std::vector<size_t>* cursors);
+  Kind kind = Kind::kRadix;
+  int fanout = 1;
+  RadixSpec spec;
+  uint32_t key_offset = 0;
+  bool wide_key = false;
+  const uint8_t* pids = nullptr;
+};
 
-/// Precomputed-pid variant of the two-phase count→write-combining
-/// scatter (partition-owned aggregation, docs/DESIGN-parallel.md): the
-/// caller derives one partition id per row from an arbitrary key hash
-/// (multi-column / string / float group keys) and counts during that
-/// pass, then reuses the same prefix-offset scatter machinery the radix
-/// partitioners run.
-///
-/// Write-combining scatter of `n` packed rows into one flat pre-sized
-/// destination, keyed by a precomputed per-row partition id: row i lands
-/// at `dst_rows + cursors[pids[i]] * stride`, and its original row index
-/// `base_index + i` lands in `dst_idx` at the same cursor. Rows and
-/// indices are staged in small per-partition buffers and flushed with one
-/// memcpy per full buffer, exactly like ScatterSpanPresizedWc. `cursors`
-/// holds this worker's absolute start row per partition (prefix sums
-/// across partitions and earlier workers) and is advanced past the
-/// written rows on return — so every partition ends up holding its rows
-/// in ascending original-row order with the global index recoverable.
-/// `dst_idx` may be null when the caller needs only the reordered rows
-/// (the exchange wire scatter, which never maps rows back).
-void ScatterSpanByPidWc(const uint8_t* rows, size_t n, uint32_t stride,
-                        const uint8_t* pids, int fanout, size_t base_index,
-                        uint8_t* dst_rows, uint32_t* dst_idx,
-                        std::vector<size_t>* cursors);
+/// Optional staging format of a ranged scatter: each ⟨i64 key, i64 value⟩
+/// row is packed into one 8-byte CompressKV word as it is staged (the MPI
+/// exchange's §4.1.2 compression), so the sink receives wire rows.
+struct ScatterPacking {
+  int radix_bits = 0;
+  int domain_bits = 0;
+  uint32_t value_offset = 0;
+};
+
+/// One flushed write-combining buffer: `count` rows for `dest` (packed
+/// words under a ScatterPacking), in input order, to be written at
+/// destination row `at`. `idx` holds their input row indices when the
+/// scatter tracks them, else null. Each range flushes from one thread.
+struct ScatterFlush {
+  int range;
+  int dest;
+  size_t at;
+  const uint8_t* rows;
+  const uint32_t* idx;
+  size_t count;
+};
+using ScatterSink = std::function<Status(const ScatterFlush&)>;
+
+/// The one ranged scatter every partitioning site runs, at every worker
+/// count (docs/DESIGN-parallel.md, docs/DESIGN-exchange.md):
+///  1. Split the packed span into SplitRows(n, workers) ranges.
+///  2. Count rows per (range, destination). With one range, totals the
+///     caller already holds (a histogram) stand in for the count.
+///  3. Offsets: (range, destination) starts at the caller's base for the
+///     destination plus the counts of earlier ranges, so each
+///     destination receives its rows in input order at any worker count.
+///  4. Scatter: each range stages rows in per-destination write-combining
+///     buffers and hands every full buffer to the sink. A flush that
+///     would leave its (range, destination) region, or a region left
+///     short, is InvalidArgument — before any byte lands outside it.
+/// Sites differ only in the route and the sink.
+class RangedScatter {
+ public:
+  /// `site` (which must outlive the scatter) prefixes error messages.
+  RangedScatter(const ExecContext* ctx, const char* site, const uint8_t* rows,
+                size_t n, uint32_t stride, const ScatterRoute& route,
+                int workers);
+
+  /// Steps 1–2. `known` (size fanout), when given, is the caller's
+  /// per-destination total: used as the count with one range, checked
+  /// against the count with more.
+  Status Count(const std::vector<int64_t>* known = nullptr);
+
+  /// Per-destination totals (valid after Count).
+  const std::vector<int64_t>& totals() const { return totals_; }
+  int ranges() const { return static_cast<int>(bounds_.size()) - 1; }
+
+  /// Steps 3–4. `base` (size fanout, or empty for all zero) is each
+  /// destination's first row; `stage_rows` (≥ 1) the rows staged per
+  /// destination and range; `track_index` adds input row indices to
+  /// every flush; `pack`, when given, stages packed words.
+  Status Scatter(const std::vector<size_t>& base, size_t stage_rows,
+                 bool track_index, const ScatterSink& sink,
+                 const ScatterPacking* pack = nullptr) const;
+
+ private:
+  const ExecContext* ctx_;
+  const char* site_;
+  const uint8_t* rows_;
+  uint32_t stride_;
+  ScatterRoute route_;
+  std::vector<size_t> bounds_;
+  std::vector<std::vector<int64_t>> counts_;  // [range][destination]
+  std::vector<int64_t> totals_;
+};
+
+/// Write-combining rows per destination for in-memory sinks: ~512 B,
+/// enough to amortize the random destination access, small enough that
+/// fanout × buffer stays cache-resident per worker.
+size_t InMemoryStageRows(uint32_t stride);
+
+/// Sink into presized partitions: rows land at `parts[dest]` row `at`.
+ScatterSink PartitionsSink(std::vector<RowVectorPtr>* parts);
+
+/// Sink into one flat presized buffer of `stride`-byte rows; the input
+/// row indices land in `idx` at the same positions when it is non-null.
+ScatterSink FlatSink(uint8_t* rows, uint32_t stride, uint32_t* idx);
 
 /// Shared count routine: adds per-partition record counts of `rows` into
 /// `counts` (size must be spec.fanout()).

@@ -42,6 +42,21 @@ struct RadixSpec {
   }
 };
 
+/// Packs key/value into the 8-byte exchange word given the network radix
+/// width F and the domain width P (2·P − F ≤ 64 required).
+inline int64_t CompressKV(int64_t key, int64_t value, int radix_bits,
+                          int domain_bits) {
+  int64_t key_hi = key >> radix_bits;
+  return (key_hi << domain_bits) | value;
+}
+/// Recovers ⟨key, value⟩ from a word and its network partition id.
+inline void DecompressKV(int64_t word, int64_t pid, int radix_bits,
+                         int domain_bits, int64_t* key, int64_t* value) {
+  int64_t key_hi = word >> domain_bits;
+  *key = (key_hi << radix_bits) | pid;
+  *value = word & ((int64_t{1} << domain_bits) - 1);
+}
+
 }  // namespace modularis
 
 #endif  // MODULARIS_SUBOPERATORS_RADIX_H_

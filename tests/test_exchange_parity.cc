@@ -282,6 +282,69 @@ TEST(MpiExchangeParityTest, EmptyFragment) {
   }
 }
 
+// A local histogram that disagrees with rank 0's data must fail the
+// exchange with InvalidArgument at one worker and at four, on both wire
+// schedules, instead of writing a surplus row into the next partition's
+// window region or leaving window rows unwritten.
+TEST(MpiExchangeParityTest, LocalHistogramThatDisagreesWithDataFails) {
+  const RadixSpec spec{4, 0, RadixHash::kIdentity};
+  const std::vector<RowVectorPtr> frags = {MakeKv(4000, 1 << 12, 41),
+                                           MakeKv(4000, 1 << 12, 42)};
+  const int world = static_cast<int>(frags.size());
+  // One row claimed by the wrong partition, one row too few, one too many.
+  const std::vector<std::pair<int, int>> lies = {{2, 3}, {5, -1}, {-1, 5}};
+  for (const auto& [minus, plus] : lies) {
+    std::vector<std::vector<int64_t>> locals;
+    for (const RowVectorPtr& f : frags) {
+      locals.push_back(CountPartitions(*f, spec));
+    }
+    if (minus >= 0) --locals[0][minus];
+    if (plus >= 0) ++locals[0][plus];
+    std::vector<int64_t> global(spec.fanout(), 0);
+    for (const auto& local : locals) {
+      for (int p = 0; p < spec.fanout(); ++p) global[p] += local[p];
+    }
+    for (int threads : {1, 4}) {
+      for (bool serial_wire : {false, true}) {
+        const std::string label =
+            "-1 at " + std::to_string(minus) + ", +1 at " +
+            std::to_string(plus) + " threads=" + std::to_string(threads) +
+            " serial_wire=" + std::to_string(serial_wire);
+        Status st = mpi::MpiRuntime::Run(
+            world, Unthrottled(), [&](mpi::Communicator& comm) -> Status {
+              const int r = comm.rank();
+              ExecContext ctx;
+              ctx.rank = r;
+              ctx.world = comm.size();
+              ctx.comm = &comm;
+              ctx.options.num_threads = threads;
+              ctx.options.parallel_min_rows = 256;
+              MpiExchange::Options xopts;
+              xopts.spec = spec;
+              xopts.serial_wire = serial_wire;
+              xopts.buffer_bytes = 512;
+              MpiExchange mx(DataSource(frags[r], /*scanned=*/false),
+                             std::make_unique<CollectionSource>(
+                                 std::vector<RowVectorPtr>{
+                                     HistVector(locals[r])}),
+                             std::make_unique<CollectionSource>(
+                                 std::vector<RowVectorPtr>{
+                                     HistVector(global)}),
+                             KeyValueSchema(), xopts);
+              MODULARIS_RETURN_NOT_OK(mx.Open(&ctx));
+              Tuple t;
+              while (mx.Next(&t)) {
+              }
+              MODULARIS_RETURN_NOT_OK(mx.status());
+              return mx.Close();
+            });
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+            << label << ": " << st.ToString();
+      }
+    }
+  }
+}
+
 TEST(MpiExchangeOverlapTest, PipelinedStallsLessThanPartitionThenSend) {
   // Slow unthrottled wire: the modelled transfer time dominates, so the
   // stall clock separates the two schedules — pipelined Puts start the

@@ -693,6 +693,243 @@ TEST(PartitionOpParity, FourThreadsByteEqual) {
 }
 
 // ---------------------------------------------------------------------------
+// The ranged scatter every partitioning site runs, against an independent
+// reference: a stable partition (each destination's rows in input order).
+// Fanouts 300 and 1024 are worlds past 256 ranks on the TCP route.
+// ---------------------------------------------------------------------------
+
+/// Rows of `stride` bytes with the routing key in column 0: two i32
+/// columns at stride 8 (the narrow-key load), i64 columns otherwise.
+RowVectorPtr MakeStrided(size_t rows, uint32_t stride, uint32_t seed) {
+  std::vector<Field> fields;
+  if (stride == 8) {
+    fields = {Field::I32("k"), Field::I32("v")};
+  } else {
+    for (uint32_t c = 0; c < stride / 8; ++c) {
+      fields.push_back(Field::I64("c" + std::to_string(c)));
+    }
+  }
+  RowVectorPtr data = RowVector::Make(Schema(fields));
+  data->Reserve(rows);
+  std::mt19937_64 rng(seed);
+  for (size_t i = 0; i < rows; ++i) {
+    RowWriter w = data->AppendRow();
+    const int64_t key = static_cast<int64_t>(rng() % 100000) - 50000;
+    if (stride == 8) {
+      w.SetInt32(0, static_cast<int32_t>(key));
+      w.SetInt32(1, static_cast<int32_t>(i));
+      continue;
+    }
+    w.SetInt64(0, key);
+    for (uint32_t c = 1; c < stride / 8; ++c) {
+      w.SetInt64(c, static_cast<int64_t>(i * 131 + c));
+    }
+  }
+  return data;
+}
+
+/// A route and, computed independently of the kernel, each row's
+/// destination.
+struct RouteCase {
+  std::string name;
+  ScatterRoute route;
+  std::vector<uint32_t> dest;
+};
+
+std::vector<RouteCase> RouteCases(const RowVector& data, int fanout,
+                                  std::vector<uint8_t>* pids) {
+  std::vector<int64_t> keys(data.size());
+  for (size_t i = 0; i < data.size(); ++i) keys[i] = KeyAt(data.row(i), 0);
+  std::vector<RouteCase> cases;
+  RouteCase hash{"hashmod", ScatterRoute::HashMod(fanout, data.schema(), 0),
+                 {}};
+  for (int64_t k : keys) {
+    hash.dest.push_back(static_cast<uint32_t>(
+        MixHash64(static_cast<uint64_t>(k)) % static_cast<uint64_t>(fanout)));
+  }
+  cases.push_back(std::move(hash));
+  if ((fanout & (fanout - 1)) == 0) {
+    int bits = 0;
+    while ((1 << bits) < fanout) ++bits;
+    const RadixSpec spec{bits, 3, RadixHash::kMix};
+    RouteCase radix{"radix", ScatterRoute::Radix(spec, data.schema(), 0), {}};
+    for (int64_t k : keys) radix.dest.push_back(spec.PartitionOf(k));
+    cases.push_back(std::move(radix));
+  }
+  if (fanout <= 256) {
+    pids->resize(data.size());
+    for (size_t i = 0; i < data.size(); ++i) {
+      (*pids)[i] = static_cast<uint8_t>((i * 7 + (keys[i] & 0xff)) % fanout);
+    }
+    RouteCase given{"pids", ScatterRoute::Pids(pids->data(), fanout), {}};
+    given.dest.assign(pids->begin(), pids->end());
+    cases.push_back(std::move(given));
+  }
+  return cases;
+}
+
+TEST(RangedScatterParity, MatchesStablePartition) {
+  for (uint32_t stride : {8u, 16u, 24u, 136u}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4097},
+                     size_t{100000}}) {
+      RowVectorPtr data = MakeStrided(n, stride, 7 + stride);
+      for (int fanout : {1, 4, 64, 256, 300, 1024}) {
+        std::vector<uint8_t> pids;
+        for (const RouteCase& rc : RouteCases(*data, fanout, &pids)) {
+          // Reference: destination-major, input order within each.
+          std::vector<int64_t> counts(fanout, 0);
+          for (uint32_t d : rc.dest) ++counts[d];
+          std::vector<size_t> base(fanout, 0);
+          for (int d = 1; d < fanout; ++d) {
+            base[d] = base[d - 1] + static_cast<size_t>(counts[d - 1]);
+          }
+          std::vector<uint8_t> ref_rows(n * stride);
+          std::vector<uint32_t> ref_idx(n);
+          std::vector<size_t> cursor = base;
+          for (size_t i = 0; i < n; ++i) {
+            const size_t at = cursor[rc.dest[i]]++;
+            std::memcpy(ref_rows.data() + at * stride, data->row(i).data(),
+                        stride);
+            ref_idx[at] = static_cast<uint32_t>(i);
+          }
+          for (int workers : {1, 2, 4}) {
+            for (bool known : {false, true}) {
+              const std::string label =
+                  rc.name + " stride=" + std::to_string(stride) +
+                  " n=" + std::to_string(n) +
+                  " fanout=" + std::to_string(fanout) +
+                  " workers=" + std::to_string(workers) +
+                  (known ? " known totals" : " counted");
+              ExecContext ctx;
+              RangedScatter scatter(&ctx, "test", data->data(), n, stride,
+                                    rc.route, workers);
+              ASSERT_TRUE(scatter.Count(known ? &counts : nullptr).ok())
+                  << label;
+              ASSERT_EQ(scatter.totals(), counts) << label;
+              std::vector<uint8_t> rows(n * stride);
+              std::vector<uint32_t> idx(n);
+              ASSERT_TRUE(scatter
+                              .Scatter(base, InMemoryStageRows(stride), true,
+                                       FlatSink(rows.data(), stride,
+                                                idx.data()))
+                              .ok())
+                  << label;
+              ASSERT_EQ(rows, ref_rows) << label;
+              ASSERT_EQ(idx, ref_idx) << label;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RangedScatterParity, FlushesAreInOrderRunsOfOneDestination) {
+  const uint32_t stride = 24;
+  RowVectorPtr data = MakeStrided(20000, stride, 5);
+  for (int fanout : {4, 300}) {
+    std::vector<uint8_t> pids;
+    for (const RouteCase& rc : RouteCases(*data, fanout, &pids)) {
+      for (int workers : {1, 4}) {
+        const std::string label = rc.name + " fanout=" +
+                                  std::to_string(fanout) + " workers=" +
+                                  std::to_string(workers);
+        ExecContext ctx;
+        RangedScatter scatter(&ctx, "test", data->data(), data->size(),
+                              stride, rc.route, workers);
+        ASSERT_TRUE(scatter.Count().ok()) << label;
+        // Each range calls the sink from one thread only.
+        std::vector<std::vector<ScatterFlush>> log(workers);
+        std::vector<std::vector<uint32_t>> logged_idx(workers);
+        ASSERT_TRUE(scatter
+                        .Scatter({}, 5, true,
+                                 [&](const ScatterFlush& f) {
+                                   log[f.range].push_back(f);
+                                   logged_idx[f.range].insert(
+                                       logged_idx[f.range].end(), f.idx,
+                                       f.idx + f.count);
+                                   for (size_t j = 0; j < f.count; ++j) {
+                                     EXPECT_EQ(0, std::memcmp(
+                                                      f.rows + j * stride,
+                                                      data->row(f.idx[j])
+                                                          .data(),
+                                                      stride));
+                                   }
+                                   return Status::OK();
+                                 })
+                        .ok())
+            << label;
+        std::vector<int64_t> flushed(fanout, 0);
+        std::vector<std::vector<size_t>> next_at(
+            workers, std::vector<size_t>(fanout, SIZE_MAX));
+        std::vector<int64_t> last_idx(fanout, -1);
+        for (int w = 0; w < workers; ++w) {
+          size_t pos = 0;
+          for (const ScatterFlush& f : log[w]) {
+            ASSERT_GT(f.count, 0u) << label;
+            ASSERT_LE(f.count, 5u) << label;
+            const uint32_t* idx = logged_idx[w].data() + pos;
+            pos += f.count;
+            for (size_t j = 0; j < f.count; ++j) {
+              EXPECT_EQ(rc.dest[idx[j]], static_cast<uint32_t>(f.dest))
+                  << label;
+              EXPECT_GT(idx[j], last_idx[f.dest]) << label;
+              last_idx[f.dest] = idx[j];
+            }
+            // A range's flushes for one destination are one contiguous
+            // run of destination rows, in flush order.
+            size_t& at = next_at[w][f.dest];
+            if (at != SIZE_MAX) EXPECT_EQ(f.at, at) << label;
+            at = f.at + f.count;
+            flushed[f.dest] += static_cast<int64_t>(f.count);
+          }
+        }
+        EXPECT_EQ(flushed, scatter.totals()) << label;
+      }
+    }
+  }
+}
+
+TEST(RangedScatterParity, TotalsThatDisagreeWithTheDataFail) {
+  RowVectorPtr data = MakeKv(4000, 1 << 12, 9);
+  const RadixSpec spec{4, 0, RadixHash::kIdentity};
+  std::vector<int64_t> counts(spec.fanout(), 0);
+  CountRows(*data, spec, 0, counts.data());
+  std::vector<int64_t> moved = counts;  // one row claimed by the wrong pid
+  --moved[2];
+  ++moved[3];
+  std::vector<int64_t> shorted = counts;
+  --shorted[5];
+  std::vector<int64_t> negative = counts;
+  negative[0] = -1;
+  for (const auto* known : {&moved, &shorted, &negative}) {
+    for (int workers : {1, 4}) {
+      ExecContext ctx;
+      RangedScatter scatter(&ctx, "test", data->data(), data->size(),
+                            data->row_size(),
+                            ScatterRoute::Radix(spec, data->schema(), 0),
+                            workers);
+      Status st = scatter.Count(known);
+      if (st.ok()) {
+        // Every flush stays inside the region the totals give it.
+        std::vector<size_t> base(spec.fanout(), 0);
+        for (int d = 1; d < spec.fanout(); ++d) {
+          base[d] = base[d - 1] + static_cast<size_t>((*known)[d - 1]);
+        }
+        st = scatter.Scatter(base, 8, false, [&](const ScatterFlush& f) {
+          EXPECT_GE(f.at, base[f.dest]);
+          EXPECT_LE(f.at + f.count,
+                    base[f.dest] + static_cast<size_t>((*known)[f.dest]));
+          return Status::OK();
+        });
+      }
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << "workers=" << workers << ": " << st.ToString();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The drain's copy branch: every blocking operator drains its input into
 // one span at every thread count. A stream of several non-durable scratch
 // batches (a Filter over a RowScan of two collections) is copied, a single
