@@ -1056,6 +1056,72 @@ void BenchGroupBy() {
   }
 }
 
+/// groupby_q1skew_t{1,4}: TPC-H Q1's aggregation shape on 1M rows — two
+/// one-character string keys over four groups at ~50 / 25 / 25 / <1 %,
+/// two bare and two computed f64 SUMs and a COUNT — the few-group
+/// kernel's case. The t4 output bytes must equal t1's (a determinism
+/// regression fails the bench run itself).
+void BenchGroupByQ1Skew() {
+  const size_t n = 1 << 20;
+  Schema schema({Field::Str("flag", 1), Field::Str("status", 1),
+                 Field::F64("qty"), Field::F64("price"), Field::F64("disc"),
+                 Field::F64("tax")});
+  static const char* const kFlags[] = {"N", "R", "A", "N"};
+  static const char* const kStatus[] = {"O", "F", "F", "F"};
+  RowVectorPtr data = RowVector::Make(schema);
+  data->Reserve(n);
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> price(900.0, 105000.0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t r = rng() % 1000;
+    const int g = r < 500 ? 0 : r < 750 ? 1 : r < 995 ? 2 : 3;
+    RowWriter w = data->AppendRow();
+    w.SetString(0, kFlags[g]);
+    w.SetString(1, kStatus[g]);
+    w.SetFloat64(2, static_cast<double>(1 + rng() % 50));
+    w.SetFloat64(3, price(rng));
+    w.SetFloat64(4, static_cast<double>(rng() % 11) / 100.0);
+    w.SetFloat64(5, static_cast<double>(rng() % 9) / 100.0);
+  }
+  ExprPtr disc_price =
+      ex::Mul(ex::Col(3), ex::Sub(ex::Lit(1.0), ex::Col(4)));
+  ExprPtr charge =
+      ex::Mul(ex::Mul(ex::Col(3), ex::Sub(ex::Lit(1.0), ex::Col(4))),
+              ex::Add(ex::Lit(1.0), ex::Col(5)));
+  const std::vector<AggSpec> aggs = {
+      AggSpec{AggKind::kSum, ex::Col(2), "sum_qty", AtomType::kFloat64},
+      AggSpec{AggKind::kSum, ex::Col(3), "sum_base_price", AtomType::kFloat64},
+      AggSpec{AggKind::kSum, disc_price, "sum_disc_price", AtomType::kFloat64},
+      AggSpec{AggKind::kSum, charge, "sum_charge", AtomType::kFloat64},
+      AggSpec{AggKind::kCount, nullptr, "count_order", AtomType::kInt64}};
+  auto run = [&](int threads) {
+    ExecContext ctx;
+    ctx.options.num_threads = threads;
+    ReduceByKey rk(std::make_unique<RowScan>(std::make_unique<CollectionSource>(
+                       std::vector<RowVectorPtr>{data})),
+                   {0, 1}, aggs, schema);
+    if (!rk.Open(&ctx).ok()) std::abort();
+    uint64_t h = 1469598103934665603ull;  // FNV-1a over emitted bytes
+    Tuple t;
+    while (rk.Next(&t)) {
+      const uint8_t* p = t[0].row().data();
+      const size_t bytes = t[0].row().schema().row_size();
+      for (size_t b = 0; b < bytes; ++b) h = (h ^ p[b]) * 1099511628211ull;
+    }
+    if (!rk.status().ok() || !rk.Close().ok()) std::abort();
+    return h;
+  };
+  const uint64_t sum_t1 = run(1);
+  if (run(4) != sum_t1) {
+    std::fprintf(stderr, "FAIL: groupby_q1skew t4 output differs from t1\n");
+    std::exit(1);
+  }
+  for (int t : {1, 4}) {
+    RunBench("groupby_q1skew_t" + std::to_string(t), n, data->byte_size(), 1,
+             [&] { run(t); }, t);
+  }
+}
+
 /// Network-exchange shuffle family (docs/DESIGN-exchange.md): a full
 /// MpiExchange — input drain, histogram-offset scatter, one-sided window
 /// writes, owned-partition materialization — on a simulated unthrottled
@@ -1422,6 +1488,7 @@ int main(int argc, char** argv) {
   BenchScanPipeline();
   BenchSortTopK();
   BenchGroupBy();
+  BenchGroupByQ1Skew();
   BenchExchangeShuffle();
   BenchPlannerBuildLower();
   WriteJson(argc > 1 ? argv[1] : "BENCH_micro.json");

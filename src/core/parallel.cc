@@ -1,7 +1,6 @@
 #include "core/parallel.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 namespace modularis {
@@ -101,30 +100,6 @@ std::vector<IndexRun> BuildIndexRuns(const uint32_t* order,
     runs.push_back(IndexRun{order + bounds[w], order + bounds[w] + run_cap});
   }
   return runs;
-}
-
-void PairwiseCombineRows(
-    uint8_t* rows, size_t count, uint32_t stride,
-    const std::function<void(uint8_t* dst, const uint8_t* src)>& combine) {
-  // Level-by-level halving: pair (2i, 2i+1) combines into slot i; an odd
-  // tail row moves up a level unchanged. Equivalent to a fixed binary
-  // tree over the original rows, so the association order is a function
-  // of `count` alone.
-  while (count > 1) {
-    const size_t pairs = count / 2;
-    for (size_t i = 0; i < pairs; ++i) {
-      uint8_t* dst = rows + (2 * i) * static_cast<size_t>(stride);
-      combine(dst, dst + stride);
-      if (i != 2 * i) {
-        std::memmove(rows + i * static_cast<size_t>(stride), dst, stride);
-      }
-    }
-    if (count % 2 != 0) {
-      std::memmove(rows + pairs * static_cast<size_t>(stride),
-                   rows + (count - 1) * static_cast<size_t>(stride), stride);
-    }
-    count = pairs + count % 2;
-  }
 }
 
 WorkerSet::WorkerSet(ExecContext* base, int num_workers) : base_(base) {

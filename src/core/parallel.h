@@ -168,17 +168,28 @@ size_t MergeIndexRuns(std::vector<IndexRun> runs, size_t out_count,
   return i;
 }
 
-/// Combines `count` fixed-size partial-state rows (each `stride` bytes,
-/// packed back to back in `rows`) down to rows[0] with a fixed-shape
-/// pairwise tree: level by level, combine(row 2i, row 2i+1) with an odd
-/// tail carried up unchanged. The tree shape depends only on `count` —
-/// never on thread count or scheduling — so float accumulators folded
-/// through it are byte-stable at any parallelism (the scalar-Reduce
-/// determinism rule, docs/DESIGN-parallel.md). `combine(dst, src)` folds
-/// src into dst. No-op for count < 2.
-void PairwiseCombineRows(
-    uint8_t* rows, size_t count, uint32_t stride,
-    const std::function<void(uint8_t* dst, const uint8_t* src)>& combine);
+/// Folds items[0..n) down to items[0] with a fixed-shape pairwise tree:
+/// level by level, combine(&items[2i], &items[2i+1]) folds the right item
+/// into the left, which moves to slot i, and an odd tail moves up a level
+/// unchanged. The tree shape depends only on n — never on thread count or
+/// scheduling — so float accumulators folded through it are byte-stable
+/// at any parallelism (the few-group aggregation rule,
+/// docs/DESIGN-parallel.md). Stops at the first non-OK combine.
+template <typename T, typename Combine>
+Status PairwiseCombine(std::vector<T>* items, Combine&& combine) {
+  std::vector<T>& v = *items;
+  size_t count = v.size();
+  while (count > 1) {
+    const size_t pairs = count / 2;
+    for (size_t i = 0; i < pairs; ++i) {
+      MODULARIS_RETURN_NOT_OK(combine(&v[2 * i], &v[2 * i + 1]));
+      if (i != 0) v[i] = std::move(v[2 * i]);
+    }
+    if (count % 2 != 0) v[pairs] = std::move(v[count - 1]);
+    count = pairs + count % 2;
+  }
+  return Status::OK();
+}
 
 /// Dynamic morsel dispenser over [0, total): workers claim fixed-size
 /// morsels with one atomic add. Use only for order-insensitive merges.

@@ -1,11 +1,12 @@
 #include "suboperators/agg_ops.h"
 
 #include <algorithm>
-#include <cassert>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <queue>
 
 #include "storage/spill.h"
@@ -136,73 +137,101 @@ Schema ReduceByKey::MakeOutputSchema(const Schema& in,
   return Schema(std::move(fields));
 }
 
+ReduceByKey::KeyLayout ReduceByKey::MakeKeyLayout(
+    const Schema& schema, const std::vector<int>& cols) {
+  KeyLayout layout;
+  if (cols.size() == 1) {
+    const AtomType t = schema.field(cols[0]).type;
+    if (t == AtomType::kInt64 || t == AtomType::kInt32 ||
+        t == AtomType::kDate) {
+      layout.i64_col = cols[0];
+      return layout;
+    }
+  }
+  // Fused serialize+hash program: byte-identical to SerializeKeys +
+  // HashKeysSpan by construction. No columns leave it invalid: keyless.
+  if (!cols.empty()) layout.prog = KeyProgram(schema, cols);
+  return layout;
+}
+
 Status ReduceByKey::Open(ExecContext* ctx) {
   MODULARIS_RETURN_NOT_OK(SubOperator::Open(ctx));
   states_ = RowVector::Make(out_schema_);
   tables_.Clear();
-  keyless_partials_.reset();
   consumed_ = false;
   emit_pos_ = 0;
   mem_charge_.Bind(ctx->budget);
 
-  single_i64_key_ =
-      key_cols_.size() == 1 &&
-      (in_schema_.field(key_cols_[0]).type == AtomType::kInt64 ||
-       in_schema_.field(key_cols_[0]).type == AtomType::kInt32 ||
-       in_schema_.field(key_cols_[0]).type == AtomType::kDate);
-  if (!single_i64_key_ && !key_cols_.empty()) {
-    // Fused serialize+hash program for the (key, hash) walk.
-    // Byte-identical to SerializeKeys + HashKeysSpan by construction.
-    key_prog_ = KeyProgram(in_schema_, key_cols_);
-    assert(key_prog_.valid());
-  }
+  std::vector<int> state_key_cols(key_cols_.size());
+  std::iota(state_key_cols.begin(), state_key_cols.end(), 0);
+  in_keys_ = MakeKeyLayout(in_schema_, key_cols_);
+  state_keys_ = MakeKeyLayout(out_schema_, state_key_cols);
 
-  // Compile the update plan: direct offsets when every aggregate input is
-  // a bare column (the fused/JIT-analog path).
+  // Compile the update plan. With fusion on, a bare column is read by
+  // direct offset and a computed input runs as a bytecode program a key
+  // chunk at a time; with fusion off every input runs the row
+  // interpreter. Inputs must be numeric on every path.
   slots_.clear();
-  compiled_ = ctx->options.enable_fusion;
+  const bool fused = ctx->options.enable_fusion;
+  int64_t fallbacks = 0;
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& a = aggs_[i];
-    AggSlot slot;
+    AggSlot slot{};
     slot.kind = a.kind;
-    slot.expr = a.input.get();
+    slot.source = AggSource::kNone;
     slot.dst_offset = out_schema_.offset(key_cols_.size() + i);
     slot.dst_float = a.out_type == AtomType::kFloat64;
-    slot.src_col = a.input == nullptr ? -1 : a.input->AsColumnIndex();
-    if (slot.src_col >= 0) {
-      const Field& f = in_schema_.field(slot.src_col);
-      slot.src_offset = in_schema_.offset(slot.src_col);
-      slot.src_wide =
-          f.type == AtomType::kInt64 || f.type == AtomType::kFloat64;
-      slot.src_float = f.type == AtomType::kFloat64;
-    } else {
-      slot.src_offset = 0;
-      slot.src_wide = false;
-      slot.src_float = false;
-      if (a.input != nullptr) compiled_ = false;
+    slot.expr = a.input.get();
+    if (a.kind != AggKind::kCount) {
+      auto non_numeric = [&a] {
+        return Status::InvalidArgument(
+            "ReduceByKey: aggregate " + a.name + " has no numeric input " +
+            (a.input != nullptr ? a.input->ToString() : ""));
+      };
+      if (a.input == nullptr ||
+          a.input->BatchType(in_schema_) == BatchTag::kStr) {
+        return non_numeric();
+      }
+      const int col = a.input->AsColumnIndex();
+      if (!fused) {
+        slot.source = AggSource::kInterpreted;
+      } else if (col >= 0) {
+        slot.source = AggSource::kColumn;
+        slot.src_type = in_schema_.field(col).type;
+        slot.src_offset = in_schema_.offset(col);
+      } else {
+        slot.source = AggSource::kProgram;
+        slot.prog = BcProgram::CompileValue(a.input, in_schema_);
+        if (slot.prog.value_tag() == BatchTag::kStr) return non_numeric();
+        fallbacks += static_cast<int64_t>(slot.prog.fallback_count());
+      }
     }
-    slots_.push_back(slot);
+    slots_.push_back(std::move(slot));
   }
+  if (fallbacks > 0) AddStatCounter("expr.bc_fallback.value", fallbacks);
   return Status::OK();
 }
 
 namespace {
 
-inline double LoadNumeric(const uint8_t* row, const void* /*unused*/,
-                          uint32_t offset, bool wide, bool is_float) {
-  if (is_float) {
-    double v;
-    std::memcpy(&v, row + offset, sizeof(v));
-    return v;
+inline double LoadNumeric(const uint8_t* row, uint32_t offset, AtomType type) {
+  switch (type) {
+    case AtomType::kFloat64: {
+      double v;
+      std::memcpy(&v, row + offset, sizeof(v));
+      return v;
+    }
+    case AtomType::kInt64: {
+      int64_t v;
+      std::memcpy(&v, row + offset, sizeof(v));
+      return static_cast<double>(v);
+    }
+    default: {  // i32 and date; Open rejects string inputs
+      int32_t v;
+      std::memcpy(&v, row + offset, sizeof(v));
+      return v;
+    }
   }
-  if (wide) {
-    int64_t v;
-    std::memcpy(&v, row + offset, sizeof(v));
-    return static_cast<double>(v);
-  }
-  int32_t v;
-  std::memcpy(&v, row + offset, sizeof(v));
-  return v;
 }
 
 inline void StoreNumeric(uint8_t* row, uint32_t offset, bool is_float,
@@ -226,7 +255,83 @@ inline double LoadState(const uint8_t* row, uint32_t offset, bool is_float) {
   return static_cast<double>(i);
 }
 
+// The selection 0..kRows-1: a key chunk's rows, in order.
+template <size_t kRows>
+const uint32_t* IdentitySelection() {
+  static const std::vector<uint32_t> sel = [] {
+    std::vector<uint32_t> v(kRows);
+    for (size_t i = 0; i < kRows; ++i) v[i] = static_cast<uint32_t>(i);
+    return v;
+  }();
+  return sel.data();
+}
+
+// An aggregate input lane as the update reads it, or an error when the
+// value is not a number.
+Status NumericLane(const Item& v, const Expr& expr, double* out) {
+  if (v.is_i64() || v.is_f64()) {
+    *out = v.AsDouble();
+    return Status::OK();
+  }
+  return Status::InvalidArgument("ReduceByKey: aggregate input " +
+                                 expr.ToString() +
+                                 " evaluated to a non-numeric value");
+}
+
 }  // namespace
+
+Status ReduceByKey::EvalInputs(const RowSpan& rows, size_t m,
+                               ChunkScratch* sc) const {
+  const size_t k = slots_.size();
+  if (sc->lanes.size() != k) {
+    sc->bc.resize(k);
+    sc->cols.resize(k);
+    sc->vals.resize(k);
+    sc->lanes.assign(k, nullptr);
+  }
+  for (size_t j = 0; j < k; ++j) {
+    const AggSlot& s = slots_[j];
+    std::vector<double>& vals = sc->vals[j];
+    if (s.source == AggSource::kInterpreted) {
+      vals.resize(m);
+      for (size_t i = 0; i < m; ++i) {
+        Item v;
+        MODULARIS_RETURN_NOT_OK(
+            s.expr->EvalChecked(rows.row(static_cast<uint32_t>(i)), &v));
+        MODULARIS_RETURN_NOT_OK(NumericLane(v, *s.expr, &vals[i]));
+      }
+      sc->lanes[j] = vals.data();
+      continue;
+    }
+    if (s.source != AggSource::kProgram) continue;
+    BatchColumn& col = sc->cols[j];
+    MODULARIS_RETURN_NOT_OK(s.prog.RunValue(
+        rows, IdentitySelection<kKeyChunkRows>(), m, &col, &sc->bc[j]));
+    switch (col.tag) {
+      case BatchTag::kF64:
+        sc->lanes[j] = col.f64.data();
+        continue;
+      case BatchTag::kI64:
+        vals.resize(m);
+        for (size_t i = 0; i < m; ++i) {
+          vals[i] = static_cast<double>(col.i64[i]);
+        }
+        break;
+      case BatchTag::kItem:
+        vals.resize(m);
+        for (size_t i = 0; i < m; ++i) {
+          MODULARIS_RETURN_NOT_OK(NumericLane(col.items[i], *s.expr, &vals[i]));
+        }
+        break;
+      case BatchTag::kStr:  // Open rejects these; defend the invariant
+        return Status::InvalidArgument("ReduceByKey: aggregate input " +
+                                       s.expr->ToString() +
+                                       " evaluated to a string");
+    }
+    sc->lanes[j] = vals.data();
+  }
+  return Status::OK();
+}
 
 void ReduceByKey::InitState(RowVector* states, const RowRef& row) const {
   // States are appended densely; the new state index == new row index.
@@ -274,16 +379,15 @@ void ReduceByKey::InitStateAggs(uint8_t* dst) const {
   }
 }
 
-void ReduceByKey::UpdateStateRow(uint8_t* dst, const RowRef& row) const {
-  for (const AggSlot& s : slots_) {
+void ReduceByKey::UpdateStateRow(uint8_t* dst, const uint8_t* row, size_t i,
+                                 const ChunkScratch& sc) const {
+  for (size_t j = 0; j < slots_.size(); ++j) {
+    const AggSlot& s = slots_[j];
     double v = 0;
-    if (s.kind != AggKind::kCount) {
-      if (compiled_ && s.src_col >= 0) {
-        v = LoadNumeric(row.data(), nullptr, s.src_offset, s.src_wide,
-                        s.src_float);
-      } else {
-        v = s.expr->Eval(row).AsDouble();
-      }
+    if (s.source == AggSource::kColumn) {
+      v = LoadNumeric(row, s.src_offset, s.src_type);
+    } else if (s.source != AggSource::kNone) {
+      v = sc.lanes[j][i];
     }
     if (s.dst_float) {
       double cur = LoadState(dst, s.dst_offset, true);
@@ -339,9 +443,9 @@ void ReduceByKey::MergeStateRow(uint8_t* dst, const uint8_t* src) const {
 namespace {
 
 // The slot count a state table needs for up to `keys` distinct keys under
-// the 0.7 load factor (at least 1024).
-size_t StateSlotsFor(size_t keys) {
-  size_t cap = 1024;
+// the 0.7 load factor (at least `min_slots`).
+size_t StateSlotsFor(size_t keys, size_t min_slots = 1024) {
+  size_t cap = min_slots;
   while (keys * 10 >= cap * 7) cap *= 2;
   return cap;
 }
@@ -384,78 +488,185 @@ struct ByteKeys {
   }
 };
 
+// A chunk of the walk over zero key columns: every row has the key 0.
+struct NoKeys {
+  uint64_t Hash(size_t) const { return MixHash64(0); }
+  template <typename Admit>
+  uint32_t FindOrAdmit(StateTables* tables, size_t, Admit& admit,
+                       bool* inserted) const {
+    return tables->i64.FindOrAdmit(0, MixHash64(0), admit, inserted);
+  }
+};
+
 }  // namespace
 
 template <typename Fn>
-Status ReduceByKey::WalkKeys(const RowSpan& span, size_t lo, size_t hi,
-                             KeyChunk* kc, Fn&& fn) const {
-  if (single_i64_key_) {
-    for (size_t base = lo; base < hi; base += kKeyChunkRows) {
-      MODULARIS_RETURN_NOT_OK(
-          fn(base, std::min(hi - base, kKeyChunkRows),
-             I64Keys{span.data + base * span.stride, span.stride, span.schema,
-                     key_cols_[0]}));
+Status ReduceByKey::WalkKeys(const KeyLayout& layout, const RowSpan& span,
+                             size_t lo, size_t hi, ChunkScratch* sc, Fn&& fn,
+                             const bool* stop) const {
+  // keys_at(base, m) yields the key view of the chunk of m rows at base.
+  auto walk = [&](auto&& keys_at) -> Status {
+    for (size_t base = lo; base < hi && (stop == nullptr || !*stop);
+         base += kKeyChunkRows) {
+      const size_t m = std::min(hi - base, kKeyChunkRows);
+      MODULARIS_RETURN_NOT_OK(fn(base, m, keys_at(base, m)));
     }
     return Status::OK();
+  };
+  if (layout.i64_col >= 0) {
+    return walk([&](size_t base, size_t) {
+      return I64Keys{span.data + base * span.stride, span.stride, span.schema,
+                     layout.i64_col};
+    });
   }
-  const uint32_t ks = key_prog_.key_size();
-  const size_t chunk = std::min(hi - lo, kKeyChunkRows);
-  kc->bytes.resize(chunk * ks);
-  kc->hash.resize(chunk);
-  for (size_t base = lo; base < hi; base += kKeyChunkRows) {
-    const size_t m = std::min(hi - base, kKeyChunkRows);
-    key_prog_.SerializeAndHash(span, base, m, kc->bytes.data(),
-                               kc->hash.data());
-    MODULARIS_RETURN_NOT_OK(
-        fn(base, m, ByteKeys{kc->bytes.data(), ks, kc->hash.data()}));
+  if (!layout.prog.valid()) {
+    return walk([](size_t, size_t) { return NoKeys{}; });
   }
-  return Status::OK();
+  const uint32_t ks = layout.prog.key_size();
+  sc->bytes.resize(std::min(hi - lo, kKeyChunkRows) * ks);
+  sc->hash.resize(std::min(hi - lo, kKeyChunkRows));
+  return walk([&](size_t base, size_t m) {
+    layout.prog.SerializeAndHash(span, base, m, sc->bytes.data(),
+                                 sc->hash.data());
+    return ByteKeys{sc->bytes.data(), ks, sc->hash.data()};
+  });
 }
 
 Status ReduceByKey::AggregateSpan(const uint8_t* rows, size_t n,
                                   const Schema& schema, const uint32_t* idx,
-                                  AggLevel* level, KeyChunk* kc,
+                                  AggLevel* level, ChunkScratch* sc,
                                   SpillScratch* scratch) {
   const size_t mem_limit = ctx_->options.memory_limit_bytes;
   const size_t state_row = out_schema_.row_size();
-  // Asked on a miss only, with the table's bytes once the group is in.
-  // Under a budget a level admits while the state with the new group
-  // fits, and none from its first refusal on, so every resident group's
-  // first occurrence precedes every staged group's.
-  auto admit = [&](size_t table_bytes) {
-    return level->admit_all ||
-           (level->pass < 0 &&
-            StateFits(level->states->byte_size() + state_row + table_bytes,
-                      mem_limit));
-  };
-  const uint32_t stride = schema.row_size();
   RowVector* const states = level->states;
   StateTables* const tables = level->tables;
+  // Asked on a miss only, with the table's bytes once the group is in. A
+  // capped level admits up to its cap. Under a budget a level admits
+  // while the state with the new group fits, and none from its first
+  // refusal on, so every resident group's first occurrence precedes every
+  // staged group's.
+  auto admit = [&](size_t table_bytes) {
+    if (level->admit_all) return true;
+    if (level->max_groups != 0) return states->size() < level->max_groups;
+    return level->pass < 0 &&
+           StateFits(states->byte_size() + state_row + table_bytes,
+                     mem_limit);
+  };
+  const uint32_t stride = schema.row_size();
   auto global = [idx](size_t j) {
     return idx != nullptr ? idx[j] : static_cast<uint32_t>(j);
   };
   return WalkKeys(
-      RowSpan{rows, stride, &schema}, 0, n, kc,
+      in_keys_, RowSpan{rows, stride, &schema}, 0, n, sc,
       [&](size_t base, size_t m, const auto& keys) -> Status {
         const uint8_t* p = rows + base * stride;
+        MODULARIS_RETURN_NOT_OK(EvalInputs(RowSpan{p, stride, &schema}, m, sc));
         for (size_t i = 0; i < m; ++i, p += stride) {
           bool inserted = false;
           const uint32_t state =
               keys.FindOrAdmit(tables, i, admit, &inserted);
           if (state == kNoState) {
+            if (level->max_groups != 0) {
+              level->full = true;  // one group too many: stop at once
+              return Status::OK();
+            }
             MODULARIS_RETURN_NOT_OK(StageRow(p, global(base + i),
                                              keys.Hash(i), schema, level,
                                              scratch));
             continue;
           }
-          const RowRef row(p, &schema);
           if (inserted) {
-            InitState(states, row);
+            InitState(states, RowRef(p, &schema));
             if (level->first != nullptr) {
               level->first->push_back(global(base + i));
             }
           }
-          UpdateStateRow(states->mutable_row(state), row);
+          UpdateStateRow(states->mutable_row(state), p, i, *sc);
+        }
+        return Status::OK();
+      },
+      &level->full);
+}
+
+Status ReduceByKey::ConsumeFewGroups(const RowVectorPtr& input, bool* taken) {
+  *taken = false;
+  const size_t n = input->size();
+  const Schema& schema = input->schema();
+  const uint32_t stride = input->row_size();
+  const size_t chunks = (n + kFewGroupChunkRows - 1) / kFewGroupChunkRows;
+
+  // Phase 1: each fixed chunk aggregates into a table of its own, capped
+  // at kFewGroupsMax groups. Chunks are claimed dynamically — each is
+  // owned by one worker and its run depends only on its rows — and the
+  // first chunk that meets one group too many ends the kernel.
+  std::vector<RowVectorPtr> runs(chunks);
+  std::atomic<bool> many{false};
+  MorselCursor cursor(chunks, 1, ctx_->cancel);
+  MODULARIS_RETURN_NOT_OK(ParallelFor(
+      ctx_, PlanWorkers(n, ctx_->options), [&](int) -> Status {
+        StateTables tables;
+        ChunkScratch sc;
+        size_t c = 0, count = 0;
+        while (!many.load() && cursor.Claim(&c, &count)) {
+          const size_t lo = c * kFewGroupChunkRows;
+          runs[c] = RowVector::Make(out_schema_);
+          tables.Clear(kFewGroupSlots);
+          AggLevel level{.states = runs[c].get(), .tables = &tables,
+                         .admit_all = false, .max_groups = kFewGroupsMax};
+          MODULARIS_RETURN_NOT_OK(AggregateSpan(
+              input->data() + lo * stride,
+              std::min(n - lo, kFewGroupChunkRows), schema, nullptr, &level,
+              &sc, nullptr));
+          if (level.full) many.store(true);
+        }
+        return Status::OK();
+      }));
+  if (many.load()) return Status::OK();
+
+  size_t partial_bytes = 0;
+  for (const RowVectorPtr& run : runs) partial_bytes += run->byte_size();
+  mem_charge_.Add(partial_bytes);
+
+  // Phase 2: the fixed pairwise tree over the chunk runs. Each merge keeps
+  // first-occurrence order, and its shape depends only on the row count.
+  StateTables tables;
+  MODULARIS_RETURN_NOT_OK(PairwiseCombine(
+      &runs, [&](RowVectorPtr* dst, RowVectorPtr* src) {
+        return MergeRun(dst->get(), **src, &tables, &chunk_);
+      }));
+  if (!runs.empty()) states_ = std::move(runs[0]);
+  AddStatCounter("parallel.reduce.chunks", static_cast<int64_t>(chunks));
+  *taken = true;
+  return Status::OK();
+}
+
+Status ReduceByKey::MergeRun(RowVector* dst, const RowVector& src,
+                             StateTables* tables, ChunkScratch* sc) const {
+  tables->Clear(StateSlotsFor(dst->size() + src.size(), kFewGroupSlots));
+  auto admit = [](size_t) { return true; };
+  // Key dst's groups first: state i is dst's row i.
+  MODULARIS_RETURN_NOT_OK(WalkKeys(
+      state_keys_, RowSpan{dst->data(), dst->row_size(), &out_schema_}, 0,
+      dst->size(), sc, [&](size_t, size_t m, const auto& keys) -> Status {
+        for (size_t i = 0; i < m; ++i) {
+          bool inserted = false;
+          keys.FindOrAdmit(tables, i, admit, &inserted);
+        }
+        return Status::OK();
+      }));
+  const uint32_t stride = src.row_size();
+  return WalkKeys(
+      state_keys_, RowSpan{src.data(), stride, &out_schema_}, 0, src.size(),
+      sc, [&](size_t base, size_t m, const auto& keys) -> Status {
+        for (size_t i = 0; i < m; ++i) {
+          bool inserted = false;
+          const uint32_t state = keys.FindOrAdmit(tables, i, admit, &inserted);
+          const uint8_t* row = src.data() + (base + i) * stride;
+          if (inserted) {
+            dst->AppendRaw(row);
+          } else {
+            MergeStateRow(dst->mutable_row(state), row);
+          }
         }
         return Status::OK();
       });
@@ -477,8 +688,8 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   std::vector<uint8_t> pids(n);
   const std::vector<size_t> bounds = SplitRows(n, workers);
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-    KeyChunk kc;
-    return WalkKeys(span, bounds[w], bounds[w + 1], &kc,
+    ChunkScratch sc;
+    return WalkKeys(in_keys_, span, bounds[w], bounds[w + 1], &sc,
                     [&](size_t base, size_t m, const auto& keys) -> Status {
                       for (size_t i = 0; i < m; ++i) {
                         pids[base + i] =
@@ -525,7 +736,7 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   MorselCursor cursor(kFanout, 1, ctx_->cancel);
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
     StateTables tables;
-    KeyChunk kc;
+    ChunkScratch sc;
     size_t begin = 0, count = 0;
     while (cursor.Claim(&begin, &count)) {
       for (size_t p = begin; p < begin + count; ++p) {
@@ -538,7 +749,7 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
                        .tables = &tables};
         MODULARIS_RETURN_NOT_OK(AggregateSpan(
             scat->data() + prefix[p] * stride, rows_p, schema,
-            idx.data() + prefix[p], &level, &kc, nullptr));
+            idx.data() + prefix[p], &level, &sc, nullptr));
         wrehash[w] += tables.rehashes();
       }
     }
@@ -603,7 +814,7 @@ Status ReduceByKey::ConsumeAllSpill(RowVectorPtr input) {
   // its own schema dies with it when this is the last reference.
   MODULARIS_RETURN_NOT_OK(AggregateSpan(input->data(), input->size(),
                                         in_schema_, nullptr, &top,
-                                        &key_chunk_, &scratch));
+                                        &chunk_, &scratch));
   if (top.pass < 0) return Status::OK();  // every group stayed resident
   input.reset();  // drop our reference to the drained input
   return AggregateOverflow(&top, in_schema_, &scratch);
@@ -719,56 +930,17 @@ Status ReduceByKey::AggregateSpilledPartition(int pass, int pid, int shift,
     MODULARIS_RETURN_NOT_OK(spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
     MODULARIS_RETURN_NOT_OK(AggregateSpan(chunk->data(), chunk->size(),
                                           schema, idx.data(), &level,
-                                          &key_chunk_, scratch));
+                                          &chunk_, scratch));
   }
   spill->DeletePartition(pass, pid);
   if (level.pass < 0) return Status::OK();
   return AggregateOverflow(&level, schema, scratch);
 }
 
-Status ReduceByKey::ConsumeKeyless(const RowVectorPtr& input, int workers) {
-  const size_t n = input->size();
-  const Schema& schema = input->schema();
-  const uint32_t stride = input->row_size();
-  const size_t chunks = (n + kKeylessChunkRows - 1) / kKeylessChunkRows;
-  keyless_partials_ = RowVector::Make(out_schema_);
-  // Zero-filled, so padding bytes are deterministic.
-  keyless_partials_->ResizeRows(chunks);
-  MorselCursor cursor(chunks, 1, ctx_->cancel);
-  MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int) -> Status {
-    size_t begin = 0, count = 0;
-    while (cursor.Claim(&begin, &count)) {
-      for (size_t c = begin; c < begin + count; ++c) {
-        uint8_t* dst = keyless_partials_->mutable_row(c);
-        InitStateAggs(dst);
-        const size_t lo = c * kKeylessChunkRows;
-        const size_t hi = std::min(n, lo + kKeylessChunkRows);
-        const uint8_t* p = input->data() + lo * stride;
-        for (size_t i = lo; i < hi; ++i, p += stride) {
-          UpdateStateRow(dst, RowRef(p, &schema));
-        }
-      }
-    }
-    return Status::OK();
-  }));
-  return Status::OK();
-}
-
-void ReduceByKey::FinalizeKeyless() {
-  if (keyless_partials_ == nullptr || keyless_partials_->empty()) return;
-  PairwiseCombineRows(
-      keyless_partials_->mutable_data(), keyless_partials_->size(),
-      keyless_partials_->row_size(),
-      [this](uint8_t* dst, const uint8_t* src) { MergeStateRow(dst, src); });
-  states_->AppendRaw(keyless_partials_->data());
-}
-
 Status ReduceByKey::ConsumeAll() {
   timer_.Bind(ctx_->stats, timer_key_);
   ScopedPhase phase(&timer_);
   Status st = ConsumeAllInner();
-  // The keyless chunk partials combine through the fixed pairwise tree.
-  if (st.ok() && key_cols_.empty()) FinalizeKeyless();
   if (st.ok()) {
     mem_charge_.Add(states_->byte_size() + tables_.byte_size());
   }
@@ -777,11 +949,9 @@ Status ReduceByKey::ConsumeAll() {
 
 Status ReduceByKey::ConsumeAllInner() {
   // Drain → size → run at every thread count: the drain adopts a single
-  // durable collection (every production input) zero-copy, so the spill
-  // decision and the worker count are pure functions of the limit and the
-  // drained input, and one worker is a sizing decision that runs the
-  // aggregation kernel on the drained span into the operator's own tables
-  // (docs/DESIGN-parallel.md).
+  // durable collection (every production input) zero-copy, so the kernel
+  // choice, the spill decision and the worker count are pure functions of
+  // the limit and the drained input (docs/DESIGN-parallel.md).
   RowVectorPtr input;
   MODULARIS_RETURN_NOT_OK(DrainRecordStream(child(0), &input));
   if (input == nullptr) return Status::OK();
@@ -791,19 +961,21 @@ Status ReduceByKey::ConsumeAllInner() {
         " do not match the input schema " + in_schema_.ToString());
   }
   mem_charge_.Add(input->byte_size());
+  // The few-group kernel is chosen first, so budgeted and unlimited runs
+  // take the same kernel for the same input. Keyless input always takes
+  // it (one group per chunk).
+  bool taken = false;
+  MODULARIS_RETURN_NOT_OK(ConsumeFewGroups(input, &taken));
+  if (taken) return Status::OK();
   const size_t mem_limit = ctx_->options.memory_limit_bytes;
-  if (mem_limit > 0 && !key_cols_.empty() &&
-      ShouldSpill(input->byte_size(), mem_limit)) {
+  if (mem_limit > 0 && ShouldSpill(input->byte_size(), mem_limit)) {
     return ConsumeAllSpill(std::move(input));
   }
   const int workers = PlanWorkers(input->size(), ctx_->options);
-  // The keyless fixed-chunk tree is the same at any worker count
-  // (ParallelFor runs one worker inline).
-  if (key_cols_.empty()) return ConsumeKeyless(input, workers);
   if (workers > 1) return ConsumeAllParallel(input, workers);
   AggLevel level{.states = states_.get(), .tables = &tables_};
   return AggregateSpan(input->data(), input->size(), input->schema(), nullptr,
-                       &level, &key_chunk_, nullptr);
+                       &level, &chunk_, nullptr);
 }
 
 bool ReduceByKey::Next(Tuple* out) {

@@ -18,8 +18,12 @@
 /// \file agg_ops.h
 /// Aggregation, grouping, sorting and top-k sub-operators. ReduceByKey is
 /// the "highly optimized parallel hash map" the paper credits for the Q1 /
-/// Q18 speedups (§5.1.1); here it is an open-addressing table with a
-/// compiled direct-offset update path when fusion is enabled.
+/// Q18 speedups (§5.1.1): open-addressing tables probed a key chunk at a
+/// time, aggregate inputs read by direct offset (bare columns) or computed
+/// a chunk at a time by bytecode programs when fusion is enabled, and a
+/// few-group kernel — fixed-chunk partial tables combined by a pairwise
+/// tree — for the low-cardinality and keyless shapes
+/// (docs/DESIGN-parallel.md).
 
 namespace modularis {
 
@@ -226,23 +230,42 @@ class ReduceByKey : public SubOperator {
   /// alias — and the id is a pure function of the key, never of the
   /// worker count, which is what makes the plan deterministic.
   static constexpr int kPartitionBits = 8;
-  /// Rows per chunk of the (key, hash) walk.
+  /// Rows per chunk of the (key, hash) walk, and of the aggregate-input
+  /// evaluation that runs alongside it.
   static constexpr size_t kKeyChunkRows = 1024;
-  /// Fixed chunk size of the keyless (scalar Reduce) pairwise combine
-  /// tree. A constant — NOT a thread-derived split — so the tree shape,
-  /// and with it every float partial sum, is identical at any thread
-  /// count.
-  static constexpr size_t kKeylessChunkRows = 1 << 14;
+  /// Fixed chunk size of the few-group kernel. A constant — NOT a
+  /// thread-derived split — so the chunk partials, the pairwise tree over
+  /// them, and with it every float partial sum, are identical at any
+  /// thread count.
+  static constexpr size_t kFewGroupChunkRows = 1 << 14;
+  /// Distinct keys a few-group chunk admits. A chunk that meets one more
+  /// hands the input back to the partition-owned / budgeted paths.
+  static constexpr size_t kFewGroupsMax = 64;
+  /// Slots of a few-group chunk table: kFewGroupsMax keys fit under the
+  /// 0.7 load factor, so a chunk table never rehashes.
+  static constexpr size_t kFewGroupSlots = 128;
   /// Slots a budgeted level's table starts with: small, so that tiny
   /// budgets still admit groups; the table doubles from there.
   static constexpr size_t kHybridFirstSlots = 8;
 
-  /// Buffers of one chunk of the (key, hash) walk over a key that is not
-  /// a single integer: KeyProgram's fixed-stride serialized keys and their
-  /// hashes.
-  struct KeyChunk {
+  /// How one row layout's group key is read by the (key, hash) walk: a
+  /// single integer column, a serialized key (KeyProgram), or no key at
+  /// all — the keyless case, where every row is the one group.
+  struct KeyLayout {
+    int i64_col = -1;
+    KeyProgram prog;
+  };
+  static KeyLayout MakeKeyLayout(const Schema& schema,
+                                 const std::vector<int>& cols);
+  /// Per-worker buffers of one kKeyChunkRows chunk: the serialized keys
+  /// and hashes of the walk, and each aggregate's input values.
+  struct ChunkScratch {
     std::vector<uint8_t> bytes;
     std::vector<uint64_t> hash;
+    std::vector<BcState> bc;                 // per aggregate program
+    std::vector<BatchColumn> cols;           // per aggregate program
+    std::vector<std::vector<double>> vals;   // converted input lanes
+    std::vector<const double*> lanes;        // the chunk's input values
   };
   /// A run of aggregated groups: the group states plus each group's
   /// global first-occurrence index, both ascending by that index.
@@ -258,10 +281,12 @@ class ReduceByKey : public SubOperator {
   };
   /// The groups one pass of the aggregation kernel fills: their states in
   /// insertion order, optionally their global first-occurrence indices,
-  /// and the tables keyed on them. A level either admits every new group
-  /// or — under a budget — admits one while StateFits, and from its first
-  /// refusal on stages every row of a non-resident group for its overflow,
-  /// scattered by the hash window at `shift`.
+  /// and the tables keyed on them. A level either admits every new group,
+  /// or admits at most `max_groups` and stops at once (`full`) at the next
+  /// one — a few-group chunk — or, under a budget, admits one while
+  /// StateFits and from its first refusal on stages every row of a
+  /// non-resident group for its overflow, scattered by the hash window at
+  /// `shift`.
   struct AggLevel {
     RowVector* states = nullptr;
     std::vector<uint32_t>* first = nullptr;  // or null: not recorded
@@ -269,6 +294,8 @@ class ReduceByKey : public SubOperator {
     /// Admit every new group: no budget binds the level, or its hash is
     /// exhausted (the terminal level keeps all).
     bool admit_all = true;
+    size_t max_groups = 0;  // few-group chunk: the cap (0: none)
+    bool full = false;      // the capped level met one group too many
     int shift = 0;  // overflow partition id = (hash >> shift) & 255
     int pass = -1;  // overflow namespace, allocated at the first refusal
     std::vector<RowVectorPtr> stage = {};
@@ -286,40 +313,54 @@ class ReduceByKey : public SubOperator {
   /// byte-equal to 1 by construction. Groups are emitted in global
   /// first-occurrence order by MergeAggRuns over the per-partition runs.
   Status ConsumeAllParallel(const RowVectorPtr& input, int workers);
-  /// Keyless form, at any worker count: fixed-shape chunk partials
-  /// combined pairwise (PairwiseCombineRows), byte-stable at any thread
-  /// count.
-  Status ConsumeKeyless(const RowVectorPtr& input, int workers);
-  /// Folds the keyless chunk partials through the fixed pairwise tree
-  /// into the single output state. No-op when no input arrived.
-  void FinalizeKeyless();
+  /// The few-group kernel (docs/DESIGN-parallel.md): aggregates each
+  /// fixed kFewGroupChunkRows chunk into its own table of at most
+  /// kFewGroupsMax groups, then folds the chunk runs through the fixed
+  /// pairwise tree (MergeRun). Keyless aggregation is its zero-key case.
+  /// Leaves `*taken` false, with nothing emitted, as soon as any chunk
+  /// meets one key too many — a pure function of the drained input.
+  Status ConsumeFewGroups(const RowVectorPtr& input, bool* taken);
+  /// Folds the group run `src` into `dst`, whose rows all precede src's
+  /// in the input: a group already in `dst` merges its state, any other
+  /// appends in src's order, so `dst` stays in first-occurrence order.
+  Status MergeRun(RowVector* dst, const RowVector& src, StateTables* tables,
+                  ChunkScratch* sc) const;
   /// Combines one partial state row into another (associative merge).
   void MergeStateRow(uint8_t* dst, const uint8_t* src) const;
   void InitState(RowVector* states, const RowRef& row) const;
   /// Writes the aggregate identity values into a state row (keys
   /// untouched).
   void InitStateAggs(uint8_t* dst) const;
-  /// The per-row update against an explicit state row — safe to run from
-  /// worker threads (reads only immutable compiled slots; Expr::Eval is
-  /// thread-safe).
-  void UpdateStateRow(uint8_t* dst, const RowRef& row) const;
+  /// Evaluates the aggregate inputs that are not read by direct offset
+  /// for the `m` rows of `rows` into `sc->lanes` — bytecode programs, or
+  /// the row interpreter when fusion is off. A non-numeric value is an
+  /// InvalidArgument error.
+  Status EvalInputs(const RowSpan& rows, size_t m, ChunkScratch* sc) const;
+  /// The per-row update of state row `dst` by input row `row`, lane `i` of
+  /// the chunk `sc` evaluated — safe to run from worker threads.
+  void UpdateStateRow(uint8_t* dst, const uint8_t* row, size_t i,
+                      const ChunkScratch& sc) const;
 
-  /// The (key, hash) walk every keyed pass shares, and the one place the
-  /// key kind is read: walks rows [lo, hi) of `span` one kKeyChunkRows
-  /// chunk at a time and calls fn(base, m, keys) per chunk of `m` rows
-  /// from `base`. `keys` gives row i's Hash(i) and probes the row's key
-  /// into the state table of its kind (FindOrAdmit); serialized keys are
-  /// hashed a chunk at a time into `kc`.
+  /// The (key, hash) walk every pass shares, and the one place the key
+  /// kind is read: walks rows [lo, hi) of `span`, whose key `layout`
+  /// describes, one kKeyChunkRows chunk at a time and calls
+  /// fn(base, m, keys) per chunk of `m` rows from `base`, until `*stop`
+  /// (when given) is set. `keys` gives row i's Hash(i) and probes the
+  /// row's key into the state table of its kind (FindOrAdmit); serialized
+  /// keys are hashed a chunk at a time into `sc`.
   template <typename Fn>
-  Status WalkKeys(const RowSpan& span, size_t lo, size_t hi, KeyChunk* kc,
-                  Fn&& fn) const;
+  Status WalkKeys(const KeyLayout& layout, const RowSpan& span, size_t lo,
+                  size_t hi, ChunkScratch* sc, Fn&& fn,
+                  const bool* stop = nullptr) const;
   /// The one aggregation kernel: walks `n` rows (global indices `idx`, or
-  /// 0..n-1 when null) through `level` — a resident group updates in
-  /// place, a new group the level admits is initialized, and any other
-  /// row is staged for the level's overflow. Safe to run from worker
-  /// threads on a level that admits every group.
+  /// 0..n-1 when null) through `level`, evaluating the aggregate inputs a
+  /// key chunk at a time — a resident group updates in place, a new group
+  /// the level admits is initialized, a capped level stops at the first
+  /// group it refuses, and any other row is staged for the level's
+  /// overflow. Safe to run from worker threads on a level that never
+  /// stages.
   Status AggregateSpan(const uint8_t* rows, size_t n, const Schema& schema,
-                       const uint32_t* idx, AggLevel* level, KeyChunk* kc,
+                       const uint32_t* idx, AggLevel* level, ChunkScratch* sc,
                        SpillScratch* scratch);
 
   // -- Hybrid hash aggregation under a budget (docs/DESIGN-memory.md) -------
@@ -365,30 +406,30 @@ class ReduceByKey : public SubOperator {
   PhaseTimer timer_;
 
   // Compiled update plan (set up at Open).
+  enum class AggSource : uint8_t {
+    kNone,         // COUNT: no input value
+    kColumn,       // a bare column, read by direct offset (fusion on)
+    kProgram,      // a computed input, run as bytecode (fusion on)
+    kInterpreted,  // the row interpreter (the enable_fusion = false path)
+  };
   struct AggSlot {
     AggKind kind;
-    int src_col;        // -1 for COUNT(*) or non-column expressions
-    bool src_wide;      // i64/f64 vs i32/date source
-    bool src_float;     // f64 source
-    uint32_t src_offset;
+    AggSource source;
+    AtomType src_type;    // kColumn: the column's type
+    uint32_t src_offset;  // kColumn: its byte offset in the input row
     uint32_t dst_offset;
     bool dst_float;
-    const Expr* expr;   // fallback evaluation when src_col == -1
+    const Expr* expr;  // kInterpreted
+    BcProgram prog;    // kProgram
   };
   std::vector<AggSlot> slots_;
-  bool compiled_ = false;
-  bool single_i64_key_ = false;
 
   RowVectorPtr states_;
   StateTables tables_;
-  /// The fused serialize+hash program of a key that is not a single
-  /// integer: fixed-stride keys probed into a ByteStateTable.
-  KeyProgram key_prog_;
-  KeyChunk key_chunk_;
-
-  /// Keyless (scalar) aggregation: one partial state per fixed-size input
-  /// chunk, combined pairwise at finalize.
-  RowVectorPtr keyless_partials_;
+  /// The group key as the input rows and as the state rows hold it.
+  KeyLayout in_keys_;
+  KeyLayout state_keys_;
+  ChunkScratch chunk_;
 
   bool consumed_ = false;
   size_t emit_pos_ = 0;

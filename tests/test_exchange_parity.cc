@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -136,15 +137,23 @@ struct FabricTotals {
 // MPI transport: owned-partition parity + overlap.
 // ---------------------------------------------------------------------------
 
+/// What one rank's pulls delivered, in pull order: ⟨pid, partition⟩ for
+/// a Next() pull, ⟨-1, the batch's rows⟩ for a NextBatch() pull.
+using Deliveries = std::vector<std::pair<int64_t, RowVectorPtr>>;
+/// Drains one rank's exchange into `out`.
+using MpiPull = std::function<Status(MpiExchange*, Deliveries* out)>;
+
 /// Runs a bare MpiExchange (DataSource child, manually derived
 /// histograms) on world = frags.size() ranks with `threads` workers per
-/// rank; returns the owned ⟨pid, partition⟩ pairs per rank. Every
-/// fragment shares one schema, which the exchange takes at construction.
-std::vector<std::vector<std::pair<int64_t, RowVectorPtr>>> RunMpiExchange(
+/// rank; returns what each rank's pulls delivered — the owned ⟨pid,
+/// partition⟩ pairs through Next(), unless `pull` drains it otherwise.
+/// Every fragment shares one schema, which the exchange takes at
+/// construction.
+std::vector<Deliveries> RunMpiExchange(
     const std::vector<RowVectorPtr>& frags, int threads, bool compress,
     bool serial_wire, size_t buffer_bytes,
     const net::FabricOptions& fabric, FabricTotals* totals,
-    bool scanned = false) {
+    bool scanned = false, const MpiPull& pull = nullptr) {
   const int world = static_cast<int>(frags.size());
   const RadixSpec spec{4, 0, RadixHash::kIdentity};
   std::vector<int64_t> global(spec.fanout(), 0);
@@ -152,7 +161,7 @@ std::vector<std::vector<std::pair<int64_t, RowVectorPtr>>> RunMpiExchange(
     std::vector<int64_t> local = CountPartitions(*f, spec);
     for (int p = 0; p < spec.fanout(); ++p) global[p] += local[p];
   }
-  std::vector<std::vector<std::pair<int64_t, RowVectorPtr>>> parts(world);
+  std::vector<Deliveries> parts(world);
   std::vector<StatsRegistry> rank_stats(world);
   std::vector<FabricTotals> per_rank(world);
   Status st = mpi::MpiRuntime::Run(
@@ -178,11 +187,15 @@ std::vector<std::vector<std::pair<int64_t, RowVectorPtr>>> RunMpiExchange(
                            std::vector<RowVectorPtr>{HistVector(global)}),
                        frags.front()->schema(), xopts);
         MODULARIS_RETURN_NOT_OK(mx.Open(&ctx));
-        Tuple t;
-        while (mx.Next(&t)) {
-          parts[r].push_back({t[0].i64(), t[1].collection()});
+        if (pull != nullptr) {
+          MODULARIS_RETURN_NOT_OK(pull(&mx, &parts[r]));
+        } else {
+          Tuple t;
+          while (mx.Next(&t)) {
+            parts[r].push_back({t[0].i64(), t[1].collection()});
+          }
+          MODULARIS_RETURN_NOT_OK(mx.status());
         }
-        MODULARIS_RETURN_NOT_OK(mx.status());
         per_rank[r] = {comm.fabric().bytes_sent(r),
                        comm.fabric().msgs_sent(r),
                        comm.fabric().charged_seconds(r),
@@ -278,6 +291,111 @@ TEST(MpiExchangeParityTest, EmptyFragment) {
                      "mpi empty-rank 24-byte world=" + std::to_string(world) +
                          " scanned=" + std::to_string(scanned),
                      scanned);
+    }
+  }
+}
+
+/// A batch's rows, copied into a vector of their own.
+RowVectorPtr BatchRows(const RowBatch& batch) {
+  RowVectorPtr rows = RowVector::Make(batch.schema());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    rows->AppendRaw(batch.row(i).data());
+  }
+  return rows;
+}
+
+Status PullBatches(MpiExchange* mx, Deliveries* out) {
+  RowBatch batch;
+  while (mx->NextBatch(&batch)) out->push_back({-1, BatchRows(batch)});
+  return mx->status();
+}
+
+/// Alternates Next() and NextBatch() pulls until one reports the end.
+Status PullMixed(MpiExchange* mx, Deliveries* out) {
+  RowBatch batch;
+  Tuple t;
+  for (bool row = true;; row = !row) {
+    if (row) {
+      if (!mx->Next(&t)) break;
+      out->push_back({t[0].i64(), t[1].collection()});
+    } else {
+      if (!mx->NextBatch(&batch)) break;
+      out->push_back({-1, BatchRows(batch)});
+    }
+  }
+  return mx->status();
+}
+
+// The batch protocol of the RDMA exchange: NextBatch() serves the owned
+// partitions Next() serves, in pid order, skipping the empty ones, and a
+// stream mixing both protocols delivers every partition exactly once.
+TEST(MpiExchangeParityTest, NextBatchServesOwnedPartitionsInPidOrder) {
+  for (int world : {1, 4}) {
+    // Even keys only: with the identity radix every odd partition is
+    // empty on every rank.
+    std::vector<RowVectorPtr> frags;
+    for (int r = 0; r < world; ++r) {
+      RowVectorPtr frag = MakeKv(3000, 1 << 16, 400 + r);
+      for (size_t i = 0; i < frag->size(); ++i) {
+        RowWriter w(frag->mutable_row(i), &frag->schema());
+        w.SetInt64(0, frag->row(i).GetInt64(0) * 2);
+      }
+      frags.push_back(frag);
+    }
+    for (int threads : {1, 4}) {
+      const std::string label = "world=" + std::to_string(world) +
+                                " threads=" + std::to_string(threads);
+      auto run = [&](const MpiPull& pull) {
+        return RunMpiExchange(frags, threads, /*compress=*/false,
+                              /*serial_wire=*/false, 512, Unthrottled(),
+                              nullptr, /*scanned=*/false, pull);
+      };
+      const std::vector<Deliveries> rows = run(nullptr);
+      const std::vector<Deliveries> batches = run(PullBatches);
+      const std::vector<Deliveries> mixed = run(PullMixed);
+      ASSERT_EQ(rows.size(), static_cast<size_t>(world)) << label;
+      size_t empty = 0, mixed_rows = 0, mixed_batches = 0;
+      for (int r = 0; r < world; ++r) {
+        const std::string rl = label + " rank " + std::to_string(r);
+        std::vector<RowVectorPtr> nonempty;
+        for (size_t i = 0; i < rows[r].size(); ++i) {
+          if (i > 0) EXPECT_LT(rows[r][i - 1].first, rows[r][i].first) << rl;
+          if (rows[r][i].second->empty()) {
+            ++empty;
+          } else {
+            nonempty.push_back(rows[r][i].second);
+          }
+        }
+        ASSERT_EQ(batches[r].size(), nonempty.size()) << rl;
+        for (size_t i = 0; i < nonempty.size(); ++i) {
+          ExpectBytesEqual(*nonempty[i], *batches[r][i].second,
+                           rl + " batch " + std::to_string(i));
+        }
+        // Mixed: each delivery is the next partition in pid order; a
+        // batch pull first skips the empty partitions before it.
+        size_t j = 0;
+        for (const auto& [pid, part] : mixed[r]) {
+          if (pid < 0) {
+            while (j < rows[r].size() && rows[r][j].second->empty()) ++j;
+            ++mixed_batches;
+          } else {
+            ++mixed_rows;
+          }
+          ASSERT_LT(j, rows[r].size()) << rl << ": a partition delivered twice";
+          if (pid >= 0) EXPECT_EQ(pid, rows[r][j].first) << rl;
+          ExpectBytesEqual(*rows[r][j].second, *part,
+                           rl + " mixed pid " +
+                               std::to_string(rows[r][j].first));
+          ++j;
+        }
+        for (; j < rows[r].size(); ++j) {
+          EXPECT_TRUE(rows[r][j].second->empty())
+              << rl << ": pid " << rows[r][j].first << " never delivered";
+        }
+      }
+      EXPECT_GT(empty, 0u) << label;
+      EXPECT_GT(mixed_rows, 0u) << label;
+      EXPECT_GT(mixed_batches, 0u) << label;
     }
   }
 }

@@ -23,6 +23,8 @@
 #include "suboperators/scan_ops.h"
 #include "tpch/queries.h"
 
+#include "q1_skew.h"
+
 namespace modularis {
 namespace {
 
@@ -459,12 +461,13 @@ TEST(SpillAggTest, HotKeyAfterOverflowReachesTerminalLevel) {
   // the state) refuses every group on every level until the hash runs
   // out: the top level and each of the seven splittable windows overflow
   // (>= 8 passes), and the terminal level keeps all of the hot key's rows
-  // — 8 cold keys first, then the hot key, interleaved with them.
+  // — 72 cold keys first, then the hot key, interleaved with them. More
+  // than 64 keys, so the few-group kernel hands the input to the budget.
   std::mt19937_64 rng(59);
   std::vector<std::pair<int64_t, double>> kv;
-  for (int64_t k = 0; k < 8; ++k) kv.emplace_back(k, 1.0);
+  for (int64_t k = 0; k < 72; ++k) kv.emplace_back(k, 1.0);
   for (int i = 0; i < 600; ++i) {
-    const int64_t key = i % 5 == 0 ? static_cast<int64_t>(rng() % 8) : 1000;
+    const int64_t key = i % 5 == 0 ? static_cast<int64_t>(rng() % 72) : 1000;
     kv.emplace_back(key, OrderSensitiveValue(rng));
   }
   RowVectorPtr data = MakeKeyFloat(kv);
@@ -522,6 +525,46 @@ TEST(SpillAggTest, ByteKeyFewGroupsNeverSpill) {
           EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 0);
           EXPECT_EQ(run.budget.denials(), 0);
         });
+  }
+}
+
+TEST(SpillAggTest, FewGroupKernelSameBytesAtAnyBudget) {
+  // Q1's skewed four groups with a computed SUM input: the few-group
+  // kernel is chosen before the spill decision, so a 512 KiB and a 1 KiB
+  // budget give the unlimited run's bytes at every worker count, and
+  // nothing spills.
+  for (bool str_keys : {false, true}) {
+    SCOPED_TRACE(str_keys ? "(str, str) keys" : "i64 key");
+    RowVectorPtr data = testing_q1::MakeQ1Skew(60000, str_keys, 71);
+    ASSERT_TRUE(ShouldSpill(data->byte_size(), 512 << 10));
+    auto aggregate = [&](BudgetedRun* run, int threads) {
+      run->ctx.options.num_threads = threads;
+      run->ctx.options.parallel_min_rows = 256;
+      ReduceByKey rk(ScanOf(data), testing_q1::Q1SkewKeys(str_keys),
+                     testing_q1::Q1SkewAggs(str_keys), data->schema());
+      RowVectorPtr out;
+      Status st = DrainBatches(&rk, &run->ctx, rk.out_schema(), &out);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      return out;
+    };
+    BudgetedRun reference(0);
+    RowVectorPtr expected = aggregate(&reference, 1);
+    ASSERT_NE(expected, nullptr);
+    ASSERT_EQ(expected->size(), 4u);
+    for (int threads : {1, 2, 4}) {
+      for (size_t limit : {size_t{512} << 10, size_t{1} << 10, size_t{0}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " limit=" + std::to_string(limit));
+        BudgetedRun run(limit);
+        RowVectorPtr actual = aggregate(&run, threads);
+        ASSERT_NE(actual, nullptr);
+        ExpectBytesEqual(*expected, *actual);
+        EXPECT_EQ(run.stats.GetCounter("parallel.reduce.chunks"), 4);
+        EXPECT_EQ(run.stats.GetCounter("spill.bytes"), 0);
+        EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 0);
+        EXPECT_EQ(run.budget.denials(), 0);
+      }
+    }
   }
 }
 

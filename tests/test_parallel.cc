@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "suboperators/scan_ops.h"
 #include "tpch/queries.h"
 #include "tpch/reference.h"
+#include "q1_skew.h"
 #include "reference_join.h"
 
 namespace modularis {
@@ -638,6 +640,118 @@ TEST(ReduceByKeyParity, KeylessFloatSumStableAcrossThreadCounts) {
   ASSERT_EQ(out1->size(), 1u);
   ExpectBytesEqual(*out1, *out2, "keyless reduce 2 threads");
   ExpectBytesEqual(*out1, *out4, "keyless reduce 4 threads");
+  ExpectNoFallback(stats4, "ReduceByKey");
+}
+
+// ---------------------------------------------------------------------------
+// ReduceByKey: the few-group kernel. Q1's skewed four groups aggregate per
+// fixed 16K-row chunk and fold through the pairwise tree, so every worker
+// count, and fusion on (bytecode inputs) or off (the row interpreter),
+// gives the same bytes. An input that meets more than 64 keys in any
+// chunk leaves the kernel for the partition-owned pass.
+// ---------------------------------------------------------------------------
+
+/// Runs ReduceByKey over `data` at `threads` workers, fusion on or off.
+RowVectorPtr RunKeyed(const RowVectorPtr& data, const std::vector<int>& keys,
+                      const std::vector<AggSpec>& aggs, int threads,
+                      bool fusion, StatsRegistry* stats) {
+  ExecContext ctx;
+  InitCtx(&ctx, threads, stats);
+  ctx.options.enable_fusion = fusion;
+  auto r = MakeKeyedReduce(data, keys, aggs);
+  return DrainRoot(r.get(), &ctx, true);
+}
+
+TEST(ReduceByKeyParity, FewGroupKernelByteEqualAcrossWorkers) {
+  // 100k rows: 7 chunks, an odd count, so the tree carries a tail up.
+  for (bool str_keys : {false, true}) {
+    SCOPED_TRACE(str_keys ? "(str, str) keys" : "i64 key");
+    RowVectorPtr data = testing_q1::MakeQ1Skew(100000, str_keys, 31);
+    const std::vector<int> keys = testing_q1::Q1SkewKeys(str_keys);
+    const std::vector<AggSpec> aggs = testing_q1::Q1SkewAggs(str_keys);
+    StatsRegistry stats1, stats2, stats4;
+    RowVectorPtr out1 = RunKeyed(data, keys, aggs, 1, true, &stats1);
+    RowVectorPtr out2 = RunKeyed(data, keys, aggs, 2, true, &stats2);
+    RowVectorPtr out4 = RunKeyed(data, keys, aggs, 4, true, &stats4);
+    ASSERT_EQ(out1->size(), 4u);
+    ExpectBytesEqual(*out1, *out2, "few-group kernel 2 threads");
+    ExpectBytesEqual(*out1, *out4, "few-group kernel 4 threads");
+    for (const StatsRegistry* st : {&stats1, &stats2, &stats4}) {
+      EXPECT_EQ(st->GetCounter("parallel.reduce.chunks"), 7);
+      EXPECT_EQ(st->GetCounter("parallel.reduce.partitions"), 0);
+      EXPECT_EQ(st->GetCounter("reduce.rehash"), 0);
+      EXPECT_EQ(st->GetCounter("expr.bc_fallback.value"), 0);
+    }
+    ExpectNoFallback(stats4, "ReduceByKey");
+    // COUNT per group sums to the input, in first-occurrence order.
+    int64_t total = 0;
+    for (size_t g = 0; g < out1->size(); ++g) {
+      total += out1->row(g).GetInt64(static_cast<int>(keys.size()) + 2);
+    }
+    EXPECT_EQ(total, 100000);
+  }
+}
+
+TEST(ReduceByKeyParity, FewGroupKernelFusionOffMatchesBytecode) {
+  // The computed SUM input runs as bytecode with fusion on and through the
+  // row interpreter with fusion off: the same values, so the same bytes.
+  for (bool str_keys : {false, true}) {
+    SCOPED_TRACE(str_keys ? "(str, str) keys" : "i64 key");
+    RowVectorPtr data = testing_q1::MakeQ1Skew(70000, str_keys, 37);
+    const std::vector<int> keys = testing_q1::Q1SkewKeys(str_keys);
+    const std::vector<AggSpec> aggs = testing_q1::Q1SkewAggs(str_keys);
+    for (int threads : {1, 4}) {
+      StatsRegistry fused_stats, interp_stats;
+      RowVectorPtr fused =
+          RunKeyed(data, keys, aggs, threads, true, &fused_stats);
+      RowVectorPtr interp =
+          RunKeyed(data, keys, aggs, threads, false, &interp_stats);
+      ExpectBytesEqual(*fused, *interp,
+                       "fusion off, threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(ReduceByKeyParity, LateChunkWithManyGroupsLeavesTheKernel) {
+  // The first 16K-row chunk holds 4 keys; the rows after it spread over
+  // 1000. The kernel aggregates chunk 0, meets the 65th key in chunk 1 and
+  // hands the whole input to the partition-owned pass.
+  const size_t n = 60000;
+  RowVectorPtr data = RowVector::Make(KeyValueSchema());
+  std::mt19937_64 rng(41);
+  for (size_t i = 0; i < n; ++i) {
+    RowWriter w = data->AppendRow();
+    const int64_t space = i < (size_t{1} << 14) ? 4 : 1000;
+    w.SetInt64(0, static_cast<int64_t>(rng() % space) * 7919);
+    w.SetInt64(1, static_cast<int64_t>(rng() % 100000) - 50000);
+  }
+  // Reference: SUM and COUNT per key in first-occurrence order.
+  std::map<int64_t, std::pair<int64_t, int64_t>> ref;
+  std::vector<int64_t> order;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t k = data->row(i).GetInt64(0);
+    auto [it, fresh] = ref.try_emplace(k, 0, 0);
+    if (fresh) order.push_back(k);
+    it->second.first += data->row(i).GetInt64(1);
+    ++it->second.second;
+  }
+  std::vector<AggSpec> aggs;
+  aggs.push_back(AggSpec{AggKind::kSum, ex::Col(1), "s", AtomType::kInt64});
+  aggs.push_back(AggSpec{AggKind::kCount, nullptr, "c", AtomType::kInt64});
+  StatsRegistry stats1, stats4;
+  RowVectorPtr out1 = RunKeyed(data, {0}, aggs, 1, true, &stats1);
+  RowVectorPtr out4 = RunKeyed(data, {0}, aggs, 4, true, &stats4);
+  ASSERT_EQ(out1->size(), order.size());
+  for (size_t g = 0; g < order.size(); ++g) {
+    const RowRef row = out1->row(g);
+    ASSERT_EQ(row.GetInt64(0), order[g]) << "group " << g;
+    EXPECT_EQ(row.GetInt64(1), ref[order[g]].first) << "group " << g;
+    EXPECT_EQ(row.GetInt64(2), ref[order[g]].second) << "group " << g;
+  }
+  ExpectBytesEqual(*out1, *out4, "late many-group chunk, 4 threads");
+  EXPECT_EQ(stats1.GetCounter("parallel.reduce.chunks"), 0);
+  EXPECT_EQ(stats4.GetCounter("parallel.reduce.chunks"), 0);
+  EXPECT_GT(stats4.GetCounter("parallel.reduce.partitions"), 0);
   ExpectNoFallback(stats4, "ReduceByKey");
 }
 

@@ -386,6 +386,99 @@ TEST(ReduceByKeyTest, MinMaxAggregates) {
   }
 }
 
+// Non-numeric aggregate inputs: a string column, a string-valued
+// expression and a dynamically typed expression whose lanes turn out to be
+// strings must each fail with InvalidArgument — never read string bytes as
+// a number or throw — on the fused (direct offset / bytecode) path and on
+// the interpreted (enable_fusion = false) path alike.
+
+Schema KeyStrValSchema() {
+  return Schema({Field::I64("k"), Field::Str("s", 8), Field::I64("v")});
+}
+
+RowVectorPtr MakeKeyStrVal() {
+  RowVectorPtr data = RowVector::Make(KeyStrValSchema());
+  for (int64_t i = 0; i < 100; ++i) {
+    RowWriter w = data->AppendRow();
+    w.SetInt64(0, i % 3);
+    w.SetString(1, "abc");
+    w.SetInt64(2, i);
+  }
+  return data;
+}
+
+/// Opens and drains `op` with fusion on or off; the first error.
+Status RunWithFusion(SubOperator* op, bool fusion) {
+  ExecContext ctx;
+  ctx.options.enable_fusion = fusion;
+  MODULARIS_RETURN_NOT_OK(op->Open(&ctx));
+  Tuple t;
+  while (op->Next(&t)) {
+  }
+  MODULARIS_RETURN_NOT_OK(op->status());
+  return op->Close();
+}
+
+Status SumOver(ExprPtr input, bool fusion, bool keyless = false) {
+  std::vector<AggSpec> aggs = {
+      AggSpec{AggKind::kSum, std::move(input), "s", AtomType::kFloat64}};
+  auto source = std::make_unique<CollectionSource>(
+      std::vector<RowVectorPtr>{MakeKeyStrVal()});
+  if (keyless) {
+    Reduce r(std::move(source), std::move(aggs), KeyStrValSchema());
+    return RunWithFusion(&r, fusion);
+  }
+  ReduceByKey rk(std::move(source), {0}, std::move(aggs), KeyStrValSchema());
+  return RunWithFusion(&rk, fusion);
+}
+
+TEST(ReduceByKeyTest, StringColumnInputIsRejected) {
+  for (bool fusion : {true, false}) {
+    for (bool keyless : {false, true}) {
+      const Status st = SumOver(ex::Col(1), fusion, keyless);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << "fusion=" << fusion << " keyless=" << keyless << ": "
+          << st.ToString();
+    }
+  }
+}
+
+TEST(ReduceByKeyTest, StringValuedExpressionIsRejected) {
+  // Both branches are strings: the input's static type is a string.
+  for (bool fusion : {true, false}) {
+    const Status st = SumOver(
+        ex::If(ex::Gt(ex::Col(2), ex::Lit(int64_t{5})), ex::Col(1),
+               ex::Lit(std::string("x"))),
+        fusion);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "fusion=" << fusion << ": " << st.ToString();
+  }
+}
+
+TEST(ReduceByKeyTest, NonNumericLaneFailsTheRun) {
+  // Mixed branch types leave the input dynamically typed (per-lane
+  // fallback); rows with v > 50 evaluate to a string.
+  for (bool fusion : {true, false}) {
+    for (bool keyless : {false, true}) {
+      const Status st = SumOver(
+          ex::If(ex::Gt(ex::Col(2), ex::Lit(int64_t{50})), ex::Col(1),
+                 ex::Col(2)),
+          fusion, keyless);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << "fusion=" << fusion << " keyless=" << keyless << ": "
+          << st.ToString();
+    }
+  }
+  // The same dynamically typed input is fine while every lane is numeric.
+  for (bool fusion : {true, false}) {
+    const Status st = SumOver(
+        ex::If(ex::Gt(ex::Col(2), ex::Lit(int64_t{1000})), ex::Col(1),
+               ex::Col(2)),
+        fusion);
+    EXPECT_TRUE(st.ok()) << "fusion=" << fusion << ": " << st.ToString();
+  }
+}
+
 TEST(ReduceTest, EmptyInputEmitsIdentityRow) {
   Reduce reduce(std::make_unique<CollectionSource>(std::vector<RowVectorPtr>{
                     RowVector::Make(KeyValueSchema())}),

@@ -223,8 +223,13 @@ TEST(TpchQueryTest, BytecodeTierAgreesWithInterpretedOnAllQueries) {
       EXPECT_EQ(bc_stats.GetCounter("expr.bc_fallback.value"), 0)
           << "Q" << q << " threads=" << threads;
       if (q == 1 && threads > 1) {
-        EXPECT_GT(bc_stats.GetCounter("parallel.reduce.partitions"), 0)
-            << "Q1's group-by never split over the 4 workers";
+        // Q1's 4 groups take the few-group kernel, whose fixed chunks are
+        // the unit the workers split: more chunks than the 2 ranks means
+        // some rank cut its aggregation into several.
+        EXPECT_GT(bc_stats.GetCounter("parallel.reduce.chunks"), 2)
+            << "Q1's group-by never split into chunks";
+        EXPECT_EQ(bc_stats.GetCounter("parallel.reduce.partitions"), 0)
+            << "Q1's group-by left the few-group kernel";
       }
     }
   }
