@@ -2,8 +2,10 @@
 /// Reproduces Table 2 and the §5.2.1 implementation-effort comparison:
 /// source lines of code per sub-operator, the total for the operators the
 /// Fig. 3 join plan uses, the platform-specific share (MPI executor /
-/// histogram / exchange), the monolithic hand-tuned join's size, and the
-/// engine's SLOC per layer (top-level directory of src/) with its total.
+/// histogram / exchange), the plan's wiring (its logical template plus
+/// the lowering it shares with TPC-H), the monolithic hand-tuned join's
+/// size, and the engine's SLOC per layer (top-level directory of src/)
+/// with its total.
 /// Counts are computed from this repository's actual sources.
 
 #include <algorithm>
@@ -144,15 +146,21 @@ int Main() {
 
   int mono = CountSloc(root + "/src/baseline/monolithic_join.h") +
              CountSloc(root + "/src/baseline/monolithic_join.cc");
+  // The Fig. 3 plan is a logical template lowered by the same
+  // planner::LowerRankPlan as TPC-H: both count toward its wiring.
   int plan = CountSloc(root + "/src/plans/distributed_join.cc") +
              CountSloc(root + "/src/plans/distributed_join.h");
+  int lowering = CountSloc(root + "/src/planner/lower.cc") +
+                 CountSloc(root + "/src/planner/lower.h");
 
   std::printf("\n§5.2.1 comparison (this repository's own sources):\n");
   std::printf("  %-50s %9d\n",
               "sub-operator repository used by the join plan", total_modular);
   std::printf("  %-50s %9d\n", "  of which platform-specific (MPI ops)",
               total_platform);
-  std::printf("  %-50s %9d\n", "join plan assembly (Fig. 3 wiring)", plan);
+  std::printf("  %-50s %9d\n", "join plan template (Fig. 3 IR)", plan);
+  std::printf("  %-50s %9d\n",
+              "  + shared lowering it runs through (planner/lower)", lowering);
   std::printf("  %-50s %9d\n", "monolithic hand-tuned join (§5.2 baseline)",
               mono);
   std::printf(

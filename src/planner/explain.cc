@@ -106,7 +106,8 @@ void RenderLogical(const LogicalPlan& n, const Catalog* catalog, int depth,
       *out += "Limit " + std::to_string(n.limit);
       break;
     case NodeKind::kExchange:
-      *out += "Exchange key=$" + std::to_string(n.exchange_key);
+      *out += "Exchange key=$" + std::to_string(n.exchange_key) +
+              (n.compress ? " compress" : "");
       break;
   }
   if (catalog != nullptr && !catalog->empty()) {

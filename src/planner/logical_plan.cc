@@ -131,13 +131,14 @@ LogicalPlanPtr Limit(LogicalPlanPtr input, size_t limit) {
   return n;
 }
 
-LogicalPlanPtr Exchange(LogicalPlanPtr input, int key_col) {
+LogicalPlanPtr Exchange(LogicalPlanPtr input, int key_col, bool compress) {
   Require(input != nullptr, "Exchange: null input");
   auto n = std::make_shared<LogicalPlan>();
   n->kind = NodeKind::kExchange;
   n->schema = input->schema;
   n->children.push_back(std::move(input));
   n->exchange_key = key_col;
+  n->compress = compress;
   return n;
 }
 

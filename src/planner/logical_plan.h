@@ -100,9 +100,14 @@ struct LogicalPlan {
   size_t limit = 0;
 
   // -- kExchange ------------------------------------------------------
-  /// Repartitioning key (used by the KV plan templates; the TPC-H
-  /// lowering inserts exchanges implicitly at join/aggregate inputs).
+  /// Explicit repartitioning on `exchange_key` (the KV plan templates):
+  /// lowered to the §4.1 two-level radix exchange, and a Join/Aggregate
+  /// above inputs partitioned on its key consumes them in place. Without
+  /// one, a Join/Aggregate exchanges its inputs implicitly (lower.h).
   int exchange_key = 0;
+  /// Send §4.1.2 8-byte ⟨key-high, value⟩ words instead of 16-byte
+  /// ⟨key, value⟩ rows; the consumer recovers the keys.
+  bool compress = false;
 
   const LogicalPlanPtr& child(size_t i) const { return children[i]; }
 };
@@ -137,8 +142,10 @@ LogicalPlanPtr Sort(LogicalPlanPtr input, std::vector<SortKey> keys);
 
 LogicalPlanPtr Limit(LogicalPlanPtr input, size_t limit);
 
-/// Explicit repartitioning on `key_col` (KV plan templates).
-LogicalPlanPtr Exchange(LogicalPlanPtr input, int key_col);
+/// Explicit repartitioning on `key_col` (KV plan templates); `compress`
+/// sends ⟨i64 key, i64 value⟩ rows as 8-byte words (§4.1.2).
+LogicalPlanPtr Exchange(LogicalPlanPtr input, int key_col,
+                        bool compress = false);
 
 }  // namespace lp
 

@@ -2,6 +2,7 @@
 #define MODULARIS_PLANNER_LOWER_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,7 +11,8 @@
 #include "plans/common.h"
 
 /// \file lower.h
-/// Lowering from the logical-plan IR to the sub-operator DAG.
+/// Lowering from the logical-plan IR to the sub-operator DAG — one
+/// lowering for the TPC-H queries and the Fig. 3–5 KV plans.
 ///
 /// A query splits into two physical pieces:
 ///
@@ -25,9 +27,27 @@
 ///    through plans::AddExchangePipelines) are the only plan fragments
 ///    that differ per platform — the paper's Figs. 6/7 in one lowering.
 ///
-/// The emitted shapes are exactly the hand-built ones these helpers were
-/// hoisted from (tpch/queries.cc pre-planner): a lowered plan is
-/// byte-identical in output to its hand-built equivalent.
+/// Exchanges come in two kinds:
+///
+///  * Implicit: a Join or Aggregate whose inputs are not partitioned on
+///    its key exchanges them on the platform's transport (mixed hash, no
+///    local pass) and materializes its output. The TPC-H shapes are
+///    exactly the hand-built ones these helpers were hoisted from
+///    (tpch/queries.cc pre-planner): a lowered plan is byte-identical in
+///    output to its hand-built equivalent.
+///  * Explicit: an Exchange node yields a *partitioned value* — the
+///    exchanged inputs in zip order plus a per-partition record stream —
+///    lowered to the §4.1 two-level radix exchange on MPI (identity-hash
+///    network pass, then LocalHistogram → LocalPartition →
+///    CartesianProduct per input inside each network partition). A Join
+///    or Aggregate over inputs partitioned on its key consumes them in
+///    place; anything else materializes the value (Zip → NestedMap →
+///    MaterializeRowVector) first. So the Fig. 4 naive cascade (an
+///    Exchange above every stage) and the optimized one (stages consumed
+///    in place, all relations zipped into one NestedMap) are both just
+///    IR. An Exchange marked `compress` sends §4.1.2 8-byte words; the
+///    consumer joins them on the key bits and recovers the keys after
+///    the join's BuildProbe or before the ReduceByKey.
 
 namespace modularis::planner {
 
@@ -66,14 +86,22 @@ struct LoweringContext {
   std::map<std::string, int> used_names;
 };
 
+/// A value partitioned by explicit Exchange nodes, not yet materialized
+/// (defined in lower.cc).
+struct Partitioned;
+
 struct LoweredPlan {
   /// Name of the pipeline holding the rank's partial result.
   std::string pipeline;
   Schema schema;
+  /// Set instead of `pipeline` while the value stays partitioned; never
+  /// set on what LowerRankPlan returns.
+  std::shared_ptr<const Partitioned> partitioned = nullptr;
 };
 
-/// Emits `root` into `plan` as pipelines of sub-operators. The caller
-/// still owns SetOutput (rank output handling differs per executor).
+/// Emits `root` into `plan` as pipelines of sub-operators and returns the
+/// pipeline holding the rank's result. The caller still owns SetOutput
+/// (rank output handling differs per executor).
 Result<LoweredPlan> LowerRankPlan(const LogicalPlan& root, PipelinePlan* plan,
                                   LoweringContext* ctx);
 

@@ -1,7 +1,11 @@
 #include "plans/common.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "mpi/mpi_ops.h"
 #include "mpi/tcp_exchange.h"
+#include "planner/lower.h"
 #include "serverless/serverless_ops.h"
 #include "suboperators/agg_ops.h"
 #include "suboperators/partition_ops.h"
@@ -52,6 +56,22 @@ std::string AddExchangePipelines(PipelinePlan* plan, const std::string& base,
                               plan->MakeRef(base + "_mh"), cfg.schema,
                               xopts));
   return base + "_mx";
+}
+
+SubOpPtr LowerRankTemplate(const planner::LogicalPlan& root,
+                           const ExecOptions& exec) {
+  planner::LoweringContext ctx;
+  ctx.fused = exec.enable_fusion;
+  ctx.exec = exec;
+  auto plan = std::make_unique<PipelinePlan>();
+  auto lowered = planner::LowerRankPlan(root, plan.get(), &ctx);
+  if (!lowered.ok()) {
+    std::fprintf(stderr, "LowerRankTemplate: %s\n",
+                 lowered.status().ToString().c_str());
+    std::abort();
+  }
+  plan->SetOutput(plan->MakeRef(lowered.value().pipeline));
+  return plan;
 }
 
 Result<RowVectorPtr> DrainCollections(SubOperator* root, ExecContext* ctx,

@@ -18,6 +18,10 @@
 /// Shared helpers for the relational plan builders (distributed join,
 /// GROUP BY, join sequences, TPC-H).
 
+namespace modularis::planner {
+struct LogicalPlan;
+}  // namespace modularis::planner
+
 namespace modularis::plans {
 
 /// Wraps `src` in a RowScan unless fusion is enabled. This is the plan-
@@ -58,6 +62,13 @@ inline Schema JoinOutSchema() {
 /// into one RowVector of `schema`.
 Result<RowVectorPtr> DrainCollections(SubOperator* root, ExecContext* ctx,
                                       const Schema& schema);
+
+/// Lowers a rank plan template with no driver tail (the Fig. 3–5 KV
+/// plans) through planner::LowerRankPlan: the returned PipelinePlan's
+/// output is the rank's result. A template is programmer-authored, so a
+/// lowering error aborts.
+SubOpPtr LowerRankTemplate(const planner::LogicalPlan& root,
+                           const ExecOptions& exec);
 
 /// Transport-specific exchange prefix (paper §4.1): everything between a
 /// materialized per-rank stream and the shuffled ⟨pid, partition⟩ stream

@@ -1,9 +1,6 @@
 #include "plans/distributed_groupby.h"
 
-#include <cstdio>
-#include <cstdlib>
-
-#include "planner/kv_lower.h"
+#include "planner/logical_plan.h"
 
 namespace modularis::plans {
 
@@ -12,11 +9,12 @@ namespace {
 namespace lp = planner::lp;
 
 /// The Fig. 5 template as IR: SUM(value) GROUP BY key over the exchanged
-/// base relation. The physical shapes (compressed exchange, nested local
-/// partitioning, key restoration before ReduceByKey) live in the
-/// planner's KV lowering.
-planner::LogicalPlanPtr GroupByTemplate() {
-  auto data = lp::Exchange(lp::Scan(0, "data", KeyValueSchema()), 0);
+/// (compressed when asked) base relation, aggregated in place per
+/// partition. planner::LowerRankPlan restores compressed keys before the
+/// ReduceByKey.
+planner::LogicalPlanPtr GroupByTemplate(const DistGroupByOptions& opts) {
+  auto data = lp::Exchange(lp::Scan(0, "data", KeyValueSchema()), 0,
+                           opts.compress);
   return lp::Aggregate(
       std::move(data), {0},
       {AggSpec{AggKind::kSum, ex::Col(1), "sum", AtomType::kInt64}});
@@ -25,17 +23,7 @@ planner::LogicalPlanPtr GroupByTemplate() {
 }  // namespace
 
 SubOpPtr BuildGroupByRankPlan(const DistGroupByOptions& opts) {
-  planner::KvLowerOptions kv;
-  kv.compress = opts.compress;
-  kv.exec = opts.exec;
-  auto lowered = planner::LowerKvGroupBy(*GroupByTemplate(), kv);
-  if (!lowered.ok()) {
-    // Unreachable: the template above is exactly the accepted shape.
-    std::fprintf(stderr, "BuildGroupByRankPlan: %s\n",
-                 lowered.status().ToString().c_str());
-    std::abort();
-  }
-  return lowered.TakeValue();
+  return LowerRankTemplate(*GroupByTemplate(opts), opts.exec);
 }
 
 Result<RowVectorPtr> RunDistributedGroupBy(

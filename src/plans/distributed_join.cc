@@ -1,9 +1,6 @@
 #include "plans/distributed_join.h"
 
-#include <cstdio>
-#include <cstdlib>
-
-#include "planner/kv_lower.h"
+#include "planner/logical_plan.h"
 
 namespace modularis::plans {
 
@@ -12,39 +9,29 @@ namespace {
 namespace lp = planner::lp;
 
 /// The Fig. 3 template as IR: both base relations cross the network
-/// exactly once; inner joins prune the duplicate key column. The
-/// physical shapes (compressed exchange, nested local partitioning,
-/// key-bit recovery) live in the planner's KV lowering.
-planner::LogicalPlanPtr JoinTemplate(JoinType type) {
-  auto inner = lp::Exchange(lp::Scan(0, "inner", KeyValueSchema()), 0);
-  auto outer = lp::Exchange(lp::Scan(1, "outer", KeyValueSchema()), 0);
-  auto join = lp::Join(std::move(inner), std::move(outer), type, 0, 0);
-  if (type != JoinType::kInner) return join;
+/// exactly once (compressed when asked), and the Join consumes the two
+/// partitioned inputs in place; inner joins prune the duplicate key
+/// column. planner::LowerRankPlan turns the Exchange nodes into the
+/// two-level radix exchange and recovers compressed keys after the
+/// BuildProbe.
+planner::LogicalPlanPtr JoinTemplate(const DistJoinOptions& opts) {
+  auto inner = lp::Exchange(lp::Scan(0, "inner", KeyValueSchema()), 0,
+                            opts.compress);
+  auto outer = lp::Exchange(lp::Scan(1, "outer", KeyValueSchema()), 0,
+                            opts.compress);
+  auto join =
+      lp::Join(std::move(inner), std::move(outer), opts.join_type, 0, 0);
+  if (opts.join_type != JoinType::kInner) return join;
   return lp::Project(std::move(join),
                      {MapOutput::Pass(0), MapOutput::Pass(1),
                       MapOutput::Pass(3)},
                      JoinOutSchema());
 }
 
-planner::KvLowerOptions KvOptions(const DistJoinOptions& opts) {
-  planner::KvLowerOptions kv;
-  kv.compress = opts.compress;
-  kv.exec = opts.exec;
-  return kv;
-}
-
 }  // namespace
 
 SubOpPtr BuildJoinRankPlan(const DistJoinOptions& opts) {
-  auto lowered =
-      planner::LowerKvJoin(*JoinTemplate(opts.join_type), KvOptions(opts));
-  if (!lowered.ok()) {
-    // Unreachable: the template above is exactly the accepted shape.
-    std::fprintf(stderr, "BuildJoinRankPlan: %s\n",
-                 lowered.status().ToString().c_str());
-    std::abort();
-  }
-  return lowered.TakeValue();
+  return LowerRankTemplate(*JoinTemplate(opts), opts.exec);
 }
 
 Result<RowVectorPtr> RunDistributedJoin(

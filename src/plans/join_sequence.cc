@@ -1,10 +1,8 @@
 #include "plans/join_sequence.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
-#include "planner/kv_lower.h"
+#include "planner/logical_plan.h"
 
 namespace modularis::plans {
 
@@ -15,7 +13,9 @@ namespace lp = planner::lp;
 /// The Fig. 4 templates as IR. The naive/optimized distinction is purely
 /// logical: the naive cascade re-exchanges every intermediate (an
 /// Exchange node above each interior stage), the optimized one exchanges
-/// each base relation exactly once and consumes intermediates in place.
+/// each base relation exactly once, so every stage is consumed in place
+/// and planner::LowerRankPlan zips all N+1 relations into one NestedMap.
+/// Cascades keep full keys at every stage (no compression).
 planner::LogicalPlanPtr SequenceTemplate(int num_joins, bool optimized) {
   auto scan = [](int i) {
     return lp::Exchange(
@@ -31,41 +31,32 @@ planner::LogicalPlanPtr SequenceTemplate(int num_joins, bool optimized) {
     for (int i = 0; i < j; ++i) prune.push_back(MapOutput::Pass(3 + i));
     prune.push_back(MapOutput::Pass(1));  // vj
     prev = lp::Project(std::move(join), std::move(prune),
-                       planner::KvStageSchema(j));
+                       SequenceOutSchema(j));
   }
   return prev;
-}
-
-SubOpPtr LowerSequence(int num_joins, bool optimized,
-                       const JoinSequenceOptions& opts) {
-  planner::KvLowerOptions kv;
-  kv.compress = false;  // cascades need full keys at every stage
-  kv.exec = opts.exec;
-  auto lowered =
-      planner::LowerKvSequence(*SequenceTemplate(num_joins, optimized), kv);
-  if (!lowered.ok()) {
-    // Unreachable: the template above is exactly the accepted shape.
-    std::fprintf(stderr, "BuildSequenceRankPlan: %s\n",
-                 lowered.status().ToString().c_str());
-    std::abort();
-  }
-  return lowered.TakeValue();
 }
 
 }  // namespace
 
 Schema SequenceOutSchema(int num_joins) {
-  return planner::KvStageSchema(num_joins);
+  std::vector<Field> fields;
+  fields.push_back(Field::I64("key"));
+  for (int i = 0; i <= num_joins; ++i) {
+    fields.push_back(Field::I64("v" + std::to_string(i)));
+  }
+  return Schema(std::move(fields));
 }
 
 SubOpPtr BuildNaiveSequenceRankPlan(int num_joins,
                                     const JoinSequenceOptions& opts) {
-  return LowerSequence(num_joins, /*optimized=*/false, opts);
+  return LowerRankTemplate(*SequenceTemplate(num_joins, /*optimized=*/false),
+                           opts.exec);
 }
 
 SubOpPtr BuildOptimizedSequenceRankPlan(int num_joins,
                                         const JoinSequenceOptions& opts) {
-  return LowerSequence(num_joins, /*optimized=*/true, opts);
+  return LowerRankTemplate(*SequenceTemplate(num_joins, /*optimized=*/true),
+                           opts.exec);
 }
 
 Result<RowVectorPtr> RunJoinSequence(

@@ -214,24 +214,27 @@ Status ReduceByKey::Open(ExecContext* ctx) {
 
 namespace {
 
-inline double LoadNumeric(const uint8_t* row, uint32_t offset, AtomType type) {
-  switch (type) {
-    case AtomType::kFloat64: {
-      double v;
-      std::memcpy(&v, row + offset, sizeof(v));
-      return v;
-    }
-    case AtomType::kInt64: {
-      int64_t v;
-      std::memcpy(&v, row + offset, sizeof(v));
-      return static_cast<double>(v);
-    }
-    default: {  // i32 and date; Open rejects string inputs
-      int32_t v;
-      std::memcpy(&v, row + offset, sizeof(v));
-      return v;
-    }
+// An integer column input (i32, date or i64) as int64_t: exact, where a
+// double would round above 2^53.
+inline int64_t LoadInteger(const uint8_t* row, uint32_t offset,
+                           AtomType type) {
+  if (type == AtomType::kInt64) {
+    int64_t v;
+    std::memcpy(&v, row + offset, sizeof(v));
+    return v;
   }
+  int32_t v;  // i32 and date; Open rejects string inputs
+  std::memcpy(&v, row + offset, sizeof(v));
+  return v;
+}
+
+inline double LoadNumeric(const uint8_t* row, uint32_t offset, AtomType type) {
+  if (type != AtomType::kFloat64) {
+    return static_cast<double>(LoadInteger(row, offset, type));
+  }
+  double v;
+  std::memcpy(&v, row + offset, sizeof(v));
+  return v;
 }
 
 inline void StoreNumeric(uint8_t* row, uint32_t offset, bool is_float,
@@ -383,13 +386,13 @@ void ReduceByKey::UpdateStateRow(uint8_t* dst, const uint8_t* row, size_t i,
                                  const ChunkScratch& sc) const {
   for (size_t j = 0; j < slots_.size(); ++j) {
     const AggSlot& s = slots_[j];
-    double v = 0;
-    if (s.source == AggSource::kColumn) {
-      v = LoadNumeric(row, s.src_offset, s.src_type);
-    } else if (s.source != AggSource::kNone) {
-      v = sc.lanes[j][i];
-    }
     if (s.dst_float) {
+      double v = 0;
+      if (s.source == AggSource::kColumn) {
+        v = LoadNumeric(row, s.src_offset, s.src_type);
+      } else if (s.source != AggSource::kNone) {
+        v = sc.lanes[j][i];
+      }
       double cur = LoadState(dst, s.dst_offset, true);
       switch (s.kind) {
         case AggKind::kSum: cur += v; break;
@@ -399,9 +402,17 @@ void ReduceByKey::UpdateStateRow(uint8_t* dst, const uint8_t* row, size_t i,
       }
       std::memcpy(dst + s.dst_offset, &cur, sizeof(cur));
     } else {
+      int64_t iv = 0;
+      if (s.source == AggSource::kColumn) {
+        iv = s.src_type == AtomType::kFloat64
+                 ? static_cast<int64_t>(
+                       LoadNumeric(row, s.src_offset, s.src_type))
+                 : LoadInteger(row, s.src_offset, s.src_type);
+      } else if (s.source != AggSource::kNone) {
+        iv = static_cast<int64_t>(sc.lanes[j][i]);
+      }
       int64_t cur;
       std::memcpy(&cur, dst + s.dst_offset, sizeof(cur));
-      int64_t iv = static_cast<int64_t>(v);
       switch (s.kind) {
         case AggKind::kSum: cur += iv; break;
         case AggKind::kCount: cur += 1; break;

@@ -1,9 +1,11 @@
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "planner/lower.h"
 #include "plans/join_sequence.h"
 
 namespace modularis::plans {
@@ -101,6 +103,88 @@ TEST(JoinSequenceTest, NaiveAndOptimizedAgree) {
   // relation shuffles (paper §4.2).
   EXPECT_LT(s2.GetCounter("net.bytes_sent"),
             s1.GetCounter("net.bytes_sent"));
+}
+
+namespace lp = planner::lp;
+
+/// Stage j of a cascade over relation j: ⟨key, v0..vj⟩.
+planner::LogicalPlanPtr Stage(int j, planner::LogicalPlanPtr probe) {
+  auto build = lp::Exchange(
+      lp::Scan(j, "r" + std::to_string(j), KeyValueSchema()), 0);
+  auto join = lp::Join(std::move(build), std::move(probe), JoinType::kInner,
+                       0, 0);
+  std::vector<MapOutput> prune{MapOutput::Pass(0)};
+  for (int i = 0; i < j; ++i) prune.push_back(MapOutput::Pass(3 + i));
+  prune.push_back(MapOutput::Pass(1));
+  return lp::Project(std::move(join), std::move(prune), SequenceOutSchema(j));
+}
+
+std::vector<std::vector<int64_t>> SortedRows(const RowVector& rows) {
+  std::vector<std::vector<int64_t>> out;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::vector<int64_t> row;
+    for (size_t c = 0; c < rows.schema().num_fields(); ++c) {
+      row.push_back(rows.row(i).GetInt64(static_cast<int>(c)));
+    }
+    out.push_back(std::move(row));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// A cascade neither template authors: stage 2 re-exchanges stage 1 (naive)
+// and stage 3 consumes stage 2 in place (optimized). One lowering covers
+// the mix; it moves fewer bytes than the naive cascade.
+TEST(JoinSequenceTest, MixedCascadeLowersThroughLowerRankPlan) {
+  const int world = 2;
+  JoinSequenceOptions opts;
+  opts.world_size = world;
+  opts.exec.network_radix_bits = 4;
+  opts.exec.local_radix_bits = 3;
+  opts.fabric.throttle = false;
+  auto relations = MakeRelations(4, world, 3000);
+
+  auto scan0 = lp::Exchange(lp::Scan(0, "r0", KeyValueSchema()), 0);
+  auto stage2 = Stage(2, lp::Exchange(Stage(1, scan0), 0));
+  planner::LogicalPlanPtr mixed = Stage(3, stage2);
+
+  MpiExecutor::Config config;
+  config.world_size = world;
+  config.fabric = opts.fabric;
+  config.plan_factory = [&](int) -> SubOpPtr {
+    planner::LoweringContext lctx;
+    lctx.exec = opts.exec;
+    auto plan = std::make_unique<PipelinePlan>();
+    auto lowered = planner::LowerRankPlan(*mixed, plan.get(), &lctx);
+    EXPECT_TRUE(lowered.ok()) << lowered.status().ToString();
+    if (!lowered.ok()) return nullptr;
+    plan->SetOutput(plan->MakeRef(lowered.value().pipeline));
+    return plan;
+  };
+  config.rank_params = [&relations](int rank) {
+    Tuple t;
+    for (const auto& frags : relations) t.push_back(Item(frags[rank]));
+    return t;
+  };
+  MpiExecutor executor(std::move(config));
+  StatsRegistry mixed_stats, naive_stats, optimized_stats;
+  ExecContext driver;
+  driver.options = opts.exec;
+  driver.stats = &mixed_stats;
+  auto got = DrainCollections(&executor, &driver, SequenceOutSchema(3));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto naive = RunJoinSequence(relations, opts, false, &naive_stats);
+  auto optimized = RunJoinSequence(relations, opts, true, &optimized_stats);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+
+  CheckCascadeResult(got.value(), 3, 3000);
+  EXPECT_EQ(SortedRows(*got.value()), SortedRows(*naive.value()));
+  EXPECT_EQ(SortedRows(*got.value()), SortedRows(*optimized.value()));
+  EXPECT_LT(mixed_stats.GetCounter("net.bytes_sent"),
+            naive_stats.GetCounter("net.bytes_sent"));
+  EXPECT_GT(mixed_stats.GetCounter("net.bytes_sent"),
+            optimized_stats.GetCounter("net.bytes_sent"));
 }
 
 }  // namespace

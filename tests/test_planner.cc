@@ -16,6 +16,9 @@
 #include "planner/explain.h"
 #include "planner/passes.h"
 #include "plans/common.h"
+#include "plans/distributed_groupby.h"
+#include "plans/distributed_join.h"
+#include "plans/join_sequence.h"
 #include "suboperators/agg_ops.h"
 #include "suboperators/join_ops.h"
 #include "suboperators/partition_ops.h"
@@ -35,7 +38,8 @@
 ///     value-tolerantly instead.
 ///  2. Golden plan shapes: EXPLAIN output (logical, optimized and the
 ///     physical DAG per transport) diffed against snapshots under
-///     tests/golden/planner/. Regenerate with MODULARIS_UPDATE_GOLDENS=1.
+///     tests/golden/planner/, plus the physical DAGs of the Fig. 3–5 KV
+///     plans (kv_*.txt). Regenerate with MODULARIS_UPDATE_GOLDENS=1.
 ///  3. Seeded fuzz: random logical plans over the TPC-H tables lowered
 ///     twice — optimized and directly from the authored tree — must
 ///     produce byte-identical results.
@@ -875,37 +879,130 @@ std::string RenderPlanShapes(int q, const planner::Catalog& catalog) {
   return text;
 }
 
+/// Compares `text` with the snapshot at `path`, or rewrites the snapshot
+/// under MODULARIS_UPDATE_GOLDENS.
+void ExpectGolden(const std::string& path, const std::string& text) {
+  if (std::getenv("MODULARIS_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << text;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden snapshot " << path
+                         << "; regenerate with MODULARIS_UPDATE_GOLDENS=1";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(), text)
+      << "plan shape drift in " << path
+      << "; if intended, regenerate with MODULARIS_UPDATE_GOLDENS=1";
+}
+
 TEST(PlannerGolden, PlanShapesMatchSnapshots) {
   planner::Catalog catalog = TpchCatalog({60000, 15000, 1500, 2000});
-  const bool update = std::getenv("MODULARIS_UPDATE_GOLDENS") != nullptr;
   for (int q : kQueries) {
     std::string text = RenderPlanShapes(q, catalog);
     ASSERT_FALSE(text.empty()) << "Q" << q << " failed to plan";
-    std::string path = GoldenPath(q);
-    if (update) {
-      std::ofstream out(path);
-      ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << text;
-      continue;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good())
-        << "missing golden snapshot " << path
-        << "; regenerate with MODULARIS_UPDATE_GOLDENS=1";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), text)
-        << "plan shape drift for Q" << q
-        << "; if intended, regenerate with MODULARIS_UPDATE_GOLDENS=1";
+    ExpectGolden(GoldenPath(q), text);
   }
+}
+
+/// The physical shapes of the Fig. 3–5 KV plans, rendered through their
+/// public entry points (the plans the figure benches and bench_e2e run).
+TEST(PlannerGolden, KvPlanShapesMatchSnapshots) {
+  const std::string dir =
+      std::string(MODULARIS_SOURCE_DIR) + "/tests/golden/planner/";
+  struct JoinCase {
+    const char* file;
+    JoinType type;
+    bool compress;
+    bool fused;
+  };
+  const JoinCase joins[] = {
+      {"kv_join_inner_compressed", JoinType::kInner, true, true},
+      {"kv_join_inner_raw", JoinType::kInner, false, true},
+      {"kv_join_semi_compressed", JoinType::kSemi, true, true},
+      {"kv_join_anti_raw", JoinType::kAnti, false, true},
+      {"kv_join_inner_compressed_unfused", JoinType::kInner, true, false},
+  };
+  for (const JoinCase& c : joins) {
+    plans::DistJoinOptions opts;
+    opts.join_type = c.type;
+    opts.compress = c.compress;
+    opts.exec.enable_fusion = c.fused;
+    ExpectGolden(dir + c.file + ".txt",
+                 planner::ExplainPhysical(*plans::BuildJoinRankPlan(opts)));
+  }
+  struct GroupByCase {
+    const char* file;
+    bool compress;
+    bool fused;
+  };
+  const GroupByCase groupbys[] = {
+      {"kv_groupby_compressed", true, true},
+      {"kv_groupby_raw", false, true},
+      {"kv_groupby_compressed_unfused", true, false},
+  };
+  for (const GroupByCase& c : groupbys) {
+    plans::DistGroupByOptions opts;
+    opts.compress = c.compress;
+    opts.exec.enable_fusion = c.fused;
+    ExpectGolden(dir + c.file + ".txt",
+                 planner::ExplainPhysical(*plans::BuildGroupByRankPlan(opts)));
+  }
+  plans::JoinSequenceOptions seq;
+  ExpectGolden(dir + "kv_sequence_naive3.txt",
+               planner::ExplainPhysical(
+                   *plans::BuildNaiveSequenceRankPlan(3, seq)));
+  ExpectGolden(dir + "kv_sequence_optimized3.txt",
+               planner::ExplainPhysical(
+                   *plans::BuildOptimizedSequenceRankPlan(3, seq)));
+}
+
+namespace lp = planner::lp;
+
+/// Explicit Exchange nodes outside the template shapes: a consumer not
+/// keyed on the partitioning column materializes the partitioned value
+/// and exchanges it implicitly; what the lowering cannot run is an
+/// InvalidArgument, never a wrong plan.
+TEST(PlannerLowering, ExplicitExchangeOutsideTheTemplates) {
+  auto x = [](int table, int key, bool compress) {
+    return lp::Exchange(lp::Scan(table, "t" + std::to_string(table),
+                                 KeyValueSchema()),
+                        key, compress);
+  };
+  auto lower = [](const planner::LogicalPlanPtr& root, bool serverless) {
+    planner::LoweringContext lctx;
+    lctx.serverless = serverless;
+    lctx.world = 4;
+    PipelinePlan plan;
+    return planner::LowerRankPlan(*root, &plan, &lctx).status().code();
+  };
+  const auto ok = StatusCode::kOk;
+  const auto invalid = StatusCode::kInvalidArgument;
+  // Probe side partitioned on its value column, joined on its key.
+  EXPECT_EQ(lower(lp::Join(x(0, 0, false), x(1, 1, false), JoinType::kInner,
+                           0, 0),
+                  false),
+            ok);
+  EXPECT_EQ(lower(lp::Sort(x(0, 0, false), {SortKey{1, true}}), false), ok);
+  EXPECT_EQ(lower(x(0, 0, false), /*serverless=*/true), invalid);
+  EXPECT_EQ(lower(lp::Join(x(0, 0, true), x(1, 0, false), JoinType::kInner,
+                           0, 0),
+                  false),
+            invalid);
+  EXPECT_EQ(lower(lp::Filter(lp::Join(x(0, 0, true), x(1, 0, true),
+                                      JoinType::kSemi, 0, 0),
+                             ex::Gt(ex::Col(1), ex::Lit(int64_t{0}))),
+                  false),
+            invalid);
+  EXPECT_EQ(lower(x(0, 1, true), false), invalid);
 }
 
 // ===========================================================================
 // 3. Seeded fuzz: random logical plans, optimized lowering vs direct
 //    lowering of the authored tree.
 // ===========================================================================
-
-namespace lp = planner::lp;
 
 planner::LoweringContext TestLoweringContext(const TpchPlanEnv& env) {
   planner::LoweringContext lctx;
