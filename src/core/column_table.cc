@@ -1,5 +1,8 @@
 #include "core/column_table.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace modularis {
 
 ColumnTable::ColumnTable(Schema schema) : schema_(std::move(schema)) {
@@ -34,33 +37,57 @@ void ColumnTable::FinishBulkLoad() {
   num_rows_ = columns_.empty() ? 0 : columns_[0].size();
 }
 
-void ColumnTable::MaterializeRow(size_t i, RowWriter* writer) const {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    int col = static_cast<int>(c);
-    switch (schema_.field(c).type) {
+void ColumnTable::WriteRows(size_t begin, size_t n,
+                            const std::vector<int>& columns,
+                            const Schema& layout, uint8_t* dst) const {
+  const uint32_t stride = layout.row_size();
+  for (size_t k = 0; k < layout.num_fields(); ++k) {
+    const Column& col = columns_[columns.empty() ? k : columns[k]];
+    uint8_t* out = dst + layout.offset(k);
+    auto cells = [&](const auto& values) {
+      for (size_t i = 0; i < n; ++i) {
+        std::memcpy(out + i * stride, &values[begin + i], sizeof(values[0]));
+      }
+    };
+    switch (layout.field(k).type) {
       case AtomType::kInt32:
       case AtomType::kDate:
-        writer->SetInt32(col, columns_[c].GetInt32(i));
+        cells(col.i32_data());
         break;
       case AtomType::kInt64:
-        writer->SetInt64(col, columns_[c].GetInt64(i));
+        cells(col.i64_data());
         break;
       case AtomType::kFloat64:
-        writer->SetFloat64(col, columns_[c].GetFloat64(i));
+        cells(col.f64_data());
         break;
-      case AtomType::kString:
-        writer->SetString(col, columns_[c].GetString(i));
+      case AtomType::kString: {
+        // The length-prefixed cell is written in place; the zero-filled
+        // row already holds its padding.
+        const std::vector<uint32_t>& offsets = col.str_offsets();
+        const std::string& arena = col.str_arena();
+        const size_t width = layout.field(k).width;
+        for (size_t i = 0, r = begin; i < n; ++i, ++r, out += stride) {
+          const size_t end =
+              r + 1 < offsets.size() ? offsets[r + 1] : arena.size();
+          const uint16_t len =
+              static_cast<uint16_t>(std::min(end - offsets[r], width));
+          std::memcpy(out, &len, sizeof(len));
+          std::memcpy(out + sizeof(len), arena.data() + offsets[r], len);
+        }
         break;
+      }
     }
   }
 }
 
 RowVectorPtr ColumnTable::ToRowVector() const {
+  // Cache-sized pieces, so each column pass writes rows still in cache.
+  constexpr size_t kPieceRows = 1024;
   RowVectorPtr out = RowVector::Make(schema_);
-  out->Reserve(num_rows_);
-  for (size_t i = 0; i < num_rows_; ++i) {
-    RowWriter w = out->AppendRow();
-    MaterializeRow(i, &w);
+  out->ResizeRows(num_rows_);
+  for (size_t begin = 0; begin < num_rows_; begin += kPieceRows) {
+    WriteRows(begin, std::min(kPieceRows, num_rows_ - begin), {}, schema_,
+              out->mutable_data() + begin * out->row_size());
   }
   return out;
 }

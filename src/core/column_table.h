@@ -14,8 +14,10 @@
 /// ColumnTable is the columnar in-memory collection format (the analog of
 /// the Arrow tables of paper §4.5 and of Parquet column chunks in §4.4).
 /// It is the second physical collection of the type system next to
-/// RowVector; ColumnScan extracts individual tuples from it and
-/// TableToCollection converts it into a RowVector wholesale.
+/// RowVector, and the one every base table is held in: in-memory TPC-H
+/// fragments, decoded ColumnFile row groups and parsed S3Select CSV.
+/// WriteRows is the one column→row conversion: ColumnScan builds its
+/// records with it, and ToRowVector (TableToCollection) whole tables.
 
 namespace modularis {
 
@@ -53,6 +55,10 @@ class Column {
   const std::vector<int32_t>& i32_data() const { return i32_; }
   const std::vector<int64_t>& i64_data() const { return i64_; }
   const std::vector<double>& f64_data() const { return f64_; }
+  /// String i spans [str_offsets()[i], str_offsets()[i + 1]) of
+  /// str_arena(); the last one ends at the arena's end.
+  const std::vector<uint32_t>& str_offsets() const { return str_offsets_; }
+  const std::string& str_arena() const { return str_arena_; }
 
  private:
   AtomType type_;
@@ -77,12 +83,15 @@ class ColumnTable {
 
   /// Appends one packed row (layout must match schema()).
   void AppendRow(const RowRef& row);
-  void set_num_rows(size_t n) { num_rows_ = n; }
   /// Recomputes num_rows from column 0 after bulk column fills.
   void FinishBulkLoad();
 
-  /// Writes row `i` into `writer` (layout must match schema()).
-  void MaterializeRow(size_t i, RowWriter* writer) const;
+  /// Writes rows [begin, begin + n) as packed rows of `layout` to `dst`
+  /// (n zero-filled rows of layout.row_size() bytes): field k of `layout`
+  /// takes table column `columns[k]` (empty = column k), whose type must
+  /// be field k's. Strings longer than their field width are cut.
+  void WriteRows(size_t begin, size_t n, const std::vector<int>& columns,
+                 const Schema& layout, uint8_t* dst) const;
 
   /// Converts the whole table into a RowVector.
   RowVectorPtr ToRowVector() const;

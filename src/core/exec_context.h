@@ -58,10 +58,6 @@ struct ExecOptions {
   /// network exchange, in bytes.
   size_t exchange_buffer_bytes = 1 << 16;
 
-  /// 16-byte → 8-byte key/value compression in the network exchange
-  /// (paper §4.1.2). Enabled by the compression pass for dense domains.
-  bool compress_keys = false;
-
   /// Bits needed to represent keys/values of the workload (P in §4.1.2).
   int key_domain_bits = 29;
 

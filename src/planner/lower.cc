@@ -65,45 +65,24 @@ std::string AllocName(LoweringContext* ctx, const std::string& base) {
 }
 
 /// Adds pipeline `name` yielding this rank's filtered + pruned shard of
-/// the scanned table — the only plan fragment that differs per scan leaf
-/// (Figs. 6/7).
-Status AddScan(PipelinePlan* plan, const std::string& name,
-               const LogicalPlan& n, const LoweringContext& ctx) {
-  const Schema& pruned = n.schema;
-  SubOpPtr rows;
+/// the scanned table: MaterializeRowVector(Filter?(ColumnScan(source))),
+/// where only the table source differs per scan leaf (Figs. 6/7).
+void AddScan(PipelinePlan* plan, const std::string& name,
+             const LogicalPlan& n, const LoweringContext& ctx) {
+  SubOpPtr source = ParamItem(n.table);
+  std::vector<int> columns;
+  ExprPtr filter = n.scan_filter;
   switch (ctx.scan_leaf) {
-    case ScanLeafKind::kMemoryRows: {
-      // In-memory base table fragment: filter the wide table row first,
-      // with the predicate compiled against the table schema, then gather
-      // the pruned columns of the surviving rows only.
-      rows = std::make_unique<RowScan>(ParamItem(n.table));
-      if (n.scan_filter != nullptr) {
-        ExprPtr pred = RemapColumns(n.scan_filter, n.scan_cols);
-        if (pred == nullptr) {
-          return Status::InvalidArgument(
-              "lower: scan filter of " + n.table_name +
-              " does not map onto the table columns");
-        }
-        rows = std::make_unique<Filter>(std::move(rows), std::move(pred));
-      }
-      std::vector<MapOutput> prune;
-      prune.reserve(n.scan_cols.size());
-      for (int c : n.scan_cols) prune.push_back(MapOutput::Pass(c));
-      rows = std::make_unique<MapOp>(std::move(rows), pruned,
-                                     std::move(prune));
+    case ScanLeafKind::kMemoryRows:
+      // In-memory column-table fragment: the scan picks the columns.
+      columns = n.scan_cols;
       break;
-    }
     case ScanLeafKind::kColumnFile: {
-      // ColumnFile on NFS/S3: projection + range pushdown in the scan.
+      // ColumnFile on NFS/S3: projection + range pushdown in the read.
       ColumnFileScan::Options copts;
       copts.projection = n.scan_cols;
       copts.ranges = n.scan_ranges;
-      rows = std::make_unique<ColumnScan>(
-          std::make_unique<ColumnFileScan>(ParamItem(n.table), copts),
-          pruned);
-      if (n.scan_filter != nullptr) {
-        rows = std::make_unique<Filter>(std::move(rows), n.scan_filter);
-      }
+      source = std::make_unique<ColumnFileScan>(std::move(source), copts);
       break;
     }
     case ScanLeafKind::kS3Select: {
@@ -112,16 +91,19 @@ Status AddScan(PipelinePlan* plan, const std::string& name,
       S3SelectRequest::Options sopts;
       sopts.object_schema = n.table_schema;
       sopts.projection = n.scan_cols;
-      sopts.predicate = n.scan_filter;
-      plan->Add(name, std::make_unique<TableToCollection>(
-                          std::make_unique<S3SelectRequest>(
-                              ParamItem(n.table), std::move(sopts))));
-      return Status::OK();
+      sopts.predicate = std::move(filter);
+      source = std::make_unique<S3SelectRequest>(std::move(source),
+                                                 std::move(sopts));
+      break;
     }
   }
+  SubOpPtr rows = std::make_unique<ColumnScan>(std::move(source), n.schema,
+                                               std::move(columns));
+  if (filter != nullptr) {
+    rows = std::make_unique<Filter>(std::move(rows), std::move(filter));
+  }
   plan->Add(name, std::make_unique<MaterializeRowVector>(std::move(rows),
-                                                         pruned));
-  return Status::OK();
+                                                         n.schema));
 }
 
 /// The configuration both exchange kinds start from: the MPI network
@@ -628,7 +610,7 @@ Result<LoweredPlan> LowerNode(const LogicalPlan& n, PipelinePlan* plan,
     case NodeKind::kScan: {
       std::string name = AllocName(
           ctx, n.table_name.empty() ? "scan" : n.table_name);
-      MODULARIS_RETURN_NOT_OK(AddScan(plan, name, n, *ctx));
+      AddScan(plan, name, n, *ctx);
       return LoweredPlan{name, n.schema};
     }
     case NodeKind::kFilter:

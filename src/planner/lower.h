@@ -51,9 +51,12 @@
 
 namespace modularis::planner {
 
-/// How a Scan node turns into sub-operators.
+/// The table source of a Scan node. Every Scan lowers to
+/// MaterializeRowVector(Filter?(ColumnScan(source))); only the source
+/// differs per kind.
 enum class ScanLeafKind {
-  /// In-memory RowVector fragment: RowScan + MapOp column prune.
+  /// In-memory column-table fragment: the parameter item itself, the
+  /// ColumnScan selecting scan_cols.
   kMemoryRows,
   /// ColumnFile on NFS/S3: ColumnFileScan with projection + range
   /// pushdown (scan_cols / scan_ranges).

@@ -161,6 +161,16 @@ void AppendRowGroup(const ColumnTable& table, size_t begin, size_t end,
   }
 }
 
+// Whether a chunk of `encoding` can hold a column of `type`: exactly the
+// pairs the writer emits.
+bool EncodingFits(Encoding encoding, AtomType type) {
+  const bool integer = type == AtomType::kInt32 || type == AtomType::kInt64 ||
+                       type == AtomType::kDate;
+  return encoding == Encoding::kForVarint ? integer
+         : encoding == Encoding::kDict    ? type == AtomType::kString
+                                          : encoding == Encoding::kPlain && !integer;
+}
+
 std::string Finish(std::string out, const std::string& directory) {
   uint64_t dir_offset = out.size();
   out += directory;
@@ -215,7 +225,7 @@ Result<std::unique_ptr<ColumnFileReader>> ColumnFileReader::Open(
   uint32_t dir_size = GetFixed<uint32_t>(footer.data() + 8);
   uint32_t magic = GetFixed<uint32_t>(footer.data() + 12);
   if (magic != kMagic) return Status::InvalidArgument("bad ColumnFile magic");
-  if (dir_offset + dir_size + 16 != file_size) {
+  if (dir_offset > file_size - 16 || dir_size != file_size - 16 - dir_offset) {
     return Status::InvalidArgument("corrupt ColumnFile directory");
   }
   MODULARIS_ASSIGN_OR_RETURN(std::string dir,
@@ -239,15 +249,18 @@ Result<std::unique_ptr<ColumnFileReader>> ColumnFileReader::Open(
   for (uint64_t f = 0; f < num_fields; ++f) {
     uint64_t name_len;
     MODULARIS_RETURN_NOT_OK(read_varint(&name_len));
-    if (p + name_len + 1 > end) {
+    if (name_len >= static_cast<uint64_t>(end - p)) {
       return Status::InvalidArgument("truncated ColumnFile schema");
     }
     std::string name(p, name_len);
     p += name_len;
-    AtomType type = static_cast<AtomType>(*p++);
+    const uint8_t type = static_cast<uint8_t>(*p++);
     uint64_t width;
     MODULARIS_RETURN_NOT_OK(read_varint(&width));
-    fields.push_back(Field{std::move(name), type,
+    if (type > static_cast<uint8_t>(AtomType::kDate) || width > 0xFFFF) {
+      return Status::InvalidArgument("bad ColumnFile field " + name);
+    }
+    fields.push_back(Field{std::move(name), static_cast<AtomType>(type),
                            static_cast<uint32_t>(width)});
   }
   reader->schema_ = Schema(std::move(fields));
@@ -261,10 +274,14 @@ Result<std::unique_ptr<ColumnFileReader>> ColumnFileReader::Open(
       Chunk chunk;
       MODULARIS_RETURN_NOT_OK(read_varint(&chunk.offset));
       MODULARIS_RETURN_NOT_OK(read_varint(&chunk.size));
-      if (p + 2 + 16 > end) {
+      if (end - p < 2 + 16) {
         return Status::InvalidArgument("truncated ColumnFile chunk meta");
       }
       chunk.encoding = static_cast<Encoding>(*p++);
+      if (!EncodingFits(chunk.encoding, reader->schema_.field(c).type) ||
+          chunk.offset > dir_offset || chunk.size > dir_offset - chunk.offset) {
+        return Status::InvalidArgument("corrupt ColumnFile chunk meta");
+      }
       chunk.stats.valid = *p++ != 0;
       chunk.stats.min = GetFixed<int64_t>(p);
       p += 8;
@@ -303,6 +320,9 @@ Result<ColumnTablePtr> ColumnFileReader::ReadRowGroup(
     const Chunk& chunk = group.chunks[cols[oc]];
     MODULARIS_ASSIGN_OR_RETURN(std::string data,
                                source_->ReadAt(chunk.offset, chunk.size));
+    if (data.size() != chunk.size) {
+      return Status::InvalidArgument("truncated ColumnFile chunk");
+    }
     const char* p = data.data();
     const char* end = data.data() + data.size();
     Column& col = table->column(oc);
@@ -320,7 +340,9 @@ Result<ColumnTablePtr> ColumnFileReader::ReadRowGroup(
           if (!GetVarint64(&p, end, &delta)) {
             return Status::InvalidArgument("truncated FOR chunk payload");
           }
-          int64_t v = base + static_cast<int64_t>(delta);
+          // Unsigned: a corrupt delta wraps instead of overflowing.
+          const auto v =
+              static_cast<int64_t>(static_cast<uint64_t>(base) + delta);
           if (type == AtomType::kInt64) {
             col.AppendInt64(v);
           } else {
@@ -331,33 +353,38 @@ Result<ColumnTablePtr> ColumnFileReader::ReadRowGroup(
       }
       case Encoding::kPlain: {
         if (type == AtomType::kFloat64) {
+          if (group.num_rows > data.size() / sizeof(double)) {
+            return Status::InvalidArgument("truncated f64 chunk");
+          }
           for (uint64_t i = 0; i < group.num_rows; ++i) {
             col.AppendFloat64(GetFixed<double>(p));
             p += 8;
           }
-        } else if (type == AtomType::kString) {
+        } else {  // kString: Open admits no other plain chunk
           for (uint64_t i = 0; i < group.num_rows; ++i) {
             uint64_t len;
-            if (!GetVarint64(&p, end, &len) || p + len > end) {
+            if (!GetVarint64(&p, end, &len) ||
+                len > static_cast<uint64_t>(end - p)) {
               return Status::InvalidArgument("truncated string chunk");
             }
             col.AppendString(std::string_view(p, len));
             p += len;
           }
-        } else {
-          return Status::InvalidArgument("unexpected plain chunk type");
         }
         break;
       }
       case Encoding::kDict: {
         uint64_t dict_size;
-        if (!GetVarint64(&p, end, &dict_size)) {
+        // Every entry takes at least its length byte.
+        if (!GetVarint64(&p, end, &dict_size) ||
+            dict_size > static_cast<uint64_t>(end - p)) {
           return Status::InvalidArgument("truncated dict header");
         }
         std::vector<std::string_view> dict(dict_size);
         for (uint64_t d = 0; d < dict_size; ++d) {
           uint64_t len;
-          if (!GetVarint64(&p, end, &len) || p + len > end) {
+          if (!GetVarint64(&p, end, &len) ||
+              len > static_cast<uint64_t>(end - p)) {
             return Status::InvalidArgument("truncated dict entry");
           }
           dict[d] = std::string_view(p, len);

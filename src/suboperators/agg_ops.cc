@@ -8,6 +8,7 @@
 #include <limits>
 #include <numeric>
 #include <queue>
+#include <type_traits>
 
 #include "storage/spill.h"
 #include "suboperators/partition_ops.h"
@@ -237,25 +238,36 @@ inline double LoadNumeric(const uint8_t* row, uint32_t offset, AtomType type) {
   return v;
 }
 
-inline void StoreNumeric(uint8_t* row, uint32_t offset, bool is_float,
-                         double v) {
-  if (is_float) {
-    std::memcpy(row + offset, &v, sizeof(v));
-  } else {
-    int64_t i = static_cast<int64_t>(v);
-    std::memcpy(row + offset, &i, sizeof(i));
-  }
+// An aggregate state of type T (double or int64_t) at `dst`: its
+// identity, and one step folding `v` into it (COUNT steps by v = 1 on
+// update and by the other state's count on merge).
+template <typename T>
+inline void InitAgg(AggKind kind, uint8_t* dst) {
+  using L = std::numeric_limits<T>;
+  T v = 0;
+  if (kind == AggKind::kMin) v = L::has_infinity ? L::infinity() : L::max();
+  if (kind == AggKind::kMax) v = L::has_infinity ? -L::infinity() : L::min();
+  std::memcpy(dst, &v, sizeof(v));
 }
 
-inline double LoadState(const uint8_t* row, uint32_t offset, bool is_float) {
-  if (is_float) {
-    double v;
-    std::memcpy(&v, row + offset, sizeof(v));
-    return v;
+template <typename T>
+inline void FoldAgg(AggKind kind, uint8_t* dst, T v) {
+  T cur;
+  std::memcpy(&cur, dst, sizeof(cur));
+  switch (kind) {
+    case AggKind::kSum:
+    case AggKind::kCount: cur += v; break;
+    case AggKind::kMin: cur = std::min(cur, v); break;
+    case AggKind::kMax: cur = std::max(cur, v); break;
   }
-  int64_t i;
-  std::memcpy(&i, row + offset, sizeof(i));
-  return static_cast<double>(i);
+  std::memcpy(dst, &cur, sizeof(cur));
+}
+
+template <typename T>
+inline T LoadState(const uint8_t* row, uint32_t offset) {
+  T v;
+  std::memcpy(&v, row + offset, sizeof(v));
+  return v;
 }
 
 // The selection 0..kRows-1: a key chunk's rows, in order.
@@ -269,16 +281,54 @@ const uint32_t* IdentitySelection() {
   return sel.data();
 }
 
-// An aggregate input lane as the update reads it, or an error when the
-// value is not a number.
-Status NumericLane(const Item& v, const Expr& expr, double* out) {
-  if (v.is_i64() || v.is_f64()) {
-    *out = v.AsDouble();
+// Lanes 0..m-1 of one computed aggregate input in the state's own type T
+// (double for a float state, int64_t for an integer one, so an integer
+// never passes through a double): run by `prog` over selection `sel`, or
+// per row by the interpreter when `prog` is null. The program's own column
+// is used in place when its type is T; anything else is converted into
+// `vals`. A non-numeric value is an InvalidArgument error.
+template <typename T>
+Status InputLanes(const Expr& expr, const BcProgram* prog, const RowSpan& rows,
+                  const uint32_t* sel, size_t m, BatchColumn* col, BcState* bc,
+                  std::vector<T>* vals, const T** lanes) {
+  if (prog != nullptr) {
+    MODULARIS_RETURN_NOT_OK(prog->RunValue(rows, sel, m, col, bc));
+  } else {
+    col->Reset(BatchTag::kItem, m);
+    for (size_t i = 0; i < m; ++i) {
+      MODULARIS_RETURN_NOT_OK(expr.EvalChecked(
+          rows.row(static_cast<uint32_t>(i)), &col->items[i]));
+    }
+  }
+  const BatchTag own = std::is_same_v<T, double> ? BatchTag::kF64
+                                                  : BatchTag::kI64;
+  if (col->tag == own) {
+    if constexpr (std::is_same_v<T, double>) *lanes = col->f64.data();
+    if constexpr (std::is_same_v<T, int64_t>) *lanes = col->i64.data();
     return Status::OK();
   }
-  return Status::InvalidArgument("ReduceByKey: aggregate input " +
-                                 expr.ToString() +
-                                 " evaluated to a non-numeric value");
+  if (col->tag == BatchTag::kStr) {  // Open rejects these; defend it
+    return Status::InvalidArgument("ReduceByKey: aggregate input " +
+                                   expr.ToString() + " evaluated to a string");
+  }
+  vals->resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    if (col->tag != BatchTag::kItem) {
+      (*vals)[i] = col->tag == BatchTag::kF64 ? static_cast<T>(col->f64[i])
+                                              : static_cast<T>(col->i64[i]);
+      continue;
+    }
+    const Item& v = col->items[i];
+    if (!v.is_i64() && !v.is_f64()) {
+      return Status::InvalidArgument("ReduceByKey: aggregate input " +
+                                     expr.ToString() +
+                                     " evaluated to a non-numeric value");
+    }
+    (*vals)[i] = v.is_i64() ? static_cast<T>(v.i64())
+                            : static_cast<T>(v.AsDouble());
+  }
+  *lanes = vals->data();
+  return Status::OK();
 }
 
 }  // namespace
@@ -290,48 +340,24 @@ Status ReduceByKey::EvalInputs(const RowSpan& rows, size_t m,
     sc->bc.resize(k);
     sc->cols.resize(k);
     sc->vals.resize(k);
+    sc->ivals.resize(k);
     sc->lanes.assign(k, nullptr);
+    sc->ilanes.assign(k, nullptr);
   }
+  const uint32_t* sel = IdentitySelection<kKeyChunkRows>();
   for (size_t j = 0; j < k; ++j) {
     const AggSlot& s = slots_[j];
-    std::vector<double>& vals = sc->vals[j];
-    if (s.source == AggSource::kInterpreted) {
-      vals.resize(m);
-      for (size_t i = 0; i < m; ++i) {
-        Item v;
-        MODULARIS_RETURN_NOT_OK(
-            s.expr->EvalChecked(rows.row(static_cast<uint32_t>(i)), &v));
-        MODULARIS_RETURN_NOT_OK(NumericLane(v, *s.expr, &vals[i]));
-      }
-      sc->lanes[j] = vals.data();
+    if (s.source != AggSource::kInterpreted &&
+        s.source != AggSource::kProgram) {
       continue;
     }
-    if (s.source != AggSource::kProgram) continue;
-    BatchColumn& col = sc->cols[j];
-    MODULARIS_RETURN_NOT_OK(s.prog.RunValue(
-        rows, IdentitySelection<kKeyChunkRows>(), m, &col, &sc->bc[j]));
-    switch (col.tag) {
-      case BatchTag::kF64:
-        sc->lanes[j] = col.f64.data();
-        continue;
-      case BatchTag::kI64:
-        vals.resize(m);
-        for (size_t i = 0; i < m; ++i) {
-          vals[i] = static_cast<double>(col.i64[i]);
-        }
-        break;
-      case BatchTag::kItem:
-        vals.resize(m);
-        for (size_t i = 0; i < m; ++i) {
-          MODULARIS_RETURN_NOT_OK(NumericLane(col.items[i], *s.expr, &vals[i]));
-        }
-        break;
-      case BatchTag::kStr:  // Open rejects these; defend the invariant
-        return Status::InvalidArgument("ReduceByKey: aggregate input " +
-                                       s.expr->ToString() +
-                                       " evaluated to a string");
-    }
-    sc->lanes[j] = vals.data();
+    const BcProgram* prog =
+        s.source == AggSource::kProgram ? &s.prog : nullptr;
+    MODULARIS_RETURN_NOT_OK(
+        s.dst_float ? InputLanes(*s.expr, prog, rows, sel, m, &sc->cols[j],
+                                 &sc->bc[j], &sc->vals[j], &sc->lanes[j])
+                    : InputLanes(*s.expr, prog, rows, sel, m, &sc->cols[j],
+                                 &sc->bc[j], &sc->ivals[j], &sc->ilanes[j]));
   }
   return Status::OK();
 }
@@ -362,22 +388,13 @@ void ReduceByKey::InitState(RowVector* states, const RowRef& row) const {
 }
 
 void ReduceByKey::InitStateAggs(uint8_t* dst) const {
-  // Initialize aggregates to their identity; min/max to +/- infinity
-  // equivalents so the first update takes effect.
+  // Every aggregate starts at its identity; min/max at +/- infinity (the
+  // integer extremes for integer states) so the first update takes effect.
   for (const AggSlot& s : slots_) {
-    double init = 0;
-    if (s.kind == AggKind::kMin) {
-      init = std::numeric_limits<double>::infinity();
-    } else if (s.kind == AggKind::kMax) {
-      init = -std::numeric_limits<double>::infinity();
-    }
     if (s.dst_float) {
-      StoreNumeric(dst, s.dst_offset, true, init);
+      InitAgg<double>(s.kind, dst + s.dst_offset);
     } else {
-      int64_t iv = 0;
-      if (s.kind == AggKind::kMin) iv = std::numeric_limits<int64_t>::max();
-      if (s.kind == AggKind::kMax) iv = std::numeric_limits<int64_t>::min();
-      std::memcpy(dst + s.dst_offset, &iv, sizeof(iv));
+      InitAgg<int64_t>(s.kind, dst + s.dst_offset);
     }
   }
 }
@@ -386,40 +403,25 @@ void ReduceByKey::UpdateStateRow(uint8_t* dst, const uint8_t* row, size_t i,
                                  const ChunkScratch& sc) const {
   for (size_t j = 0; j < slots_.size(); ++j) {
     const AggSlot& s = slots_[j];
+    // Only COUNT has no input (AggSource::kNone); it steps by 1.
     if (s.dst_float) {
-      double v = 0;
+      double v = 1;
       if (s.source == AggSource::kColumn) {
         v = LoadNumeric(row, s.src_offset, s.src_type);
       } else if (s.source != AggSource::kNone) {
         v = sc.lanes[j][i];
       }
-      double cur = LoadState(dst, s.dst_offset, true);
-      switch (s.kind) {
-        case AggKind::kSum: cur += v; break;
-        case AggKind::kCount: cur += 1; break;
-        case AggKind::kMin: cur = std::min(cur, v); break;
-        case AggKind::kMax: cur = std::max(cur, v); break;
-      }
-      std::memcpy(dst + s.dst_offset, &cur, sizeof(cur));
+      FoldAgg(s.kind, dst + s.dst_offset, v);
     } else {
-      int64_t iv = 0;
+      int64_t v = 1;
       if (s.source == AggSource::kColumn) {
-        iv = s.src_type == AtomType::kFloat64
-                 ? static_cast<int64_t>(
-                       LoadNumeric(row, s.src_offset, s.src_type))
-                 : LoadInteger(row, s.src_offset, s.src_type);
+        v = s.src_type == AtomType::kFloat64
+                ? static_cast<int64_t>(LoadState<double>(row, s.src_offset))
+                : LoadInteger(row, s.src_offset, s.src_type);
       } else if (s.source != AggSource::kNone) {
-        iv = static_cast<int64_t>(sc.lanes[j][i]);
+        v = sc.ilanes[j][i];
       }
-      int64_t cur;
-      std::memcpy(&cur, dst + s.dst_offset, sizeof(cur));
-      switch (s.kind) {
-        case AggKind::kSum: cur += iv; break;
-        case AggKind::kCount: cur += 1; break;
-        case AggKind::kMin: cur = std::min(cur, iv); break;
-        case AggKind::kMax: cur = std::max(cur, iv); break;
-      }
-      std::memcpy(dst + s.dst_offset, &cur, sizeof(cur));
+      FoldAgg(s.kind, dst + s.dst_offset, v);
     }
   }
 }
@@ -427,26 +429,11 @@ void ReduceByKey::UpdateStateRow(uint8_t* dst, const uint8_t* row, size_t i,
 void ReduceByKey::MergeStateRow(uint8_t* dst, const uint8_t* src) const {
   for (const AggSlot& s : slots_) {
     if (s.dst_float) {
-      double a = LoadState(dst, s.dst_offset, true);
-      double b = LoadState(src, s.dst_offset, true);
-      switch (s.kind) {
-        case AggKind::kSum:
-        case AggKind::kCount: a += b; break;
-        case AggKind::kMin: a = std::min(a, b); break;
-        case AggKind::kMax: a = std::max(a, b); break;
-      }
-      std::memcpy(dst + s.dst_offset, &a, sizeof(a));
+      FoldAgg(s.kind, dst + s.dst_offset,
+              LoadState<double>(src, s.dst_offset));
     } else {
-      int64_t a, b;
-      std::memcpy(&a, dst + s.dst_offset, sizeof(a));
-      std::memcpy(&b, src + s.dst_offset, sizeof(b));
-      switch (s.kind) {
-        case AggKind::kSum:
-        case AggKind::kCount: a += b; break;
-        case AggKind::kMin: a = std::min(a, b); break;
-        case AggKind::kMax: a = std::max(a, b); break;
-      }
-      std::memcpy(dst + s.dst_offset, &a, sizeof(a));
+      FoldAgg(s.kind, dst + s.dst_offset,
+              LoadState<int64_t>(src, s.dst_offset));
     }
   }
 }

@@ -264,8 +264,13 @@ class ReduceByKey : public SubOperator {
     std::vector<uint64_t> hash;
     std::vector<BcState> bc;                 // per aggregate program
     std::vector<BatchColumn> cols;           // per aggregate program
-    std::vector<std::vector<double>> vals;   // converted input lanes
-    std::vector<const double*> lanes;        // the chunk's input values
+    // The chunk's input values in each state's own type: `lanes` for a
+    // float state, `ilanes` for an integer one; converted lanes live in
+    // `vals` / `ivals`.
+    std::vector<std::vector<double>> vals;
+    std::vector<std::vector<int64_t>> ivals;
+    std::vector<const double*> lanes;
+    std::vector<const int64_t*> ilanes;
   };
   /// A run of aggregated groups: the group states plus each group's
   /// global first-occurrence index, both ascending by that index.
@@ -332,9 +337,9 @@ class ReduceByKey : public SubOperator {
   /// untouched).
   void InitStateAggs(uint8_t* dst) const;
   /// Evaluates the aggregate inputs that are not read by direct offset
-  /// for the `m` rows of `rows` into `sc->lanes` — bytecode programs, or
-  /// the row interpreter when fusion is off. A non-numeric value is an
-  /// InvalidArgument error.
+  /// for the `m` rows of `rows` into `sc->lanes` / `sc->ilanes` — bytecode
+  /// programs, or the row interpreter when fusion is off. A non-numeric
+  /// value is an InvalidArgument error.
   Status EvalInputs(const RowSpan& rows, size_t m, ChunkScratch* sc) const;
   /// The per-row update of state row `dst` by input row `row`, lane `i` of
   /// the chunk `sc` evaluated — safe to run from worker threads.

@@ -12,12 +12,6 @@ namespace modularis {
 // ---------------------------------------------------------------------------
 
 bool RowScan::Advance() {
-  if (ranged_) {
-    if (remaining_ == 0 || next_source_ >= sources_.size()) return false;
-    current_ = sources_[next_source_++];
-    pos_ = 0;
-    return true;
-  }
   Tuple t;
   if (!child(0)->Next(&t)) return ChildEnd(child(0));
   const Item& item = t[item_index_];
@@ -30,10 +24,89 @@ bool RowScan::Advance() {
   return true;
 }
 
-Status RowScan::ReadSources(size_t* rows) {
+// ---------------------------------------------------------------------------
+// ColumnScan
+// ---------------------------------------------------------------------------
+
+bool ColumnScan::Advance() {
+  if (ranged_) {
+    if (remaining_ == 0 || next_source_ >= sources_.size()) return false;
+    current_ = sources_[next_source_++];
+    pos_ = 0;
+    return true;
+  }
+  Tuple t;
+  if (!child(0)->Next(&t)) return ChildEnd(child(0));
+  const Item& item = t[0];
+  if (!item.is_table()) {
+    return Fail(Status::InvalidArgument(
+        "ColumnScan expects a table item, got " + item.ToString()));
+  }
+  const ColumnTable& table = *item.table();
+  for (size_t k = 0; k < schema_.num_fields(); ++k) {
+    const size_t c = columns_.empty() ? k : static_cast<size_t>(columns_[k]);
+    if (c >= table.num_columns() ||
+        table.column(c).type() != schema_.field(k).type ||
+        table.column(c).size() != table.num_rows()) {
+      return Fail(Status::InvalidArgument(
+          "ColumnScan: table " + table.schema().ToString() +
+          " does not provide the records " + schema_.ToString()));
+    }
+  }
+  current_ = item.table();
+  pos_ = 0;
+  return true;
+}
+
+bool ColumnScan::Fill(size_t cap) {
+  while (current_ == nullptr || pos_ >= current_->num_rows()) {
+    if (!Advance()) return false;
+  }
+  size_t n = std::min(current_->num_rows() - pos_, cap);
+  if (ranged_) {
+    n = std::min(n, remaining_);
+    if (n == 0) return false;
+    remaining_ -= n;
+  }
+  if (rows_ == nullptr) rows_ = RowVector::Make(schema_);
+  rows_->Clear();
+  rows_->ResizeRows(n);  // zero-filled: WriteRows leaves the padding
+  current_->WriteRows(pos_, n, columns_, schema_, rows_->mutable_data());
+  pos_ += n;
+  return true;
+}
+
+bool ColumnScan::Next(Tuple* out) {
+  if (!Fill(1)) return false;
+  out->clear();
+  out->push_back(Item(rows_->row(0)));
+  return true;
+}
+
+bool ColumnScan::NextBatch(RowBatch* out) {
+  out->Clear();
+  if (!Fill(RowBatch::kDefaultRows)) return false;
+  out->Borrow(rows_);
+  return true;
+}
+
+SubOpPtr ColumnScan::CloneForWorker(WorkerCloneContext* cc) const {
+  if (read_sources_) {
+    std::vector<Tuple> tables;
+    for (const ColumnTablePtr& table : sources_) tables.push_back({Item(table)});
+    return std::make_unique<ColumnScan>(
+        std::make_unique<TupleSource>(std::move(tables)), schema_, columns_);
+  }
+  SubOpPtr child_clone = child(0)->CloneForWorker(cc);
+  if (child_clone == nullptr) return nullptr;
+  return std::make_unique<ColumnScan>(std::move(child_clone), schema_,
+                                      columns_);
+}
+
+Status ColumnScan::ReadSources(size_t* rows) {
   *rows = 0;
   while (Advance()) {
-    *rows += current_->size();
+    *rows += current_->num_rows();
     sources_.push_back(std::move(current_));
   }
   MODULARIS_RETURN_NOT_OK(status_);
@@ -41,17 +114,17 @@ Status RowScan::ReadSources(size_t* rows) {
   return Status::OK();
 }
 
-void RowScan::SetRange(size_t begin, size_t end) {
+void ColumnScan::SetRange(size_t begin, size_t end) {
   ranged_ = true;
   remaining_ = end - begin;
   current_.reset();
   pos_ = 0;
   next_source_ = 0;
-  // Skip the collections wholly before the range; the range starts
-  // `begin` rows into the next one.
+  // Skip the tables wholly before the range; the range starts `begin`
+  // rows into the next one.
   while (next_source_ < sources_.size() &&
-         begin >= sources_[next_source_]->size()) {
-    begin -= sources_[next_source_++]->size();
+         begin >= sources_[next_source_]->num_rows()) {
+    begin -= sources_[next_source_++]->num_rows();
   }
   if (next_source_ < sources_.size()) {
     current_ = sources_[next_source_++];
@@ -59,92 +132,16 @@ void RowScan::SetRange(size_t begin, size_t end) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// ColumnScan
-// ---------------------------------------------------------------------------
-
-bool ColumnScan::NextBatch(RowBatch* out) {
-  out->Clear();
-  while (true) {
-    if (current_ != nullptr && pos_ < current_->num_rows()) {
-      const size_t n =
-          std::min(current_->num_rows() - pos_, RowBatch::kDefaultRows);
-      if (batch_rows_ == nullptr) {
-        batch_rows_ = RowVector::Make(schema_);
-      } else {
-        batch_rows_->Clear();
-      }
-      // Zero-filled rows so string padding matches the row path.
-      batch_rows_->ResizeRows(n);
-      uint8_t* base = batch_rows_->mutable_data();
-      const uint32_t stride = batch_rows_->row_size();
-      for (size_t c = 0; c < schema_.num_fields(); ++c) {
-        const Column& column = current_->column(c);
-        const uint32_t off = schema_.offset(c);
-        const int col = static_cast<int>(c);
-        switch (schema_.field(c).type) {
-          case AtomType::kInt32:
-          case AtomType::kDate: {
-            const std::vector<int32_t>& v = column.i32_data();
-            for (size_t i = 0; i < n; ++i) {
-              std::memcpy(base + i * stride + off, &v[pos_ + i],
-                          sizeof(int32_t));
-            }
-            break;
-          }
-          case AtomType::kInt64: {
-            const std::vector<int64_t>& v = column.i64_data();
-            for (size_t i = 0; i < n; ++i) {
-              std::memcpy(base + i * stride + off, &v[pos_ + i],
-                          sizeof(int64_t));
-            }
-            break;
-          }
-          case AtomType::kFloat64: {
-            const std::vector<double>& v = column.f64_data();
-            for (size_t i = 0; i < n; ++i) {
-              std::memcpy(base + i * stride + off, &v[pos_ + i],
-                          sizeof(double));
-            }
-            break;
-          }
-          case AtomType::kString: {
-            for (size_t i = 0; i < n; ++i) {
-              RowWriter w(base + i * stride, &schema_);
-              w.SetString(col, column.GetString(pos_ + i));
-            }
-            break;
-          }
-        }
-      }
-      pos_ += n;
-      out->Borrow(batch_rows_);
-      return true;
-    }
-    Tuple t;
-    if (!child(0)->Next(&t)) return ChildEnd(child(0));
-    const Item& item = t[item_index_];
-    if (!item.is_table()) {
-      return Fail(Status::InvalidArgument(
-          "ColumnScan expects a table item, got " + item.ToString()));
-    }
-    current_ = item.table();
-    pos_ = 0;
-  }
-}
-
 namespace {
 
-/// The RowScan under a scan pipeline: `op` and every operator below it
-/// down to that scan are record-stream Filters or MapOps. Null for any
-/// other chain.
-RowScan* ScanPipelineLeaf(SubOperator* op) {
-  while (dynamic_cast<Filter*>(op) != nullptr ||
-         dynamic_cast<MapOp*>(op) != nullptr) {
+/// The ColumnScan under a scan pipeline: `op` and every operator below it
+/// down to that scan are record-stream Filters. Null for any other chain.
+ColumnScan* ScanPipelineLeaf(SubOperator* op) {
+  while (dynamic_cast<Filter*>(op) != nullptr) {
     if (!op->ProducesRecordStream()) return nullptr;
     op = op->child(0);
   }
-  return dynamic_cast<RowScan*>(op);
+  return dynamic_cast<ColumnScan*>(op);
 }
 
 }  // namespace
@@ -165,26 +162,41 @@ Status MaterializeRowVector::DrainStream(RowVectorPtr* result) {
   return child(0)->status();
 }
 
-Status MaterializeRowVector::DrainScanPipeline(RowScan* scan,
+Status MaterializeRowVector::DrainScanPipeline(ColumnScan* scan,
                                                RowVectorPtr* result) {
   scan_timer_.Bind(ctx_->stats, "phase.scan_pipeline");
   ScopedPhase phase(&scan_timer_);
   size_t total = 0;
   MODULARIS_RETURN_NOT_OK(scan->ReadSources(&total));
   // Worker w drains global rows [bounds[w], bounds[w+1]) across the
-  // source collections in order, so the blocks concatenated in worker
-  // order are the one-worker stream at any worker count.
+  // source tables in order into parts[w], so the parts concatenated in
+  // worker order are the one-worker stream at any worker count. Filters
+  // only drop rows, so each part is reserved to its range here, on the
+  // calling thread, and never grows: the workers allocate no output.
   const int workers = PlanWorkers(total, ctx_->options);
   const std::vector<size_t> bounds = SplitRows(total, workers);
-  std::vector<std::vector<RowVectorPtr>> blocks(workers);
-  auto drain = [&](SubOperator* chain, RowScan* leaf, int w) {
+  std::vector<RowVectorPtr> parts(workers);
+  for (int w = 0; w < workers; ++w) {
+    parts[w] = RowVector::Make(schema_);
+    parts[w]->Reserve(bounds[w + 1] - bounds[w]);
+  }
+  auto drain = [&](SubOperator* chain, ColumnScan* leaf, int w) -> Status {
     leaf->SetRange(bounds[w], bounds[w + 1]);
-    return DrainRecordBlocks(chain, &schema_, &blocks[w]);
+    RowBatch batch;
+    while (chain->PullBatch(&batch)) {
+      if (!batch.schema().SameLayout(schema_)) {
+        return Status::InvalidArgument(
+            chain->name() + ": rows " + batch.schema().ToString() +
+            " do not match the stream schema " + schema_.ToString());
+      }
+      parts[w]->AppendRawBatch(batch.data(), batch.size());
+    }
+    return chain->status();
   };
   if (workers == 1) {
     MODULARIS_RETURN_NOT_OK(drain(child(0), scan, 0));
   } else {
-    // Filter, MapOp and a RowScan that has read its sources always clone.
+    // Filters and a ColumnScan that has read its sources always clone.
     WorkerCloneContext cc;
     std::vector<SubOpPtr> chains;
     for (int w = 0; w < workers; ++w) {
@@ -194,7 +206,7 @@ Status MaterializeRowVector::DrainScanPipeline(RowScan* scan,
     Status st = ParallelFor(ctx_, workers, [&](int w) -> Status {
       SubOperator* chain = chains[w].get();
       MODULARIS_RETURN_NOT_OK(chain->Open(ws.ctx(w)));
-      RowScan* leaf = ScanPipelineLeaf(chain);
+      ColumnScan* leaf = ScanPipelineLeaf(chain);
       size_t rows = 0;
       Status run = leaf->ReadSources(&rows);
       if (run.ok()) run = drain(chain, leaf, w);
@@ -204,21 +216,26 @@ Status MaterializeRowVector::DrainScanPipeline(RowScan* scan,
     ws.MergeStats();
     MODULARIS_RETURN_NOT_OK(st);
   }
-  // Worker w copies its blocks to rows [offsets[w], offsets[w+1]) of the
+  // The tables go before the result is allocated (the clones' went with
+  // `chains`).
+  scan->ReleaseSources();
+  if (workers == 1) {
+    *result = std::move(parts[0]);
+    return Status::OK();
+  }
+  // Worker w copies its part to rows [offsets[w], offsets[w+1]) of the
   // result, so the concatenation runs on the workers too.
   std::vector<size_t> offsets(workers + 1, 0);
   for (int w = 0; w < workers; ++w) {
-    offsets[w + 1] = offsets[w];
-    for (const RowVectorPtr& block : blocks[w]) offsets[w + 1] += block->size();
+    offsets[w + 1] = offsets[w] + parts[w]->size();
   }
   (*result)->ResizeRowsUninitialized(offsets[workers]);
   uint8_t* base = (*result)->mutable_data();
   const size_t stride = (*result)->row_size();
   return ParallelFor(ctx_, workers, [&](int w) -> Status {
-    uint8_t* dst = base + offsets[w] * stride;
-    for (const RowVectorPtr& block : blocks[w]) {
-      std::memcpy(dst, block->data(), block->byte_size());
-      dst += block->byte_size();
+    if (!parts[w]->empty()) {
+      std::memcpy(base + offsets[w] * stride, parts[w]->data(),
+                  parts[w]->byte_size());
     }
     return Status::OK();
   });
@@ -233,7 +250,7 @@ bool MaterializeRowVector::Next(Tuple* out) {
   // zero-copy. Streams that may carry atom tuples (driver-side result
   // assembly) keep the tuple loop below.
   if (child(0)->ProducesRecordStream()) {
-    RowScan* scan = ScanPipelineLeaf(child(0));
+    ColumnScan* scan = ScanPipelineLeaf(child(0));
     Status st = scan != nullptr ? DrainScanPipeline(scan, &result)
                                 : DrainStream(&result);
     if (!st.ok()) return Fail(std::move(st));

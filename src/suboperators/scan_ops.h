@@ -77,16 +77,84 @@ class CollectionSource : public SubOperator {
 /// RowScan extracts individual records from RowVector collections: for
 /// every input tuple (whose item `item_index` is a RowVector) it streams
 /// one borrowed-row tuple per contained record.
-///
-/// A scan pipeline (MaterializeRowVector over Filter/MapOp over RowScan,
-/// docs/DESIGN-parallel.md) may instead read the scan's whole input with
-/// ReadSources() and pin the scan to one contiguous range of its rows
-/// with SetRange(); the scan then walks that range in kDefaultRows
-/// morsels. Open() drops both, restoring the unranged stream.
 class RowScan : public SubOperator {
  public:
   explicit RowScan(SubOpPtr child, int item_index = 0)
       : SubOperator("RowScan"), item_index_(item_index) {
+    AddChild(std::move(child));
+  }
+
+  Status Open(ExecContext* ctx) override {
+    current_.reset();
+    pos_ = 0;
+    return SubOperator::Open(ctx);
+  }
+
+  bool Next(Tuple* out) override {
+    while (true) {
+      if (current_ != nullptr && pos_ < current_->size()) {
+        out->clear();
+        out->push_back(Item(current_->row(pos_++)));
+        return true;
+      }
+      if (!Advance()) return false;
+    }
+  }
+
+  bool ProducesRecordStream() const override { return true; }
+
+  SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override {
+    SubOpPtr child_clone = child(0)->CloneForWorker(cc);
+    if (child_clone == nullptr) return nullptr;
+    return std::make_unique<RowScan>(std::move(child_clone), item_index_);
+  }
+
+  /// Native batch path: each input collection is forwarded as one
+  /// zero-copy durable batch (the remainder of it, if Next() already
+  /// consumed a prefix), which blocking consumers adopt without copying.
+  bool NextBatch(RowBatch* out) override {
+    out->Clear();
+    while (true) {
+      if (current_ != nullptr && pos_ < current_->size()) {
+        out->BorrowRange(current_, pos_, current_->size() - pos_);
+        out->MarkDurable();  // upstream-owned collection, read-only
+        pos_ = current_->size();
+        return true;
+      }
+      if (!Advance()) return false;
+    }
+  }
+
+ private:
+  /// Moves to the next input collection; false at the end of the input
+  /// or on error.
+  bool Advance();
+
+  int item_index_;
+  RowVectorPtr current_;
+  size_t pos_ = 0;
+};
+
+/// ColumnScan extracts individual records from columnar collections
+/// (ColumnTable — our Arrow-table/column-chunk analog): for every input
+/// tuple (whose item 0 is a table) it streams that table's rows, built
+/// from the table columns `columns` (one per field of `schema`; empty =
+/// all, in order) in the layout of `schema`. A table whose selected
+/// columns do not have the types of `schema`'s fields is an
+/// InvalidArgument error. Every base-table scan is a ColumnScan over its
+/// platform's table source (docs/DESIGN-planner.md).
+///
+/// A scan pipeline (MaterializeRowVector over Filters over a ColumnScan,
+/// docs/DESIGN-parallel.md) may instead read the scan's whole input with
+/// ReadSources() and pin the scan to one contiguous range of its rows
+/// with SetRange(); Next() and NextBatch() then stop at the range's end.
+/// Open() drops both, restoring the unranged stream.
+class ColumnScan : public SubOperator {
+ public:
+  ColumnScan(SubOpPtr child, Schema schema, std::vector<int> columns = {})
+      : SubOperator("ColumnScan"),
+        schema_(std::move(schema)),
+        columns_(std::move(columns)) {
     AddChild(std::move(child));
   }
 
@@ -99,149 +167,58 @@ class RowScan : public SubOperator {
     return SubOperator::Open(ctx);
   }
 
-  bool Next(Tuple* out) override {
-    while (true) {
-      if (current_ != nullptr && pos_ < current_->size()) {
-        if (ranged_) {
-          if (remaining_ == 0) return false;
-          --remaining_;
-        }
-        out->clear();
-        out->push_back(Item(current_->row(pos_++)));
-        return true;
-      }
-      if (!Advance()) return false;
-    }
-  }
-
   bool ProducesRecordStream() const override { return true; }
 
-  /// Once ReadSources() has run, a clone scans the same collections
-  /// through a CollectionSource, so the child need not be clonable.
-  SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override {
-    if (read_sources_) {
-      return std::make_unique<RowScan>(
-          std::make_unique<CollectionSource>(sources_));
-    }
-    SubOpPtr child_clone = child(0)->CloneForWorker(cc);
-    if (child_clone == nullptr) return nullptr;
-    return std::make_unique<RowScan>(std::move(child_clone), item_index_);
-  }
+  /// Row mode: one record at a time, through the same conversion as
+  /// NextBatch().
+  bool Next(Tuple* out) override;
 
-  /// Native batch path. Unranged, each input collection is forwarded as
-  /// one zero-copy durable batch (the remainder of it, if Next() already
-  /// consumed a prefix), which blocking consumers adopt without copying.
-  /// Ranged, the range is borrowed in morsels of at most kDefaultRows
-  /// rows, so the operators above work on cache-resident batches.
-  bool NextBatch(RowBatch* out) override {
-    out->Clear();
-    while (true) {
-      if (current_ != nullptr && pos_ < current_->size()) {
-        size_t n = current_->size() - pos_;
-        if (ranged_) {
-          n = std::min({n, remaining_, RowBatch::kDefaultRows});
-          if (n == 0) return false;
-          remaining_ -= n;
-        }
-        out->BorrowRange(current_, pos_, n);
-        out->MarkDurable();  // upstream-owned collection, read-only
-        pos_ += n;
-        return true;
-      }
-      if (!Advance()) return false;
-    }
-  }
+  /// Native batch path: builds up to kDefaultRows records at a time,
+  /// column by column (ColumnTable::WriteRows). Continues from wherever
+  /// Next() left the scan.
+  bool NextBatch(RowBatch* out) override;
 
-  /// Reads the scan's whole input (every collection, in stream order) on
-  /// the calling thread and sets `*rows` to their total row count. Call
-  /// right after Open(), before any row is read.
+  /// Once ReadSources() has run, a clone scans the same tables through a
+  /// TupleSource, so the child need not be clonable.
+  SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override;
+
+  /// Reads the scan's whole input (every table, in stream order) on the
+  /// calling thread and sets `*rows` to their total row count. Call right
+  /// after Open(), before any row is read.
   Status ReadSources(size_t* rows);
 
-  /// Restricts this Open cycle to rows [begin, end) of the collections
+  /// Restricts this Open cycle to rows [begin, end) of the tables
   /// ReadSources() read, counted across them in order.
   void SetRange(size_t begin, size_t end);
 
+  /// Drops the tables ReadSources() read; the scan yields no more rows
+  /// until the next Open().
+  void ReleaseSources() {
+    sources_.clear();
+    SetRange(0, 0);
+  }
+
  private:
-  /// Moves to the next input collection; false at the end of the input
-  /// (or of the range) or on error.
+  /// Claims up to `cap` rows of the current table (moving to the next
+  /// table as needed) and builds them into `rows_`; false at the end of
+  /// the input or of the range, or on error.
+  bool Fill(size_t cap);
+  /// Moves to the next input table; false at the end of the input (or of
+  /// the range) or on error.
   bool Advance();
 
-  int item_index_;
-  RowVectorPtr current_;
+  Schema schema_;
+  std::vector<int> columns_;
+  RowVectorPtr rows_;  // the records of the last Fill()
+  ColumnTablePtr current_;
   size_t pos_ = 0;
-  // Ranged mode: the collections ReadSources() read, the next one to
-  // scan, and the rows of the range not yet emitted.
-  std::vector<RowVectorPtr> sources_;
+  // Ranged mode: the tables ReadSources() read, the next one to scan,
+  // and the rows of the range not yet emitted.
+  std::vector<ColumnTablePtr> sources_;
   bool read_sources_ = false;
   bool ranged_ = false;
   size_t next_source_ = 0;
   size_t remaining_ = 0;
-};
-
-/// ColumnScan extracts individual records from columnar collections
-/// (ColumnTable — our Arrow-table/column-chunk analog), materializing each
-/// record into a scratch row.
-class ColumnScan : public SubOperator {
- public:
-  /// `schema` is the row schema of the produced records (must match the
-  /// scanned tables' schemas).
-  ColumnScan(SubOpPtr child, Schema schema, int item_index = 0)
-      : SubOperator("ColumnScan"),
-        schema_(std::move(schema)),
-        item_index_(item_index) {
-    AddChild(std::move(child));
-  }
-
-  Status Open(ExecContext* ctx) override {
-    scratch_ = RowVector::Make(schema_);
-    scratch_->AppendRow();
-    current_.reset();
-    pos_ = 0;
-    return SubOperator::Open(ctx);
-  }
-
-  bool ProducesRecordStream() const override { return true; }
-
-  bool Next(Tuple* out) override {
-    while (true) {
-      if (current_ != nullptr && pos_ < current_->num_rows()) {
-        RowWriter w(scratch_->mutable_row(0), &scratch_->schema());
-        current_->MaterializeRow(pos_++, &w);
-        out->clear();
-        out->push_back(Item(scratch_->row(0)));
-        return true;
-      }
-      Tuple t;
-      if (!child(0)->Next(&t)) return ChildEnd(child(0));
-      const Item& item = t[item_index_];
-      if (!item.is_table()) {
-        return Fail(Status::InvalidArgument(
-            "ColumnScan expects a table item, got " + item.ToString()));
-      }
-      current_ = item.table();
-      pos_ = 0;
-    }
-  }
-
-  /// Native batch path: materializes up to kDefaultRows records at a time
-  /// column-wise (one type dispatch per column chunk instead of one per
-  /// cell). Continues from wherever Next() left the scan.
-  bool NextBatch(RowBatch* out) override;
-
-  SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override {
-    SubOpPtr child_clone = child(0)->CloneForWorker(cc);
-    if (child_clone == nullptr) return nullptr;
-    return std::make_unique<ColumnScan>(std::move(child_clone), schema_,
-                                        item_index_);
-  }
-
- private:
-  Schema schema_;
-  int item_index_;
-  RowVectorPtr scratch_;
-  RowVectorPtr batch_rows_;
-  ColumnTablePtr current_;
-  size_t pos_ = 0;
 };
 
 /// Converts whole ColumnTable items into RowVector collections (the
@@ -261,14 +238,8 @@ class TableToCollection : public SubOperator {
       return Fail(Status::InvalidArgument(
           "TableToCollection expects a table item, got " + item.ToString()));
     }
-    out->clear();
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (static_cast<int>(i) == item_index_) {
-        out->push_back(Item(item.table()->ToRowVector()));
-      } else {
-        out->push_back(t[i]);
-      }
-    }
+    *out = t;
+    (*out)[item_index_] = Item(item.table()->ToRowVector());
     return true;
   }
 
@@ -288,8 +259,8 @@ class TableToCollection : public SubOperator {
 /// (paper §4.1.2). Inputs may be borrowed-row tuples (fast packed copy)
 /// or all-atom tuples matching `schema` (driver-side result assembly).
 ///
-/// Over a scan pipeline — only record-stream Filters and MapOps down to
-/// a RowScan — it splits the scan's rows into PlanWorkers() contiguous
+/// Over a scan pipeline — only record-stream Filters down to a
+/// ColumnScan — it splits the scan's rows into PlanWorkers() contiguous
 /// ranges, drains one chain clone per range on the rank's workers, and
 /// concatenates the blocks in range order (docs/DESIGN-parallel.md).
 class MaterializeRowVector : public SubOperator {
@@ -319,7 +290,7 @@ class MaterializeRowVector : public SubOperator {
   Status DrainStream(RowVectorPtr* result);
   /// The scan-pipeline drain over `scan`, the chain's leaf, timed as
   /// `phase.scan_pipeline`.
-  Status DrainScanPipeline(RowScan* scan, RowVectorPtr* result);
+  Status DrainScanPipeline(ColumnScan* scan, RowVectorPtr* result);
 
   Schema schema_;
   bool done_ = false;

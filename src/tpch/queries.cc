@@ -494,6 +494,44 @@ planner::Catalog TpchCatalog(const std::array<size_t, kNumPlanTables>& rows) {
 // Data preparation
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Row i of `table` goes to shard i % world, keeping its order.
+std::vector<ColumnTablePtr> ShardRoundRobin(const ColumnTable& table,
+                                            int world) {
+  std::vector<ColumnTablePtr> shards;
+  for (int r = 0; r < world; ++r) {
+    shards.push_back(ColumnTable::Make(table.schema()));
+  }
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const Column& src = table.column(c);
+    for (int r = 0; r < world; ++r) {
+      Column& dst = shards[r]->column(c);
+      for (size_t i = r; i < table.num_rows(); i += world) {
+        switch (src.type()) {
+          case AtomType::kInt32:
+          case AtomType::kDate:
+            dst.AppendInt32(src.GetInt32(i));
+            break;
+          case AtomType::kInt64:
+            dst.AppendInt64(src.GetInt64(i));
+            break;
+          case AtomType::kFloat64:
+            dst.AppendFloat64(src.GetFloat64(i));
+            break;
+          case AtomType::kString:
+            dst.AppendString(src.GetString(i));
+            break;
+        }
+      }
+    }
+  }
+  for (const ColumnTablePtr& shard : shards) shard->FinishBulkLoad();
+  return shards;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<TpchContext>> PrepareTpch(const TpchTables& db,
                                                  const TpchRunOptions& opts) {
   auto ctx = std::make_unique<TpchContext>();
@@ -503,45 +541,23 @@ Result<std::unique_ptr<TpchContext>> PrepareTpch(const TpchTables& db,
 
   const ColumnTablePtr tables[kNumPlanTables] = {db.lineitem, db.orders,
                                                  db.customer, db.part};
-  const int world = opts.world_size;
-
-  if (opts.platform == Platform::kRdma) {
-    ctx->frags.resize(kNumPlanTables);
-    for (int t = 0; t < kNumPlanTables; ++t) {
-      RowVectorPtr all = tables[t]->ToRowVector();
-      ctx->table_rows[t] = all->size();
-      for (int r = 0; r < world; ++r) {
-        ctx->frags[t].push_back(RowVector::Make(all->schema()));
-      }
-      for (size_t i = 0; i < all->size(); ++i) {
-        ctx->frags[t][i % world]->AppendRaw(all->row(i).data());
-      }
-    }
-    return ctx;
-  }
-
-  // File-backed platforms: one shard object per (table, rank).
-  ctx->paths.resize(kNumPlanTables);
   for (int t = 0; t < kNumPlanTables; ++t) {
-    RowVectorPtr all = tables[t]->ToRowVector();
-    ctx->table_rows[t] = all->size();
-    for (int r = 0; r < world; ++r) {
-      RowVectorPtr shard = RowVector::Make(all->schema());
-      for (size_t i = r; i < all->size(); i += world) {
-        shard->AppendRaw(all->row(i).data());
-      }
-      ColumnTablePtr shard_table = ColumnTable::FromRowVector(*shard);
-      std::string key;
-      if (opts.platform == Platform::kS3Select) {
-        key = "tpch/" + std::string(TableName(t)) + "/shard-" +
-              std::to_string(r) + ".csv";
-        ctx->store->Put(key, storage::WriteCsv(*shard_table));
-      } else {
-        key = "tpch/" + std::string(TableName(t)) + "/shard-" +
-              std::to_string(r) + ".mcf";
-        ctx->store->Put(key, storage::WriteColumnFile(*shard_table));
-      }
-      ctx->paths[t].push_back(key);
+    ctx->table_rows[t] = tables[t]->num_rows();
+    std::vector<ColumnTablePtr> shards =
+        ShardRoundRobin(*tables[t], opts.world_size);
+    if (opts.platform == Platform::kRdma) {
+      ctx->frags.push_back(std::move(shards));
+      continue;
+    }
+    // File-backed platforms: one shard object per (table, rank).
+    ctx->paths.emplace_back();
+    for (size_t r = 0; r < shards.size(); ++r) {
+      const bool csv = opts.platform == Platform::kS3Select;
+      std::string key = "tpch/" + std::string(TableName(t)) + "/shard-" +
+                        std::to_string(r) + (csv ? ".csv" : ".mcf");
+      ctx->store->Put(key, csv ? storage::WriteCsv(*shards[r])
+                               : storage::WriteColumnFile(*shards[r]));
+      ctx->paths[t].push_back(std::move(key));
     }
   }
   if (opts.platform == Platform::kS3Select) {
@@ -595,7 +611,7 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
   // store as the rank plans (docs/DESIGN-memory.md). Declared before the
   // merge operators below so it outlives their ScopedCharges.
   MemoryBudget driver_budget(opts.exec.memory_limit_bytes);
-  RowVectorPtr partials = RowVector::Make(spec.rank_schema);
+  RowVectorPtr partials;
   ExecContext driver;
   driver.options = opts.exec;
   driver.stats = stats;
@@ -636,9 +652,8 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
     }
     MpiExecutor executor(std::move(config));
     MODULARIS_ASSIGN_OR_RETURN(
-        RowVectorPtr rows,
+        partials,
         plans::DrainCollections(&executor, &driver, spec.rank_schema));
-    partials = rows;
   } else {
     LambdaExecutor::Config config;
     config.lambda = opts.lambda;
@@ -655,17 +670,12 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
     driver.blob = &driver_client;
     ColumnFileScan::Options copts;
     copts.retry = opts.exec.retry;
-    auto scan = std::make_unique<ColumnScan>(
-        std::make_unique<ColumnFileScan>(
-            std::make_unique<LambdaExecutor>(std::move(config)), copts),
-        spec.rank_schema);
-    MODULARIS_RETURN_NOT_OK(scan->Open(&driver));
-    Tuple t;
-    while (scan->Next(&t)) {
-      partials->AppendRaw(t[0].row().data());
-    }
-    MODULARIS_RETURN_NOT_OK(scan->status());
-    MODULARIS_RETURN_NOT_OK(scan->Close());
+    ColumnScan scan(std::make_unique<ColumnFileScan>(
+                        std::make_unique<LambdaExecutor>(std::move(config)),
+                        copts),
+                    spec.rank_schema);
+    MODULARIS_ASSIGN_OR_RETURN(
+        partials, plans::DrainCollections(&scan, &driver, spec.rank_schema));
   }
 
   // Driver-side merge: ReduceByKey → finalize Map → Sort/TopK (the RK /

@@ -65,8 +65,9 @@ inline constexpr int kNumPlanTables = 4;
 struct TpchContext {
   Platform platform;
   int world_size = 0;
-  /// frags[table][rank], tables ordered lineitem, orders, customer, part.
-  std::vector<std::vector<RowVectorPtr>> frags;
+  /// frags[table][rank] (kRdma), tables ordered lineitem, orders,
+  /// customer, part: rank r holds rows r, r + world, ... in order.
+  std::vector<std::vector<ColumnTablePtr>> frags;
   /// paths[table][shard] into `store`.
   std::vector<std::vector<std::string>> paths;
   /// Total rows per table (catalog statistics for the planner).

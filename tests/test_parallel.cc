@@ -1478,11 +1478,11 @@ TEST(SortTopKParallelParity, MixedNextAndNextBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan pipelines: MaterializeRowVector over Filter/MapOp over a RowScan
+// Scan pipelines: MaterializeRowVector over Filters over a ColumnScan
 // splits the scan's rows into contiguous ranges, one chain clone per
 // range, and concatenates the blocks in range order — byte-equal to one
-// worker in batch and row mode, across collection boundaries and for
-// ranges smaller than a morsel.
+// worker in batch and row mode, across table boundaries and for ranges
+// smaller than a morsel.
 // ---------------------------------------------------------------------------
 
 Schema TaggedSchema() {
@@ -1490,47 +1490,69 @@ Schema TaggedSchema() {
 }
 
 /// Rows i = 0..rows-1 with key i, a random value and a short tag.
-RowVectorPtr MakeTagged(size_t rows, uint32_t seed) {
-  RowVectorPtr data = RowVector::Make(TaggedSchema());
+ColumnTablePtr MakeTagged(size_t rows, uint32_t seed) {
+  ColumnTablePtr table = ColumnTable::Make(TaggedSchema());
   std::mt19937_64 rng(seed);
   for (size_t i = 0; i < rows; ++i) {
-    RowWriter w = data->AppendRow();
-    w.SetInt64(0, static_cast<int64_t>(i));
-    w.SetInt64(1, static_cast<int64_t>(rng() % 1000));
-    w.SetString(2, "t" + std::to_string(rng() % 97));
+    table->column(0).AppendInt64(static_cast<int64_t>(i));
+    table->column(1).AppendInt64(static_cast<int64_t>(rng() % 1000));
+    table->column(2).AppendString("t" + std::to_string(rng() % 97));
   }
-  return data;
+  table->FinishBulkLoad();
+  return table;
 }
 
-/// Output of the prune map: ⟨tag, value⟩.
+/// Cuts `all` into tables of `sizes` rows plus one holding the rest.
+std::vector<ColumnTablePtr> SplitTable(const ColumnTablePtr& all,
+                                       const std::vector<size_t>& sizes) {
+  std::vector<ColumnTablePtr> parts;
+  size_t pos = 0;
+  for (size_t i = 0; i <= sizes.size(); ++i) {
+    const size_t n = i < sizes.size() ? sizes[i] : all->num_rows() - pos;
+    ColumnTablePtr part = ColumnTable::Make(all->schema());
+    for (size_t r = pos; r < pos + n; ++r) {
+      part->column(0).AppendInt64(all->column(0).GetInt64(r));
+      part->column(1).AppendInt64(all->column(1).GetInt64(r));
+      part->column(2).AppendString(all->column(2).GetString(r));
+    }
+    part->FinishBulkLoad();
+    parts.push_back(std::move(part));
+    pos += n;
+  }
+  return parts;
+}
+
+/// The scan's selection: ⟨tag, value⟩, columns 2 and 1 of the tables.
 Schema PrunedSchema() {
   return Schema({Field::Str("tag", 8), Field::I64("value")});
 }
 
-/// MaterializeRowVector(Map(prune) ∘ [Filter(pred)] ∘ RowScan(sources)).
-SubOpPtr ScanPipeline(const std::vector<RowVectorPtr>& sources,
-                      const ExprPtr& pred) {
-  SubOpPtr rows = std::make_unique<RowScan>(
-      std::make_unique<CollectionSource>(sources));
+/// MaterializeRowVector([Filter(pred)] ∘ ColumnScan(sources, columns)),
+/// producing `schema` rows; by default the ⟨tag, value⟩ selection.
+SubOpPtr ScanPipeline(const std::vector<ColumnTablePtr>& sources,
+                      const ExprPtr& pred,
+                      std::vector<int> columns = {2, 1},
+                      const Schema& schema = PrunedSchema()) {
+  std::vector<Tuple> tables;
+  for (const ColumnTablePtr& t : sources) tables.push_back({Item(t)});
+  SubOpPtr rows = std::make_unique<ColumnScan>(
+      std::make_unique<TupleSource>(std::move(tables)), schema,
+      std::move(columns));
   if (pred != nullptr) rows = std::make_unique<Filter>(std::move(rows), pred);
-  rows = std::make_unique<MapOp>(
-      std::move(rows), PrunedSchema(),
-      std::vector<MapOutput>{MapOutput::Pass(2), MapOutput::Pass(1)});
-  return std::make_unique<MaterializeRowVector>(std::move(rows),
-                                                PrunedSchema());
+  return std::make_unique<MaterializeRowVector>(std::move(rows), schema);
 }
 
-/// The pipeline's result computed row by row, sharing no operator code.
-RowVectorPtr ReferenceScan(const std::vector<RowVectorPtr>& sources,
+/// The ⟨tag, value⟩ pipeline's result with value < `value_below`,
+/// computed row by row over the Column getters, sharing no operator code.
+RowVectorPtr ReferenceScan(const std::vector<ColumnTablePtr>& sources,
                            int64_t value_below) {
   RowVectorPtr out = RowVector::Make(PrunedSchema());
-  for (const RowVectorPtr& src : sources) {
-    for (size_t i = 0; i < src->size(); ++i) {
-      RowRef r = src->row(i);
-      if (r.GetInt64(1) >= value_below) continue;
+  for (const ColumnTablePtr& src : sources) {
+    for (size_t i = 0; i < src->num_rows(); ++i) {
+      if (src->column(1).GetInt64(i) >= value_below) continue;
       RowWriter w = out->AppendRow();
-      w.SetString(0, r.GetString(2));
-      w.SetInt64(1, r.GetInt64(1));
+      w.SetString(0, src->column(2).GetString(i));
+      w.SetInt64(1, src->column(1).GetInt64(i));
     }
   }
   return out;
@@ -1587,35 +1609,35 @@ void ExpectScanParity(const std::function<SubOpPtr()>& make,
   }
 }
 
-TEST(ScanPipelineParity, MultiCollectionSource) {
-  // Ranges straddle collection boundaries (and an empty collection), and
-  // every collection but the last is smaller than a 1024-row morsel.
-  RowVectorPtr all = MakeTagged(7000, 71);
-  std::vector<RowVectorPtr> parts = SplitCollection(all, {1, 255, 0, 600});
+TEST(ScanPipelineParity, MultiTableSource) {
+  // Ranges straddle table boundaries (and an empty table), and every
+  // table but the last is smaller than a 1024-row morsel.
+  ColumnTablePtr all = MakeTagged(7000, 71);
+  std::vector<ColumnTablePtr> parts = SplitTable(all, {1, 255, 0, 600});
   const ExprPtr pred = ex::Lt(ex::Col(1), ex::Lit(int64_t{300}));
   RowVectorPtr expected = ReferenceScan(parts, 300);
   ASSERT_GT(expected->size(), 0u);
-  ASSERT_LT(expected->size(), all->size());
+  ASSERT_LT(expected->size(), all->num_rows());
   ExpectScanParity([&] { return ScanPipeline(parts, pred); }, *expected,
-                   "multi-collection");
+                   "multi-table");
   ExpectScanParity([&] { return ScanPipeline({all}, pred); }, *expected,
-                   "one collection");
+                   "one table");
 }
 
 TEST(ScanPipelineParity, EmptyFragment) {
   const ExprPtr pred = ex::Lt(ex::Col(1), ex::Lit(int64_t{300}));
   RowVectorPtr expected = RowVector::Make(PrunedSchema());
   ExpectScanParity([&] { return ScanPipeline({}, pred); }, *expected,
-                   "no collection");
-  RowVectorPtr empty = RowVector::Make(TaggedSchema());
+                   "no table");
+  ColumnTablePtr empty = ColumnTable::Make(TaggedSchema());
   ExpectScanParity([&] { return ScanPipeline({empty, empty}, pred); },
-                   *expected, "empty collections");
+                   *expected, "empty tables");
 }
 
 TEST(ScanPipelineParity, FewerRowsThanWorkers) {
   // Three rows on four threads: one worker at the usual sizing, and one
   // row per worker when every row is worth a worker.
-  RowVectorPtr tiny = MakeTagged(3, 73);
+  ColumnTablePtr tiny = MakeTagged(3, 73);
   for (size_t min_rows : {size_t{256}, size_t{1}}) {
     ExpectScanParity([&] { return ScanPipeline({tiny}, nullptr); },
                      *ReferenceScan({tiny}, 1000),
@@ -1625,24 +1647,62 @@ TEST(ScanPipelineParity, FewerRowsThanWorkers) {
 }
 
 TEST(ScanPipelineParity, NoFilter) {
-  RowVectorPtr all = MakeTagged(6000, 77);
-  const std::vector<RowVectorPtr> parts = SplitCollection(all, {1500});
+  ColumnTablePtr all = MakeTagged(6000, 77);
+  const std::vector<ColumnTablePtr> parts = SplitTable(all, {1500});
   ExpectScanParity([&] { return ScanPipeline(parts, nullptr); },
-                   *ReferenceScan(parts, 1000), "prune only");
-  // A bare RowScan is a scan pipeline too: the rows come back unchanged.
+                   *ReferenceScan(parts, 1000), "selection only");
+  // A bare ColumnScan of every column gives the rows back unchanged.
+  RowVectorPtr rows = RowVector::Make(TaggedSchema());
+  for (size_t i = 0; i < all->num_rows(); ++i) {
+    RowWriter w = rows->AppendRow();
+    w.SetInt64(0, all->column(0).GetInt64(i));
+    w.SetInt64(1, all->column(1).GetInt64(i));
+    w.SetString(2, all->column(2).GetString(i));
+  }
   ExpectScanParity(
-      [&] {
-        return std::make_unique<MaterializeRowVector>(
-            std::make_unique<RowScan>(std::make_unique<CollectionSource>(parts)),
-            TaggedSchema());
-      },
-      *all, "bare scan");
+      [&] { return ScanPipeline(parts, nullptr, {}, TaggedSchema()); },
+      *rows, "bare scan");
+}
+
+TEST(ScanPipelineParity, ColumnsSelectedOutOfOrder) {
+  // ⟨tag, key, value⟩ = columns 2, 0, 1, filtered on the key.
+  ColumnTablePtr all = MakeTagged(5000, 83);
+  const std::vector<ColumnTablePtr> parts = SplitTable(all, {700, 1300});
+  const Schema schema(
+      {Field::Str("tag", 8), Field::I64("key"), Field::I64("value")});
+  RowVectorPtr expected = RowVector::Make(schema);
+  for (size_t i = 0; i < all->num_rows(); ++i) {
+    if (all->column(0).GetInt64(i) < 2500) continue;
+    RowWriter w = expected->AppendRow();
+    w.SetString(0, all->column(2).GetString(i));
+    w.SetInt64(1, all->column(0).GetInt64(i));
+    w.SetInt64(2, all->column(1).GetInt64(i));
+  }
+  const ExprPtr pred = ex::Ge(ex::Col(1), ex::Lit(int64_t{2500}));
+  ExpectScanParity(
+      [&] { return ScanPipeline(parts, pred, {2, 0, 1}, schema); },
+      *expected, "columns 2,0,1");
+}
+
+TEST(ScanPipelineParity, MismatchedTableIsAnError) {
+  // A table whose selected column has another type than the scan's
+  // field: InvalidArgument, never a misread.
+  ColumnTablePtr all = MakeTagged(100, 89);
+  const Schema wrong({Field::I64("tag"), Field::I64("value")});
+  for (bool vectorized : {true, false}) {
+    StatsRegistry stats;
+    Status st;
+    SubOpPtr root = ScanPipeline({all}, nullptr, {2, 1}, wrong);
+    EXPECT_EQ(RunMaterialize(root.get(), 4, vectorized, &stats, &st),
+              nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
 }
 
 TEST(ScanPipelineParity, ErrorInLastRangeSurfaces) {
   // Keys at or above the cut evaluate the string column as the
   // predicate, a hard error; only the last of four ranges holds them.
-  RowVectorPtr all = MakeTagged(4000, 79);
+  ColumnTablePtr all = MakeTagged(4000, 79);
   auto pred_from = [](int64_t cut) {
     return ex::If(ex::Lt(ex::Col(0), ex::Lit(cut)), ex::Lit(int64_t{1}),
                   ex::Col(2));
@@ -1653,12 +1713,14 @@ TEST(ScanPipelineParity, ErrorInLastRangeSurfaces) {
                                 " vectorized=" + std::to_string(vectorized);
       StatsRegistry stats;
       Status st;
-      SubOpPtr ok_root = ScanPipeline({all}, pred_from(4000));
+      SubOpPtr ok_root =
+          ScanPipeline({all}, pred_from(4000), {}, TaggedSchema());
       RowVectorPtr got =
           RunMaterialize(ok_root.get(), threads, vectorized, &stats, &st);
       ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
-      ASSERT_EQ(got->size(), all->size()) << label;
-      SubOpPtr bad_root = ScanPipeline({all}, pred_from(3990));
+      ASSERT_EQ(got->size(), all->num_rows()) << label;
+      SubOpPtr bad_root =
+          ScanPipeline({all}, pred_from(3990), {}, TaggedSchema());
       got = RunMaterialize(bad_root.get(), threads, vectorized, &stats, &st);
       EXPECT_EQ(got, nullptr) << label;
       EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)

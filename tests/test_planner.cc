@@ -172,9 +172,12 @@ void AddInput(PipelinePlan* plan, const std::string& name,
       std::vector<MapOutput> prune;
       prune.reserve(in.cols.size());
       for (int c : in.cols) prune.push_back(MapOutput::Pass(c));
+      // The fragment is a column table; the frozen leaf keeps its
+      // wide-row scan by converting it first.
       rows = std::make_unique<MapOp>(
-          std::make_unique<RowScan>(ParamItem(in.table)), pruned,
-          std::move(prune));
+          std::make_unique<RowScan>(
+              std::make_unique<TableToCollection>(ParamItem(in.table))),
+          pruned, std::move(prune));
       break;
     }
     case Platform::kRdmaDisc:

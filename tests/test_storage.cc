@@ -1,3 +1,4 @@
+#include <cstring>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -180,6 +181,218 @@ TEST(ColumnFileTest, RejectsCorruptFooter) {
   auto reader = ColumnFileReader::Open(
       std::make_shared<StringReader>("definitely not a column file"));
   EXPECT_FALSE(reader.ok());
+}
+
+// -- Corrupt ColumnFiles -------------------------------------------------------
+// Column files are bytes from outside the process (S3 and NFS objects).
+// Every corrupt input must give a non-OK Status or a table in which every
+// column holds the row group's row count — never a read past a chunk, a
+// throw, or a ragged table.
+
+void PutVarint(std::string* out, uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+template <typename T>
+void PutRaw(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+std::string Footer(uint64_t dir_offset, uint32_t dir_size) {
+  std::string footer;
+  PutRaw<uint64_t>(&footer, dir_offset);
+  PutRaw<uint32_t>(&footer, dir_size);
+  PutRaw<uint32_t>(&footer, 0x3146434Du);  // "MCF1"
+  return footer;
+}
+
+struct RawField {
+  uint8_t type;  // AtomType byte
+  uint64_t width = 0;
+};
+struct RawChunk {
+  uint8_t encoding;  // Encoding byte
+  std::string data;
+};
+
+/// A one-row-group ColumnFile laid out by hand (column_file.h's layout),
+/// so a test can state any directory it likes.
+std::string RawColumnFile(const std::vector<RawField>& fields, uint64_t rows,
+                          const std::vector<RawChunk>& chunks) {
+  std::string out;
+  std::string dir;
+  PutVarint(&dir, fields.size());
+  for (size_t f = 0; f < fields.size(); ++f) {
+    PutVarint(&dir, 1);
+    dir.push_back(static_cast<char>('a' + f));
+    dir.push_back(static_cast<char>(fields[f].type));
+    PutVarint(&dir, fields[f].width);
+  }
+  PutVarint(&dir, 1);
+  PutVarint(&dir, rows);
+  for (const RawChunk& c : chunks) {
+    PutVarint(&dir, out.size());
+    PutVarint(&dir, c.data.size());
+    dir.push_back(static_cast<char>(c.encoding));
+    dir.append(17, '\0');  // stats: invalid, min, max
+    out += c.data;
+  }
+  const uint64_t dir_offset = out.size();
+  return out + dir + Footer(dir_offset, static_cast<uint32_t>(dir.size()));
+}
+
+/// Opens `bytes` and reads every row group: the first error, or OK when
+/// every table came out whole.
+Status ReadAll(const std::string& bytes) {
+  MODULARIS_ASSIGN_OR_RETURN(
+      auto reader, ColumnFileReader::Open(std::make_shared<StringReader>(bytes)));
+  for (size_t rg = 0; rg < reader->num_row_groups(); ++rg) {
+    MODULARIS_ASSIGN_OR_RETURN(ColumnTablePtr table,
+                               reader->ReadRowGroup(rg, {}));
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      EXPECT_EQ(table->column(c).size(), reader->row_group_rows(rg));
+    }
+    if (table->num_columns() > 0) {
+      EXPECT_EQ(table->num_rows(), reader->row_group_rows(rg));
+    }
+  }
+  return Status::OK();
+}
+
+constexpr uint8_t kI64 = static_cast<uint8_t>(AtomType::kInt64);
+constexpr uint8_t kF64 = static_cast<uint8_t>(AtomType::kFloat64);
+constexpr uint8_t kStr = static_cast<uint8_t>(AtomType::kString);
+constexpr uint8_t kPlainEnc = static_cast<uint8_t>(Encoding::kPlain);
+constexpr uint8_t kForEnc = static_cast<uint8_t>(Encoding::kForVarint);
+constexpr uint8_t kDictEnc = static_cast<uint8_t>(Encoding::kDict);
+
+TEST(ColumnFileCorruptTest, HandBuiltFileReadsBack) {
+  // The builder's layout is the writer's: a sound file reads whole.
+  std::string f64s;
+  for (double v : {1.5, 2.5, 3.5, 4.5}) PutRaw(&f64s, v);
+  const std::string bytes = RawColumnFile({{kF64}}, 4, {{kPlainEnc, f64s}});
+  EXPECT_TRUE(ReadAll(bytes).ok()) << ReadAll(bytes).ToString();
+}
+
+TEST(ColumnFileCorruptTest, PlainChunkShorterThanItsRows) {
+  // Four doubles, a directory claiming 100 rows.
+  std::string f64s;
+  for (double v : {1.5, 2.5, 3.5, 4.5}) PutRaw(&f64s, v);
+  EXPECT_FALSE(ReadAll(RawColumnFile({{kF64}}, 100, {{kPlainEnc, f64s}})).ok());
+  std::string strs;
+  PutVarint(&strs, 3);
+  strs += "abc";
+  EXPECT_FALSE(
+      ReadAll(RawColumnFile({{kStr, 8}}, 2, {{kPlainEnc, strs}})).ok());
+}
+
+TEST(ColumnFileCorruptTest, AbsurdDictionarySize) {
+  std::string dict;
+  PutVarint(&dict, uint64_t{1} << 60);
+  PutVarint(&dict, 1);
+  dict += "x";
+  EXPECT_FALSE(ReadAll(RawColumnFile({{kStr, 8}}, 1, {{kDictEnc, dict}})).ok());
+}
+
+TEST(ColumnFileCorruptTest, UnknownEncodingByte) {
+  std::string f64s;
+  PutRaw(&f64s, 1.0);
+  EXPECT_FALSE(ReadAll(RawColumnFile({{kF64}}, 1, {{7, f64s}})).ok());
+}
+
+TEST(ColumnFileCorruptTest, EncodingThatDoesNotFitTheColumn) {
+  std::string for_chunk;
+  PutRaw<int64_t>(&for_chunk, 5);
+  PutVarint(&for_chunk, 1);
+  EXPECT_FALSE(
+      ReadAll(RawColumnFile({{kStr, 8}}, 1, {{kForEnc, for_chunk}})).ok());
+  std::string dict;
+  PutVarint(&dict, 1);
+  PutVarint(&dict, 1);
+  dict += "x";
+  PutVarint(&dict, 0);
+  EXPECT_FALSE(ReadAll(RawColumnFile({{kI64}}, 1, {{kDictEnc, dict}})).ok());
+  std::string f64s;
+  PutRaw(&f64s, 1.0);
+  EXPECT_FALSE(ReadAll(RawColumnFile({{kI64}}, 1, {{kPlainEnc, f64s}})).ok());
+}
+
+TEST(ColumnFileCorruptTest, InvalidAtomTypeByte) {
+  std::string for_chunk;
+  PutRaw<int64_t>(&for_chunk, 5);
+  PutVarint(&for_chunk, 1);
+  EXPECT_FALSE(ReadAll(RawColumnFile({{9}}, 1, {{kForEnc, for_chunk}})).ok());
+  std::string f64s;
+  PutRaw(&f64s, 1.0);
+  EXPECT_FALSE(ReadAll(RawColumnFile({{9}}, 1, {{kPlainEnc, f64s}})).ok());
+}
+
+TEST(ColumnFileCorruptTest, LengthsThatOverflowThePointer) {
+  const uint64_t huge = ~uint64_t{0} - 8;
+  std::string strs;
+  PutVarint(&strs, huge);
+  strs += "abc";
+  EXPECT_FALSE(ReadAll(RawColumnFile({{kStr, 8}}, 1, {{kPlainEnc, strs}})).ok());
+  std::string dict;
+  PutVarint(&dict, 1);
+  PutVarint(&dict, huge);
+  dict += "x";
+  EXPECT_FALSE(ReadAll(RawColumnFile({{kStr, 8}}, 1, {{kDictEnc, dict}})).ok());
+  // A field name longer than the directory.
+  std::string dir;
+  PutVarint(&dir, 1);
+  PutVarint(&dir, huge);
+  dir += "ab";
+  EXPECT_FALSE(ReadAll(dir + Footer(0, static_cast<uint32_t>(dir.size()))).ok());
+  // A directory offset that wraps the footer arithmetic.
+  EXPECT_FALSE(ReadAll(dir + Footer(~uint64_t{0} - 8, 0)).ok());
+}
+
+/// Two sound files over every column type: dictionary and plain strings,
+/// several row groups.
+std::vector<std::string> SoundFiles() {
+  ColumnFileWriteOptions plain;
+  plain.rows_per_row_group = 40;
+  plain.dict_threshold = 0;
+  return {WriteColumnFile(*MakeTable(100, 11)),
+          WriteColumnFile(*MakeTable(100, 13), plain)};
+}
+
+TEST(ColumnFileCorruptTest, TruncationAtEveryDirectoryByte) {
+  for (const std::string& bytes : SoundFiles()) {
+    ASSERT_TRUE(ReadAll(bytes).ok());
+    uint64_t dir_offset;
+    std::memcpy(&dir_offset, bytes.data() + bytes.size() - 16, 8);
+    const std::string data = bytes.substr(0, dir_offset);
+    const std::string dir =
+        bytes.substr(dir_offset, bytes.size() - 16 - dir_offset);
+    for (size_t cut = 0; cut < dir.size(); ++cut) {
+      // A shorter directory behind a consistent footer...
+      EXPECT_FALSE(ReadAll(data + dir.substr(0, cut) +
+                           Footer(dir_offset, static_cast<uint32_t>(cut)))
+                       .ok())
+          << "cut " << cut;
+      // ...and the file itself cut inside its directory.
+      EXPECT_FALSE(ReadAll(bytes.substr(0, dir_offset + cut)).ok());
+    }
+  }
+}
+
+TEST(ColumnFileCorruptTest, SeededBitFlips) {
+  std::mt19937_64 rng(2024);
+  for (const std::string& sound : SoundFiles()) {
+    for (int trial = 0; trial < 3000; ++trial) {
+      std::string bytes = sound;
+      for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0; --flips) {
+        bytes[rng() % bytes.size()] ^= static_cast<char>(1u << (rng() % 8));
+      }
+      (void)ReadAll(bytes);  // any Status; whole tables when OK
+    }
+  }
 }
 
 TEST(BlobStoreTest, PutGetListDelete) {

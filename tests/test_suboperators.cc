@@ -389,16 +389,19 @@ TEST(ReduceByKeyTest, MinMaxAggregates) {
   }
 }
 
-// Integer columns feed integer states exactly, with no double in between:
+// Integer inputs feed integer states exactly, with no double in between:
 // 2^53 + 1 neither rounds in a SUM nor in a MIN/MAX, and values next to
-// INT64_MAX / INT64_MIN survive — on every pass: keyless and few-group
-// (the few-group kernel), many groups at 1 worker (one-worker) and at 4
+// INT64_MAX / INT64_MIN survive — for a bare column and for a computed
+// input (`col + 0`), with fusion on (direct offset / bytecode) and off
+// (row interpreter), on every pass: keyless and few-group (the few-group
+// kernel), many groups at 1 worker (one-worker) and at 4
 // (partition-owned), and under a memory limit (budgeted).
 TEST(ReduceByKeyTest, IntegerInputsAggregateExactlyAbove2To53) {
   constexpr int64_t kBig = (int64_t{1} << 53) + 1;
   constexpr int64_t kHi = std::numeric_limits<int64_t>::max() - 1;
   constexpr int64_t kLo = std::numeric_limits<int64_t>::min() + 1;
   const Schema schema({Field::I64("k"), Field::I64("a"), Field::I64("b")});
+  auto plus0 = [](int c) { return ex::Add(ex::Col(c), ex::Lit(int64_t{0})); };
   struct Case {
     int groups;  // 0 = keyless
     size_t limit;
@@ -406,51 +409,60 @@ TEST(ReduceByKeyTest, IntegerInputsAggregateExactlyAbove2To53) {
   for (const Case& c : {Case{0, 0}, Case{4, 0}, Case{4096, 0},
                         Case{4096, 64 << 10}}) {
     for (int threads : {1, 4}) {
-      SCOPED_TRACE("groups=" + std::to_string(c.groups) +
-                   " limit=" + std::to_string(c.limit) +
-                   " threads=" + std::to_string(threads));
-      RowVectorPtr data = RowVector::Make(schema);
-      for (int g = 0; g < std::max(c.groups, 1); ++g) {
-        for (int64_t b : {kHi, kLo}) {
-          RowWriter w = data->AppendRow();
-          w.SetInt64(0, g);
-          w.SetInt64(1, kBig);
-          w.SetInt64(2, b);
+      for (bool fusion : {true, false}) {
+        SCOPED_TRACE("groups=" + std::to_string(c.groups) +
+                     " limit=" + std::to_string(c.limit) +
+                     " threads=" + std::to_string(threads) +
+                     " fusion=" + std::to_string(fusion));
+        RowVectorPtr data = RowVector::Make(schema);
+        for (int g = 0; g < std::max(c.groups, 1); ++g) {
+          for (int64_t b : {kHi, kLo}) {
+            RowWriter w = data->AppendRow();
+            w.SetInt64(0, g);
+            w.SetInt64(1, kBig);
+            w.SetInt64(2, b);
+          }
         }
+        std::vector<int> keys;
+        if (c.groups > 0) keys.push_back(0);
+        ReduceByKey rk(
+            std::make_unique<CollectionSource>(std::vector<RowVectorPtr>{data}),
+            keys,
+            {AggSpec{AggKind::kSum, ex::Col(1), "s", AtomType::kInt64},
+             AggSpec{AggKind::kMin, ex::Col(2), "lo", AtomType::kInt64},
+             AggSpec{AggKind::kMax, ex::Col(2), "hi", AtomType::kInt64},
+             AggSpec{AggKind::kSum, plus0(1), "s0", AtomType::kInt64},
+             AggSpec{AggKind::kMin, plus0(2), "lo0", AtomType::kInt64},
+             AggSpec{AggKind::kMax, plus0(2), "hi0", AtomType::kInt64}},
+            schema);
+        storage::BlobStore store;
+        MemoryBudget budget(c.limit);
+        StatsRegistry stats;
+        ExecContext ctx;
+        ctx.stats = &stats;
+        ctx.options.num_threads = threads;
+        ctx.options.parallel_min_rows = 1024;
+        ctx.options.memory_limit_bytes = c.limit;
+        ctx.options.enable_fusion = fusion;
+        ctx.budget = &budget;
+        ctx.spill_store = &store;
+        ASSERT_TRUE(rk.Open(&ctx).ok());
+        const int first = static_cast<int>(keys.size());
+        size_t rows = 0;
+        Tuple t;
+        while (rk.Next(&t)) {
+          RowRef r = t[0].row();
+          for (int base : {first, first + 3}) {
+            EXPECT_EQ(r.GetInt64(base), 2 * kBig);
+            EXPECT_EQ(r.GetInt64(base + 1), kLo);
+            EXPECT_EQ(r.GetInt64(base + 2), kHi);
+          }
+          ++rows;
+        }
+        ASSERT_TRUE(rk.status().ok()) << rk.status().ToString();
+        EXPECT_EQ(rows, static_cast<size_t>(std::max(c.groups, 1)));
+        EXPECT_EQ(stats.GetCounter("spill.ops.ReduceByKey"), c.limit > 0);
       }
-      std::vector<int> keys;
-      if (c.groups > 0) keys.push_back(0);
-      ReduceByKey rk(
-          std::make_unique<CollectionSource>(std::vector<RowVectorPtr>{data}),
-          keys,
-          {AggSpec{AggKind::kSum, ex::Col(1), "s", AtomType::kInt64},
-           AggSpec{AggKind::kMin, ex::Col(2), "lo", AtomType::kInt64},
-           AggSpec{AggKind::kMax, ex::Col(2), "hi", AtomType::kInt64}},
-          schema);
-      storage::BlobStore store;
-      MemoryBudget budget(c.limit);
-      StatsRegistry stats;
-      ExecContext ctx;
-      ctx.stats = &stats;
-      ctx.options.num_threads = threads;
-      ctx.options.parallel_min_rows = 1024;
-      ctx.options.memory_limit_bytes = c.limit;
-      ctx.budget = &budget;
-      ctx.spill_store = &store;
-      ASSERT_TRUE(rk.Open(&ctx).ok());
-      const int first = static_cast<int>(keys.size());
-      size_t rows = 0;
-      Tuple t;
-      while (rk.Next(&t)) {
-        RowRef r = t[0].row();
-        EXPECT_EQ(r.GetInt64(first), 2 * kBig);
-        EXPECT_EQ(r.GetInt64(first + 1), kLo);
-        EXPECT_EQ(r.GetInt64(first + 2), kHi);
-        ++rows;
-      }
-      ASSERT_TRUE(rk.status().ok()) << rk.status().ToString();
-      EXPECT_EQ(rows, static_cast<size_t>(std::max(c.groups, 1)));
-      EXPECT_EQ(stats.GetCounter("spill.ops.ReduceByKey"), c.limit > 0);
     }
   }
 }
