@@ -662,18 +662,26 @@ void BenchThreadScaling() {
 
 /// Scan pipeline, the leaf of every base-table TPC-H scan: a 1M-row
 /// lineitem-like ColumnTable (12 columns) through
-/// MaterializeRowVector(Filter ∘ ColumnScan) selecting ⟨sel, price, disc⟩
-/// at ~2 % selectivity, at 1 and 4 threads. The 4-thread result must be
-/// byte-equal to the 1-thread one. Reported, not gated. Also prints what
-/// one empty ParallelFor region with its WorkerSet costs at 4 workers:
-/// the fixed price a scan pipeline pays for its split.
+/// MaterializeRowVector(ColumnScan) selecting ⟨sel, price, disc⟩, the scan
+/// testing its predicate on the columns, at 1 and 4 threads.
+/// `scan_pipeline` filters on `sel` at ~2 % selectivity; `scan_pipeline_str`
+/// runs a Q19-shaped predicate (a string IN list and a string equality on
+/// columns the scan does not emit, plus a quantity range) at ~2 %. Each
+/// 4-thread result must be byte-equal to its 1-thread one. Reported, not
+/// gated. Also prints what one empty ParallelFor region with its
+/// WorkerSet costs at 4 workers: the fixed price a scan pipeline pays for
+/// each of its two regions.
 void BenchScanPipeline() {
   const size_t n = 1 << 20;
   Schema wide({Field::I64("sel"), Field::I64("k1"), Field::I64("k2"),
                Field::I64("k3"), Field::F64("qty"), Field::F64("price"),
                Field::F64("disc"), Field::Date("ship"), Field::Date("commit"),
                Field::Str("flags", 2), Field::Str("mode", 10),
-               Field::Str("note", 12)});
+               Field::Str("instruct", 25)});
+  const std::vector<std::string> modes = {"AIR",  "REG AIR", "TRUCK", "MAIL",
+                                          "SHIP", "RAIL",    "FOB"};
+  const std::vector<std::string> instructs = {
+      "DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"};
   ColumnTablePtr data = ColumnTable::Make(wide);
   std::mt19937_64 rng(17);
   for (size_t i = 0; i < n; ++i) {
@@ -681,50 +689,63 @@ void BenchScanPipeline() {
     for (int c = 1; c <= 3; ++c) {
       data->column(c).AppendInt64(static_cast<int64_t>(rng()));
     }
-    for (int c = 4; c <= 6; ++c) {
+    data->column(4).AppendFloat64(static_cast<double>(1 + rng() % 50));
+    for (int c = 5; c <= 6; ++c) {
       data->column(c).AppendFloat64((rng() % 10000) / 100.0);
     }
     data->column(7).AppendInt32(static_cast<int32_t>(8000 + rng() % 2500));
     data->column(8).AppendInt32(static_cast<int32_t>(8000 + rng() % 2500));
     data->column(9).AppendString("NO");
-    data->column(10).AppendString("TRUCK");
-    data->column(11).AppendString("regular");
+    data->column(10).AppendString(modes[rng() % modes.size()]);
+    data->column(11).AppendString(instructs[rng() % instructs.size()]);
   }
   data->FinishBulkLoad();
   Schema selected({Field::I64("sel"), Field::F64("price"), Field::F64("disc")});
-  auto run = [&](int threads) {
-    ExecContext ctx;
-    ctx.options.num_threads = threads;
-    MaterializeRowVector root(
-        std::make_unique<Filter>(
-            std::make_unique<ColumnScan>(
-                std::make_unique<TupleSource>(
-                    std::vector<Tuple>{Tuple{Item(data)}}),
-                selected, std::vector<int>{0, 5, 6}),
-            ex::Lt(ex::Col(0), ex::Lit(int64_t{20}))),
-        selected);
-    if (!root.Open(&ctx).ok()) std::abort();
-    Tuple t;
-    if (!root.Next(&t)) std::abort();
-    RowVectorPtr out = t[0].collection();
-    if (!root.Close().ok()) std::abort();
-    return out;
+  struct Variant {
+    const char* name;
+    ExprPtr pred;
   };
-  RowVectorPtr out_t1 = run(1);
-  for (int t : {1, 4}) {
-    RowVectorPtr out = run(t);
-    if (out->size() != out_t1->size() ||
-        (out->byte_size() > 0 &&
-         std::memcmp(out->data(), out_t1->data(), out->byte_size()) != 0)) {
-      std::fprintf(stderr, "FAIL: scan_pipeline t%d output differs from t1\n",
-                   t);
-      std::exit(1);
+  const Variant variants[] = {
+      {"scan_pipeline", ex::Lt(ex::Col(0), ex::Lit(int64_t{20}))},
+      {"scan_pipeline_str",
+       ex::And(ex::InStr(ex::Col(10), {"AIR", "REG AIR"}),
+               ex::Eq(ex::Col(11), ex::Lit(std::string("DELIVER IN PERSON"))),
+               ex::Between(ex::Col(4), ex::Lit(1.0), ex::Lit(10.0)))},
+  };
+  for (const Variant& v : variants) {
+    auto run = [&](int threads) {
+      ExecContext ctx;
+      ctx.options.num_threads = threads;
+      MaterializeRowVector root(
+          std::make_unique<ColumnScan>(
+              std::make_unique<TupleSource>(
+                  std::vector<Tuple>{Tuple{Item(data)}}),
+              selected, std::vector<int>{0, 5, 6}, v.pred, wide),
+          selected);
+      if (!root.Open(&ctx).ok()) std::abort();
+      Tuple t;
+      if (!root.Next(&t)) std::abort();
+      RowVectorPtr out = t[0].collection();
+      if (!root.Close().ok()) std::abort();
+      return out;
+    };
+    RowVectorPtr out_t1 = run(1);
+    for (int t : {1, 4}) {
+      RowVectorPtr out = run(t);
+      if (out->size() != out_t1->size() ||
+          (out->byte_size() > 0 &&
+           std::memcmp(out->data(), out_t1->data(), out->byte_size()) !=
+               0)) {
+        std::fprintf(stderr, "FAIL: %s t%d output differs from t1\n", v.name,
+                     t);
+        std::exit(1);
+      }
+      // Bytes read: the three selected columns.
+      RunBench(std::string(v.name) + "_t" + std::to_string(t), n,
+               n * 3 * sizeof(double), 1, [&] { run(t); }, t);
     }
-    // Bytes read: the three selected columns.
-    RunBench("scan_pipeline_t" + std::to_string(t), n, n * 3 * sizeof(double),
-             1, [&] { run(t); }, t);
+    std::printf("%s: %zu of %zu rows kept\n", v.name, out_t1->size(), n);
   }
-  std::printf("scan_pipeline: %zu of %zu rows kept\n", out_t1->size(), n);
 
   constexpr int kRegions = 200;
   ExecContext ctx;

@@ -37,16 +37,27 @@ void ColumnTable::FinishBulkLoad() {
   num_rows_ = columns_.empty() ? 0 : columns_[0].size();
 }
 
-void ColumnTable::WriteRows(size_t begin, size_t n,
+void ColumnTable::WriteRows(size_t begin, const uint32_t* sel, size_t n,
                             const std::vector<int>& columns,
                             const Schema& layout, uint8_t* dst) const {
   const uint32_t stride = layout.row_size();
+  if (n == 0 || stride == 0) return;
+  // Alignment gaps, the row tail and string padding are zero, as in a
+  // RowWriter-built row: clear the rows first, while they are in cache.
+  std::memset(dst, 0, n * stride);
   for (size_t k = 0; k < layout.num_fields(); ++k) {
     const Column& col = columns_[columns.empty() ? k : columns[k]];
     uint8_t* out = dst + layout.offset(k);
     auto cells = [&](const auto& values) {
-      for (size_t i = 0; i < n; ++i) {
-        std::memcpy(out + i * stride, &values[begin + i], sizeof(values[0]));
+      const auto* v = values.data() + begin;
+      if (sel == nullptr) {
+        for (size_t i = 0; i < n; ++i) {
+          std::memcpy(out + i * stride, &v[i], sizeof(v[0]));
+        }
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          std::memcpy(out + i * stride, &v[sel[i]], sizeof(v[0]));
+        }
       }
     };
     switch (layout.field(k).type) {
@@ -61,18 +72,14 @@ void ColumnTable::WriteRows(size_t begin, size_t n,
         cells(col.f64_data());
         break;
       case AtomType::kString: {
-        // The length-prefixed cell is written in place; the zero-filled
-        // row already holds its padding.
-        const std::vector<uint32_t>& offsets = col.str_offsets();
-        const std::string& arena = col.str_arena();
-        const size_t width = layout.field(k).width;
-        for (size_t i = 0, r = begin; i < n; ++i, ++r, out += stride) {
-          const size_t end =
-              r + 1 < offsets.size() ? offsets[r + 1] : arena.size();
-          const uint16_t len =
-              static_cast<uint16_t>(std::min(end - offsets[r], width));
+        // The length-prefixed cell; the cleared row holds its padding.
+        const uint32_t width = layout.field(k).width;
+        for (size_t i = 0; i < n; ++i, out += stride) {
+          const std::string_view v =
+              col.GetString(begin + (sel != nullptr ? sel[i] : i), width);
+          const uint16_t len = static_cast<uint16_t>(v.size());
           std::memcpy(out, &len, sizeof(len));
-          std::memcpy(out + sizeof(len), arena.data() + offsets[r], len);
+          std::memcpy(out + sizeof(len), v.data(), len);
         }
         break;
       }
@@ -84,10 +91,10 @@ RowVectorPtr ColumnTable::ToRowVector() const {
   // Cache-sized pieces, so each column pass writes rows still in cache.
   constexpr size_t kPieceRows = 1024;
   RowVectorPtr out = RowVector::Make(schema_);
-  out->ResizeRows(num_rows_);
+  out->ResizeRowsUninitialized(num_rows_);
   for (size_t begin = 0; begin < num_rows_; begin += kPieceRows) {
-    WriteRows(begin, std::min(kPieceRows, num_rows_ - begin), {}, schema_,
-              out->mutable_data() + begin * out->row_size());
+    WriteRows(begin, nullptr, std::min(kPieceRows, num_rows_ - begin), {},
+              schema_, out->mutable_data() + begin * out->row_size());
   }
   return out;
 }

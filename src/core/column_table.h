@@ -17,7 +17,17 @@
 /// RowVector, and the one every base table is held in: in-memory TPC-H
 /// fragments, decoded ColumnFile row groups and parsed S3Select CSV.
 /// WriteRows is the one column→row conversion: ColumnScan builds its
-/// records with it, and ToRowVector (TableToCollection) whole tables.
+/// survivors with it after testing its predicate on the columns, and
+/// ToRowVector (TableToCollection) converts whole tables.
+///
+/// String width. A Column keeps every string whole, whatever its length:
+/// CSV and column files round-trip it unchanged. A row field, though, has
+/// a fixed `width`, and every row view of a string longer than that width
+/// sees its first `width` bytes: WriteRows writes that prefix, and the
+/// bytecode's column-span string load (RowSpan over a ColumnTable) reads
+/// the same prefix through Column::GetString(i, width). So a predicate
+/// tested on the columns picks exactly the rows it picks on the rows
+/// WriteRows builds; the cut is not an error.
 
 namespace modularis {
 
@@ -50,6 +60,12 @@ class Column {
                        ? str_offsets_[i + 1]
                        : static_cast<uint32_t>(str_arena_.size());
     return std::string_view(str_arena_).substr(begin, end - begin);
+  }
+  /// String i as a row field of `width` bytes sees it: its first `width`
+  /// bytes (the string-width contract above).
+  std::string_view GetString(size_t i, uint32_t width) const {
+    std::string_view v = GetString(i);
+    return v.size() > width ? v.substr(0, width) : v;
   }
 
   const std::vector<int32_t>& i32_data() const { return i32_; }
@@ -86,12 +102,14 @@ class ColumnTable {
   /// Recomputes num_rows from column 0 after bulk column fills.
   void FinishBulkLoad();
 
-  /// Writes rows [begin, begin + n) as packed rows of `layout` to `dst`
-  /// (n zero-filled rows of layout.row_size() bytes): field k of `layout`
-  /// takes table column `columns[k]` (empty = column k), whose type must
-  /// be field k's. Strings longer than their field width are cut.
-  void WriteRows(size_t begin, size_t n, const std::vector<int>& columns,
-                 const Schema& layout, uint8_t* dst) const;
+  /// Writes n rows as packed rows of `layout` to `dst` (n rows of
+  /// layout.row_size() bytes, every byte of which is written): row i is
+  /// table row begin + sel[i], or begin + i when `sel` is null. Field k of
+  /// `layout` takes table column `columns[k]` (empty = column k), whose
+  /// type must be field k's. Strings are cut to their field's width.
+  void WriteRows(size_t begin, const uint32_t* sel, size_t n,
+                 const std::vector<int>& columns, const Schema& layout,
+                 uint8_t* dst) const;
 
   /// Converts the whole table into a RowVector.
   RowVectorPtr ToRowVector() const;

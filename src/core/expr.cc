@@ -49,6 +49,38 @@ KeyCodec::KeyCodec(const Schema& schema, const std::vector<int>& key_cols) {
   key_size_ = off;
 }
 
+FieldSpan RowSpan::field(size_t k) const {
+  FieldSpan f;
+  if (table == nullptr) {
+    f.base = data + schema->offset(k);
+    f.stride = stride;
+    return f;
+  }
+  const Column& col = table->column(k);
+  auto cells = [&](const auto& values) {
+    f.base = reinterpret_cast<const uint8_t*>(values.data() + begin);
+    f.stride = sizeof(values[0]);
+  };
+  switch (schema->field(k).type) {
+    case AtomType::kInt32:
+    case AtomType::kDate:
+      cells(col.i32_data());
+      break;
+    case AtomType::kInt64:
+      cells(col.i64_data());
+      break;
+    case AtomType::kFloat64:
+      cells(col.f64_data());
+      break;
+    case AtomType::kString:
+      f.column = &col;
+      f.begin = begin;
+      f.width = schema->field(k).width;
+      break;
+  }
+  return f;
+}
+
 void KeyCodec::SerializeKeys(const RowSpan& rows, size_t begin, size_t n,
                              uint8_t* out) const {
   const size_t ks = key_size_;
@@ -191,10 +223,9 @@ class ColumnRefExpr : public Expr {
 
   int BcEmitValue(BcCompiler& c, int sel) const override {
     const Field& f = c.schema().field(index_);
-    const uint32_t off = c.schema().offset(index_);
     BcInst in;
     in.s = static_cast<uint16_t>(sel);
-    in.imm = off;
+    in.imm = static_cast<uint32_t>(index_);
     int r;
     switch (f.type) {
       case AtomType::kInt32:

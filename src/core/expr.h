@@ -64,13 +64,47 @@ inline bool IsAscendingSel(const uint32_t* sel, size_t n) {
 /// memory the kernels are about to touch anyway.
 Status ValidateSelection(const char* where, const uint32_t* sel, size_t n);
 
-/// A span of packed rows handed to bytecode programs (the data/stride/schema
-/// triple of a RowBatch without the ownership machinery).
+/// Where the values of one field of a RowSpan sit: the value of row r
+/// starts at base + r * stride. A string column of a ColumnTable has no
+/// fixed-width cells; `column` is set instead, and row r reads as
+/// column->GetString(begin + r, width), the prefix a row field of that
+/// width holds (the string-width contract of core/column_table.h).
+struct FieldSpan {
+  const uint8_t* base = nullptr;
+  uint32_t stride = 0;
+  const Column* column = nullptr;
+  size_t begin = 0;
+  uint32_t width = 0;
+};
+
+/// A span of rows handed to bytecode programs: field k of `schema` is
+/// field(k), one base pointer and stride per field. Two forms fill it.
+///  * Packed rows (`data`/`stride`, the RowBatch layout without its
+///    ownership machinery): base = data + offset(k), stride = row size.
+///    KeyCodec and KeyProgram read this form only.
+///  * A ColumnTable morsel (Columns()): field k is table column k, whose
+///    type must be field k's; base = column data + begin × width,
+///    stride = width.
 struct RowSpan {
   const uint8_t* data = nullptr;
   uint32_t stride = 0;
   const Schema* schema = nullptr;
+  // Column form: rows [begin, ...) of `table`.
+  const ColumnTable* table = nullptr;
+  size_t begin = 0;
 
+  static RowSpan Columns(const ColumnTable& table, size_t begin,
+                         const Schema& schema) {
+    RowSpan span;
+    span.schema = &schema;
+    span.table = &table;
+    span.begin = begin;
+    return span;
+  }
+
+  FieldSpan field(size_t k) const;
+
+  // Packed-row form only.
   const uint8_t* row_ptr(uint32_t r) const {
     return data + static_cast<size_t>(r) * stride;
   }

@@ -151,6 +151,49 @@ inline bool CmpHoldsI64(CmpOp op, int64_t x, int64_t y) {
   return false;
 }
 
+/// The value of row r of a fixed-width field.
+template <typename T>
+inline T Cell(const FieldSpan& f, uint32_t r) {
+  T v;
+  std::memcpy(&v, f.base + static_cast<size_t>(r) * f.stride, sizeof(v));
+  return v;
+}
+
+/// out[i] = the value of row sel[i] of field `f`; a dense selection reads
+/// one strided run.
+template <typename T, typename Out>
+inline void LoadField(const FieldSpan& f, const SelVector& sv, Out* out) {
+  const size_t n = sv.size();
+  const size_t stride = f.stride;
+  if (n > 0 && static_cast<size_t>(sv[n - 1] - sv[0]) == n - 1) {
+    const uint8_t* base = f.base + static_cast<size_t>(sv[0]) * stride;
+    MODULARIS_BC_SIMD
+    for (size_t i = 0; i < n; ++i) {
+      T v;
+      std::memcpy(&v, base + i * stride, sizeof(v));
+      out[i] = v;
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) out[i] = Cell<T>(f, sv[i]);
+  }
+}
+
+/// The row the oracle sees for row r of `rows`: the packed row itself, or
+/// for a column span the row WriteRows builds into `scratch`.
+RowRef LaneRow(const RowSpan& rows, uint32_t r, std::vector<uint8_t>* scratch) {
+  if (rows.table == nullptr) return rows.row(r);
+  scratch->resize(rows.schema->row_size());
+  rows.table->WriteRows(rows.begin + r, nullptr, 1, {}, *rows.schema,
+                        scratch->data());
+  return RowRef(scratch->data(), rows.schema);
+}
+
+/// The order of an IN list's strings: by length, then by bytes. Most
+/// lookups of a string not in the list end on a length compare.
+bool ShorterOrLess(std::string_view a, std::string_view b) {
+  return a.size() != b.size() ? a.size() < b.size() : a < b;
+}
+
 uint64_t NextProgramSerial() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -236,7 +279,7 @@ uint32_t BcCompiler::AddPattern(std::string_view pattern) {
 }
 
 uint32_t BcCompiler::AddStrSet(std::vector<std::string> values) {
-  std::sort(values.begin(), values.end());
+  std::sort(values.begin(), values.end(), ShorterOrLess);
   values.erase(std::unique(values.begin(), values.end()), values.end());
   prog_->str_sets_.push_back(std::move(values));
   return static_cast<uint32_t>(prog_->str_sets_.size() - 1);
@@ -515,66 +558,21 @@ Status BcProgram::Run(const RowSpan& rows, BcState* state) const {
         break;
 
       case BcOp::kLoadI32: {
-        const SelVector& sv = sels[I.s];
-        const size_t n = sv.size();
         BatchColumn& r = regs[I.dst];
-        r.Reset(BatchTag::kI64, n);
-        const uint32_t stride = rows.stride;
-        if (n > 0 && static_cast<size_t>(sv[n - 1] - sv[0]) == n - 1) {
-          const uint8_t* base = rows.row_ptr(sv[0]) + I.imm;
-          MODULARIS_BC_SIMD
-          for (size_t i = 0; i < n; ++i) {
-            int32_t v;
-            std::memcpy(&v, base + i * stride, sizeof(v));
-            r.i64[i] = v;
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            int32_t v;
-            std::memcpy(&v, rows.row_ptr(sv[i]) + I.imm, sizeof(v));
-            r.i64[i] = v;
-          }
-        }
+        r.Reset(BatchTag::kI64, sels[I.s].size());
+        LoadField<int32_t>(rows.field(I.imm), sels[I.s], r.i64.data());
         break;
       }
       case BcOp::kLoadI64: {
-        const SelVector& sv = sels[I.s];
-        const size_t n = sv.size();
         BatchColumn& r = regs[I.dst];
-        r.Reset(BatchTag::kI64, n);
-        const uint32_t stride = rows.stride;
-        if (n > 0 && static_cast<size_t>(sv[n - 1] - sv[0]) == n - 1) {
-          const uint8_t* base = rows.row_ptr(sv[0]) + I.imm;
-          MODULARIS_BC_SIMD
-          for (size_t i = 0; i < n; ++i) {
-            std::memcpy(&r.i64[i], base + i * stride, sizeof(int64_t));
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            std::memcpy(&r.i64[i], rows.row_ptr(sv[i]) + I.imm,
-                        sizeof(int64_t));
-          }
-        }
+        r.Reset(BatchTag::kI64, sels[I.s].size());
+        LoadField<int64_t>(rows.field(I.imm), sels[I.s], r.i64.data());
         break;
       }
       case BcOp::kLoadF64: {
-        const SelVector& sv = sels[I.s];
-        const size_t n = sv.size();
         BatchColumn& r = regs[I.dst];
-        r.Reset(BatchTag::kF64, n);
-        const uint32_t stride = rows.stride;
-        if (n > 0 && static_cast<size_t>(sv[n - 1] - sv[0]) == n - 1) {
-          const uint8_t* base = rows.row_ptr(sv[0]) + I.imm;
-          MODULARIS_BC_SIMD
-          for (size_t i = 0; i < n; ++i) {
-            std::memcpy(&r.f64[i], base + i * stride, sizeof(double));
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            std::memcpy(&r.f64[i], rows.row_ptr(sv[i]) + I.imm,
-                        sizeof(double));
-          }
-        }
+        r.Reset(BatchTag::kF64, sels[I.s].size());
+        LoadField<double>(rows.field(I.imm), sels[I.s], r.f64.data());
         break;
       }
       case BcOp::kLoadStr: {
@@ -582,8 +580,15 @@ Status BcProgram::Run(const RowSpan& rows, BcState* state) const {
         const size_t n = sv.size();
         BatchColumn& r = regs[I.dst];
         r.Reset(BatchTag::kStr, n);
+        const FieldSpan f = rows.field(I.imm);
+        if (f.column != nullptr) {
+          for (size_t i = 0; i < n; ++i) {
+            r.str[i] = f.column->GetString(f.begin + sv[i], f.width);
+          }
+          break;
+        }
         for (size_t i = 0; i < n; ++i) {
-          const uint8_t* p = rows.row_ptr(sv[i]) + I.imm;
+          const uint8_t* p = f.base + static_cast<size_t>(sv[i]) * f.stride;
           uint16_t len;
           std::memcpy(&len, p, sizeof(len));
           r.str[i] =
@@ -769,8 +774,8 @@ Status BcProgram::Run(const RowSpan& rows, BcState* state) const {
         const std::string_view* y = regs[I.b].str.data();
         const CmpOp op = I.cmp;
         CompressSel(&sels[I.s], [&](size_t i) {
-          const int c = x[i].compare(y[i]) < 0 ? -1 : (x[i] == y[i] ? 0 : 1);
-          return size_t(CmpHoldsThreeWay(op, c));
+          const int c = x[i].compare(y[i]);
+          return size_t(CmpHoldsThreeWay(op, c < 0 ? -1 : (c > 0 ? 1 : 0)));
         });
         break;
       }
@@ -797,12 +802,9 @@ Status BcProgram::Run(const RowSpan& rows, BcState* state) const {
       case BcOp::kFilterInStr: {
         const std::string_view* x = regs[I.a].str.data();
         const std::vector<std::string>& set = str_sets_[I.imm];
-        const auto less = [](const auto& a, const auto& b) {
-          return std::string_view(a) < std::string_view(b);
-        };
         CompressSel(&sels[I.s], [&](size_t i) {
-          return size_t(
-              std::binary_search(set.begin(), set.end(), x[i], less));
+          return size_t(std::binary_search(set.begin(), set.end(), x[i],
+                                           ShorterOrLess));
         });
         break;
       }
@@ -829,65 +831,62 @@ Status BcProgram::Run(const RowSpan& rows, BcState* state) const {
         }
         break;
 
-      case BcOp::kFilterColCmpI32: {
-        const int64_t c = const_i64_[I.b];
-        const CmpOp op = I.cmp;
-        CompressSel(&sels[I.s], [&](size_t i) {
-          int32_t v;
-          std::memcpy(&v, rows.row_ptr(sels[I.s][i]) + I.imm, sizeof(v));
-          return size_t(CmpHoldsI64(op, v, c));
-        });
-        break;
-      }
+      case BcOp::kFilterColCmpI32:
       case BcOp::kFilterColCmpI64: {
+        const FieldSpan f = rows.field(I.imm);
+        const uint32_t* sv = sels[I.s].data();
         const int64_t c = const_i64_[I.b];
         const CmpOp op = I.cmp;
-        CompressSel(&sels[I.s], [&](size_t i) {
-          int64_t v;
-          std::memcpy(&v, rows.row_ptr(sels[I.s][i]) + I.imm, sizeof(v));
-          return size_t(CmpHoldsI64(op, v, c));
-        });
+        if (I.op == BcOp::kFilterColCmpI32) {
+          CompressSel(&sels[I.s], [&](size_t i) {
+            return size_t(CmpHoldsI64(op, Cell<int32_t>(f, sv[i]), c));
+          });
+        } else {
+          CompressSel(&sels[I.s], [&](size_t i) {
+            return size_t(CmpHoldsI64(op, Cell<int64_t>(f, sv[i]), c));
+          });
+        }
         break;
       }
       case BcOp::kFilterColCmpF64: {
+        const FieldSpan f = rows.field(I.imm);
+        const uint32_t* sv = sels[I.s].data();
         const double c = const_f64_[I.b];
         const CmpOp op = I.cmp;
         CompressSel(&sels[I.s], [&](size_t i) {
-          double v;
-          std::memcpy(&v, rows.row_ptr(sels[I.s][i]) + I.imm, sizeof(v));
-          return size_t(CmpHoldsF64(op, v, c));
+          return size_t(CmpHoldsF64(op, Cell<double>(f, sv[i]), c));
         });
         break;
       }
-      case BcOp::kFilterColRangeI32: {
-        const int64_t lo = const_i64_[I.a];
-        const int64_t hi = const_i64_[I.b];
-        const CmpOp op = I.cmp, op2 = I.cmp2;
-        CompressSel(&sels[I.s], [&](size_t i) {
-          int32_t v;
-          std::memcpy(&v, rows.row_ptr(sels[I.s][i]) + I.imm, sizeof(v));
-          return size_t(CmpHoldsI64(op, v, lo) && CmpHoldsI64(op2, v, hi));
-        });
-        break;
-      }
+      case BcOp::kFilterColRangeI32:
       case BcOp::kFilterColRangeI64: {
+        const FieldSpan f = rows.field(I.imm);
+        const uint32_t* sv = sels[I.s].data();
         const int64_t lo = const_i64_[I.a];
         const int64_t hi = const_i64_[I.b];
         const CmpOp op = I.cmp, op2 = I.cmp2;
-        CompressSel(&sels[I.s], [&](size_t i) {
-          int64_t v;
-          std::memcpy(&v, rows.row_ptr(sels[I.s][i]) + I.imm, sizeof(v));
+        auto in_range = [&](int64_t v) {
           return size_t(CmpHoldsI64(op, v, lo) && CmpHoldsI64(op2, v, hi));
-        });
+        };
+        if (I.op == BcOp::kFilterColRangeI32) {
+          CompressSel(&sels[I.s], [&](size_t i) {
+            return in_range(Cell<int32_t>(f, sv[i]));
+          });
+        } else {
+          CompressSel(&sels[I.s], [&](size_t i) {
+            return in_range(Cell<int64_t>(f, sv[i]));
+          });
+        }
         break;
       }
       case BcOp::kFilterColRangeF64: {
+        const FieldSpan f = rows.field(I.imm);
+        const uint32_t* sv = sels[I.s].data();
         const double lo = const_f64_[I.a];
         const double hi = const_f64_[I.b];
         const CmpOp op = I.cmp, op2 = I.cmp2;
         CompressSel(&sels[I.s], [&](size_t i) {
-          double v;
-          std::memcpy(&v, rows.row_ptr(sels[I.s][i]) + I.imm, sizeof(v));
+          const double v = Cell<double>(f, sv[i]);
           return size_t(CmpHoldsF64(op, v, lo) && CmpHoldsF64(op2, v, hi));
         });
         break;
@@ -923,8 +922,8 @@ Status BcProgram::Run(const RowSpan& rows, BcState* state) const {
         BatchColumn& r = regs[I.dst];
         r.Reset(BatchTag::kItem, sv.size());
         for (size_t i = 0; i < sv.size(); ++i) {
-          MODULARIS_RETURN_NOT_OK(
-              nodes_[I.imm]->EvalChecked(rows.row(sv[i]), &r.items[i]));
+          MODULARIS_RETURN_NOT_OK(nodes_[I.imm]->EvalChecked(
+              LaneRow(rows, sv[i], &state->lane_row_), &r.items[i]));
         }
         break;
       }
@@ -937,7 +936,8 @@ Status BcProgram::Run(const RowSpan& rows, BcState* state) const {
         size_t k = 0;
         for (size_t i = 0; i < sv.size(); ++i) {
           bool keep = false;
-          MODULARIS_RETURN_NOT_OK(e.EvalBoolChecked(rows.row(sv[i]), &keep));
+          MODULARIS_RETURN_NOT_OK(e.EvalBoolChecked(
+              LaneRow(rows, sv[i], &state->lane_row_), &keep));
           if (keep) sv[k++] = sv[i];
         }
         sv.resize(k);

@@ -29,16 +29,19 @@ namespace modularis {
 /// selection register; filter ops narrow a selection register in place;
 /// sel ops implement the AND/OR/NOT/IF selection algebra; kJumpIfEmpty
 /// provides the short-circuit jumps. The kFilterCol* forms are produced
-/// by the optimizer's comparison fusion: they read the column directly
-/// from the packed rows and narrow in a single pass, no materialized
-/// value register at all.
+/// by the optimizer's comparison fusion: they read the field directly
+/// from the span and narrow in a single pass, no materialized value
+/// register at all. Every load and fused filter reads field imm of row r
+/// at RowSpan::field(imm).base + r × stride, so one kernel serves packed
+/// rows and ColumnTable morsels alike; kLoadStr has the one extra form,
+/// over a string column's offsets + arena.
 enum class BcOp : uint8_t {
   kNop = 0,
-  // Column loads: dst[i] = rows[sel[i]] field at byte offset imm.
+  // Field loads: dst[i] = field imm of row sel[i].
   kLoadI32,  // sign-extended to i64 (covers i32 and date columns)
   kLoadI64,
   kLoadF64,
-  kLoadStr,  // u16 length + payload → borrowed string_view
+  kLoadStr,  // u16 length + payload, or a column string → string_view
   // Constant splats from the program pools: dst[i] = pool[imm].
   kConstI64,
   kConstF64,
@@ -71,13 +74,13 @@ enum class BcOp : uint8_t {
   kFilterInI64,  // keep lanes where a[i] ∈ int_sets[imm]
   kFilterClear,  // statically false predicate: clear sels[s]
   kFilterRaise,  // statically non-numeric predicate: error if lanes remain
-  // Fused column-vs-constant filters (optimizer output): load from row
-  // byte offset imm, compare against const pool entry b, one pass.
+  // Fused field-vs-constant filters (optimizer output): load field imm,
+  // compare against const pool entry b, one pass.
   kFilterColCmpI32,
   kFilterColCmpI64,
   kFilterColCmpF64,
   // Fused two-sided range (the BETWEEN shape): cmp(v, pool[a]) AND
-  // cmp2(v, pool[b]) against column at byte offset imm, one pass.
+  // cmp2(v, pool[b]) against field imm, one pass.
   kFilterColRangeI32,
   kFilterColRangeI64,
   kFilterColRangeF64,
@@ -95,8 +98,8 @@ enum class BcOp : uint8_t {
 
 /// One instruction. `dst`/`a`/`b` index value registers (for the fused
 /// kFilterCol* forms `a`/`b` index the typed constant pools instead);
-/// `s`/`s2` index selection registers; `imm` is a column byte offset, a
-/// pool index, a fallback-node index, or a jump target depending on op.
+/// `s`/`s2` index selection registers; `imm` is a field index, a pool
+/// index, a fallback-node index, or a jump target depending on op.
 struct BcInst {
   BcOp op = BcOp::kNop;
   CmpOp cmp = CmpOp::kEq;
@@ -123,13 +126,18 @@ class BcState {
   std::vector<SelVector> sels_;
   std::vector<size_t> const_fill_;  // lanes already splatted per const reg
   uint64_t program_serial_ = 0;     // which program the caches belong to
+  // A fallback lane's row, built from a column span (ColumnTable::WriteRows).
+  std::vector<uint8_t> lane_row_;
 };
 
 /// A compiled, immutable bytecode program. Two entry points: RunFilter
 /// (predicate programs — narrows the caller's SelVector in place) and
 /// RunValue (value programs — fills a BatchColumn for the given lanes).
 /// Both validate the incoming selection against the strictly-ascending
-/// SelVector contract: the bytecode tier is the checked tier.
+/// SelVector contract: the bytecode tier is the checked tier. Both run
+/// over either RowSpan form; a per-lane fallback on a column span builds
+/// its lane's row with ColumnTable::WriteRows and runs the row oracle on
+/// it, so a column span yields exactly what its rows would.
 class BcProgram {
  public:
   /// Compile-time metadata, for stats counters and tests.

@@ -73,9 +73,10 @@ class MemoryBudget {
   std::atomic<int64_t> denials_{0};
 };
 
-/// RAII bundle for explicit (non-ByteBuffer) charges: hash-table bucket
-/// and entry arrays, state-table slabs, overflow arenas. Add() as the
-/// structure grows; destruction (or Reset()) releases everything charged.
+/// RAII bundle of charges, the one way operators charge a budget:
+/// hash-table bucket and entry arrays, state-table slabs, overflow arenas,
+/// exchange staging. Add() as the structure grows; destruction (or
+/// Reset()) releases everything charged.
 class ScopedCharge {
  public:
   ScopedCharge() = default;

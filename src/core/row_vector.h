@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/memory.h"
 #include "core/types.h"
 
 /// \file row_vector.h
@@ -28,12 +27,7 @@ using RowVectorPtr = std::shared_ptr<RowVector>;
 class ByteBuffer {
  public:
   ByteBuffer() = default;
-  ~ByteBuffer() {
-    if (budget_ != nullptr && cap_ > 0) budget_->Release(cap_);
-  }
   ByteBuffer(const ByteBuffer& other) { *this = other; }
-  /// Copy keeps the target's own budget binding; the grown capacity is
-  /// charged there like any other reserve.
   ByteBuffer& operator=(const ByteBuffer& other) {
     if (this != &other) {
       reserve(other.size_);
@@ -43,18 +37,13 @@ class ByteBuffer {
     return *this;
   }
   ByteBuffer(ByteBuffer&& other) noexcept { *this = std::move(other); }
-  /// Move transfers the budget binding together with the capacity it
-  /// charged; the target's previous capacity is released to its budget.
   ByteBuffer& operator=(ByteBuffer&& other) noexcept {
     if (this != &other) {
-      if (budget_ != nullptr && cap_ > 0) budget_->Release(cap_);
       data_ = std::move(other.data_);
       size_ = other.size_;
       cap_ = other.cap_;
-      budget_ = other.budget_;
       other.size_ = 0;  // leave the source empty-but-valid for reuse
       other.cap_ = 0;
-      other.budget_ = nullptr;
     }
     return *this;
   }
@@ -64,17 +53,6 @@ class ByteBuffer {
   size_t size() const { return size_; }
   size_t capacity() const { return cap_; }
 
-  /// Binds the buffer to a memory budget (null detaches): current and
-  /// future capacity is charged there and released on destruction. Pure
-  /// accounting — growth never fails (docs/DESIGN-memory.md).
-  void set_budget(MemoryBudget* budget) {
-    if (budget == budget_) return;
-    if (budget_ != nullptr && cap_ > 0) budget_->Release(cap_);
-    budget_ = budget;
-    if (budget_ != nullptr && cap_ > 0) budget_->Charge(cap_);
-  }
-  MemoryBudget* budget() const { return budget_; }
-
   void clear() { size_ = 0; }
 
   void reserve(size_t cap) {
@@ -82,7 +60,6 @@ class ByteBuffer {
     std::unique_ptr<uint8_t[]> grown(new uint8_t[cap]);
     if (size_ > 0) std::memcpy(grown.get(), data_.get(), size_);
     data_ = std::move(grown);
-    if (budget_ != nullptr) budget_->Charge(cap - cap_);
     cap_ = cap;
   }
 
@@ -114,7 +91,6 @@ class ByteBuffer {
   std::unique_ptr<uint8_t[]> data_;
   size_t size_ = 0;
   size_t cap_ = 0;
-  MemoryBudget* budget_ = nullptr;
 };
 
 /// A read-only view of one packed row. Cheap to copy; does not own memory.
@@ -208,12 +184,6 @@ class RowVector {
   uint8_t* mutable_data() { return buf_.data(); }
 
   void Reserve(size_t rows) { buf_.reserve(rows * row_size_); }
-
-  /// Binds the backing buffer to a memory budget (core/memory.h); the
-  /// operators attach their large materializations (build sides, state
-  /// tables, sort inputs, exchange staging) so `mem.peak_bytes` reflects
-  /// the rank's real footprint.
-  void SetBudget(MemoryBudget* budget) { buf_.set_budget(budget); }
 
   /// Drops all rows but keeps the allocated capacity (scratch reuse).
   void Clear() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 namespace modularis::planner {
 namespace {
@@ -247,7 +248,14 @@ double EstimateRows(const LogicalPlan& node, const Catalog& catalog) {
       auto t = catalog.tables.find(node.table);
       const double rows =
           t != catalog.tables.end() ? t->second.rows : kDefaultRows;
-      return rows * Selectivity(node.scan_filter, node, catalog);
+      if (node.scan_filter == nullptr) return rows;
+      // The scan filter reads table columns: price it over the scan of
+      // the whole table.
+      LogicalPlan table = node;
+      table.scan_cols.resize(node.table_schema.num_fields());
+      std::iota(table.scan_cols.begin(), table.scan_cols.end(), 0);
+      table.schema = node.table_schema;
+      return rows * Selectivity(node.scan_filter, table, catalog);
     }
     case NodeKind::kFilter:
       return EstimateRows(*node.children[0], catalog) *

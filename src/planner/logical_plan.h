@@ -64,8 +64,9 @@ struct LogicalPlan {
   /// Emitted columns as full-table indices, in output order. Factories
   /// start with the identity selection; projection pruning narrows it.
   std::vector<int> scan_cols;
-  /// Residual row filter over the scan OUTPUT schema (predicate pushdown
-  /// merges Filter nodes into this).
+  /// Row filter over the TABLE schema (full-table column indices), so a
+  /// column only the filter reads need not be emitted. Predicate pushdown
+  /// merges Filter nodes into it; the scan leaf tests it on the columns.
   ExprPtr scan_filter;
   /// Min-max pruning ranges over FULL-table column indices, extracted
   /// from scan_filter for the column-file leaves.

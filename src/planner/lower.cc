@@ -65,22 +65,52 @@ std::string AllocName(LoweringContext* ctx, const std::string& base) {
 }
 
 /// Adds pipeline `name` yielding this rank's filtered + pruned shard of
-/// the scanned table: MaterializeRowVector(Filter?(ColumnScan(source))),
-/// where only the table source differs per scan leaf (Figs. 6/7).
-void AddScan(PipelinePlan* plan, const std::string& name,
-             const LogicalPlan& n, const LoweringContext& ctx) {
+/// the scanned table: MaterializeRowVector(ColumnScan(source, columns,
+/// filter)). The ColumnScan tests the scan filter on the source's columns
+/// and builds only the survivors' output columns; only the table source
+/// differs per scan leaf (Figs. 6/7).
+Status AddScan(PipelinePlan* plan, const std::string& name,
+               const LogicalPlan& n, const LoweringContext& ctx) {
   SubOpPtr source = ParamItem(n.table);
-  std::vector<int> columns;
+  // The in-memory fragment is the whole table, so the scan reads its
+  // output columns and the filter's table columns straight from it. The
+  // storage leaves decode only the read columns: the output columns, then
+  // those only the filter reads, so decoded column i is read[i].
+  std::vector<int> columns = n.scan_cols;
   ExprPtr filter = n.scan_filter;
+  Schema source_schema = n.table_schema;
+  std::vector<int> read = n.scan_cols;
+  if (ctx.scan_leaf != ScanLeafKind::kMemoryRows) {
+    std::vector<int> map(n.table_schema.num_fields(), -1);
+    for (size_t i = 0; i < read.size(); ++i) {
+      map[read[i]] = static_cast<int>(i);
+    }
+    std::vector<int> filter_cols;
+    if (filter != nullptr) filter->CollectColumns(&filter_cols);
+    std::sort(filter_cols.begin(), filter_cols.end());
+    for (int c : filter_cols) {
+      if (map[c] >= 0) continue;
+      map[c] = static_cast<int>(read.size());
+      read.push_back(c);
+    }
+    if (filter != nullptr) {
+      filter = RemapColumns(filter, map);
+      if (filter == nullptr) {
+        return Status::InvalidArgument("lower: scan filter " +
+                                       n.scan_filter->ToString() +
+                                       " cannot read the decoded columns");
+      }
+    }
+    std::iota(columns.begin(), columns.end(), 0);
+    source_schema = n.table_schema.Select(read);
+  }
   switch (ctx.scan_leaf) {
     case ScanLeafKind::kMemoryRows:
-      // In-memory column-table fragment: the scan picks the columns.
-      columns = n.scan_cols;
       break;
     case ScanLeafKind::kColumnFile: {
       // ColumnFile on NFS/S3: projection + range pushdown in the read.
       ColumnFileScan::Options copts;
-      copts.projection = n.scan_cols;
+      copts.projection = std::move(read);
       copts.ranges = n.scan_ranges;
       source = std::make_unique<ColumnFileScan>(std::move(source), copts);
       break;
@@ -90,20 +120,19 @@ void AddScan(PipelinePlan* plan, const std::string& name,
       // storage service; nothing remains to filter here (§4.5).
       S3SelectRequest::Options sopts;
       sopts.object_schema = n.table_schema;
-      sopts.projection = n.scan_cols;
+      sopts.projection = std::move(read);
       sopts.predicate = std::move(filter);
       source = std::make_unique<S3SelectRequest>(std::move(source),
                                                  std::move(sopts));
       break;
     }
   }
-  SubOpPtr rows = std::make_unique<ColumnScan>(std::move(source), n.schema,
-                                               std::move(columns));
-  if (filter != nullptr) {
-    rows = std::make_unique<Filter>(std::move(rows), std::move(filter));
-  }
-  plan->Add(name, std::make_unique<MaterializeRowVector>(std::move(rows),
-                                                         n.schema));
+  plan->Add(name, std::make_unique<MaterializeRowVector>(
+                      std::make_unique<ColumnScan>(
+                          std::move(source), n.schema, std::move(columns),
+                          std::move(filter), std::move(source_schema)),
+                      n.schema));
+  return Status::OK();
 }
 
 /// The configuration both exchange kinds start from: the MPI network
@@ -610,7 +639,7 @@ Result<LoweredPlan> LowerNode(const LogicalPlan& n, PipelinePlan* plan,
     case NodeKind::kScan: {
       std::string name = AllocName(
           ctx, n.table_name.empty() ? "scan" : n.table_name);
-      AddScan(plan, name, n, *ctx);
+      MODULARIS_RETURN_NOT_OK(AddScan(plan, name, n, *ctx));
       return LoweredPlan{name, n.schema};
     }
     case NodeKind::kFilter:

@@ -52,14 +52,15 @@
 namespace modularis::planner {
 
 /// The table source of a Scan node. Every Scan lowers to
-/// MaterializeRowVector(Filter?(ColumnScan(source))); only the source
-/// differs per kind.
+/// MaterializeRowVector(ColumnScan(source, columns, filter)): the scan
+/// tests the filter on the source's columns and writes only survivors;
+/// only the source differs per kind.
 enum class ScanLeafKind {
   /// In-memory column-table fragment: the parameter item itself, the
   /// ColumnScan selecting scan_cols.
   kMemoryRows,
   /// ColumnFile on NFS/S3: ColumnFileScan with projection + range
-  /// pushdown (scan_cols / scan_ranges).
+  /// pushdown (scan_cols plus the filter's columns / scan_ranges).
   kColumnFile,
   /// Smart storage: S3SelectRequest carries projection AND the full scan
   /// filter into the storage service; no residual filter remains (§4.5).

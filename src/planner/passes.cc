@@ -54,10 +54,13 @@ LogicalPlanPtr PushRec(const LogicalPlanPtr& n, int64_t* moved) {
   if (cur->kind != NodeKind::kFilter) return cur;
   const LogicalPlanPtr& child = cur->children[0];
   if (child->kind == NodeKind::kScan) {
+    // The scan filter reads table columns: output column i is table
+    // column scan_cols[i].
+    ExprPtr pred = RemapColumns(cur->predicate, child->scan_cols);
+    if (pred == nullptr) return cur;
     auto m = Mutable(*child);
-    m->scan_filter = m->scan_filter != nullptr
-                         ? ex::And(m->scan_filter, cur->predicate)
-                         : cur->predicate;
+    m->scan_filter =
+        m->scan_filter != nullptr ? ex::And(m->scan_filter, pred) : pred;
     ++*moved;
     return m;
   }
@@ -369,16 +372,17 @@ void ExtractRanges(const LogicalPlan& scan,
           break;
       }
     }
-    if (col < 0 || static_cast<size_t>(col) >= scan.scan_cols.size()) return;
+    if (col < 0 || static_cast<size_t>(col) >= scan.table_schema.num_fields()) {
+      return;
+    }
     Item v;
     if (!lit->AsLiteral(&v) || !v.is_i64()) return;
-    const int full_col = scan.scan_cols[col];
-    const AtomType type = scan.table_schema.field(full_col).type;
+    const AtomType type = scan.table_schema.field(col).type;
     if (type != AtomType::kDate && type != AtomType::kInt32 &&
         type != AtomType::kInt64) {
       return;
     }
-    Bounds& b = bounds[full_col];
+    Bounds& b = bounds[col];
     switch (op) {
       case CmpOp::kEq:
         b.lo = std::max(b.lo, v.i64());
@@ -425,8 +429,9 @@ PrunedNode PruneRec(const LogicalPlanPtr& n, std::vector<char> required,
                     bool* ok, int64_t* dropped) {
   switch (n->kind) {
     case NodeKind::kScan: {
+      // The scan filter reads table columns, not output ones, so a column
+      // only the filter reads leaves the output too.
       const size_t nf = n->schema.num_fields();
-      RequireExprCols(n->scan_filter, &required);
       std::vector<int> keep;
       keep.reserve(nf);
       std::vector<int> map(nf, -1);
@@ -443,14 +448,7 @@ PrunedNode PruneRec(const LogicalPlanPtr& n, std::vector<char> required,
       for (int i : keep) cols.push_back(n->scan_cols[i]);
       m->scan_cols = std::move(cols);
       m->schema = n->table_schema.Select(m->scan_cols);
-      if (n->scan_filter != nullptr) {
-        ExtractRanges(*n, &m->scan_ranges);
-        m->scan_filter = RemapColumns(n->scan_filter, map);
-        if (m->scan_filter == nullptr) {
-          *ok = false;
-          return {n, {}};
-        }
-      }
+      ExtractRanges(*n, &m->scan_ranges);
       return {m, std::move(map)};
     }
     case NodeKind::kFilter: {

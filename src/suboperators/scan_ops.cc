@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
-#include "suboperators/basic_ops.h"
+#include "core/parallel.h"
 
 namespace modularis {
 
@@ -28,13 +29,53 @@ bool RowScan::Advance() {
 // ColumnScan
 // ---------------------------------------------------------------------------
 
-bool ColumnScan::Advance() {
-  if (ranged_) {
-    if (remaining_ == 0 || next_source_ >= sources_.size()) return false;
-    current_ = sources_[next_source_++];
-    pos_ = 0;
-    return true;
+ColumnScan::ColumnScan(SubOpPtr child, Schema schema, std::vector<int> columns,
+                       ExprPtr predicate, Schema source)
+    : SubOperator("ColumnScan"),
+      schema_(std::move(schema)),
+      columns_(std::move(columns)),
+      predicate_(std::move(predicate)),
+      source_(std::move(source)) {
+  AddChild(std::move(child));
+  if (predicate_ != nullptr) {
+    program_ = std::make_shared<const BcProgram>(
+        BcProgram::CompileFilter(predicate_, source_));
   }
+}
+
+Status ColumnScan::Open(ExecContext* ctx) {
+  current_.reset();
+  pos_ = 0;
+  sources_.clear();
+  MODULARIS_RETURN_NOT_OK(SubOperator::Open(ctx));
+  if (program_ != nullptr && program_->fallback_count() > 0) {
+    AddStatCounter("expr.bc_fallback.filter",
+                   static_cast<int64_t>(program_->fallback_count()));
+  }
+  return Status::OK();
+}
+
+Status ColumnScan::CheckTable(const ColumnTable& table) const {
+  auto provides = [&](size_t c, const Field& f) {
+    return c < table.num_columns() && table.column(c).type() == f.type &&
+           table.column(c).size() == table.num_rows();
+  };
+  bool ok = true;
+  for (size_t k = 0; k < schema_.num_fields(); ++k) {
+    ok = ok && provides(columns_.empty() ? k : static_cast<size_t>(columns_[k]),
+                        schema_.field(k));
+  }
+  for (size_t k = 0; program_ != nullptr && k < source_.num_fields(); ++k) {
+    ok = ok && provides(k, source_.field(k));
+  }
+  if (ok) return Status::OK();
+  return Status::InvalidArgument("ColumnScan: table " +
+                                 table.schema().ToString() +
+                                 " does not provide the records " +
+                                 schema_.ToString());
+}
+
+bool ColumnScan::Advance() {
   Tuple t;
   if (!child(0)->Next(&t)) return ChildEnd(child(0));
   const Item& item = t[0];
@@ -42,38 +83,43 @@ bool ColumnScan::Advance() {
     return Fail(Status::InvalidArgument(
         "ColumnScan expects a table item, got " + item.ToString()));
   }
-  const ColumnTable& table = *item.table();
-  for (size_t k = 0; k < schema_.num_fields(); ++k) {
-    const size_t c = columns_.empty() ? k : static_cast<size_t>(columns_[k]);
-    if (c >= table.num_columns() ||
-        table.column(c).type() != schema_.field(k).type ||
-        table.column(c).size() != table.num_rows()) {
-      return Fail(Status::InvalidArgument(
-          "ColumnScan: table " + table.schema().ToString() +
-          " does not provide the records " + schema_.ToString()));
-    }
-  }
+  Status st = CheckTable(*item.table());
+  if (!st.ok()) return Fail(std::move(st));
   current_ = item.table();
   pos_ = 0;
   return true;
 }
 
+Status ColumnScan::RunPredicate(const ColumnTable& table, size_t begin,
+                                SelVector* sel, BcState* state) const {
+  return program_->RunFilter(RowSpan::Columns(table, begin, source_), sel,
+                             state);
+}
+
 bool ColumnScan::Fill(size_t cap) {
-  while (current_ == nullptr || pos_ >= current_->num_rows()) {
-    if (!Advance()) return false;
+  while (true) {
+    while (current_ == nullptr || pos_ >= current_->num_rows()) {
+      if (!Advance()) return false;
+    }
+    const size_t n = std::min(current_->num_rows() - pos_, cap);
+    const uint32_t* sel = nullptr;
+    size_t m = n;
+    if (program_ != nullptr) {
+      sel_.resize(n);
+      std::iota(sel_.begin(), sel_.end(), 0u);
+      Status st = RunPredicate(*current_, pos_, &sel_, &bc_state_);
+      if (!st.ok()) return Fail(std::move(st));
+      sel = sel_.data();
+      m = sel_.size();
+    }
+    if (rows_ == nullptr) rows_ = RowVector::Make(schema_);
+    rows_->Clear();
+    rows_->ResizeRowsUninitialized(m);
+    current_->WriteRows(pos_, sel, m, columns_, schema_,
+                        rows_->mutable_data());
+    pos_ += n;
+    if (m > 0) return true;
   }
-  size_t n = std::min(current_->num_rows() - pos_, cap);
-  if (ranged_) {
-    n = std::min(n, remaining_);
-    if (n == 0) return false;
-    remaining_ -= n;
-  }
-  if (rows_ == nullptr) rows_ = RowVector::Make(schema_);
-  rows_->Clear();
-  rows_->ResizeRows(n);  // zero-filled: WriteRows leaves the padding
-  current_->WriteRows(pos_, n, columns_, schema_, rows_->mutable_data());
-  pos_ += n;
-  return true;
 }
 
 bool ColumnScan::Next(Tuple* out) {
@@ -91,16 +137,14 @@ bool ColumnScan::NextBatch(RowBatch* out) {
 }
 
 SubOpPtr ColumnScan::CloneForWorker(WorkerCloneContext* cc) const {
-  if (read_sources_) {
-    std::vector<Tuple> tables;
-    for (const ColumnTablePtr& table : sources_) tables.push_back({Item(table)});
-    return std::make_unique<ColumnScan>(
-        std::make_unique<TupleSource>(std::move(tables)), schema_, columns_);
-  }
   SubOpPtr child_clone = child(0)->CloneForWorker(cc);
   if (child_clone == nullptr) return nullptr;
-  return std::make_unique<ColumnScan>(std::move(child_clone), schema_,
-                                      columns_);
+  auto clone =
+      std::make_unique<ColumnScan>(std::move(child_clone), schema_, columns_);
+  clone->predicate_ = predicate_;
+  clone->source_ = source_;
+  clone->program_ = program_;
+  return clone;
 }
 
 Status ColumnScan::ReadSources(size_t* rows) {
@@ -109,42 +153,65 @@ Status ColumnScan::ReadSources(size_t* rows) {
     *rows += current_->num_rows();
     sources_.push_back(std::move(current_));
   }
-  MODULARIS_RETURN_NOT_OK(status_);
-  read_sources_ = true;
+  return status_;
+}
+
+void ColumnScan::ReserveSelection(size_t rows, Selection* out) const {
+  out->pieces.reserve(sources_.size());
+  if (program_ != nullptr) out->rows.reserve(rows);
+}
+
+Status ColumnScan::Select(size_t begin, size_t end, BcState* state,
+                          Selection* out) const {
+  out->pieces.clear();
+  out->rows.clear();
+  out->count = 0;
+  SelVector morsel;
+  size_t first = 0;  // the current table's first row, counted across tables
+  for (size_t s = 0; s < sources_.size() && first < end; ++s) {
+    const ColumnTable& table = *sources_[s];
+    const size_t lo = std::max(begin, first);
+    const size_t hi = std::min(end, first + table.num_rows());
+    Selection::Piece piece{s, lo - first, hi > lo ? hi - lo : 0, 0};
+    first += table.num_rows();
+    if (piece.rows == 0) continue;
+    if (program_ == nullptr) piece.survivors = piece.rows;
+    // The predicate runs a cache-sized morsel at a time.
+    for (size_t m = 0; program_ != nullptr && m < piece.rows;
+         m += RowBatch::kDefaultRows) {
+      morsel.resize(std::min(RowBatch::kDefaultRows, piece.rows - m));
+      std::iota(morsel.begin(), morsel.end(), 0u);
+      MODULARIS_RETURN_NOT_OK(
+          RunPredicate(table, piece.begin + m, &morsel, state));
+      for (uint32_t r : morsel) {
+        out->rows.push_back(r + static_cast<uint32_t>(m));
+      }
+      piece.survivors += morsel.size();
+    }
+    out->count += piece.survivors;
+    out->pieces.push_back(piece);
+  }
   return Status::OK();
 }
 
-void ColumnScan::SetRange(size_t begin, size_t end) {
-  ranged_ = true;
-  remaining_ = end - begin;
-  current_.reset();
-  pos_ = 0;
-  next_source_ = 0;
-  // Skip the tables wholly before the range; the range starts `begin`
-  // rows into the next one.
-  while (next_source_ < sources_.size() &&
-         begin >= sources_[next_source_]->num_rows()) {
-    begin -= sources_[next_source_++]->num_rows();
-  }
-  if (next_source_ < sources_.size()) {
-    current_ = sources_[next_source_++];
-    pos_ = begin;
+void ColumnScan::Write(const Selection& sel, uint8_t* dst) const {
+  const size_t stride = schema_.row_size();
+  const uint32_t* survivors = sel.rows.data();
+  for (const Selection::Piece& piece : sel.pieces) {
+    const ColumnTable& table = *sources_[piece.source];
+    // Cache-sized runs, so each column pass writes rows still in cache.
+    for (size_t c = 0; c < piece.survivors; c += RowBatch::kDefaultRows) {
+      const size_t k = std::min(RowBatch::kDefaultRows, piece.survivors - c);
+      if (program_ == nullptr) {
+        table.WriteRows(piece.begin + c, nullptr, k, columns_, schema_, dst);
+      } else {
+        table.WriteRows(piece.begin, survivors + c, k, columns_, schema_, dst);
+      }
+      dst += k * stride;
+    }
+    if (program_ != nullptr) survivors += piece.survivors;
   }
 }
-
-namespace {
-
-/// The ColumnScan under a scan pipeline: `op` and every operator below it
-/// down to that scan are record-stream Filters. Null for any other chain.
-ColumnScan* ScanPipelineLeaf(SubOperator* op) {
-  while (dynamic_cast<Filter*>(op) != nullptr) {
-    if (!op->ProducesRecordStream()) return nullptr;
-    op = op->child(0);
-  }
-  return dynamic_cast<ColumnScan*>(op);
-}
-
-}  // namespace
 
 Status MaterializeRowVector::DrainStream(RowVectorPtr* result) {
   RowBatch batch;
@@ -166,79 +233,44 @@ Status MaterializeRowVector::DrainScanPipeline(ColumnScan* scan,
                                                RowVectorPtr* result) {
   scan_timer_.Bind(ctx_->stats, "phase.scan_pipeline");
   ScopedPhase phase(&scan_timer_);
+  if (!scan->schema().SameLayout(schema_)) {
+    return Status::InvalidArgument(
+        "MaterializeRowVector: scan rows " + scan->schema().ToString() +
+        " do not match the stream schema " + schema_.ToString());
+  }
   size_t total = 0;
   MODULARIS_RETURN_NOT_OK(scan->ReadSources(&total));
-  // Worker w drains global rows [bounds[w], bounds[w+1]) across the
-  // source tables in order into parts[w], so the parts concatenated in
-  // worker order are the one-worker stream at any worker count. Filters
-  // only drop rows, so each part is reserved to its range here, on the
-  // calling thread, and never grows: the workers allocate no output.
+  // count → offsets → write, as RangedScatter: worker w selects the
+  // survivors of global rows [bounds[w], bounds[w+1]), the survivor counts
+  // place its slice of the one result, and it writes its survivors there.
+  // The slices in worker order are the one-worker stream at any worker
+  // count. Every buffer that outlives a region is allocated here, on the
+  // calling thread; the workers allocate no output.
   const int workers = PlanWorkers(total, ctx_->options);
   const std::vector<size_t> bounds = SplitRows(total, workers);
-  std::vector<RowVectorPtr> parts(workers);
+  std::vector<ColumnScan::Selection> sels(workers);
+  std::vector<BcState> states(workers);
   for (int w = 0; w < workers; ++w) {
-    parts[w] = RowVector::Make(schema_);
-    parts[w]->Reserve(bounds[w + 1] - bounds[w]);
+    scan->ReserveSelection(bounds[w + 1] - bounds[w], &sels[w]);
   }
-  auto drain = [&](SubOperator* chain, ColumnScan* leaf, int w) -> Status {
-    leaf->SetRange(bounds[w], bounds[w + 1]);
-    RowBatch batch;
-    while (chain->PullBatch(&batch)) {
-      if (!batch.schema().SameLayout(schema_)) {
-        return Status::InvalidArgument(
-            chain->name() + ": rows " + batch.schema().ToString() +
-            " do not match the stream schema " + schema_.ToString());
-      }
-      parts[w]->AppendRawBatch(batch.data(), batch.size());
-    }
-    return chain->status();
-  };
-  if (workers == 1) {
-    MODULARIS_RETURN_NOT_OK(drain(child(0), scan, 0));
-  } else {
-    // Filters and a ColumnScan that has read its sources always clone.
-    WorkerCloneContext cc;
-    std::vector<SubOpPtr> chains;
-    for (int w = 0; w < workers; ++w) {
-      chains.push_back(child(0)->CloneForWorker(&cc));
-    }
-    WorkerSet ws(ctx_, workers);
-    Status st = ParallelFor(ctx_, workers, [&](int w) -> Status {
-      SubOperator* chain = chains[w].get();
-      MODULARIS_RETURN_NOT_OK(chain->Open(ws.ctx(w)));
-      ColumnScan* leaf = ScanPipelineLeaf(chain);
-      size_t rows = 0;
-      Status run = leaf->ReadSources(&rows);
-      if (run.ok()) run = drain(chain, leaf, w);
-      Status close = chain->Close();
-      return run.ok() ? close : run;
-    });
-    ws.MergeStats();
-    MODULARIS_RETURN_NOT_OK(st);
-  }
-  // The tables go before the result is allocated (the clones' went with
-  // `chains`).
-  scan->ReleaseSources();
-  if (workers == 1) {
-    *result = std::move(parts[0]);
-    return Status::OK();
-  }
-  // Worker w copies its part to rows [offsets[w], offsets[w+1]) of the
-  // result, so the concatenation runs on the workers too.
-  std::vector<size_t> offsets(workers + 1, 0);
-  for (int w = 0; w < workers; ++w) {
-    offsets[w + 1] = offsets[w] + parts[w]->size();
-  }
-  (*result)->ResizeRowsUninitialized(offsets[workers]);
-  uint8_t* base = (*result)->mutable_data();
-  const size_t stride = (*result)->row_size();
-  return ParallelFor(ctx_, workers, [&](int w) -> Status {
-    if (!parts[w]->empty()) {
-      std::memcpy(base + offsets[w] * stride, parts[w]->data(),
-                  parts[w]->byte_size());
-    }
-    return Status::OK();
+  Status st = ParallelFor(ctx_, workers, [&](int w) {
+    return scan->Select(bounds[w], bounds[w + 1], &states[w], &sels[w]);
   });
+  if (st.ok()) {
+    std::vector<size_t> offsets(workers + 1, 0);
+    for (int w = 0; w < workers; ++w) {
+      offsets[w + 1] = offsets[w] + sels[w].count;
+    }
+    (*result)->ResizeRowsUninitialized(offsets[workers]);
+    uint8_t* base = (*result)->mutable_data();
+    const size_t stride = (*result)->row_size();
+    st = ParallelFor(ctx_, workers, [&](int w) {
+      scan->Write(sels[w], base + offsets[w] * stride);
+      return Status::OK();
+    });
+  }
+  scan->ReleaseSources();
+  return st;
 }
 
 bool MaterializeRowVector::Next(Tuple* out) {
@@ -250,7 +282,7 @@ bool MaterializeRowVector::Next(Tuple* out) {
   // zero-copy. Streams that may carry atom tuples (driver-side result
   // assembly) keep the tuple loop below.
   if (child(0)->ProducesRecordStream()) {
-    ColumnScan* scan = ScanPipelineLeaf(child(0));
+    auto* scan = dynamic_cast<ColumnScan*>(child(0));
     Status st = scan != nullptr ? DrainScanPipeline(scan, &result)
                                 : DrainStream(&result);
     if (!st.ok()) return Fail(std::move(st));

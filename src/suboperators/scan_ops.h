@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/column_table.h"
+#include "core/expr_bc.h"
 #include "core/sub_operator.h"
 
 /// \file scan_ops.h
@@ -137,49 +138,45 @@ class RowScan : public SubOperator {
 
 /// ColumnScan extracts individual records from columnar collections
 /// (ColumnTable — our Arrow-table/column-chunk analog): for every input
-/// tuple (whose item 0 is a table) it streams that table's rows, built
-/// from the table columns `columns` (one per field of `schema`; empty =
-/// all, in order) in the layout of `schema`. A table whose selected
-/// columns do not have the types of `schema`'s fields is an
+/// tuple (whose item 0 is a table) it streams the rows of that table that
+/// satisfy `predicate` (null = all), built from the table columns
+/// `columns` (one per field of `schema`; empty = all, in order) in the
+/// layout of `schema`. The predicate reads the source table's columns by
+/// index: it is compiled once, against `source` (the source tables'
+/// schema), and tested on the columns of each morsel as bytecode over a
+/// column span, before any row is built; only survivors are written, and
+/// only their selected columns. A table whose columns do not have the
+/// types of `schema`'s fields (or of `source`'s, under a predicate) is an
 /// InvalidArgument error. Every base-table scan is a ColumnScan over its
 /// platform's table source (docs/DESIGN-planner.md).
 ///
-/// A scan pipeline (MaterializeRowVector over Filters over a ColumnScan,
-/// docs/DESIGN-parallel.md) may instead read the scan's whole input with
-/// ReadSources() and pin the scan to one contiguous range of its rows
-/// with SetRange(); Next() and NextBatch() then stop at the range's end.
-/// Open() drops both, restoring the unranged stream.
+/// A scan pipeline (MaterializeRowVector directly over a ColumnScan,
+/// docs/DESIGN-parallel.md) reads the scan's whole input with
+/// ReadSources() instead, then selects the survivors of disjoint ranges
+/// of its rows with Select() and writes them with Write(), from any
+/// number of threads at once.
 class ColumnScan : public SubOperator {
  public:
-  ColumnScan(SubOpPtr child, Schema schema, std::vector<int> columns = {})
-      : SubOperator("ColumnScan"),
-        schema_(std::move(schema)),
-        columns_(std::move(columns)) {
-    AddChild(std::move(child));
-  }
+  ColumnScan(SubOpPtr child, Schema schema, std::vector<int> columns = {},
+             ExprPtr predicate = nullptr, Schema source = Schema());
 
-  Status Open(ExecContext* ctx) override {
-    current_.reset();
-    pos_ = 0;
-    sources_.clear();
-    read_sources_ = false;
-    ranged_ = false;
-    return SubOperator::Open(ctx);
-  }
+  Status Open(ExecContext* ctx) override;
 
   bool ProducesRecordStream() const override { return true; }
 
-  /// Row mode: one record at a time, through the same conversion as
+  /// The layout of the records the scan builds.
+  const Schema& schema() const { return schema_; }
+
+  /// Row mode: one surviving record at a time, through the same Fill as
   /// NextBatch().
   bool Next(Tuple* out) override;
 
-  /// Native batch path: builds up to kDefaultRows records at a time,
-  /// column by column (ColumnTable::WriteRows). Continues from wherever
-  /// Next() left the scan.
+  /// Native batch path: tests the predicate on up to kDefaultRows rows at
+  /// a time and builds their survivors (ColumnTable::WriteRows).
+  /// Continues from wherever Next() left the scan.
   bool NextBatch(RowBatch* out) override;
 
-  /// Once ReadSources() has run, a clone scans the same tables through a
-  /// TupleSource, so the child need not be clonable.
+  /// Clones share the compiled predicate.
   SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override;
 
   /// Reads the scan's whole input (every table, in stream order) on the
@@ -187,38 +184,66 @@ class ColumnScan : public SubOperator {
   /// after Open(), before any row is read.
   Status ReadSources(size_t* rows);
 
-  /// Restricts this Open cycle to rows [begin, end) of the tables
-  /// ReadSources() read, counted across them in order.
-  void SetRange(size_t begin, size_t end);
+  /// The survivors of a range of the rows ReadSources() read: one piece
+  /// per table the range touches.
+  struct Selection {
+    struct Piece {
+      size_t source = 0;     // index of the table among the sources
+      size_t begin = 0;      // first table row of the piece
+      size_t rows = 0;       // rows of the piece
+      size_t survivors = 0;  // rows of the piece that satisfy the predicate
+    };
+    std::vector<Piece> pieces;
+    /// Under a predicate, the survivors' rows relative to their piece's
+    /// begin, piece after piece; empty without one (every row survives).
+    SelVector rows;
+    size_t count = 0;  // survivors in all
+  };
 
-  /// Drops the tables ReadSources() read; the scan yields no more rows
-  /// until the next Open().
-  void ReleaseSources() {
-    sources_.clear();
-    SetRange(0, 0);
-  }
+  /// Sizes `out` for a range of `rows` rows, so Select() allocates no
+  /// buffer that outlives it. Call on the thread that owns `out`.
+  void ReserveSelection(size_t rows, Selection* out) const;
+
+  /// Tests the predicate on rows [begin, end) of the tables ReadSources()
+  /// read, counted across them in order, and sets `*out` to the
+  /// survivors. Const apart from `state`, so threads may select disjoint
+  /// ranges at once, one BcState each.
+  Status Select(size_t begin, size_t end, BcState* state,
+                Selection* out) const;
+
+  /// Writes the survivors of `sel`, in order, as sel.count packed rows of
+  /// the scan's schema at `dst`.
+  void Write(const Selection& sel, uint8_t* dst) const;
+
+  /// Drops the tables ReadSources() read.
+  void ReleaseSources() { sources_.clear(); }
 
  private:
-  /// Claims up to `cap` rows of the current table (moving to the next
-  /// table as needed) and builds them into `rows_`; false at the end of
-  /// the input or of the range, or on error.
+  /// Checks that `table` provides the scan's columns (and the predicate's
+  /// source columns).
+  Status CheckTable(const ColumnTable& table) const;
+  /// Claims up to `cap` rows of the input (moving to the next table as
+  /// needed) and builds their survivors into `rows_`; false at the end of
+  /// the input or on error.
   bool Fill(size_t cap);
-  /// Moves to the next input table; false at the end of the input (or of
-  /// the range) or on error.
+  /// Moves to the next input table; false at the end of the input or on
+  /// error.
   bool Advance();
+  /// Narrows `sel`, rows of `table` relative to `begin`, by the predicate.
+  Status RunPredicate(const ColumnTable& table, size_t begin, SelVector* sel,
+                      BcState* state) const;
 
   Schema schema_;
   std::vector<int> columns_;
+  ExprPtr predicate_;
+  Schema source_;
+  std::shared_ptr<const BcProgram> program_;  // null without a predicate
+  BcState bc_state_;
+  SelVector sel_;
   RowVectorPtr rows_;  // the records of the last Fill()
   ColumnTablePtr current_;
   size_t pos_ = 0;
-  // Ranged mode: the tables ReadSources() read, the next one to scan,
-  // and the rows of the range not yet emitted.
-  std::vector<ColumnTablePtr> sources_;
-  bool read_sources_ = false;
-  bool ranged_ = false;
-  size_t next_source_ = 0;
-  size_t remaining_ = 0;
+  std::vector<ColumnTablePtr> sources_;  // the tables ReadSources() read
 };
 
 /// Converts whole ColumnTable items into RowVector collections (the
@@ -259,10 +284,11 @@ class TableToCollection : public SubOperator {
 /// (paper §4.1.2). Inputs may be borrowed-row tuples (fast packed copy)
 /// or all-atom tuples matching `schema` (driver-side result assembly).
 ///
-/// Over a scan pipeline — only record-stream Filters down to a
-/// ColumnScan — it splits the scan's rows into PlanWorkers() contiguous
-/// ranges, drains one chain clone per range on the rank's workers, and
-/// concatenates the blocks in range order (docs/DESIGN-parallel.md).
+/// Over a scan pipeline — a ColumnScan child — it writes each survivor
+/// once: the scan's rows split into PlanWorkers() contiguous ranges, each
+/// worker selects the survivors of its range, their counts give each
+/// worker its slice of the one result, and each worker writes its
+/// survivors there (count → offsets → write; docs/DESIGN-parallel.md).
 class MaterializeRowVector : public SubOperator {
  public:
   MaterializeRowVector(SubOpPtr child, Schema schema)
@@ -288,8 +314,7 @@ class MaterializeRowVector : public SubOperator {
   /// Batch drain of any other record stream: a released whole-vector
   /// batch is adopted zero-copy, every other batch appended.
   Status DrainStream(RowVectorPtr* result);
-  /// The scan-pipeline drain over `scan`, the chain's leaf, timed as
-  /// `phase.scan_pipeline`.
+  /// The scan-pipeline drain over `scan`, timed as `phase.scan_pipeline`.
   Status DrainScanPipeline(ColumnScan* scan, RowVectorPtr* result);
 
   Schema schema_;

@@ -12,7 +12,11 @@
 /// ReduceByKey.
 
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <random>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -889,6 +893,246 @@ TEST(KeyProgramTest, FusedSerializeHashMatchesCodecPlusHashSpan) {
                              want_keys.size()))
         << label;
     ASSERT_EQ(want_hashes, got_hashes) << label;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Column spans: the same programs over a ColumnTable morsel
+// ---------------------------------------------------------------------------
+
+/// A seeded random table of TestSchema's types. The doubles include NaN,
+/// -0.0 and infinity; some strings are longer than the 8-byte field.
+ColumnTablePtr MakeColumns(std::mt19937_64* rng, size_t n) {
+  static const std::vector<std::string> strings = {
+      "", "a", "ab", "abc", "abcdefgh", "abcdefghij", "zz", "a_c", "%",
+      "evenodd-longer"};
+  static const std::vector<double> doubles = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 41.0, 1e12,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity()};
+  std::uniform_int_distribution<size_t> spick(0, strings.size() - 1);
+  std::uniform_int_distribution<size_t> ipick(0, IntPool().size() - 1);
+  std::uniform_int_distribution<size_t> dpick(0, doubles.size() - 1);
+  ColumnTablePtr table = ColumnTable::Make(TestSchema());
+  for (size_t i = 0; i < n; ++i) {
+    table->column(0).AppendInt64(IntPool()[ipick(*rng)]);
+    table->column(1).AppendFloat64(doubles[dpick(*rng)]);
+    table->column(2).AppendString(strings[spick(*rng)]);
+    table->column(3).AppendInt32(
+        static_cast<int32_t>(IntPool()[ipick(*rng)]));
+    table->column(4).AppendInt32(
+        static_cast<int32_t>(IntPool()[ipick(*rng)] & 0x7fff));
+    table->column(5).AppendInt64(IntPool()[ipick(*rng)]);
+  }
+  table->FinishBulkLoad();
+  return table;
+}
+
+bool SameLane(const BatchColumn& a, const BatchColumn& b, size_t i) {
+  switch (a.tag) {
+    case BatchTag::kI64: return a.i64[i] == b.i64[i];
+    case BatchTag::kF64:
+      return std::memcmp(&a.f64[i], &b.f64[i], sizeof(double)) == 0;
+    case BatchTag::kStr: return a.str[i] == b.str[i];
+    case BatchTag::kItem:
+      return a.items[i].ToString() == b.items[i].ToString();
+  }
+  return false;
+}
+
+/// Runs `prog` from the same input selection over a column span and over
+/// the row span of the same rows: the same lanes, values and errors.
+void ExpectColumnSpanParity(const BcProgram& prog, bool filter,
+                            const RowSpan& cols, const RowSpan& rows,
+                            const SelVector& sel, const std::string& label) {
+  BcState col_state, row_state;
+  if (filter) {
+    SelVector got = sel, want = sel;
+    const Status gst = prog.RunFilter(cols, &got, &col_state);
+    const Status wst = prog.RunFilter(rows, &want, &row_state);
+    ASSERT_EQ(gst.ToString(), wst.ToString()) << label;
+    if (wst.ok()) {
+      ASSERT_EQ(got, want) << label;
+    }
+    return;
+  }
+  BatchColumn got, want;
+  const Status gst = prog.RunValue(cols, sel.data(), sel.size(), &got,
+                                   &col_state);
+  const Status wst = prog.RunValue(rows, sel.data(), sel.size(), &want,
+                                   &row_state);
+  ASSERT_EQ(gst.ToString(), wst.ToString()) << label;
+  if (!wst.ok()) return;
+  ASSERT_EQ(got.tag, want.tag) << label;
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(SameLane(got, want, i)) << label << " lane " << i;
+  }
+}
+
+/// Opcode names a program runs, from its listing.
+void NoteOps(const BcProgram& prog, std::set<std::string>* ops) {
+  std::istringstream listing(prog.Disassemble());
+  std::string line;
+  while (std::getline(listing, line)) {
+    const size_t colon = line.find(": ");
+    ops->insert(line.substr(colon + 2, line.find(' ', colon + 2) - colon - 2));
+  }
+}
+
+TEST(ColumnSpanTest, ProgramsMatchTheRowSpanOfTheSameRows) {
+  // The span starts 37 rows into the table, so every field base is
+  // offset; the subset selection skips lanes.
+  const size_t kBegin = 37, kRows = 96;
+  std::set<std::string> ops;
+  auto check = [&](const ExprPtr& expr, const ColumnTable& table,
+                   const std::string& label, std::mt19937_64* rng) {
+    RowVectorPtr all = table.ToRowVector();
+    const RowSpan rows{all->data() + kBegin * all->row_size(),
+                       all->row_size(), &all->schema()};
+    const RowSpan cols = RowSpan::Columns(table, kBegin, table.schema());
+    SelVector identity(kRows), subset;
+    std::iota(identity.begin(), identity.end(), 0u);
+    std::uniform_int_distribution<int> coin(0, 2);
+    for (uint32_t r = 0; r < kRows; ++r) {
+      if (coin(*rng) == 0) subset.push_back(r);
+    }
+    for (bool optimize : {true, false}) {
+      for (bool filter : {true, false}) {
+        const BcProgram prog =
+            filter ? BcProgram::CompileFilter(expr, table.schema(), optimize)
+                   : BcProgram::CompileValue(expr, table.schema(), optimize);
+        NoteOps(prog, &ops);
+        const std::string run = label + (filter ? " filter" : " value") +
+                                " opt=" + std::to_string(optimize);
+        ExpectColumnSpanParity(prog, filter, cols, rows, identity, run);
+        ExpectColumnSpanParity(prog, filter, cols, rows, subset,
+                               run + " (subset)");
+      }
+    }
+  };
+  // Hand-picked shapes: every fused filter, string IN/LIKE/compare over
+  // cut strings, NaN and -0.0, and both per-lane fallbacks.
+  const std::vector<ExprPtr> shapes = {
+      ex::Lt(ex::Col(0), ex::Lit(int64_t{7})),
+      ex::Ge(ex::Col(3), ex::Lit(int64_t{2})),
+      ex::Le(ex::Col(4), ex::Lit(int64_t{42})),
+      ex::Gt(ex::Col(1), ex::Lit(0.0)),
+      ex::Lt(ex::Col(1), ex::Lit(-0.0)),
+      ex::Ne(ex::Col(1), ex::Col(1)),
+      ex::Between(ex::Col(5), ex::Lit(int64_t{-2}), ex::Lit(int64_t{50})),
+      ex::Between(ex::Col(3), ex::Lit(int64_t{-1}), ex::Lit(int64_t{7})),
+      ex::Between(ex::Col(1), ex::Lit(-1.0), ex::Lit(41.0)),
+      ex::Eq(ex::Col(2), ex::Lit(std::string("abcdefgh"))),
+      ex::Eq(ex::Col(2), ex::Lit(std::string("abcdefghij"))),
+      ex::Gt(ex::Col(2), ex::Lit(std::string("ab"))),
+      ex::InStr(ex::Col(2), {"abcdefghij", "zz", "%"}),
+      ex::InStr(ex::Col(2), {"", "a", "ab", "abc", "abcdefgh", "q", "r",
+                             "s", "t", "zz"}),
+      ex::Like(ex::Col(2), "abcdefgh%"),
+      ex::Like(ex::Col(2), "%j"),
+      ex::Like(ex::Col(2), "even%"),
+      ex::InInt(ex::Col(4), {0, 7, 42}),
+      ex::If(ex::Gt(ex::Col(0), ex::Lit(int64_t{0})), ex::Col(0),
+             ex::Lit(0.5)),
+      ex::If(ex::Gt(ex::Col(0), ex::Lit(int64_t{0})), ex::Lit(int64_t{1}),
+             ex::Col(2)),
+      ex::Add(ex::Col(3), ex::Col(4)),
+      ex::Mul(ex::Col(1), ex::Lit(2.0)),
+      ex::Col(2),
+  };
+  std::mt19937_64 rng(4242);
+  ColumnTablePtr table = MakeColumns(&rng, kBegin + kRows + 11);
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    check(shapes[i], *table, "shape " + shapes[i]->ToString(), &rng);
+  }
+  // Random trees, as in the row differential harness.
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int t = 0; t < 200; ++t) {
+      std::mt19937_64 tree_rng(7000003u * kind + t);
+      ColumnTablePtr data = MakeColumns(&tree_rng, kBegin + kRows);
+      const ExprPtr expr = Gen(&tree_rng, 4, static_cast<Want>(kind));
+      check(expr, *data, "tree " + expr->ToString(), &tree_rng);
+    }
+  }
+  for (const char* op :
+       {"load_i32", "load_i64", "load_f64", "load_str", "fcol_cmp_i32",
+        "fcol_cmp_i64", "fcol_cmp_f64", "fcol_rng_i32", "fcol_rng_i64",
+        "fcol_rng_f64", "fcmp_str", "flike", "fin_str", "fin_i64", "eval_fb",
+        "filter_fb"}) {
+    EXPECT_EQ(ops.count(op), 1u) << op << " never ran";
+  }
+}
+
+TEST(ColumnSpanTest, StringsLongerThanTheirWidthReadAsTheirPrefix) {
+  // The string-width contract (core/column_table.h): a row field of
+  // width 4 holds the first 4 bytes of a longer string. The column-span
+  // filter and the scan that owns it pick exactly the rows the row
+  // oracle picks on ToRowVector()'s rows.
+  const Schema schema({Field::Str("s", 4), Field::I64("k")});
+  ColumnTablePtr table = ColumnTable::Make(schema);
+  const std::vector<std::string> values = {
+      "ab", "abcd", "abcdef", "abcdxyz", "abc", "zzzzzz", "", "abcdefgh",
+      "xyzef", "abce"};
+  for (size_t i = 0; i < 40; ++i) {
+    table->column(0).AppendString(values[i % values.size()]);
+    table->column(1).AppendInt64(static_cast<int64_t>(i));
+  }
+  table->FinishBulkLoad();
+  RowVectorPtr rows = table->ToRowVector();
+  ASSERT_EQ(rows->row(2).GetString(0), "abcd");
+  const RowSpan row_span{rows->data(), rows->row_size(), &rows->schema()};
+  const std::vector<ExprPtr> preds = {
+      ex::Eq(ex::Col(0), ex::Lit(std::string("abcd"))),
+      ex::Eq(ex::Col(0), ex::Lit(std::string("abcdef"))),
+      ex::InStr(ex::Col(0), {"abcdef", "zzzz", "ab"}),
+      ex::Like(ex::Col(0), "abcd%"),
+      ex::Like(ex::Col(0), "%ef"),
+      ex::Like(ex::Col(0), "____"),
+  };
+  for (const ExprPtr& pred : preds) {
+    const std::string label = pred->ToString();
+    SelVector want;
+    RowVectorPtr want_rows = RowVector::Make(schema);
+    for (uint32_t r = 0; r < rows->size(); ++r) {
+      bool keep = false;
+      ASSERT_TRUE(pred->EvalBoolChecked(rows->row(r), &keep).ok()) << label;
+      if (!keep) continue;
+      want.push_back(r);
+      want_rows->AppendRaw(rows->row(r).data());
+    }
+    const BcProgram prog = BcProgram::CompileFilter(pred, schema);
+    BcState state;
+    SelVector got(rows->size());
+    std::iota(got.begin(), got.end(), 0u);
+    ASSERT_TRUE(
+        prog.RunFilter(RowSpan::Columns(*table, 0, schema), &got, &state)
+            .ok())
+        << label;
+    EXPECT_EQ(got, want) << label;
+    SelVector on_rows(rows->size());
+    std::iota(on_rows.begin(), on_rows.end(), 0u);
+    ASSERT_TRUE(prog.RunFilter(row_span, &on_rows, &state).ok()) << label;
+    EXPECT_EQ(on_rows, want) << label;
+
+    MaterializeRowVector scan(
+        std::make_unique<ColumnScan>(
+            std::make_unique<TupleSource>(std::vector<Tuple>{{Item(table)}}),
+            schema, std::vector<int>{}, pred, schema),
+        schema);
+    ExecContext ctx;
+    ASSERT_TRUE(scan.Open(&ctx).ok());
+    Tuple t;
+    ASSERT_TRUE(scan.Next(&t)) << label << ": " << scan.status().ToString();
+    const RowVector& out = *t[0].collection();
+    ASSERT_EQ(out.size(), want_rows->size()) << label;
+    if (!out.empty()) {
+      EXPECT_EQ(0, std::memcmp(out.data(), want_rows->data(),
+                               want_rows->byte_size()))
+          << label;
+    }
+    EXPECT_TRUE(scan.Close().ok());
   }
 }
 

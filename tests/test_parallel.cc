@@ -1478,18 +1478,19 @@ TEST(SortTopKParallelParity, MixedNextAndNextBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan pipelines: MaterializeRowVector over Filters over a ColumnScan
-// splits the scan's rows into contiguous ranges, one chain clone per
-// range, and concatenates the blocks in range order — byte-equal to one
-// worker in batch and row mode, across table boundaries and for ranges
-// smaller than a morsel.
+// Scan pipelines: MaterializeRowVector over a predicate-owning ColumnScan
+// splits the scan's rows into contiguous ranges, selects each range's
+// survivors on the columns, and writes every survivor once into its
+// worker's slice of one result — byte-equal to one worker in batch and
+// row mode, across table boundaries and for ranges smaller than a morsel.
 // ---------------------------------------------------------------------------
 
 Schema TaggedSchema() {
   return Schema({Field::I64("key"), Field::I64("value"), Field::Str("tag", 8)});
 }
 
-/// Rows i = 0..rows-1 with key i, a random value and a short tag.
+/// Rows i = 0..rows-1 with key i, a random value in [0, 1000) and a short
+/// tag "t0".."t96".
 ColumnTablePtr MakeTagged(size_t rows, uint32_t seed) {
   ColumnTablePtr table = ColumnTable::Make(TaggedSchema());
   std::mt19937_64 rng(seed);
@@ -1527,32 +1528,52 @@ Schema PrunedSchema() {
   return Schema({Field::Str("tag", 8), Field::I64("value")});
 }
 
-/// MaterializeRowVector([Filter(pred)] ∘ ColumnScan(sources, columns)),
-/// producing `schema` rows; by default the ⟨tag, value⟩ selection.
+/// MaterializeRowVector(ColumnScan(sources, columns, pred)), producing
+/// `schema` rows; by default the ⟨tag, value⟩ selection. `pred` reads the
+/// tables' columns (TaggedSchema), selected or not.
 SubOpPtr ScanPipeline(const std::vector<ColumnTablePtr>& sources,
                       const ExprPtr& pred,
                       std::vector<int> columns = {2, 1},
                       const Schema& schema = PrunedSchema()) {
   std::vector<Tuple> tables;
   for (const ColumnTablePtr& t : sources) tables.push_back({Item(t)});
-  SubOpPtr rows = std::make_unique<ColumnScan>(
-      std::make_unique<TupleSource>(std::move(tables)), schema,
-      std::move(columns));
-  if (pred != nullptr) rows = std::make_unique<Filter>(std::move(rows), pred);
-  return std::make_unique<MaterializeRowVector>(std::move(rows), schema);
+  return std::make_unique<MaterializeRowVector>(
+      std::make_unique<ColumnScan>(
+          std::make_unique<TupleSource>(std::move(tables)), schema,
+          std::move(columns), pred, TaggedSchema()),
+      schema);
 }
 
-/// The ⟨tag, value⟩ pipeline's result with value < `value_below`,
-/// computed row by row over the Column getters, sharing no operator code.
+using RowTest = std::function<bool(const ColumnTable&, size_t)>;
+
+/// Keeps the rows whose value is below `bound`.
+RowTest ValueBelow(int64_t bound) {
+  return [bound](const ColumnTable& t, size_t i) {
+    return t.column(1).GetInt64(i) < bound;
+  };
+}
+
+/// The pipeline's result computed row by row over the Column getters,
+/// sharing no operator code: the rows `keep` accepts, as table `columns`
+/// in the layout of `schema`.
 RowVectorPtr ReferenceScan(const std::vector<ColumnTablePtr>& sources,
-                           int64_t value_below) {
-  RowVectorPtr out = RowVector::Make(PrunedSchema());
+                           const RowTest& keep,
+                           const std::vector<int>& columns = {2, 1},
+                           const Schema& schema = PrunedSchema()) {
+  RowVectorPtr out = RowVector::Make(schema);
   for (const ColumnTablePtr& src : sources) {
     for (size_t i = 0; i < src->num_rows(); ++i) {
-      if (src->column(1).GetInt64(i) >= value_below) continue;
+      if (!keep(*src, i)) continue;
       RowWriter w = out->AppendRow();
-      w.SetString(0, src->column(2).GetString(i));
-      w.SetInt64(1, src->column(1).GetInt64(i));
+      for (size_t k = 0; k < columns.size(); ++k) {
+        const Column& c = src->column(columns[k]);
+        const int field = static_cast<int>(k);
+        if (c.type() == AtomType::kString) {
+          w.SetString(field, c.GetString(i));
+        } else {
+          w.SetInt64(field, c.GetInt64(i));
+        }
+      }
     }
   }
   return out;
@@ -1578,13 +1599,37 @@ RowVectorPtr RunMaterialize(SubOperator* root, int threads, bool vectorized,
   return t[0].collection();
 }
 
-/// Checks 1 vs 4 threads, batch and row mode, against `expected`. Row
-/// mode pulls Next() through the ranged scans: a range honoured only by
-/// NextBatch() would emit rows twice there.
+/// Pulls `scan` on its own, through NextBatch() or through Next() one
+/// row at a time; returns its rows, or null with `*st` set on failure.
+RowVectorPtr PullScan(SubOperator* scan, const Schema& schema, bool batches,
+                      Status* st) {
+  ExecContext ctx;
+  StatsRegistry stats;
+  InitCtx(&ctx, 1, &stats);
+  *st = scan->Open(&ctx);
+  if (!st->ok()) return nullptr;
+  RowVectorPtr out = RowVector::Make(schema);
+  if (batches) {
+    RowBatch batch;
+    while (scan->NextBatch(&batch)) {
+      EXPECT_GT(batch.size(), 0u);
+      out->AppendRawBatch(batch.data(), batch.size());
+    }
+  } else {
+    Tuple t;
+    while (scan->Next(&t)) out->AppendRaw(t[0].row().data());
+  }
+  *st = scan->status();
+  EXPECT_TRUE(scan->Close().ok());
+  return st->ok() ? out : nullptr;
+}
+
+/// Checks 1, 2 and 4 threads, batch and row mode, against `expected`;
+/// then the leaf pulled on its own through NextBatch() and Next().
 void ExpectScanParity(const std::function<SubOpPtr()>& make,
                       const RowVector& expected, const std::string& label,
                       size_t min_rows = 256) {
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 2, 4}) {
     for (bool vectorized : {true, false}) {
       const std::string run_label = label +
                                     " threads=" + std::to_string(threads) +
@@ -1607,6 +1652,16 @@ void ExpectScanParity(const std::function<SubOpPtr()>& make,
       }
     }
   }
+  for (bool batches : {true, false}) {
+    const std::string run_label =
+        label + (batches ? " leaf NextBatch" : " leaf Next");
+    SubOpPtr root = make();
+    Status st;
+    RowVectorPtr got =
+        PullScan(root->child(0), expected.schema(), batches, &st);
+    ASSERT_TRUE(st.ok()) << run_label << ": " << st.ToString();
+    ExpectBytesEqual(expected, *got, run_label);
+  }
 }
 
 TEST(ScanPipelineParity, MultiTableSource) {
@@ -1615,7 +1670,7 @@ TEST(ScanPipelineParity, MultiTableSource) {
   ColumnTablePtr all = MakeTagged(7000, 71);
   std::vector<ColumnTablePtr> parts = SplitTable(all, {1, 255, 0, 600});
   const ExprPtr pred = ex::Lt(ex::Col(1), ex::Lit(int64_t{300}));
-  RowVectorPtr expected = ReferenceScan(parts, 300);
+  RowVectorPtr expected = ReferenceScan(parts, ValueBelow(300));
   ASSERT_GT(expected->size(), 0u);
   ASSERT_LT(expected->size(), all->num_rows());
   ExpectScanParity([&] { return ScanPipeline(parts, pred); }, *expected,
@@ -1640,9 +1695,17 @@ TEST(ScanPipelineParity, FewerRowsThanWorkers) {
   ColumnTablePtr tiny = MakeTagged(3, 73);
   for (size_t min_rows : {size_t{256}, size_t{1}}) {
     ExpectScanParity([&] { return ScanPipeline({tiny}, nullptr); },
-                     *ReferenceScan({tiny}, 1000),
+                     *ReferenceScan({tiny}, ValueBelow(1000)),
                      "three rows min_rows=" + std::to_string(min_rows),
                      min_rows);
+    ExpectScanParity(
+        [&] {
+          return ScanPipeline({tiny},
+                              ex::Ge(ex::Col(0), ex::Lit(int64_t{2})));
+        },
+        *ReferenceScan({tiny},
+                       [](const ColumnTable&, size_t i) { return i >= 2; }),
+        "last of three rows min_rows=" + std::to_string(min_rows), min_rows);
   }
 }
 
@@ -1650,18 +1713,11 @@ TEST(ScanPipelineParity, NoFilter) {
   ColumnTablePtr all = MakeTagged(6000, 77);
   const std::vector<ColumnTablePtr> parts = SplitTable(all, {1500});
   ExpectScanParity([&] { return ScanPipeline(parts, nullptr); },
-                   *ReferenceScan(parts, 1000), "selection only");
+                   *ReferenceScan(parts, ValueBelow(1000)), "selection only");
   // A bare ColumnScan of every column gives the rows back unchanged.
-  RowVectorPtr rows = RowVector::Make(TaggedSchema());
-  for (size_t i = 0; i < all->num_rows(); ++i) {
-    RowWriter w = rows->AppendRow();
-    w.SetInt64(0, all->column(0).GetInt64(i));
-    w.SetInt64(1, all->column(1).GetInt64(i));
-    w.SetString(2, all->column(2).GetString(i));
-  }
   ExpectScanParity(
       [&] { return ScanPipeline(parts, nullptr, {}, TaggedSchema()); },
-      *rows, "bare scan");
+      *all->ToRowVector(), "bare scan");
 }
 
 TEST(ScanPipelineParity, ColumnsSelectedOutOfOrder) {
@@ -1670,30 +1726,140 @@ TEST(ScanPipelineParity, ColumnsSelectedOutOfOrder) {
   const std::vector<ColumnTablePtr> parts = SplitTable(all, {700, 1300});
   const Schema schema(
       {Field::Str("tag", 8), Field::I64("key"), Field::I64("value")});
-  RowVectorPtr expected = RowVector::Make(schema);
-  for (size_t i = 0; i < all->num_rows(); ++i) {
-    if (all->column(0).GetInt64(i) < 2500) continue;
-    RowWriter w = expected->AppendRow();
-    w.SetString(0, all->column(2).GetString(i));
-    w.SetInt64(1, all->column(0).GetInt64(i));
-    w.SetInt64(2, all->column(1).GetInt64(i));
-  }
-  const ExprPtr pred = ex::Ge(ex::Col(1), ex::Lit(int64_t{2500}));
+  RowVectorPtr expected = ReferenceScan(
+      parts,
+      [](const ColumnTable& t, size_t i) {
+        return t.column(0).GetInt64(i) >= 2500;
+      },
+      {2, 0, 1}, schema);
+  const ExprPtr pred = ex::Ge(ex::Col(0), ex::Lit(int64_t{2500}));
   ExpectScanParity(
       [&] { return ScanPipeline(parts, pred, {2, 0, 1}, schema); },
       *expected, "columns 2,0,1");
 }
 
+TEST(ScanPipelineParity, StringPredicates) {
+  // =, <, IN and LIKE on the tag: string loads over the column's
+  // offsets + arena, alone and under AND/OR.
+  ColumnTablePtr all = MakeTagged(6000, 91);
+  const std::vector<ColumnTablePtr> parts = SplitTable(all, {900, 2100});
+  auto tag = [](const ColumnTable& t, size_t i) {
+    return std::string(t.column(2).GetString(i));
+  };
+  struct Case {
+    const char* name;
+    ExprPtr pred;
+    RowTest keep;
+  };
+  const std::vector<Case> cases = {
+      {"eq", ex::Eq(ex::Col(2), ex::Lit(std::string("t5"))),
+       [&](const ColumnTable& t, size_t i) { return tag(t, i) == "t5"; }},
+      {"lt", ex::Lt(ex::Col(2), ex::Lit(std::string("t3"))),
+       [&](const ColumnTable& t, size_t i) { return tag(t, i) < "t3"; }},
+      {"in", ex::InStr(ex::Col(2), {"t1", "t22", "t96", "x"}),
+       [&](const ColumnTable& t, size_t i) {
+         const std::string v = tag(t, i);
+         return v == "t1" || v == "t22" || v == "t96";
+       }},
+      {"like", ex::Like(ex::Col(2), "t_7"),
+       [&](const ColumnTable& t, size_t i) {
+         const std::string v = tag(t, i);
+         return v.size() == 3 && v[2] == '7';
+       }},
+      {"or", ex::Or(ex::Like(ex::Col(2), "t9%"),
+                    ex::And(ex::Lt(ex::Col(1), ex::Lit(int64_t{50})),
+                            ex::Ne(ex::Col(2), ex::Lit(std::string("t4"))))),
+       [&](const ColumnTable& t, size_t i) {
+         const std::string v = tag(t, i);
+         return v.rfind("t9", 0) == 0 ||
+                (t.column(1).GetInt64(i) < 50 && v != "t4");
+       }},
+  };
+  for (const Case& c : cases) {
+    RowVectorPtr expected = ReferenceScan(parts, c.keep);
+    ASSERT_GT(expected->size(), 0u) << c.name;
+    ExpectScanParity([&] { return ScanPipeline(parts, c.pred); }, *expected,
+                     c.name);
+  }
+}
+
+TEST(ScanPipelineParity, PredicateOnPrunedColumns) {
+  // The predicate reads the key and the tag; the scan emits only the
+  // value.
+  ColumnTablePtr all = MakeTagged(5000, 93);
+  const std::vector<ColumnTablePtr> parts = SplitTable(all, {2500});
+  const Schema schema({Field::I64("value")});
+  const ExprPtr pred = ex::And(ex::Lt(ex::Col(0), ex::Lit(int64_t{4000})),
+                               ex::Like(ex::Col(2), "t2%"));
+  RowVectorPtr expected = ReferenceScan(
+      parts,
+      [](const ColumnTable& t, size_t i) {
+        return t.column(0).GetInt64(i) < 4000 &&
+               t.column(2).GetString(i).rfind("t2", 0) == 0;
+      },
+      {1}, schema);
+  ASSERT_GT(expected->size(), 0u);
+  ExpectScanParity([&] { return ScanPipeline(parts, pred, {1}, schema); },
+                   *expected, "pruned predicate columns");
+}
+
+TEST(ScanPipelineParity, NoneAndAllSurvive) {
+  ColumnTablePtr all = MakeTagged(5000, 95);
+  const std::vector<ColumnTablePtr> parts = SplitTable(all, {1700});
+  ExpectScanParity(
+      [&] {
+        return ScanPipeline(parts, ex::Lt(ex::Col(1), ex::Lit(int64_t{0})));
+      },
+      *RowVector::Make(PrunedSchema()), "none survive");
+  ExpectScanParity(
+      [&] {
+        return ScanPipeline(parts,
+                            ex::Lt(ex::Col(1), ex::Lit(int64_t{1000})));
+      },
+      *ReferenceScan(parts, ValueBelow(1000)), "all survive");
+}
+
+TEST(ScanPipelineParity, SurvivorsOnlyInLastRange) {
+  // Only keys of the last 100 rows survive: every worker but the last
+  // writes an empty slice.
+  ColumnTablePtr all = MakeTagged(4000, 97);
+  const std::vector<ColumnTablePtr> parts = SplitTable(all, {3000, 950});
+  RowVectorPtr expected = ReferenceScan(
+      parts, [](const ColumnTable& t, size_t i) {
+        return t.column(0).GetInt64(i) >= 3900;
+      });
+  ASSERT_EQ(expected->size(), 100u);
+  ExpectScanParity(
+      [&] {
+        return ScanPipeline(parts,
+                            ex::Ge(ex::Col(0), ex::Lit(int64_t{3900})));
+      },
+      *expected, "last range");
+}
+
 TEST(ScanPipelineParity, MismatchedTableIsAnError) {
   // A table whose selected column has another type than the scan's
-  // field: InvalidArgument, never a misread.
+  // field, or whose predicate column has another type than the source's:
+  // InvalidArgument, never a misread.
   ColumnTablePtr all = MakeTagged(100, 89);
   const Schema wrong({Field::I64("tag"), Field::I64("value")});
+  std::vector<Tuple> tables = {{Item(all)}};
+  const Schema wrong_source(
+      {Field::I64("key"), Field::Str("value", 8), Field::Str("tag", 8)});
   for (bool vectorized : {true, false}) {
     StatsRegistry stats;
     Status st;
     SubOpPtr root = ScanPipeline({all}, nullptr, {2, 1}, wrong);
     EXPECT_EQ(RunMaterialize(root.get(), 4, vectorized, &stats, &st),
+              nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    MaterializeRowVector bad_source(
+        std::make_unique<ColumnScan>(
+            std::make_unique<TupleSource>(tables), PrunedSchema(),
+            std::vector<int>{2, 1},
+            ex::Eq(ex::Col(1), ex::Lit(std::string("x"))), wrong_source),
+        PrunedSchema());
+    EXPECT_EQ(RunMaterialize(&bad_source, 4, vectorized, &stats, &st),
               nullptr);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   }
