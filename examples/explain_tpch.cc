@@ -1,9 +1,10 @@
 /// \file explain_tpch.cc
 /// EXPLAIN for the eight evaluated TPC-H queries: prints the authored
 /// logical plan, the optimized plan (with the cardinality estimates the
-/// join-order pass acts on), and the lowered sub-operator DAG for each
-/// platform configuration. The same renderers back the golden plan-shape
-/// snapshots under tests/golden/planner/.
+/// join-order pass acts on), the plan split at the driver, the lowered
+/// rank sub-operator DAG for each platform configuration, and the
+/// driver's DAG around the executor. The same renderers back the golden
+/// plan-shape snapshots under tests/golden/planner/.
 ///
 ///   $ ./example_explain_tpch        # all eight queries
 ///   $ ./example_explain_tpch 18     # one query
@@ -61,6 +62,8 @@ int ExplainQuery(int q, const planner::Catalog& catalog) {
     std::fprintf(stderr, "Q%d: %s\n", q, split.status().ToString().c_str());
     return 1;
   }
+  std::printf("-- split at the driver (Gather: ranks below, driver above) --\n%s",
+              planner::ExplainLogical(*split.value().root, &catalog).c_str());
   for (const PlatformConfig& cfg : kConfigs) {
     planner::LoweringContext lctx;
     lctx.scan_leaf = cfg.leaf;
@@ -81,6 +84,24 @@ int ExplainQuery(int q, const planner::Catalog& catalog) {
     std::printf("-- physical %s, world=4 (per-rank pipelines) --\n%s",
                 cfg.title, planner::ExplainPhysical(plan).c_str());
   }
+  // The driver's plan differs per platform only in the executor the
+  // Gather wraps; the MPI one stands in (its rank plans are lowered when
+  // it runs).
+  planner::LoweringContext lctx;
+  lctx.world = 4;
+  lctx.gather = [](RankPlanFactory ranks, const Schema&) -> SubOpPtr {
+    MpiExecutor::Config config;
+    config.plan_factory = std::move(ranks);
+    return std::make_unique<MpiExecutor>(std::move(config));
+  };
+  auto driver = planner::LowerPlan(*split.value().root, &lctx);
+  if (!driver.ok()) {
+    std::fprintf(stderr, "Q%d [driver]: %s\n", q,
+                 driver.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("-- physical driver (the executor runs the rank plans) --\n%s",
+              planner::ExplainPhysical(*driver.value()).c_str());
   std::printf("\n");
   return 0;
 }

@@ -17,74 +17,19 @@ Schema CompressedSchema() {
 // ---------------------------------------------------------------------------
 
 Status MpiExecutor::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  status_ = Status::OK();
-  results_.clear();
-  arenas_.assign(config_.world_size, {});
-  emit_pos_ = 0;
-
-  std::vector<StatsRegistry> rank_stats(config_.world_size);
-  std::vector<std::vector<Tuple>> rank_results(config_.world_size);
-  const ExecOptions options = ctx->options;
-
-  // One query-wide token: a failing rank cancels it (on top of poisoning
-  // the world), so peers' morsel loops and blocking waits stop promptly;
-  // the optional deadline bounds even a wedged blocking wait.
-  CancellationToken cancel;
-  cancel.SetDeadlineAfter(options.deadline_seconds);
+  BeginRun(ctx, config_.world_size);
   mpi::MpiRunReport report;
-
   Status st = mpi::MpiRuntime::Run(
       config_.world_size, config_.fabric,
       [&](mpi::Communicator& comm) -> Status {
         const int r = comm.rank();
-        // Declared before the plan: operator ScopedCharges release into
-        // the budget on plan destruction, so it must outlive the plan.
-        MemoryBudget budget(options.memory_limit_bytes);
         ExecContext rctx;
-        rctx.rank = r;
-        rctx.world = comm.size();
         rctx.comm = &comm;
-        rctx.cancel = &cancel;
-        rctx.budget = &budget;
         rctx.spill_store = config_.spill_store;
-        rctx.options = options;
-        // Ranks already run as concurrent threads on this machine: divide
-        // the intra-node worker budget between them so a multi-rank run
-        // does not oversubscribe the cores (world * per-rank workers <=
-        // the resolved thread budget).
-        rctx.options.num_threads =
-            std::max(1, options.ResolvedNumThreads() / comm.size());
-        rctx.stats = &rank_stats[r];
-        Tuple params =
-            config_.rank_params ? config_.rank_params(r) : Tuple{};
-        rctx.PushParams(&params);
-
-        PhaseTimer total_timer;
-        total_timer.Bind(rctx.stats, "phase.rank_total");
-        ScopedPhase total(&total_timer);
-        SubOpPtr plan = config_.plan_factory(r);
-        Status rank_st = [&]() -> Status {
-          // Cancellation points: query start and every result tuple — the
-          // morsel loops and blocking waits inside Open() check too, but a
-          // serial plan on a tiny input must still honour the deadline.
-          MODULARIS_RETURN_NOT_OK(cancel.Check());
-          MODULARIS_RETURN_NOT_OK(plan->Open(&rctx));
-          Tuple t;
-          while (plan->Next(&t)) {
-            MODULARIS_RETURN_NOT_OK(cancel.Check());
-            rank_results[r].push_back(OwnTuple(t, &arenas_[r]));
-          }
-          MODULARIS_RETURN_NOT_OK(plan->status());
-          return plan->Close();
-        }();
-        if (!rank_st.ok()) {
-          // Stop peers' morsel loops too; the runtime poisons their
-          // collectives and Recvs.
-          cancel.Cancel(rank_st);
-          return rank_st;
-        }
-        total.Stop();
+        MODULARIS_RETURN_NOT_OK(RunRank(
+            r, config_.plan_factory,
+            config_.rank_params ? config_.rank_params(r) : Tuple{},
+            "phase.rank_total", &rctx));
 
         // Snapshot fabric accounting before the world is torn down.
         const double charged = comm.fabric().charged_seconds(r);
@@ -99,46 +44,12 @@ Status MpiExecutor::Open(ExecContext* ctx) {
         double overlap =
             charged > 0 ? 1.0 - std::min(stall / charged, 1.0) : 1.0;
         rctx.stats->AddTime("exchange.overlap_ratio", overlap);
-        // Memory governance counters (counters accumulate across ranks,
-        // so mem.peak_bytes is the cross-rank sum of per-rank peaks —
-        // docs/DESIGN-memory.md).
-        if (budget.peak() > 0) {
-          rctx.stats->AddCounter("mem.peak_bytes",
-                                 static_cast<int64_t>(budget.peak()));
-        }
-        if (budget.denials() > 0) {
-          rctx.stats->AddCounter("mem.denials", budget.denials());
-        }
         return Status::OK();
       },
       &report);
-  // Fabric-level "fault.injected.*" counters (one shared injector, so the
-  // export happens exactly once per run, not per rank) — merged even on
-  // failure so the faults that aborted the query show up in the stats.
-  // ExecContext::stats is nullable: drivers that don't collect stats
-  // still run.
-  if (ctx->stats != nullptr) {
-    ctx->stats->Merge(report.stats);
-  }
-  MODULARIS_RETURN_NOT_OK(st);
-
-  // Phase times are reported as the slowest rank (as in the paper's
-  // breakdowns); counters accumulate.
-  if (ctx->stats != nullptr) {
-    for (const StatsRegistry& rs : rank_stats) {
-      ctx->stats->MergeMax(rs);
-    }
-  }
-  for (auto& tuples : rank_results) {
-    for (Tuple& t : tuples) results_.push_back(std::move(t));
-  }
-  return Status::OK();
-}
-
-bool MpiExecutor::Next(Tuple* out) {
-  if (emit_pos_ >= results_.size()) return false;
-  *out = results_[emit_pos_++];
-  return true;
+  // Fabric-level "fault.injected.*" counters: one shared injector, so
+  // they are exported once per run, not per rank.
+  return EndRun(std::move(st), report.stats);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/rank_executor.h"
 #include "core/sub_operator.h"
 #include "mpi/communicator.h"
 #include "suboperators/radix.h"
@@ -28,15 +29,15 @@ Schema CompressedSchema();
 /// is produced per rank by a factory; each rank's plan-input tuple comes
 /// from `rank_params`. The executor collects every tuple the rank plans
 /// emit and yields them (rank-ordered) to the driver-side remainder of
-/// the plan.
-class MpiExecutor : public SubOperator {
+/// the plan. The rank skeleton is RankExecutor's; this adds the
+/// communicator and the fabric counters.
+class MpiExecutor : public RankExecutor {
  public:
   struct Config {
     int world_size = 4;
     net::FabricOptions fabric;
-    /// Builds rank `r`'s operator tree. Must be thread-compatible (called
-    /// concurrently for distinct ranks).
-    std::function<SubOpPtr(int rank)> plan_factory;
+    /// Builds rank `r`'s operator tree (see RankPlanFactory).
+    RankPlanFactory plan_factory;
     /// Plan inputs for rank `r` (bound to its ParameterLookups). May be
     /// null when the nested plan has no inputs.
     std::function<Tuple(int rank)> rank_params;
@@ -48,16 +49,12 @@ class MpiExecutor : public SubOperator {
   };
 
   explicit MpiExecutor(Config config)
-      : SubOperator("MpiExecutor"), config_(std::move(config)) {}
+      : RankExecutor("MpiExecutor"), config_(std::move(config)) {}
 
   Status Open(ExecContext* ctx) override;
-  bool Next(Tuple* out) override;
 
  private:
   Config config_;
-  std::vector<Tuple> results_;
-  std::vector<std::vector<RowVectorPtr>> arenas_;
-  size_t emit_pos_ = 0;
 };
 
 /// MpiHistogram turns a local radix histogram into the global one via

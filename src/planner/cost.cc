@@ -210,6 +210,7 @@ ColumnSite ColumnOrigin(const LogicalPlan& node, int col) {
     case NodeKind::kSort:
     case NodeKind::kLimit:
     case NodeKind::kExchange:
+    case NodeKind::kGather:
       return ColumnOrigin(*node.children[0], col);
     case NodeKind::kProject: {
       const MapOutput& m = node.projections[col];
@@ -263,6 +264,7 @@ double EstimateRows(const LogicalPlan& node, const Catalog& catalog) {
     case NodeKind::kProject:
     case NodeKind::kSort:
     case NodeKind::kExchange:
+    case NodeKind::kGather:
       return EstimateRows(*node.children[0], catalog);
     case NodeKind::kLimit:
       return std::min(EstimateRows(*node.children[0], catalog),

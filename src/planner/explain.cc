@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "suboperators/agg_ops.h"
 #include "suboperators/basic_ops.h"
 
 namespace modularis::planner {
@@ -109,6 +110,9 @@ void RenderLogical(const LogicalPlan& n, const Catalog* catalog, int depth,
       *out += "Exchange key=$" + std::to_string(n.exchange_key) +
               (n.compress ? " compress" : "");
       break;
+    case NodeKind::kGather:
+      *out += "Gather";
+      break;
   }
   if (catalog != nullptr && !catalog->empty()) {
     *out += " rows~" +
@@ -147,6 +151,9 @@ void RenderPhysical(const SubOperator& op, int depth, std::string* out) {
   *out += op.name() + "\n";
   for (size_t i = 0; i < op.num_children(); ++i) {
     RenderPhysical(*op.child(i), depth + 1, out);
+  }
+  if (const auto* reduce = dynamic_cast<const Reduce*>(&op)) {
+    RenderPhysical(*reduce->input(), depth + 1, out);
   }
   if (const auto* nm = dynamic_cast<const NestedMap*>(&op)) {
     out->append(2 * static_cast<size_t>(depth + 1), ' ');

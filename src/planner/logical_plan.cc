@@ -36,6 +36,8 @@ const char* NodeKindName(NodeKind kind) {
       return "Limit";
     case NodeKind::kExchange:
       return "Exchange";
+    case NodeKind::kGather:
+      return "Gather";
   }
   return "?";
 }
@@ -139,6 +141,15 @@ LogicalPlanPtr Exchange(LogicalPlanPtr input, int key_col, bool compress) {
   n->children.push_back(std::move(input));
   n->exchange_key = key_col;
   n->compress = compress;
+  return n;
+}
+
+LogicalPlanPtr Gather(LogicalPlanPtr input) {
+  Require(input != nullptr, "Gather: null input");
+  auto n = std::make_shared<LogicalPlan>();
+  n->kind = NodeKind::kGather;
+  n->schema = input->schema;
+  n->children.push_back(std::move(input));
   return n;
 }
 

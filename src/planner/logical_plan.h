@@ -42,6 +42,7 @@ enum class NodeKind {
   kSort,
   kLimit,
   kExchange,
+  kGather,
 };
 
 const char* NodeKindName(NodeKind kind);
@@ -110,6 +111,12 @@ struct LogicalPlan {
   /// ⟨key, value⟩ rows; the consumer recovers the keys.
   bool compress = false;
 
+  // -- kGather ---------------------------------------------------------
+  /// No payload: the split between ranks and driver (SplitAtDriver).
+  /// The child runs on every rank over its shard; the driver collects
+  /// the ranks' results, concatenated in rank order, and runs the nodes
+  /// above.
+
   const LogicalPlanPtr& child(size_t i) const { return children[i]; }
 };
 
@@ -147,6 +154,9 @@ LogicalPlanPtr Limit(LogicalPlanPtr input, size_t limit);
 /// sends ⟨i64 key, i64 value⟩ rows as 8-byte words (§4.1.2).
 LogicalPlanPtr Exchange(LogicalPlanPtr input, int key_col,
                         bool compress = false);
+
+/// The rank/driver split over `input` (see LogicalPlan::kGather).
+LogicalPlanPtr Gather(LogicalPlanPtr input);
 
 }  // namespace lp
 

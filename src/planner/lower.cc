@@ -601,6 +601,67 @@ Result<LoweredPlan> LowerExchange(const LogicalPlan& n, PipelinePlan* plan,
   return LoweredPlan{"", n.schema, std::move(v)};
 }
 
+/// Whether `n` runs on the driver: it sits above the plan's Gather.
+bool OnDriver(const LogicalPlan& n) {
+  for (const LogicalPlanPtr& c : n.children) {
+    if (c->kind == NodeKind::kGather || OnDriver(*c)) return true;
+  }
+  return false;
+}
+
+/// The Gather: one driver pipeline concatenating every rank's result. The
+/// hook wraps the platform's executor around a factory that lowers the
+/// child per rank, each on a copy of this context with fresh name state,
+/// so every rank lowers the same plan with the same exchange names.
+Result<LoweredPlan> LowerGather(const LogicalPlan& n, PipelinePlan* plan,
+                                LoweringContext* ctx) {
+  if (ctx->gather == nullptr) {
+    return Status::InvalidArgument(
+        "lower: a Gather needs LoweringContext::gather (the platform's "
+        "executor)");
+  }
+  LoweringContext rank_ctx;
+  rank_ctx.scan_leaf = ctx->scan_leaf;
+  rank_ctx.serverless = ctx->serverless;
+  rank_ctx.fused = ctx->fused;
+  rank_ctx.world = ctx->world;
+  rank_ctx.exec = ctx->exec;
+  rank_ctx.tag = ctx->tag;
+  rank_ctx.stats = ctx->stats;
+  RankPlanFactory ranks = [rank_ctx, rank_root = n.children[0]](int) {
+    LoweringContext fresh = rank_ctx;
+    return LowerPlan(*rank_root, &fresh);
+  };
+  std::string name = AllocName(ctx, "gather");
+  plan->Add(name, std::make_unique<MaterializeRowVector>(
+                      ctx->gather(std::move(ranks), n.schema), n.schema));
+  return LoweredPlan{name, n.schema};
+}
+
+/// The merge Aggregate over the gathered partials: ReduceByKey, or Reduce
+/// when keyless — SQL's one identity row when every partial is empty.
+/// (Only the merge may emit it: a rank's all-zero row would enter a
+/// MIN/MAX merge.) HAVING filters the complete groups.
+Result<LoweredPlan> LowerMerge(const LogicalPlan& n, const LoweredPlan& in,
+                               PipelinePlan* plan, LoweringContext* ctx) {
+  SubOpPtr rows = MaybeScan(plan->MakeRef(in.pipeline), ctx->fused);
+  SubOpPtr cur;
+  if (n.group_keys.empty()) {
+    cur = std::make_unique<Reduce>(std::move(rows), n.aggs, in.schema,
+                                   "phase.driver_merge");
+  } else {
+    cur = std::make_unique<ReduceByKey>(std::move(rows), n.group_keys, n.aggs,
+                                        in.schema, "phase.driver_merge");
+  }
+  if (n.having != nullptr) {
+    cur = std::make_unique<Filter>(std::move(cur), n.having);
+  }
+  std::string name = AllocName(ctx, "merge");
+  plan->Add(name,
+            std::make_unique<MaterializeRowVector>(std::move(cur), n.schema));
+  return LoweredPlan{name, n.schema};
+}
+
 /// Lowers the Project?(Filter?(Join)) cluster as one distributed join
 /// pipeline: the filter becomes the join's post-filter (evaluated on the
 /// concatenated build⊕probe record before projection).
@@ -656,8 +717,10 @@ Result<LoweredPlan> LowerNode(const LogicalPlan& n, PipelinePlan* plan,
       }
       auto child = LowerRows(*below, plan, ctx);
       if (!child.ok()) return child.status();
+      // Filter and MapOp read rows in Next(), so a row-mode pull needs the
+      // RowScan; a batch pull gets each collection from it zero-copy.
       SubOpPtr cur =
-          MaybeScan(plan->MakeRef(child.value().pipeline), ctx->fused);
+          std::make_unique<RowScan>(plan->MakeRef(child.value().pipeline));
       if (filt != nullptr) {
         cur = std::make_unique<Filter>(std::move(cur), filt->predicate);
       }
@@ -677,6 +740,9 @@ Result<LoweredPlan> LowerNode(const LogicalPlan& n, PipelinePlan* plan,
     case NodeKind::kAggregate: {
       auto child = LowerNode(*n.children[0], plan, ctx, /*root=*/false);
       if (!child.ok()) return child.status();
+      if (n.children[0]->kind == NodeKind::kGather) {
+        return LowerMerge(n, child.value(), plan, ctx);
+      }
       const Partitioned* in = child.value().partitioned.get();
       if (in != nullptr &&
           std::count(n.group_keys.begin(), n.group_keys.end(), in->key) > 0) {
@@ -684,8 +750,8 @@ Result<LoweredPlan> LowerNode(const LogicalPlan& n, PipelinePlan* plan,
       }
       Materialize(&child.value(), plan, ctx);
       if (root) {
-        // The rank root aggregates locally; the driver merge re-reduces
-        // the partials (SplitAtDriver supplies the merge spec).
+        // The Gather's child aggregates locally; the merge Aggregate above
+        // the Gather re-reduces the partials (SplitAtDriver).
         if (n.having != nullptr) {
           return Status::InvalidArgument(
               "lower: HAVING on the rank-root aggregate (rank partials are "
@@ -715,7 +781,8 @@ Result<LoweredPlan> LowerNode(const LogicalPlan& n, PipelinePlan* plan,
           AllocName(ctx, "sort" + std::to_string(++ctx->next_misc));
       SubOpPtr cur = std::make_unique<SortOp>(
           MaybeScan(plan->MakeRef(child.value().pipeline), ctx->fused),
-          n.sort_keys, child.value().schema);
+          n.sort_keys, child.value().schema,
+          OnDriver(n) ? "phase.driver_sort" : "phase.sort");
       plan->Add(name, std::make_unique<MaterializeRowVector>(std::move(cur),
                                                              n.schema));
       return LoweredPlan{name, n.schema};
@@ -732,13 +799,16 @@ Result<LoweredPlan> LowerNode(const LogicalPlan& n, PipelinePlan* plan,
           AllocName(ctx, "topk" + std::to_string(++ctx->next_misc));
       SubOpPtr cur = std::make_unique<TopK>(
           MaybeScan(plan->MakeRef(child.value().pipeline), ctx->fused),
-          sort->sort_keys, n.limit, child.value().schema);
+          sort->sort_keys, n.limit, child.value().schema,
+          OnDriver(n) ? "phase.driver_topk" : "phase.topk");
       plan->Add(name, std::make_unique<MaterializeRowVector>(std::move(cur),
                                                              n.schema));
       return LoweredPlan{name, n.schema};
     }
     case NodeKind::kExchange:
       return LowerExchange(n, plan, ctx);
+    case NodeKind::kGather:
+      return LowerGather(n, plan, ctx);
   }
   return Status::InvalidArgument("lower: unknown node kind");
 }
@@ -759,57 +829,68 @@ Result<LoweredPlan> LowerRankPlan(const LogicalPlan& root, PipelinePlan* plan,
   return lowered;
 }
 
+Result<SubOpPtr> LowerPlan(const LogicalPlan& root, LoweringContext* ctx) {
+  auto plan = std::make_unique<PipelinePlan>();
+  MODULARIS_ASSIGN_OR_RETURN(LoweredPlan out,
+                             LowerRankPlan(root, plan.get(), ctx));
+  plan->SetOutput(plan->MakeRef(out.pipeline));
+  return SubOpPtr(std::move(plan));
+}
+
 Result<DriverSpec> SplitAtDriver(LogicalPlanPtr root) {
-  DriverSpec spec;
+  // The driver tail, top first: LIMIT → ORDER BY → [finalize Project].
+  std::vector<LogicalPlanPtr> tail;
   LogicalPlanPtr cur = std::move(root);
   if (cur->kind == NodeKind::kLimit) {
-    spec.limit = cur->limit;
-    cur = cur->children[0];
-    if (cur->kind != NodeKind::kSort) {
+    if (cur->children[0]->kind != NodeKind::kSort) {
       return Status::InvalidArgument(
           "SplitAtDriver: LIMIT without ORDER BY has no deterministic "
           "result");
     }
+    tail.push_back(cur);
+    cur = cur->children[0];
   }
   if (cur->kind == NodeKind::kSort) {
-    spec.sort = cur->sort_keys;
+    tail.push_back(cur);
     cur = cur->children[0];
   }
   if (cur->kind == NodeKind::kProject &&
       cur->children[0]->kind == NodeKind::kAggregate) {
-    spec.finalize = cur->projections;
-    spec.final_schema = cur->schema;
+    tail.push_back(cur);
     cur = cur->children[0];
   }
+  DriverSpec spec;
   if (cur->kind == NodeKind::kAggregate) {
     // The ranks aggregate their shards; the driver re-reduces the
     // partials. Partial SUM/MIN/MAX merge by the same function, partial
-    // COUNTs merge by summing.
-    spec.merge = true;
+    // COUNTs merge by summing. The HAVING moves to the merge, where the
+    // groups are complete.
     const int nkeys = static_cast<int>(cur->group_keys.size());
-    spec.merge_keys.resize(cur->group_keys.size());
-    std::iota(spec.merge_keys.begin(), spec.merge_keys.end(), 0);
+    std::vector<int> keys(nkeys);
+    std::iota(keys.begin(), keys.end(), 0);
+    std::vector<AggSpec> merge;
     for (size_t i = 0; i < cur->aggs.size(); ++i) {
       const AggSpec& a = cur->aggs[i];
-      AggSpec m;
-      m.kind = a.kind == AggKind::kCount ? AggKind::kSum : a.kind;
-      m.input = ex::Col(nkeys + static_cast<int>(i));
-      m.name = a.name;
-      m.out_type = a.out_type;
-      spec.merge_aggs.push_back(std::move(m));
+      merge.push_back(
+          AggSpec{a.kind == AggKind::kCount ? AggKind::kSum : a.kind,
+                  ex::Col(nkeys + static_cast<int>(i)), a.name, a.out_type});
     }
-    spec.merge_having = cur->having;
-    // The rank subtree keeps the Aggregate node (lowered rank-local);
-    // its HAVING moved to the driver, where the groups are complete.
-    if (cur->having != nullptr) {
-      auto stripped = std::make_shared<LogicalPlan>(*cur);
-      stripped->having = nullptr;
-      cur = std::move(stripped);
-    }
+    auto partial = std::make_shared<LogicalPlan>(*cur);
+    partial->having = nullptr;
+    spec.rank_root = partial;
+    cur = lp::Aggregate(lp::Gather(partial), std::move(keys),
+                        std::move(merge), cur->having);
+  } else {
+    spec.rank_root = cur;
+    cur = lp::Gather(cur);
   }
-  spec.rank_root = cur;
-  spec.rank_schema = cur->schema;
-  if (spec.finalize.empty()) spec.final_schema = spec.rank_schema;
+  // Re-stack the tail over the Gather (or the merge), bottom up.
+  for (auto it = tail.rbegin(); it != tail.rend(); ++it) {
+    auto node = std::make_shared<LogicalPlan>(**it);
+    node->children = {cur};
+    cur = std::move(node);
+  }
+  spec.root = std::move(cur);
   return spec;
 }
 

@@ -1,31 +1,42 @@
 #ifndef MODULARIS_PLANNER_LOWER_H_
 #define MODULARIS_PLANNER_LOWER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/rank_executor.h"
 #include "core/stats.h"
 #include "planner/logical_plan.h"
 #include "plans/common.h"
 
 /// \file lower.h
 /// Lowering from the logical-plan IR to the sub-operator DAG — one
-/// lowering for the TPC-H queries and the Fig. 3–5 KV plans.
+/// lowering for the TPC-H queries and the Fig. 3–5 KV plans, for the
+/// ranks and the driver alike.
 ///
-/// A query splits into two physical pieces:
+/// A query is one tree:
 ///
-///  * SplitAtDriver peels the driver-side tail off the logical root —
-///    LIMIT → ORDER BY → [finalize projection] → merge aggregation —
-///    leaving `rank_root`, the part every rank executes over its shard.
-///    The peeled tail becomes the DriverSpec the executor's driver
-///    applies to the concatenated rank partials.
-///  * LowerRankPlan emits `rank_root` as a PipelinePlan of sub-operators.
-///    The scan leaves (ScanLeafKind) and the exchange transport
+///  * SplitAtDriver places a Gather below the driver-side tail of the
+///    logical root — LIMIT → ORDER BY → [finalize projection] → merge
+///    aggregation — and writes that tail as ordinary nodes above it: the
+///    merge is an Aggregate over the gathered partials. The Gather's
+///    child, `rank_root`, is what every rank executes over its shard.
+///  * LowerRankPlan emits a tree as a PipelinePlan of sub-operators. The
+///    nodes above the Gather lower through the same cases as a rank's
+///    (the merge Aggregate to ReduceByKey, or Reduce when keyless; Sort,
+///    Limit, Project, HAVING), under `phase.driver_*` timers. The Gather
+///    lowers to one pipeline over the platform's executor, built by the
+///    LoweringContext::gather hook from a factory that lowers `rank_root`
+///    per rank on a fresh copy of the context (the Figs. 6/7 executor
+///    as a sub-operator of the driver's plan).
+///  * The scan leaves (ScanLeafKind), the exchange transport
 ///    (LoweringContext::serverless + ExecOptions::tcp_exchange, routed
-///    through plans::AddExchangePipelines) are the only plan fragments
-///    that differ per platform — the paper's Figs. 6/7 in one lowering.
+///    through plans::AddExchangePipelines) and the gather hook are the
+///    only plan fragments that differ per platform — the paper's Figs.
+///    6/7 in one lowering.
 ///
 /// Exchanges come in two kinds:
 ///
@@ -67,8 +78,17 @@ enum class ScanLeafKind {
   kS3Select,
 };
 
-/// Per-rank lowering environment. Copy per rank; the exchange counter
-/// then yields identical (shared) S3 object prefixes on every rank.
+/// The driver side of a Gather: returns the source of every rank's
+/// result, rows of `schema` (concatenated in rank order by the Gather's
+/// pipeline) — the platform's executor running `ranks`, plus whatever
+/// read-back the platform needs. It is to the driver what ScanLeafKind is
+/// to the leaves.
+using GatherHook =
+    std::function<SubOpPtr(RankPlanFactory ranks, const Schema& schema)>;
+
+/// Lowering environment. A Gather lowers its child per rank on a copy
+/// with fresh name state, so exchange names and S3 object prefixes agree
+/// on every rank.
 struct LoweringContext {
   ScanLeafKind scan_leaf = ScanLeafKind::kMemoryRows;
   /// Serverless data plane: S3Exchange instead of MPI/TCP, exchanged
@@ -81,6 +101,8 @@ struct LoweringContext {
   std::string tag;
   /// Receives planner.time.lower (nullable).
   StatsRegistry* stats = nullptr;
+  /// Required to lower a Gather; rank plans never need it.
+  GatherHook gather;
 
   // Name-allocation state (internal).
   int next_exchange = 0;
@@ -104,34 +126,30 @@ struct LoweredPlan {
 };
 
 /// Emits `root` into `plan` as pipelines of sub-operators and returns the
-/// pipeline holding the rank's result. The caller still owns SetOutput
-/// (rank output handling differs per executor).
+/// pipeline holding its result. The caller still owns SetOutput. A root
+/// Aggregate (the Gather's child when lowered per rank) aggregates
+/// locally: the merge above the Gather completes it.
 Result<LoweredPlan> LowerRankPlan(const LogicalPlan& root, PipelinePlan* plan,
                                   LoweringContext* ctx);
 
-/// The driver-side tail of a query: what the driver applies to the
-/// concatenated per-rank partials.
+/// LowerRankPlan into a fresh PipelinePlan whose output streams the
+/// result: a runnable plan (a rank's, or a whole split query's).
+Result<SubOpPtr> LowerPlan(const LogicalPlan& root, LoweringContext* ctx);
+
+/// A logical root split at the driver.
 struct DriverSpec {
-  /// The subtree every rank executes (feed this to LowerRankPlan).
+  /// The whole query with a Gather at the split (see SplitAtDriver).
+  LogicalPlanPtr root;
+  /// The Gather's child: the subtree every rank executes.
   LogicalPlanPtr rank_root;
-  Schema rank_schema;
-  /// Re-aggregate the rank partials (rank aggregation is partial: each
-  /// rank reduced only its own shard).
-  bool merge = false;
-  std::vector<int> merge_keys;
-  std::vector<AggSpec> merge_aggs;
-  /// HAVING over the merged groups (must run after the merge).
-  ExprPtr merge_having;
-  /// Final projection after the merge (empty = none).
-  std::vector<MapOutput> finalize;
-  Schema final_schema;
-  std::vector<SortKey> sort;
-  /// 0 = no limit; otherwise requires a sort (TopK).
-  size_t limit = 0;
 };
 
-/// Splits the logical root into rank subtree + driver tail. Fails only
-/// on shapes with no distributed execution (LIMIT without ORDER BY).
+/// Places a Gather below LIMIT → ORDER BY → [finalize projection] →
+/// aggregation. An aggregation splits in two: the ranks aggregate their
+/// shards (its HAVING removed), and a merge Aggregate above the Gather
+/// re-reduces the partials — keys 0..k-1, a partial COUNT merged as SUM,
+/// the HAVING over the complete groups. Fails only on shapes with no
+/// distributed execution (LIMIT without ORDER BY).
 Result<DriverSpec> SplitAtDriver(LogicalPlanPtr root);
 
 }  // namespace modularis::planner

@@ -253,7 +253,8 @@ Reordered ReorderRec(const LogicalPlanPtr& n, const Catalog& catalog,
       m->schema = c.node->schema;
       return {m, std::move(c.remap)};
     }
-    case NodeKind::kLimit: {
+    case NodeKind::kLimit:
+    case NodeKind::kGather: {
       Reordered c =
           ReorderRec(n->children[0], catalog, model, swaps, broadcasts, ok);
       if (!*ok) return {n, {}};
@@ -524,7 +525,8 @@ PrunedNode PruneRec(const LogicalPlanPtr& n, std::vector<char> required,
       m->schema = c.node->schema;
       return {m, std::move(c.map)};
     }
-    case NodeKind::kLimit: {
+    case NodeKind::kLimit:
+    case NodeKind::kGather: {
       PrunedNode c = PruneRec(n->children[0], std::move(required), ok, dropped);
       if (!*ok) return {n, {}};
       auto m = Mutable(*n);

@@ -63,15 +63,13 @@ SubOpPtr LowerRankTemplate(const planner::LogicalPlan& root,
   planner::LoweringContext ctx;
   ctx.fused = exec.enable_fusion;
   ctx.exec = exec;
-  auto plan = std::make_unique<PipelinePlan>();
-  auto lowered = planner::LowerRankPlan(root, plan.get(), &ctx);
-  if (!lowered.ok()) {
+  auto plan = planner::LowerPlan(root, &ctx);
+  if (!plan.ok()) {
     std::fprintf(stderr, "LowerRankTemplate: %s\n",
-                 lowered.status().ToString().c_str());
+                 plan.status().ToString().c_str());
     std::abort();
   }
-  plan->SetOutput(plan->MakeRef(lowered.value().pipeline));
-  return plan;
+  return plan.TakeValue();
 }
 
 Result<RowVectorPtr> DrainCollections(SubOperator* root, ExecContext* ctx,

@@ -12,117 +12,32 @@ namespace modularis {
 // ---------------------------------------------------------------------------
 
 Status LambdaExecutor::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  status_ = Status::OK();
-  results_.clear();
-  arenas_.assign(config_.lambda.num_workers, {});
-  emit_pos_ = 0;
-
-  std::vector<StatsRegistry> worker_stats(config_.lambda.num_workers);
-  std::vector<std::vector<Tuple>> worker_results(config_.lambda.num_workers);
-  const ExecOptions options = ctx->options;
-
-  // Query-wide token: a failing worker cancels it (on top of poisoning
-  // the fleet barrier), so surviving workers stop claiming morsels and
-  // abandon blob retries; the optional deadline bounds blocking waits.
-  CancellationToken cancel;
-  cancel.SetDeadlineAfter(options.deadline_seconds);
+  BeginRun(ctx, config_.lambda.num_workers);
   serverless::LambdaRunReport report;
-
   Status st = serverless::LambdaRuntime::Run(
       config_.lambda, config_.store,
       [&](serverless::LambdaWorkerContext& wctx) -> Status {
         const int w = wctx.worker_id;
-        // Declared before the plan: operator ScopedCharges release into
-        // the budget on plan destruction, so it must outlive the plan.
-        MemoryBudget budget(options.memory_limit_bytes);
         ExecContext rctx;
-        rctx.rank = w;
-        rctx.world = wctx.num_workers;
         rctx.blob = wctx.s3;
-        rctx.budget = &budget;
         // Spilled blocking operators write through the worker's own blob
         // client path (S3 is the only storage a Lambda worker has).
         rctx.spill_store = wctx.s3->store();
         rctx.s3select = config_.s3select;
         rctx.lambda = &wctx;
-        rctx.cancel = &cancel;
-        rctx.options = options;
-        // Lambda workers are concurrent threads of this process: split
-        // the intra-node worker budget between them (see MpiExecutor).
-        rctx.options.num_threads =
-            std::max(1, options.ResolvedNumThreads() / wctx.num_workers);
-        rctx.stats = &worker_stats[w];
-        Tuple params =
-            config_.worker_params ? config_.worker_params(w) : Tuple{};
-        rctx.PushParams(&params);
-
-        PhaseTimer total_timer;
-        total_timer.Bind(rctx.stats, "phase.worker_total");
-        ScopedPhase total(&total_timer);
-        SubOpPtr plan = config_.plan_factory(w);
-        Status worker_st = [&]() -> Status {
-          // Cancellation points: query start and every result tuple (see
-          // MpiExecutor — serial plans must honour the deadline too).
-          MODULARIS_RETURN_NOT_OK(cancel.Check());
-          MODULARIS_RETURN_NOT_OK(plan->Open(&rctx));
-          Tuple t;
-          while (plan->Next(&t)) {
-            MODULARIS_RETURN_NOT_OK(cancel.Check());
-            worker_results[w].push_back(OwnTuple(t, &arenas_[w]));
-          }
-          MODULARIS_RETURN_NOT_OK(plan->status());
-          return plan->Close();
-        }();
-        if (!worker_st.ok()) {
-          // Stop the surviving workers' morsel loops and blob retries;
-          // the runtime poisons the fleet barrier.
-          cancel.Cancel(worker_st);
-          return worker_st;
-        }
-        total.Stop();
-
+        MODULARIS_RETURN_NOT_OK(RunRank(
+            w, config_.plan_factory,
+            config_.worker_params ? config_.worker_params(w) : Tuple{},
+            "phase.worker_total", &rctx));
         rctx.stats->AddTime("s3.charged", wctx.s3->charged_seconds());
         rctx.stats->AddCounter("s3.bytes", wctx.s3->bytes_transferred());
         rctx.stats->AddCounter("s3.requests", wctx.s3->requests());
-        // Worker stats are folded with MergeMax, so these surface as the
-        // hottest worker's peak / denial count.
-        if (budget.peak() > 0) {
-          rctx.stats->AddCounter("mem.peak_bytes",
-                                 static_cast<int64_t>(budget.peak()));
-        }
-        if (budget.denials() > 0) {
-          rctx.stats->AddCounter("mem.denials",
-                                 static_cast<int64_t>(budget.denials()));
-        }
         return Status::OK();
       },
       &report);
   // Fleet-level "fault.injected.*" counters (spawn crashes plus every
-  // worker's blob-client injections), exported once per run — merged even
-  // on failure so the crash that aborted the query shows up in the stats.
-  // ExecContext::stats is nullable: drivers that don't collect stats
-  // still run.
-  if (ctx->stats != nullptr) {
-    ctx->stats->Merge(report.stats);
-  }
-  MODULARIS_RETURN_NOT_OK(st);
-
-  if (ctx->stats != nullptr) {
-    for (const StatsRegistry& ws : worker_stats) {
-      ctx->stats->MergeMax(ws);
-    }
-  }
-  for (auto& tuples : worker_results) {
-    for (Tuple& t : tuples) results_.push_back(std::move(t));
-  }
-  return Status::OK();
-}
-
-bool LambdaExecutor::Next(Tuple* out) {
-  if (emit_pos_ >= results_.size()) return false;
-  *out = results_[emit_pos_++];
-  return true;
+  // worker's blob-client injections), exported once per run.
+  return EndRun(std::move(st), report.stats);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/rank_executor.h"
 #include "core/sub_operator.h"
 #include "serverless/lambda.h"
 #include "serverless/s3select.h"
@@ -21,28 +22,26 @@ namespace modularis {
 
 /// LambdaExecutor runs a nested plan on every serverless worker (spawned
 /// in a tree-plan fashion) and forwards the workers' result tuples —
-/// typically S3 paths of materialized results — to the driver plan.
-class LambdaExecutor : public SubOperator {
+/// typically S3 paths of materialized results — to the driver plan. The
+/// rank skeleton is RankExecutor's; this adds the worker's blob client,
+/// S3 Select engine and s3.* counters.
+class LambdaExecutor : public RankExecutor {
  public:
   struct Config {
     serverless::LambdaOptions lambda;
     storage::BlobStore* store = nullptr;
     serverless::S3SelectEngine* s3select = nullptr;
-    std::function<SubOpPtr(int worker)> plan_factory;
+    RankPlanFactory plan_factory;
     std::function<Tuple(int worker)> worker_params;
   };
 
   explicit LambdaExecutor(Config config)
-      : SubOperator("LambdaExecutor"), config_(std::move(config)) {}
+      : RankExecutor("LambdaExecutor"), config_(std::move(config)) {}
 
   Status Open(ExecContext* ctx) override;
-  bool Next(Tuple* out) override;
 
  private:
   Config config_;
-  std::vector<Tuple> results_;
-  std::vector<std::vector<RowVectorPtr>> arenas_;
-  size_t emit_pos_ = 0;
 };
 
 /// S3Exchange implements the Lambada exchange (paper §4.4): each worker

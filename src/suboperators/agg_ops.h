@@ -454,6 +454,8 @@ class Reduce : public SubOperator {
                std::move(timer_key)) {}
 
   const Schema& out_schema() const { return inner_.out_schema(); }
+  /// The aggregated input (a child of the inner ReduceByKey), for EXPLAIN.
+  const SubOperator* input() const { return inner_.child(0); }
 
   Status Open(ExecContext* ctx) override;
   bool Next(Tuple* out) override;

@@ -1,13 +1,11 @@
 #include "tpch/queries.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "planner/passes.h"
 #include "plans/common.h"
 #include "storage/csv.h"
-#include "suboperators/agg_ops.h"
 
 namespace modularis::tpch {
 
@@ -395,19 +393,6 @@ planner::ScanLeafKind ScanLeafFor(Platform platform) {
   return planner::ScanLeafKind::kMemoryRows;
 }
 
-planner::LoweringContext MakeLoweringContext(const TpchPlanEnv& env,
-                                             StatsRegistry* stats) {
-  planner::LoweringContext lctx;
-  lctx.scan_leaf = ScanLeafFor(env.platform);
-  lctx.serverless = env.serverless();
-  lctx.fused = env.fused;
-  lctx.world = env.world;
-  lctx.exec = env.exec;
-  lctx.tag = env.tag;
-  lctx.stats = stats;
-  return lctx;
-}
-
 }  // namespace
 
 Result<LogicalPlanPtr> TpchLogicalPlan(int query) {
@@ -571,53 +556,9 @@ Result<std::unique_ptr<TpchContext>> PrepareTpch(const TpchTables& db,
 // Execution
 // ---------------------------------------------------------------------------
 
-Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
-                                      const TpchContext& ctx,
-                                      const TpchRunOptions& opts,
-                                      StatsRegistry* stats) {
-  const bool serverless = opts.platform == Platform::kLambda ||
-                          opts.platform == Platform::kS3Select;
-  if (serverless && (opts.world_size & (opts.world_size - 1)) != 0) {
-    return Status::InvalidArgument(
-        "serverless platforms require a power-of-two worker count");
-  }
-
-  TpchPlanEnv env;
-  env.platform = opts.platform;
-  env.fused = opts.exec.enable_fusion;
-  env.world = opts.world_size;
-  env.exec = opts.exec;
-  env.tag = "q-run" + std::to_string(g_run_counter.fetch_add(1));
-
-  // Rank/worker plan factory: identical structure on every rank.
-  auto make_plan = [&spec, env](int worker) -> SubOpPtr {
-    TpchPlanEnv rank_env = env;  // fresh exchange counter per construction
-    auto plan = std::make_unique<PipelinePlan>();
-    std::string out = spec.build(plan.get(), &rank_env);
-    if (rank_env.serverless()) {
-      // Workers publish their partial result to S3 (MaterializeParquet →
-      // driver-side ParquetScan path of Fig. 7).
-      plan->SetOutput(std::make_unique<MaterializeColumnFile>(
-          plan->MakeRef(out), spec.rank_schema,
-          rank_env.tag + "/result-" + std::to_string(worker) + ".mcf"));
-    } else {
-      plan->SetOutput(plan->MakeRef(out));
-    }
-    return plan;
-  };
-
-  // Collect rank partials at the driver. The driver-side merge tail
-  // (ReduceByKey / Sort) gets its own budget and spills into the same
-  // store as the rank plans (docs/DESIGN-memory.md). Declared before the
-  // merge operators below so it outlives their ScopedCharges.
-  MemoryBudget driver_budget(opts.exec.memory_limit_bytes);
-  RowVectorPtr partials;
-  ExecContext driver;
-  driver.options = opts.exec;
-  driver.stats = stats;
-  driver.budget = &driver_budget;
-  driver.spill_store = ctx.store.get();
-
+SubOpPtr TpchGather(const TpchContext& ctx, const TpchRunOptions& opts,
+                    const std::string& tag, RankPlanFactory ranks,
+                    const Schema& schema) {
   auto path_params = [&ctx](int rank) {
     Tuple t;
     for (int tb = 0; tb < kNumPlanTables; ++tb) {
@@ -625,14 +566,14 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
     }
     return t;
   };
-
-  if (!serverless) {
+  if (opts.platform == Platform::kRdma ||
+      opts.platform == Platform::kRdmaDisc) {
     MpiExecutor::Config config;
     config.world_size = opts.world_size;
     config.fabric = opts.fabric;
     config.spill_store = ctx.store.get();
     if (opts.platform == Platform::kRdma) {
-      config.plan_factory = make_plan;
+      config.plan_factory = std::move(ranks);
       config.rank_params = [&ctx](int rank) {
         Tuple t;
         for (int tb = 0; tb < kNumPlanTables; ++tb) {
@@ -642,95 +583,97 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
       };
     } else {
       // Disc-backed tables: install an NFS-profile client per rank.
-      storage::BlobStore* store = ctx.store.get();
-      storage::BlobClientOptions profile = opts.storage;
-      config.plan_factory = [make_plan, store, profile](int rank) -> SubOpPtr {
-        return std::make_unique<WithBlobClient>(make_plan(rank), store,
-                                                profile);
+      config.plan_factory = [ranks = std::move(ranks), store = ctx.store.get(),
+                             profile = opts.storage](
+                                int rank) -> Result<SubOpPtr> {
+        MODULARIS_ASSIGN_OR_RETURN(SubOpPtr plan, ranks(rank));
+        return SubOpPtr(
+            std::make_unique<WithBlobClient>(std::move(plan), store, profile));
       };
       config.rank_params = path_params;
     }
-    MpiExecutor executor(std::move(config));
-    MODULARIS_ASSIGN_OR_RETURN(
-        partials,
-        plans::DrainCollections(&executor, &driver, spec.rank_schema));
-  } else {
-    LambdaExecutor::Config config;
-    config.lambda = opts.lambda;
-    config.lambda.num_workers = opts.world_size;
-    config.lambda.s3 = opts.storage;
-    config.store = ctx.store.get();
-    config.s3select = ctx.s3select.get();
-    config.plan_factory = make_plan;
-    config.worker_params = path_params;
+    return std::make_unique<MpiExecutor>(std::move(config));
+  }
+  LambdaExecutor::Config config;
+  config.lambda = opts.lambda;
+  config.lambda.num_workers = opts.world_size;
+  config.lambda.s3 = opts.storage;
+  config.store = ctx.store.get();
+  config.s3select = ctx.s3select.get();
+  // Workers publish their results to S3 (MaterializeParquet), and the
+  // driver reads them back (ParquetScan → ColumnScan, Fig. 7).
+  config.plan_factory = [ranks = std::move(ranks), schema,
+                         tag](int worker) -> Result<SubOpPtr> {
+    MODULARIS_ASSIGN_OR_RETURN(SubOpPtr plan, ranks(worker));
+    return SubOpPtr(std::make_unique<MaterializeColumnFile>(
+        std::move(plan), schema,
+        tag + "/result-" + std::to_string(worker) + ".mcf"));
+  };
+  config.worker_params = path_params;
+  ColumnFileScan::Options copts;
+  copts.retry = opts.exec.retry;
+  return std::make_unique<ColumnScan>(
+      std::make_unique<ColumnFileScan>(
+          std::make_unique<LambdaExecutor>(std::move(config)), copts),
+      schema);
+}
 
-    // The driver reads the workers' result files back from S3 (PS → CS
-    // tail of Fig. 7).
-    storage::BlobClient driver_client(ctx.store.get(), opts.storage, -1);
-    driver.blob = &driver_client;
-    ColumnFileScan::Options copts;
-    copts.retry = opts.exec.retry;
-    ColumnScan scan(std::make_unique<ColumnFileScan>(
-                        std::make_unique<LambdaExecutor>(std::move(config)),
-                        copts),
-                    spec.rank_schema);
-    MODULARIS_ASSIGN_OR_RETURN(
-        partials, plans::DrainCollections(&scan, &driver, spec.rank_schema));
+Result<RowVectorPtr> RunTpchPlan(LogicalPlanPtr root, const TpchContext& ctx,
+                                 const TpchRunOptions& opts,
+                                 StatsRegistry* stats) {
+  if (opts.platform != ctx.platform || opts.world_size != ctx.world_size) {
+    return Status::InvalidArgument(
+        std::string("tpch: a context prepared for ") +
+        PlatformName(ctx.platform) + " x" + std::to_string(ctx.world_size) +
+        " cannot run on " + PlatformName(opts.platform) + " x" +
+        std::to_string(opts.world_size));
   }
+  const bool serverless = opts.platform == Platform::kLambda ||
+                          opts.platform == Platform::kS3Select;
+  if (serverless && (opts.world_size & (opts.world_size - 1)) != 0) {
+    return Status::InvalidArgument(
+        "serverless platforms require a power-of-two worker count");
+  }
+  MODULARIS_ASSIGN_OR_RETURN(planner::DriverSpec split,
+                             planner::SplitAtDriver(std::move(root)));
 
-  // Driver-side merge: ReduceByKey → finalize Map → Sort/TopK (the RK /
-  // TK / MR tail of Figs. 6 and 7). A keyless merge is a Reduce, which
-  // emits its identity row when every rank's partial is empty — one row,
-  // as SQL gives for an aggregate without GROUP BY.
-  SubOpPtr cur = std::make_unique<CollectionSource>(
-      std::vector<RowVectorPtr>{partials});
-  Schema cur_schema = spec.rank_schema;
-  if (spec.merge && spec.merge_keys.empty()) {
-    auto r = std::make_unique<Reduce>(std::move(cur), spec.merge_aggs,
-                                      cur_schema, "phase.driver_merge");
-    cur_schema = r->out_schema();
-    cur = std::move(r);
-  } else if (spec.merge) {
-    auto rk = std::make_unique<ReduceByKey>(std::move(cur), spec.merge_keys,
-                                            spec.merge_aggs, cur_schema,
-                                            "phase.driver_merge");
-    cur_schema = rk->out_schema();
-    cur = std::move(rk);
-  } else {
-    cur = std::make_unique<RowScan>(std::move(cur));
+  const std::string tag = "q-run" + std::to_string(g_run_counter.fetch_add(1));
+  planner::LoweringContext lctx;
+  lctx.scan_leaf = ScanLeafFor(opts.platform);
+  lctx.serverless = serverless;
+  lctx.fused = opts.exec.enable_fusion;
+  lctx.world = opts.world_size;
+  lctx.exec = opts.exec;
+  lctx.tag = tag;
+  lctx.stats = stats;
+  lctx.gather = [&ctx, &opts, tag](RankPlanFactory ranks,
+                                   const Schema& schema) {
+    return TpchGather(ctx, opts, tag, std::move(ranks), schema);
+  };
+
+  // The driver's operators (merge, sort, top-k) get their own budget and
+  // spill into the same store as the rank plans (docs/DESIGN-memory.md).
+  // Declared before the plan so it outlives their ScopedCharges.
+  MemoryBudget budget(opts.exec.memory_limit_bytes);
+  std::optional<storage::BlobClient> blob;
+  ExecContext driver;
+  driver.options = opts.exec;
+  driver.stats = stats;
+  driver.budget = &budget;
+  driver.spill_store = ctx.store.get();
+  if (serverless) {
+    // Reads the workers' result files back from S3.
+    driver.blob = &blob.emplace(ctx.store.get(), opts.storage, -1);
   }
-  if (spec.merge_having != nullptr) {
-    cur = std::make_unique<Filter>(std::move(cur), spec.merge_having);
-  }
-  if (!spec.finalize.empty()) {
-    cur = std::make_unique<MapOp>(std::move(cur), spec.final_schema,
-                                  spec.finalize);
-    cur_schema = spec.final_schema;
-  }
-  if (!spec.sort.empty()) {
-    // Distinct driver-phase timer keys so the final ORDER BY [LIMIT]
-    // (Q3's top-10, Q18's top-100) never aliases a rank-side sort phase
-    // in the stats breakdown. Both operators share one emit path and the
-    // morsel-parallel run-sort + loser-tree merge; TopK additionally
-    // bounds per-run selection to `limit` rows instead of fully sorting
-    // the merged partials.
-    if (spec.limit > 0) {
-      cur = std::make_unique<TopK>(std::move(cur), spec.sort, spec.limit,
-                                   cur_schema, "phase.driver_topk");
-    } else {
-      cur = std::make_unique<SortOp>(std::move(cur), spec.sort, cur_schema,
-                                     "phase.driver_sort");
-    }
-  }
-  auto mr = std::make_unique<MaterializeRowVector>(std::move(cur),
-                                                   spec.final_schema);
-  auto result = plans::DrainCollections(mr.get(), &driver, spec.final_schema);
-  if (stats != nullptr && driver_budget.peak() > 0) {
-    stats->AddCounter("mem.peak_bytes",
-                      static_cast<int64_t>(driver_budget.peak()));
-    if (driver_budget.denials() > 0) {
+  MODULARIS_ASSIGN_OR_RETURN(SubOpPtr plan,
+                             planner::LowerPlan(*split.root, &lctx));
+  auto result =
+      plans::DrainCollections(plan.get(), &driver, split.root->schema);
+  if (stats != nullptr && budget.peak() > 0) {
+    stats->AddCounter("mem.peak_bytes", static_cast<int64_t>(budget.peak()));
+    if (budget.denials() > 0) {
       stats->AddCounter("mem.denials",
-                        static_cast<int64_t>(driver_budget.denials()));
+                        static_cast<int64_t>(budget.denials()));
     }
   }
   return result;
@@ -742,50 +685,8 @@ Result<RowVectorPtr> RunTpchQuery(int query, const TpchContext& ctx,
   MODULARIS_ASSIGN_OR_RETURN(LogicalPlanPtr root, TpchLogicalPlan(query));
   planner::PlannerOptions popts;
   popts.catalog = TpchCatalog(ctx.table_rows);
-  root = planner::Optimize(std::move(root), popts, stats);
-  MODULARIS_ASSIGN_OR_RETURN(planner::DriverSpec driver,
-                             planner::SplitAtDriver(root));
-
-  // Trial-lower once on the driver so a malformed plan surfaces as a
-  // Status here instead of aborting inside the executor's plan factory
-  // (which has no error channel).
-  {
-    TpchPlanEnv env;
-    env.platform = opts.platform;
-    env.fused = opts.exec.enable_fusion;
-    env.world = opts.world_size;
-    env.exec = opts.exec;
-    env.tag = "trial";
-    planner::LoweringContext lctx = MakeLoweringContext(env, nullptr);
-    PipelinePlan scratch;
-    auto trial = planner::LowerRankPlan(*driver.rank_root, &scratch, &lctx);
-    if (!trial.ok()) return trial.status();
-  }
-
-  TpchQuerySpec spec;
-  LogicalPlanPtr rank_root = driver.rank_root;
-  spec.build = [rank_root, stats](PipelinePlan* plan,
-                                  TpchPlanEnv* env) -> std::string {
-    planner::LoweringContext lctx = MakeLoweringContext(*env, stats);
-    auto lowered = planner::LowerRankPlan(*rank_root, plan, &lctx);
-    if (!lowered.ok()) {
-      // Unreachable: the same plan trial-lowered cleanly above.
-      std::fprintf(stderr, "tpch: lowering failed: %s\n",
-                   lowered.status().ToString().c_str());
-      std::abort();
-    }
-    return lowered.value().pipeline;
-  };
-  spec.rank_schema = driver.rank_schema;
-  spec.merge = driver.merge;
-  spec.merge_keys = driver.merge_keys;
-  spec.merge_aggs = driver.merge_aggs;
-  spec.merge_having = driver.merge_having;
-  spec.finalize = driver.finalize;
-  spec.final_schema = driver.final_schema;
-  spec.sort = driver.sort;
-  spec.limit = driver.limit;
-  return RunTpchQuerySpec(spec, ctx, opts, stats);
+  return RunTpchPlan(planner::Optimize(std::move(root), popts, stats), ctx,
+                     opts, stats);
 }
 
 }  // namespace modularis::tpch

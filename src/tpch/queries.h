@@ -21,9 +21,11 @@
 /// \file queries.h
 /// The eight evaluated TPC-H queries across the three platforms of the
 /// paper (§4.4, §4.5, Figs. 6–8). Each query is declared once as a
-/// logical plan (TpchLogicalPlan); the planner optimizes it and lowers
-/// it to the platform's sub-operator DAG — only the executor + exchange
-/// + scan leaves change per platform, the modularity claim under test.
+/// logical plan (TpchLogicalPlan); the planner optimizes it, splits it at
+/// the driver and lowers the whole tree — driver tail, executor and rank
+/// plans — to one sub-operator DAG. Only the executor (TpchGather),
+/// exchange and scan leaves change per platform, the modularity claim
+/// under test.
 
 namespace modularis::tpch {
 
@@ -92,52 +94,34 @@ Result<planner::LogicalPlanPtr> TpchLogicalPlan(int query);
 /// and date/value ranges from the spec).
 planner::Catalog TpchCatalog(const std::array<size_t, kNumPlanTables>& rows);
 
-/// Per-rank plan-construction environment. Copied per rank; the exchange
-/// counter yields identical (shared) object prefixes on every rank.
-/// Public so tests can drive RunTpchQuerySpec with hand-built plans.
-struct TpchPlanEnv {
-  Platform platform = Platform::kRdma;
-  bool fused = true;
-  int world = 1;
-  ExecOptions exec;
-  std::string tag;  // unique per query run; prefixes exchange objects
-  int next_exchange = 0;
+/// The driver side of a Gather on `opts.platform` — the
+/// planner::GatherHook RunTpchPlan installs. Returns the platform's
+/// executor running `ranks` on every rank or worker with its table
+/// fragments or shard paths, yielding the ranks' results as rows of
+/// `schema`: MpiExecutor (each disc rank reading through its own
+/// NFS-profile client), or LambdaExecutor whose workers publish their
+/// results as column files under `tag` that the driver reads back
+/// (MaterializeColumnFile → ColumnFileScan, Fig. 7). The driver context
+/// needs a blob client on the serverless platforms. Public so hand-built
+/// rank plans run through the same executors.
+SubOpPtr TpchGather(const TpchContext& ctx, const TpchRunOptions& opts,
+                    const std::string& tag, RankPlanFactory ranks,
+                    const Schema& schema);
 
-  bool serverless() const {
-    return platform == Platform::kLambda || platform == Platform::kS3Select;
-  }
-};
+/// Runs a logical plan over the TPC-H tables on the prepared context,
+/// optimized or as authored: SplitAtDriver → LowerPlan → drain, under
+/// one driver ExecContext (memory budget, the context's store for
+/// spills, `stats`, a driver blob client on serverless). `opts` must
+/// name the platform and world size the context was prepared for.
+/// Reports the driver's own budget peak as `mem.peak_bytes`.
+Result<RowVectorPtr> RunTpchPlan(planner::LogicalPlanPtr root,
+                                 const TpchContext& ctx,
+                                 const TpchRunOptions& opts,
+                                 StatsRegistry* stats);
 
-/// A runnable query = per-rank plan builder + driver-side merge
-/// specification. RunTpchQuery derives one from the logical plan; the
-/// differential-oracle tests build them by hand (the frozen pre-planner
-/// plan shapes) and run both through the same harness.
-struct TpchQuerySpec {
-  /// Builds the rank plan; returns the name of the pipeline holding the
-  /// rank's partial result.
-  std::function<std::string(PipelinePlan*, TpchPlanEnv*)> build;
-  Schema rank_schema;
-
-  bool merge = false;                 // re-aggregate at the driver
-  std::vector<int> merge_keys;
-  std::vector<AggSpec> merge_aggs;
-  ExprPtr merge_having;               // HAVING over the merged groups
-  std::vector<MapOutput> finalize;    // over merged schema (empty = id)
-  Schema final_schema;
-  std::vector<SortKey> sort;
-  size_t limit = 0;
-};
-
-/// Runs `spec` on the prepared context: executor fan-out, partial
-/// collection, then the driver-side merge → finalize → sort/top-k tail.
-Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
-                                      const TpchContext& ctx,
-                                      const TpchRunOptions& opts,
-                                      StatsRegistry* stats);
-
-/// Runs query `query` on the prepared context via the planner: logical
-/// plan → Optimize → SplitAtDriver → LowerRankPlan per rank; returns the
-/// final result rows (schema per reference.h).
+/// Runs query `query` on the prepared context: TpchLogicalPlan →
+/// Optimize → RunTpchPlan. Returns the final result rows (schema per
+/// reference.h).
 Result<RowVectorPtr> RunTpchQuery(int query, const TpchContext& ctx,
                                   const TpchRunOptions& opts,
                                   StatsRegistry* stats);

@@ -1,10 +1,12 @@
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -28,16 +30,18 @@
 /// The planner's correctness contract, in three layers:
 ///
 ///  1. Differential oracle: the eight TPC-H queries are built BOTH ways —
-///     through the planner (logical plan → Optimize → lower) and through
-///     a frozen verbatim copy of the pre-planner hand-wired plan
-///     builders — and the results are compared byte-for-byte on all
+///     through the planner (logical plan → Optimize → split → lower,
+///     driver tail included) and through a frozen verbatim copy of the
+///     pre-planner hand-wired rank plans and driver tail, sharing only
+///     the executors — and the results are compared byte-for-byte on all
 ///     three transports (MPI, TCP, S3) at 1 and 4 intra-rank threads.
 ///     Q19 is the documented exception: the cost-based join-order pass
 ///     builds on part' instead of lineitem' (measured no worse), which
 ///     permutes the float summation order, so Q19 is compared
 ///     value-tolerantly instead.
-///  2. Golden plan shapes: EXPLAIN output (logical, optimized and the
-///     physical DAG per transport) diffed against snapshots under
+///  2. Golden plan shapes: EXPLAIN output (logical, optimized, split at
+///     the driver, the rank plan's physical DAG per transport and the
+///     driver's physical DAG) diffed against snapshots under
 ///     tests/golden/planner/, plus the physical DAGs of the Fig. 3–5 KV
 ///     plans (kv_*.txt). Regenerate with MODULARIS_UPDATE_GOLDENS=1.
 ///  3. Seeded fuzz: random logical plans over the TPC-H tables lowered
@@ -123,13 +127,131 @@ void ExpectRowsNear(const RowVector& expected, const RowVector& actual) {
 // Frozen pre-planner plan builders — the differential oracle.
 //
 // This is a verbatim copy of the hand-wired plan construction that lived
-// in tpch/queries.cc before the planner existed (commit b329e91), adapted
-// only to the public TpchPlanEnv/TpchQuerySpec seam. It must NOT be
+// in tpch/queries.cc before the planner existed (commit b329e91), with its
+// own copy of the pre-planner driver tail (RunTpchQuerySpec below); only
+// the executors are shared, through tpch::TpchGather. It must NOT be
 // "cleaned up" or routed through planner code: its whole value is being
-// an independent record of the plan shapes the lowering must reproduce.
+// an independent record of the plan shapes — rank plans and driver tail —
+// the lowering must reproduce.
 // ===========================================================================
 
-using Env = TpchPlanEnv;
+/// Per-rank plan-construction environment. Copied per rank; the exchange
+/// counter yields identical (shared) object prefixes on every rank.
+struct Env {
+  Platform platform = Platform::kRdma;
+  bool fused = true;
+  int world = 1;
+  ExecOptions exec;
+  std::string tag;  // unique per query run; prefixes exchange objects
+  int next_exchange = 0;
+
+  bool serverless() const {
+    return platform == Platform::kLambda || platform == Platform::kS3Select;
+  }
+};
+
+/// A hand-built query = per-rank plan builder + driver-side merge
+/// specification.
+struct TpchQuerySpec {
+  /// Builds the rank plan; returns the name of the pipeline holding the
+  /// rank's partial result.
+  std::function<std::string(PipelinePlan*, Env*)> build;
+  Schema rank_schema;
+
+  bool merge = false;                 // re-aggregate at the driver
+  std::vector<int> merge_keys;
+  std::vector<AggSpec> merge_aggs;
+  ExprPtr merge_having;               // HAVING over the merged groups
+  std::vector<MapOutput> finalize;    // over merged schema (empty = id)
+  Schema final_schema;
+  std::vector<SortKey> sort;
+  size_t limit = 0;
+};
+
+/// Runs `spec` on the prepared context: executor fan-out, partial
+/// collection, then the pre-planner driver tail — merge → finalize →
+/// sort/top-k.
+Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
+                                      const TpchContext& ctx,
+                                      const TpchRunOptions& opts,
+                                      StatsRegistry* stats) {
+  static std::atomic<int> run_counter{0};
+  Env env;
+  env.platform = opts.platform;
+  env.fused = opts.exec.enable_fusion;
+  env.world = opts.world_size;
+  env.exec = opts.exec;
+  env.tag = "hand-run" + std::to_string(run_counter.fetch_add(1));
+
+  // Rank/worker plan factory: identical structure on every rank.
+  RankPlanFactory make_plan = [&spec, env](int) -> Result<SubOpPtr> {
+    Env rank_env = env;  // fresh exchange counter per construction
+    auto plan = std::make_unique<PipelinePlan>();
+    std::string out = spec.build(plan.get(), &rank_env);
+    plan->SetOutput(plan->MakeRef(out));
+    return SubOpPtr(std::move(plan));
+  };
+
+  // Collect rank partials at the driver. Declared before the merge
+  // operators below so the budget outlives their ScopedCharges.
+  MemoryBudget driver_budget(opts.exec.memory_limit_bytes);
+  ExecContext driver;
+  driver.options = opts.exec;
+  driver.stats = stats;
+  driver.budget = &driver_budget;
+  driver.spill_store = ctx.store.get();
+  std::optional<storage::BlobClient> driver_client;
+  if (env.serverless()) {
+    driver.blob = &driver_client.emplace(ctx.store.get(), opts.storage, -1);
+  }
+  SubOpPtr gather =
+      TpchGather(ctx, opts, env.tag, std::move(make_plan), spec.rank_schema);
+  auto partials =
+      plans::DrainCollections(gather.get(), &driver, spec.rank_schema);
+  if (!partials.ok()) return partials.status();
+
+  // Driver-side merge: ReduceByKey → finalize Map → Sort/TopK (the RK /
+  // TK / MR tail of Figs. 6 and 7). A keyless merge is a Reduce, which
+  // emits its identity row when every rank's partial is empty — one row,
+  // as SQL gives for an aggregate without GROUP BY.
+  SubOpPtr cur = std::make_unique<CollectionSource>(
+      std::vector<RowVectorPtr>{partials.value()});
+  Schema cur_schema = spec.rank_schema;
+  if (spec.merge && spec.merge_keys.empty()) {
+    auto r = std::make_unique<Reduce>(std::move(cur), spec.merge_aggs,
+                                      cur_schema, "phase.driver_merge");
+    cur_schema = r->out_schema();
+    cur = std::move(r);
+  } else if (spec.merge) {
+    auto rk = std::make_unique<ReduceByKey>(std::move(cur), spec.merge_keys,
+                                            spec.merge_aggs, cur_schema,
+                                            "phase.driver_merge");
+    cur_schema = rk->out_schema();
+    cur = std::move(rk);
+  } else {
+    cur = std::make_unique<RowScan>(std::move(cur));
+  }
+  if (spec.merge_having != nullptr) {
+    cur = std::make_unique<Filter>(std::move(cur), spec.merge_having);
+  }
+  if (!spec.finalize.empty()) {
+    cur = std::make_unique<MapOp>(std::move(cur), spec.final_schema,
+                                  spec.finalize);
+    cur_schema = spec.final_schema;
+  }
+  if (!spec.sort.empty()) {
+    if (spec.limit > 0) {
+      cur = std::make_unique<TopK>(std::move(cur), spec.sort, spec.limit,
+                                   cur_schema, "phase.driver_topk");
+    } else {
+      cur = std::make_unique<SortOp>(std::move(cur), spec.sort, cur_schema,
+                                     "phase.driver_sort");
+    }
+  }
+  auto mr = std::make_unique<MaterializeRowVector>(std::move(cur),
+                                                   spec.final_schema);
+  return plans::DrainCollections(mr.get(), &driver, spec.final_schema);
+}
 
 enum TableId { kLineitem = 0, kOrdersT = 1, kCustomerT = 2, kPartT = 3 };
 
@@ -850,6 +972,8 @@ std::string RenderPlanShapes(int q, const planner::Catalog& catalog) {
   text += planner::ExplainLogical(*opt, &catalog);
   auto split = planner::SplitAtDriver(opt);
   if (!split.ok()) return "";
+  text += "== split ==\n";
+  text += planner::ExplainLogical(*split.value().root, &catalog);
 
   struct Config {
     const char* title;
@@ -879,6 +1003,19 @@ std::string RenderPlanShapes(int q, const planner::Catalog& catalog) {
     text += "== physical " + std::string(cfg.title) + " world=4 ==\n";
     text += planner::ExplainPhysical(plan);
   }
+  // The driver's plan is the same on every platform but for the gather
+  // source; an MPI executor stands in for it.
+  planner::LoweringContext lctx;
+  lctx.world = 4;
+  lctx.gather = [](RankPlanFactory ranks, const Schema&) -> SubOpPtr {
+    MpiExecutor::Config config;
+    config.plan_factory = std::move(ranks);
+    return std::make_unique<MpiExecutor>(std::move(config));
+  };
+  auto driver = planner::LowerPlan(*split.value().root, &lctx);
+  if (!driver.ok()) return "";
+  text += "== physical driver ==\n";
+  text += planner::ExplainPhysical(*driver.value());
   return text;
 }
 
@@ -1007,67 +1144,6 @@ TEST(PlannerLowering, ExplicitExchangeOutsideTheTemplates) {
 //    lowering of the authored tree.
 // ===========================================================================
 
-planner::LoweringContext TestLoweringContext(const TpchPlanEnv& env) {
-  planner::LoweringContext lctx;
-  switch (env.platform) {
-    case Platform::kRdma:
-      lctx.scan_leaf = planner::ScanLeafKind::kMemoryRows;
-      break;
-    case Platform::kRdmaDisc:
-    case Platform::kLambda:
-      lctx.scan_leaf = planner::ScanLeafKind::kColumnFile;
-      break;
-    case Platform::kS3Select:
-      lctx.scan_leaf = planner::ScanLeafKind::kS3Select;
-      break;
-  }
-  lctx.serverless = env.serverless();
-  lctx.fused = env.fused;
-  lctx.world = env.world;
-  lctx.exec = env.exec;
-  lctx.tag = env.tag;
-  return lctx;
-}
-
-/// Runs a logical plan end to end, optionally through the optimizer —
-/// the same derivation RunTpchQuery performs, with the Optimize step
-/// toggleable so the fuzzer can byte-diff the two lowerings.
-Result<RowVectorPtr> RunLogical(planner::LogicalPlanPtr root,
-                                const TpchContext& ctx,
-                                const TpchRunOptions& opts, bool optimize) {
-  if (optimize) {
-    planner::PlannerOptions popts;
-    popts.catalog = TpchCatalog(ctx.table_rows);
-    root = planner::Optimize(std::move(root), popts, nullptr);
-  }
-  auto split = planner::SplitAtDriver(std::move(root));
-  if (!split.ok()) return split.status();
-  planner::DriverSpec driver = split.TakeValue();
-  TpchQuerySpec spec;
-  planner::LogicalPlanPtr rank_root = driver.rank_root;
-  spec.build = [rank_root](PipelinePlan* plan,
-                           TpchPlanEnv* env) -> std::string {
-    planner::LoweringContext lctx = TestLoweringContext(*env);
-    auto lowered = planner::LowerRankPlan(*rank_root, plan, &lctx);
-    if (!lowered.ok()) {
-      std::fprintf(stderr, "fuzz lowering failed: %s\n",
-                   lowered.status().ToString().c_str());
-      std::abort();
-    }
-    return lowered.value().pipeline;
-  };
-  spec.rank_schema = driver.rank_schema;
-  spec.merge = driver.merge;
-  spec.merge_keys = driver.merge_keys;
-  spec.merge_aggs = driver.merge_aggs;
-  spec.merge_having = driver.merge_having;
-  spec.finalize = driver.finalize;
-  spec.final_schema = driver.final_schema;
-  spec.sort = driver.sort;
-  spec.limit = driver.limit;
-  return RunTpchQuerySpec(spec, ctx, opts, nullptr);
-}
-
 /// Random Scan → Filter* → [Join → Project] → Aggregate → [Sort [Limit]]
 /// chains over lineitem/orders. Aggregates are restricted to
 /// order-independent functions (integer SUM, COUNT) and sorted on all
@@ -1183,9 +1259,12 @@ TEST(PlannerFuzz, OptimizedLoweringMatchesDirectLowering) {
     planner::LogicalPlanPtr plan = FuzzPlan(rng);
     SCOPED_TRACE("iter " + std::to_string(iter) + "\n" +
                  planner::ExplainLogical(*plan));
-    auto direct = RunLogical(plan, **ctx, opts, /*optimize=*/false);
+    auto direct = RunTpchPlan(plan, **ctx, opts, nullptr);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    auto optimized = RunLogical(plan, **ctx, opts, /*optimize=*/true);
+    planner::PlannerOptions popts;
+    popts.catalog = TpchCatalog((*ctx)->table_rows);
+    auto optimized = RunTpchPlan(planner::Optimize(plan, popts, nullptr),
+                                 **ctx, opts, nullptr);
     ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
     ExpectBytesEqual(**direct, **optimized);
   }

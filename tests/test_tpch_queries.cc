@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "planner/passes.h"
 #include "tpch/queries.h"
 
 namespace modularis::tpch {
@@ -286,6 +287,96 @@ TEST(TpchQueryTest, S3TransientFailuresAreRetried) {
   auto expected = RunReferenceQuery(6, Db());
   ASSERT_TRUE(expected.ok());
   ExpectRowsEqual(**expected, **result);
+}
+
+const TpchTables& TinyDb() {
+  static TpchTables db = [] {
+    GeneratorOptions gen;
+    gen.scale_factor = 0.002;
+    gen.seed = 7;
+    return GenerateTpch(gen);
+  }();
+  return db;
+}
+
+/// A keyless aggregate over a filter that keeps no row: every rank's
+/// partial is empty, and the driver's merge (Reduce) still yields SQL's
+/// one row, authored or optimized.
+TEST(TpchPlanTest, KeylessAggregateOverNoRowsYieldsOneRowOfZeros) {
+  namespace lp = planner::lp;
+  // l_quantity is 1..50.
+  planner::LogicalPlanPtr plan = lp::Aggregate(
+      lp::Filter(lp::Scan(0, "lineitem", LineitemSchema()),
+                 ex::Lt(ex::Col(l::kQuantity), ex::Lit(0.0))),
+      {},
+      {AggSpec{AggKind::kSum, ex::Col(l::kExtendedPrice), "rev",
+               AtomType::kFloat64},
+       AggSpec{AggKind::kCount, nullptr, "n", AtomType::kInt64}});
+  for (TpchRunOptions opts :
+       {TpchRunOptions::Rdma(4), TpchRunOptions::Lambda(4),
+        TpchRunOptions::S3Select(4)}) {
+    opts = Unthrottled(opts);
+    auto ctx = PrepareTpch(TinyDb(), opts);
+    ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+    planner::PlannerOptions popts;
+    popts.catalog = TpchCatalog((*ctx)->table_rows);
+    for (bool optimize : {false, true}) {
+      SCOPED_TRACE(std::string(PlatformName(opts.platform)) +
+                   (optimize ? " optimized" : " authored"));
+      StatsRegistry stats;
+      auto result = RunTpchPlan(
+          optimize ? planner::Optimize(plan, popts, nullptr) : plan, **ctx,
+          opts, &stats);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const RowVector& rows = **result;
+      ASSERT_EQ(rows.size(), 1u);
+      EXPECT_EQ(rows.row(0).GetFloat64(0), 0.0);
+      EXPECT_EQ(rows.row(0).GetInt64(1), 0);
+    }
+  }
+}
+
+/// A rank plan that cannot be lowered fails inside the executor, through
+/// the plan factory's Status: explicit Exchange nodes have no serverless
+/// lowering. No abort, no hang, at one and four threads.
+TEST(TpchPlanTest, RankLoweringErrorsReturnThroughTheExecutor) {
+  namespace lp = planner::lp;
+  planner::LogicalPlanPtr plan =
+      lp::Exchange(lp::Scan(0, "lineitem", LineitemSchema()), l::kOrderKey);
+  TpchRunOptions opts = Unthrottled(TpchRunOptions::Lambda(4));
+  auto ctx = PrepareTpch(TinyDb(), opts);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    opts.exec.num_threads = threads;
+    StatsRegistry stats;
+    auto result = RunTpchPlan(plan, **ctx, opts, &stats);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("explicit Exchange"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
+/// Running a context on another platform or world size than it was
+/// prepared for is an error before any rank starts (it used to index the
+/// context's fragments and paths out of range).
+TEST(TpchPlanTest, OptionsMustMatchThePreparedContext) {
+  TpchRunOptions prepared = Unthrottled(TpchRunOptions::Rdma(2));
+  auto ctx = PrepareTpch(TinyDb(), prepared);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  for (const TpchRunOptions& opts :
+       {Unthrottled(TpchRunOptions::Rdma(4)),
+        Unthrottled(TpchRunOptions::Lambda(2))}) {
+    SCOPED_TRACE(PlatformName(opts.platform));
+    StatsRegistry stats;
+    auto result = RunTpchQuery(6, **ctx, opts, &stats);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  StatsRegistry stats;
+  EXPECT_TRUE(RunTpchQuery(6, **ctx, prepared, &stats).ok());
 }
 
 TEST(TpchGeneratorTest, DeterministicAcrossRuns) {
