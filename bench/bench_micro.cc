@@ -177,11 +177,10 @@ void BenchJoinHashTable() {
   const int64_t n = 1 << 18;
   RowVectorPtr build = MakeKv(n, n);
   RunBench("join_hash_table", 2 * n, 2 * build->byte_size(), -1, [&] {
+    std::vector<int64_t> keys(n);
+    for (int64_t i = 0; i < n; ++i) keys[i] = build->row(i).GetInt64(0);
     JoinHashTable table;
-    table.Reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      table.Insert(build->row(i).GetInt64(0), static_cast<uint32_t>(i));
-    }
+    table.Build(keys.data(), keys.size(), 1);
     int64_t hits = 0;
     for (int64_t i = 0; i < n; ++i) {
       hits += table.Find(i) != JoinHashTable::kNone;

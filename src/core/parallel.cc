@@ -1,6 +1,8 @@
 #include "core/parallel.h"
 
 #include <cstdlib>
+#include <functional>
+#include <queue>
 #include <thread>
 
 namespace modularis {
@@ -100,6 +102,29 @@ std::vector<IndexRun> BuildIndexRuns(const uint32_t* order,
     runs.push_back(IndexRun{order + bounds[w], order + bounds[w] + run_cap});
   }
   return runs;
+}
+
+void MergeRowRuns(const std::vector<RowRun>& runs, RowVector* out,
+                  std::vector<uint32_t>* idx_out) {
+  using Head = std::pair<uint32_t, uint32_t>;  // (index, run)
+  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heap;
+  std::vector<size_t> pos(runs.size(), 0);
+  size_t total = 0;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    total += runs[r].idx.size();
+    if (!runs[r].idx.empty()) {
+      heap.emplace(runs[r].idx[0], static_cast<uint32_t>(r));
+    }
+  }
+  out->Reserve(out->size() + total);
+  if (idx_out != nullptr) idx_out->reserve(idx_out->size() + total);
+  while (!heap.empty()) {
+    const auto [i, r] = heap.top();
+    heap.pop();
+    out->AppendRaw(runs[r].rows->row(pos[r]).data());
+    if (idx_out != nullptr) idx_out->push_back(i);
+    if (++pos[r] < runs[r].idx.size()) heap.emplace(runs[r].idx[pos[r]], r);
+  }
 }
 
 WorkerSet::WorkerSet(ExecContext* base, int num_workers) : base_(base) {

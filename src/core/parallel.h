@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/exec_context.h"
+#include "core/row_vector.h"
 #include "core/status.h"
 
 /// \file parallel.h
@@ -167,6 +168,23 @@ size_t MergeIndexRuns(std::vector<IndexRun> runs, size_t out_count,
   while (i < out_count && tree.Pop(&out[i])) ++i;
   return i;
 }
+
+/// A run of packed rows with each row's global index alongside,
+/// ascending by that index: a partition's groups by first occurrence
+/// (ReduceByKey), a join's output by probe index (BuildProbe), a spill
+/// stage's rows by input position. A run without rows may have null
+/// `rows`.
+struct RowRun {
+  RowVectorPtr rows;
+  std::vector<uint32_t> idx;
+};
+
+/// K-way merge of row runs by (index, run position): appends every row
+/// to `out` in ascending index order — equal indices in run order, which
+/// is how a probe row's matches from chunked build groups keep their
+/// chain order — and each row's index to `idx_out` when given.
+void MergeRowRuns(const std::vector<RowRun>& runs, RowVector* out,
+                  std::vector<uint32_t>* idx_out);
 
 /// Folds items[0..n) down to items[0] with a fixed-shape pairwise tree:
 /// level by level, combine(&items[2i], &items[2i+1]) folds the right item

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/fault.h"
+#include "core/memory.h"
 
 namespace modularis::storage {
 
@@ -98,16 +99,6 @@ Status SpillSet::ReadChunk(int pass, int pid, int chunk, RowVector* rows,
   return Status::OK();
 }
 
-Status SpillSet::ReadPartition(int pass, int pid, RowVector* rows,
-                               std::vector<uint32_t>* idx) {
-  const int chunks = NumChunks(pass, pid);
-  for (int c = 0; c < chunks; ++c) {
-    Status st = ReadChunk(pass, pid, c, rows, idx);
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
 void SpillSet::DeletePartition(int pass, int pid) {
   auto it = chunk_counts_.find({pass, pid});
   if (it == chunk_counts_.end()) return;
@@ -124,6 +115,52 @@ void SpillSet::DeleteAll() {
     }
   }
   chunk_counts_.clear();
+}
+
+Result<std::unique_ptr<SpillSet>> AdmitSpill(ExecContext* ctx, const char* op,
+                                             const char* tag, uint32_t stride,
+                                             const std::string& what) {
+  // Counted whether the spill fallback is viable (graceful degradation)
+  // or not (fail fast below).
+  if (ctx->budget != nullptr) ctx->budget->NoteDenial();
+  const size_t mem_limit = ctx->options.memory_limit_bytes;
+  const size_t quota = SpillQuotaBytes(mem_limit);
+  if (quota < stride) {
+    return Status::ResourceExhausted(
+        std::string(op) + ": memory_limit_bytes=" + std::to_string(mem_limit) +
+        " cannot hold one " + std::to_string(stride) +
+        "-byte row in the spill quota (" + std::to_string(quota) + " bytes)");
+  }
+  if (ctx->spill_store == nullptr) {
+    return Status::ResourceExhausted(
+        std::string(op) + ": " + what + " memory_limit_bytes=" +
+        std::to_string(mem_limit) + " and no spill store is configured");
+  }
+  if (ctx->stats != nullptr) {
+    ctx->stats->AddCounter("spill.ops." + std::string(op), 1);
+  }
+  return std::make_unique<SpillSet>(ctx, tag);
+}
+
+Status SpillWriter::Write(int pid) {
+  RowRun& stage = stages_[pid];
+  MODULARIS_RETURN_NOT_OK(spill_->WriteChunk(pass_, pid, stage.rows->data(),
+                                             stage.idx.size(),
+                                             schema_.row_size(),
+                                             stage.idx.data()));
+  stage.rows->Clear();
+  stage.idx.clear();
+  return Status::OK();
+}
+
+Status SpillWriter::Flush() {
+  for (size_t pid = 0; pid < stages_.size(); ++pid) {
+    if (!stages_[pid].idx.empty()) {
+      MODULARIS_RETURN_NOT_OK(Write(static_cast<int>(pid)));
+    }
+  }
+  stages_.clear();  // frees the staging buffers
+  return Status::OK();
 }
 
 }  // namespace modularis::storage

@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <type_traits>
 
 #include "storage/spill.h"
@@ -546,7 +544,7 @@ Status ReduceByKey::AggregateSpan(const uint8_t* rows, size_t n,
   auto admit = [&](size_t table_bytes) {
     if (level->admit_all) return true;
     if (level->max_groups != 0) return states->size() < level->max_groups;
-    return level->pass < 0 &&
+    return level->overflow == nullptr &&
            StateFits(states->byte_size() + state_row + table_bytes,
                      mem_limit);
   };
@@ -568,9 +566,13 @@ Status ReduceByKey::AggregateSpan(const uint8_t* rows, size_t n,
               level->full = true;  // one group too many: stop at once
               return Status::OK();
             }
-            MODULARIS_RETURN_NOT_OK(StageRow(p, global(base + i),
-                                             keys.Hash(i), schema, level,
-                                             scratch));
+            if (level->overflow == nullptr) {
+              MODULARIS_RETURN_NOT_OK(OpenOverflow(level, schema, scratch));
+            }
+            const int pid = static_cast<int>(
+                (keys.Hash(i) >> level->shift) & ((1 << kPartitionBits) - 1));
+            MODULARIS_RETURN_NOT_OK(
+                level->overflow->Add(pid, p, global(base + i)));
             continue;
           }
           if (inserted) {
@@ -729,7 +731,7 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   // the cap grows geometrically only if it really holds that many groups
   // (deterministic — table internals never affect the output).
   constexpr size_t kMaxReserveKeys = size_t{1} << 20;
-  std::vector<AggRun> runs(kFanout);
+  std::vector<RowRun> runs(kFanout);
   std::vector<int64_t> wrehash(workers, 0);
   MorselCursor cursor(kFanout, 1, ctx_->cancel);
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
@@ -741,9 +743,9 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
         const size_t rows_p = prefix[p + 1] - prefix[p];
         if (rows_p == 0) continue;
         tables.Clear(StateSlotsFor(std::min(rows_p, kMaxReserveKeys)));
-        AggRun& run = runs[p];
-        run.states = RowVector::Make(out_schema_);
-        AggLevel level{.states = run.states.get(), .first = &run.first,
+        RowRun& run = runs[p];
+        run.rows = RowVector::Make(out_schema_);
+        AggLevel level{.states = run.rows.get(), .first = &run.idx,
                        .tables = &tables};
         MODULARIS_RETURN_NOT_OK(AggregateSpan(
             scat->data() + prefix[p] * stride, rows_p, schema,
@@ -759,38 +761,13 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   // (its rows are in original order), so merging the per-partition runs
   // replays the serial emission order exactly.
   int used_partitions = 0;
-  for (const AggRun& run : runs) used_partitions += !run.first.empty();
-  MergeAggRuns(&runs, states_.get(), nullptr);
+  for (const RowRun& run : runs) used_partitions += !run.idx.empty();
+  MergeRowRuns(runs, states_.get(), nullptr);
   int64_t rehashes = 0;
   for (int w = 0; w < workers; ++w) rehashes += wrehash[w];
   AddStatCounter("reduce.rehash", rehashes);
   AddStatCounter("parallel.reduce.partitions", used_partitions);
   return Status::OK();
-}
-
-void ReduceByKey::MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
-                               std::vector<uint32_t>* first_out) const {
-  using Head = std::pair<uint32_t, uint32_t>;  // (first index, run)
-  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heap;
-  std::vector<uint32_t> pos(runs->size(), 0);
-  size_t total = 0;
-  for (size_t r = 0; r < runs->size(); ++r) {
-    total += (*runs)[r].first.size();
-    if (!(*runs)[r].first.empty()) {
-      heap.emplace((*runs)[r].first[0], static_cast<uint32_t>(r));
-    }
-  }
-  states->Reserve(states->size() + total);
-  if (first_out != nullptr) first_out->reserve(first_out->size() + total);
-  while (!heap.empty()) {
-    const auto [fi, r] = heap.top();
-    heap.pop();
-    states->AppendRaw((*runs)[r].states->row(pos[r]).data());
-    if (first_out != nullptr) first_out->push_back(fi);
-    if (++pos[r] < (*runs)[r].first.size()) {
-      heap.emplace((*runs)[r].first[pos[r]], r);
-    }
-  }
 }
 
 // -- Hybrid hash aggregation under a budget (docs/DESIGN-memory.md) ---------
@@ -813,61 +790,28 @@ Status ReduceByKey::ConsumeAllSpill(RowVectorPtr input) {
   MODULARIS_RETURN_NOT_OK(AggregateSpan(input->data(), input->size(),
                                         in_schema_, nullptr, &top,
                                         &chunk_, &scratch));
-  if (top.pass < 0) return Status::OK();  // every group stayed resident
+  if (top.overflow == nullptr) return Status::OK();  // all stayed resident
   input.reset();  // drop our reference to the drained input
   return AggregateOverflow(&top, in_schema_, &scratch);
 }
 
-Status ReduceByKey::StageRow(const uint8_t* p, uint32_t gidx, uint64_t hash,
-                             const Schema& schema, AggLevel* level,
-                             SpillScratch* scratch) {
-  constexpr int kFanout = 1 << kPartitionBits;
-  if (level->pass < 0) MODULARIS_RETURN_NOT_OK(OpenOverflow(level, scratch));
-  const int pid = static_cast<int>((hash >> level->shift) & (kFanout - 1));
-  RowVectorPtr& stage = level->stage[pid];
-  std::vector<uint32_t>& stage_idx = level->stage_idx[pid];
-  if (stage == nullptr) stage = RowVector::Make(schema);
-  stage->AppendRaw(p);
-  stage_idx.push_back(gidx);
-  const uint32_t stride = schema.row_size();
-  const size_t chunk_rows = std::max<size_t>(
-      1, SpillQuotaBytes(ctx_->options.memory_limit_bytes) /
-             (static_cast<size_t>(stride) * kFanout));
-  if (stage->size() < chunk_rows) return Status::OK();
-  MODULARIS_RETURN_NOT_OK(scratch->spill->WriteChunk(
-      level->pass, pid, stage->data(), stage->size(), stride,
-      stage_idx.data()));
-  stage->Clear();
-  stage_idx.clear();
-  return Status::OK();
-}
-
-Status ReduceByKey::OpenOverflow(AggLevel* level, SpillScratch* scratch) {
+Status ReduceByKey::OpenOverflow(AggLevel* level, const Schema& schema,
+                                 SpillScratch* scratch) {
   // The operator's first refused group decides whether spilling is
   // possible at all — before anything is written.
   if (scratch->spill == nullptr) {
-    if (ctx_->budget != nullptr) ctx_->budget->NoteDenial();
-    const size_t mem_limit = ctx_->options.memory_limit_bytes;
-    const size_t quota = SpillQuotaBytes(mem_limit);
-    const uint32_t stride = in_schema_.row_size();
-    if (quota < stride) {
-      return Status::ResourceExhausted(
-          "ReduceByKey: memory_limit_bytes=" + std::to_string(mem_limit) +
-          " cannot hold one " + std::to_string(stride) +
-          "-byte row in the spill quota (" + std::to_string(quota) +
-          " bytes)");
-    }
-    if (ctx_->spill_store == nullptr) {
-      return Status::ResourceExhausted(
-          "ReduceByKey: group state exceeds half of memory_limit_bytes=" +
-          std::to_string(mem_limit) + " and no spill store is configured");
-    }
-    AddStatCounter("spill.ops.ReduceByKey", 1);
-    scratch->spill = std::make_unique<storage::SpillSet>(ctx_, "reduce");
+    MODULARIS_ASSIGN_OR_RETURN(
+        scratch->spill,
+        storage::AdmitSpill(ctx_, "ReduceByKey", "reduce",
+                            in_schema_.row_size(),
+                            "group state exceeds half of"));
   }
-  level->pass = scratch->spill->NewPass();
-  level->stage.resize(1 << kPartitionBits);
-  level->stage_idx.resize(1 << kPartitionBits);
+  constexpr int kFanout = 1 << kPartitionBits;
+  const size_t chunk_rows = std::max<size_t>(
+      1, SpillQuotaBytes(ctx_->options.memory_limit_bytes) /
+             (static_cast<size_t>(schema.row_size()) * kFanout));
+  level->overflow = std::make_unique<storage::SpillWriter>(
+      scratch->spill.get(), scratch->spill->NewPass(), schema, chunk_rows);
   AddStatCounter("spill.passes", 1);
   return Status::OK();
 }
@@ -876,36 +820,27 @@ Status ReduceByKey::AggregateOverflow(AggLevel* level, const Schema& schema,
                                       SpillScratch* scratch) {
   constexpr int kFanout = 1 << kPartitionBits;
   storage::SpillSet* spill = scratch->spill.get();
-  for (int pid = 0; pid < kFanout; ++pid) {
-    const RowVectorPtr& stage = level->stage[pid];
-    if (stage != nullptr && !stage->empty()) {
-      MODULARIS_RETURN_NOT_OK(spill->WriteChunk(
-          level->pass, pid, stage->data(), stage->size(), schema.row_size(),
-          level->stage_idx[pid].data()));
-    }
-  }
-  level->stage.clear();
-  level->stage_idx.clear();
+  MODULARIS_RETURN_NOT_OK(level->overflow->Flush());
+  const int pass = level->overflow->pass();
 
   // Partitions aggregate ascending by id; each yields one run ascending by
   // global first-occurrence index, and the merge restores global order.
-  std::vector<AggRun> runs;
+  std::vector<RowRun> runs;
   for (int pid = 0; pid < kFanout; ++pid) {
-    if (spill->NumChunks(level->pass, pid) == 0) continue;
-    AggRun run;
-    run.states = RowVector::Make(out_schema_);
+    if (spill->NumChunks(pass, pid) == 0) continue;
+    RowRun run{RowVector::Make(out_schema_), {}};
     MODULARIS_RETURN_NOT_OK(AggregateSpilledPartition(
-        level->pass, pid, level->shift, schema, &run, scratch));
+        pass, pid, level->shift, schema, &run, scratch));
     runs.push_back(std::move(run));
   }
   AddStatCounter("spill.partitions", static_cast<int64_t>(runs.size()));
-  MergeAggRuns(&runs, level->states, level->first);
+  MergeRowRuns(runs, level->states, level->first);
   return Status::OK();
 }
 
 Status ReduceByKey::AggregateSpilledPartition(int pass, int pid, int shift,
                                               const Schema& schema,
-                                              AggRun* out,
+                                              RowRun* out,
                                               SpillScratch* scratch) {
   if (ctx_->cancel != nullptr) MODULARIS_RETURN_NOT_OK(ctx_->cancel->Check());
   // The tables are free again by the time the overflow recurses: this
@@ -914,7 +849,7 @@ Status ReduceByKey::AggregateSpilledPartition(int pass, int pid, int shift,
   // A partition cut by the last hash window cannot be split further (a
   // single hot key, practically): it keeps every group, which is the
   // operator's own irreducible output.
-  AggLevel level{.states = out->states.get(), .first = &out->first,
+  AggLevel level{.states = out->rows.get(), .first = &out->idx,
                  .tables = &scratch->tables,
                  .admit_all = shift < kPartitionBits,
                  .shift = shift - kPartitionBits};
@@ -931,7 +866,7 @@ Status ReduceByKey::AggregateSpilledPartition(int pass, int pid, int shift,
                                           &chunk_, scratch));
   }
   spill->DeletePartition(pass, pid);
-  if (level.pass < 0) return Status::OK();
+  if (level.overflow == nullptr) return Status::OK();
   return AggregateOverflow(&level, schema, scratch);
 }
 
@@ -1054,8 +989,8 @@ int CompareRows(const RowRef& a, const RowRef& b,
 }
 
 SortOp::SortOp(SubOpPtr child, std::vector<SortKey> keys, Schema schema,
-               std::string timer_key)
-    : SubOperator("Sort"),
+               std::string timer_key, std::string name)
+    : SubOperator(std::move(name)),
       keys_(std::move(keys)),
       schema_(std::move(schema)),
       timer_key_(std::move(timer_key)) {
@@ -1153,24 +1088,13 @@ Status SortOp::ConsumeExternal(size_t limit) {
     rows_ = RowVector::Make(schema_);  // LIMIT 0: nothing to sort or emit
     return Status::OK();
   }
-  // Denied the in-memory path — counted whether the spill fallback is
-  // viable (graceful degradation) or not (fail fast below).
-  if (ctx_->budget != nullptr) ctx_->budget->NoteDenial();
-  if (quota < stride) {
-    return Status::ResourceExhausted(
-        "Sort: memory_limit_bytes=" + std::to_string(mem_limit) +
-        " cannot hold one " + std::to_string(stride) +
-        "-byte row in the spill quota (" + std::to_string(quota) + " bytes)");
-  }
-  if (ctx_->spill_store == nullptr) {
-    return Status::ResourceExhausted(
-        "Sort: materialized input of " + std::to_string(rows_->byte_size()) +
-        " bytes exceeds memory_limit_bytes=" + std::to_string(mem_limit) +
-        " and no spill store is configured");
-  }
-  AddStatCounter("spill.ops.Sort", 1);
+  // TopK spills under the Sort tag: one external-merge mechanism.
+  MODULARIS_ASSIGN_OR_RETURN(
+      spill_, storage::AdmitSpill(ctx_, "Sort", "sort", stride,
+                                  "materialized input of " +
+                                      std::to_string(rows_->byte_size()) +
+                                      " bytes exceeds"));
   external_ = true;
-  spill_ = std::make_unique<storage::SpillSet>(ctx_, "sort");
 
   // Run formation: quota-sized slices of the input, each ordered by
   // (keys, global index) — the same total order as the in-memory paths —
@@ -1182,8 +1106,7 @@ Status SortOp::ConsumeExternal(size_t limit) {
   int num_runs = 0;
   {
     std::vector<uint32_t> perm;
-    RowVectorPtr out_rows = RowVector::Make(schema_);
-    std::vector<uint32_t> out_idx;
+    storage::SpillWriter writer(spill_.get(), pass0, schema_, chunk_rows);
     auto less = [this](uint32_t x, uint32_t y) { return RowBefore(x, y); };
     for (size_t base = 0; base < n; base += run_rows, ++num_runs) {
       const size_t m = std::min(n - base, run_rows);
@@ -1191,18 +1114,12 @@ Status SortOp::ConsumeExternal(size_t limit) {
       for (size_t i = 0; i < m; ++i) perm[i] = static_cast<uint32_t>(base + i);
       const size_t keep = std::min(emit_limit_, m);
       SortPrefix(perm.begin(), perm.end(), keep, less);
-      for (size_t lo = 0; lo < keep; lo += chunk_rows) {
-        const size_t cm = std::min(keep - lo, chunk_rows);
-        out_rows->Clear();
-        out_idx.clear();
-        for (size_t i = 0; i < cm; ++i) {
-          out_rows->AppendRaw(rows_->data() +
-                              static_cast<size_t>(perm[lo + i]) * stride);
-          out_idx.push_back(perm[lo + i]);
-        }
-        MODULARIS_RETURN_NOT_OK(spill_->WriteChunk(
-            pass0, num_runs, out_rows->data(), cm, stride, out_idx.data()));
+      for (size_t i = 0; i < keep; ++i) {
+        MODULARIS_RETURN_NOT_OK(writer.Add(
+            num_runs, rows_->data() + static_cast<size_t>(perm[i]) * stride,
+            perm[i]));
       }
+      MODULARIS_RETURN_NOT_OK(writer.Flush());  // the run's last chunk
     }
   }
   AddStatCounter("spill.partitions", num_runs);
@@ -1235,16 +1152,15 @@ Status SortOp::ConsumeExternal(size_t limit) {
       if (has) hp.push_back(static_cast<int>(i));
     }
     std::make_heap(hp.begin(), hp.end(), cmp);
-    RowVectorPtr out_rows = RowVector::Make(schema_);
-    std::vector<uint32_t> out_idx;
+    storage::SpillWriter writer(spill_.get(), dst_pass, schema_, chunk_rows);
     size_t emitted = 0;
     while (!hp.empty() && emitted < emit_limit_) {
       std::pop_heap(hp.begin(), hp.end(), cmp);
       const int ci = hp.back();
       hp.pop_back();
       RunCursor& c = cs[ci];
-      out_rows->AppendRaw(c.rows->data() + c.pos * stride);
-      out_idx.push_back(c.idx[c.pos]);
+      MODULARIS_RETURN_NOT_OK(
+          writer.Add(dst_run, c.rows->data() + c.pos * stride, c.idx[c.pos]));
       ++emitted;
       ++c.pos;
       bool has = false;
@@ -1253,21 +1169,8 @@ Status SortOp::ConsumeExternal(size_t limit) {
         hp.push_back(ci);
         std::push_heap(hp.begin(), hp.end(), cmp);
       }
-      if (out_rows->size() >= chunk_rows) {
-        MODULARIS_RETURN_NOT_OK(spill_->WriteChunk(dst_pass, dst_run,
-                                                   out_rows->data(),
-                                                   out_rows->size(), stride,
-                                                   out_idx.data()));
-        out_rows->Clear();
-        out_idx.clear();
-      }
     }
-    if (!out_rows->empty()) {
-      MODULARIS_RETURN_NOT_OK(spill_->WriteChunk(dst_pass, dst_run,
-                                                 out_rows->data(),
-                                                 out_rows->size(), stride,
-                                                 out_idx.data()));
-    }
+    MODULARIS_RETURN_NOT_OK(writer.Flush());
     for (int r : group) spill_->DeletePartition(src_pass, r);
     return Status::OK();
   };

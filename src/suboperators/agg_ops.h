@@ -14,6 +14,7 @@
 #include "core/memory.h"
 #include "core/parallel.h"
 #include "core/sub_operator.h"
+#include "storage/spill.h"
 
 /// \file agg_ops.h
 /// Aggregation, grouping, sorting and top-k sub-operators. ReduceByKey is
@@ -26,10 +27,6 @@
 /// (docs/DESIGN-parallel.md).
 
 namespace modularis {
-
-namespace storage {
-class SpillSet;
-}
 
 /// The state tables' "no such key" index.
 constexpr uint32_t kNoState = std::numeric_limits<uint32_t>::max();
@@ -272,12 +269,6 @@ class ReduceByKey : public SubOperator {
     std::vector<const double*> lanes;
     std::vector<const int64_t*> ilanes;
   };
-  /// A run of aggregated groups: the group states plus each group's
-  /// global first-occurrence index, both ascending by that index.
-  struct AggRun {
-    RowVectorPtr states;
-    std::vector<uint32_t> first;
-  };
   /// What the budgeted levels share: the spill set (created at the
   /// operator's first refused group) and the recursion's reusable tables.
   struct SpillScratch {
@@ -302,9 +293,8 @@ class ReduceByKey : public SubOperator {
     size_t max_groups = 0;  // few-group chunk: the cap (0: none)
     bool full = false;      // the capped level met one group too many
     int shift = 0;  // overflow partition id = (hash >> shift) & 255
-    int pass = -1;  // overflow namespace, allocated at the first refusal
-    std::vector<RowVectorPtr> stage = {};
-    std::vector<std::vector<uint32_t>> stage_idx = {};
+    /// The overflow pass's writer, opened at the first refusal.
+    std::unique_ptr<storage::SpillWriter> overflow = nullptr;
   };
 
   Status ConsumeAll();
@@ -316,7 +306,8 @@ class ReduceByKey : public SubOperator {
   /// exclusively by one worker — zero cross-thread merging, so float SUM
   /// accumulates in exactly the serial order and N threads are
   /// byte-equal to 1 by construction. Groups are emitted in global
-  /// first-occurrence order by MergeAggRuns over the per-partition runs.
+  /// first-occurrence order by MergeRowRuns over the per-partition runs
+  /// (each a RowRun of group states and first-occurrence indices).
   Status ConsumeAllParallel(const RowVectorPtr& input, int workers);
   /// The few-group kernel (docs/DESIGN-parallel.md): aggregates each
   /// fixed kFewGroupChunkRows chunk into its own table of at most
@@ -376,32 +367,23 @@ class ReduceByKey : public SubOperator {
   /// their aggregation behind the resident groups — byte-equal to the
   /// in-memory path at any budget and thread count.
   Status ConsumeAllSpill(RowVectorPtr input);
-  /// Stages row `p` (global index `gidx`) of a group `level` refused into
-  /// the overflow partition its hash picks, writing the stage out when
-  /// it fills the spill quota.
-  Status StageRow(const uint8_t* p, uint32_t gidx, uint64_t hash,
-                  const Schema& schema, AggLevel* level,
-                  SpillScratch* scratch);
   /// At `level`'s first refused group: stops its admissions and opens its
-  /// overflow pass — and at the operator's first, its SpillSet, or fails
-  /// fast when spilling cannot work.
-  Status OpenOverflow(AggLevel* level, SpillScratch* scratch);
+  /// overflow pass's writer for rows of `schema` — and at the operator's
+  /// first, its SpillSet (AdmitSpill), or fails fast when spilling cannot
+  /// work.
+  Status OpenOverflow(AggLevel* level, const Schema& schema,
+                      SpillScratch* scratch);
   /// Writes out `level`'s staged rows, aggregates its overflow partitions
   /// in ascending id order and appends their merged runs behind its
   /// resident groups.
   Status AggregateOverflow(AggLevel* level, const Schema& schema,
                            SpillScratch* scratch);
-  /// Aggregates one spilled partition into `out` as a level of its own,
-  /// recursing into its overflow on the next 8-bit hash window.
+  /// Aggregates one spilled partition into `out` (group states and
+  /// first-occurrence indices) as a level of its own, recursing into its
+  /// overflow on the next 8-bit hash window.
   Status AggregateSpilledPartition(int pass, int pid, int shift,
-                                   const Schema& schema, AggRun* out,
+                                   const Schema& schema, RowRun* out,
                                    SpillScratch* scratch);
-  /// K-way merge of group runs by ascending first-occurrence index — the
-  /// partition-owned pass's emission and each overflow level's. Runs with
-  /// no groups may have null states. `first_out` may be null when the
-  /// caller does not need the merged index run.
-  void MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
-                    std::vector<uint32_t>* first_out) const;
 
   std::vector<int> key_cols_;
   std::vector<AggSpec> aggs_;
@@ -513,11 +495,9 @@ int CompareRows(const RowRef& a, const RowRef& b,
 /// construction.
 class SortOp : public SubOperator {
  public:
-  /// Out-of-line (with the destructor): the external-merge SpillSet
-  /// member is forward-declared, and both special members must see the
-  /// complete type.
+  /// `name` is the operator name plans and EXPLAIN show.
   SortOp(SubOpPtr child, std::vector<SortKey> keys, Schema schema,
-         std::string timer_key = "phase.sort");
+         std::string timer_key = "phase.sort", std::string name = "Sort");
   ~SortOp() override;
 
   Status Open(ExecContext* ctx) override;
@@ -621,7 +601,7 @@ class TopK : public SortOp {
   TopK(SubOpPtr child, std::vector<SortKey> keys, size_t k, Schema schema,
        std::string timer_key = "phase.topk")
       : SortOp(std::move(child), std::move(keys), std::move(schema),
-               std::move(timer_key)),
+               std::move(timer_key), "TopK"),
         k_(k) {}
 
   SubOpPtr CloneForWorker(WorkerCloneContext* cc) const override {

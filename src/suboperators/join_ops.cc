@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <queue>
 
 #include "storage/spill.h"
 
@@ -12,101 +11,68 @@ namespace modularis {
 // JoinHashTable
 // ---------------------------------------------------------------------------
 
-void JoinHashTable::Reserve(size_t rows) {
-  entries_.clear();
-  entries_.reserve(rows);
-  sliced_ = false;
-  size_t buckets = 16;
-  while (buckets < rows * 2) buckets <<= 1;
-  Rehash(buckets);
-}
+namespace {
+/// Prefetch distance for the batched bucket walks: far enough to cover
+/// a memory round trip, near enough to stay in the L1 prefetch window.
+constexpr size_t kProbeAhead = 16;
+}  // namespace
 
-void JoinHashTable::Rehash(size_t buckets) {
-  sliced_ = false;  // serial rebuild probes the global bucket ring
-  buckets_.assign(buckets, Bucket{});
-  mask_ = buckets - 1;
-  // Re-thread every entry; chains for duplicate keys rebuild naturally
-  // because entries are revisited in insertion order.
-  for (uint32_t e = 0; e < entries_.size(); ++e) {
-    size_t slot = MixHash64(static_cast<uint64_t>(entries_[e].key)) & mask_;
-    while (buckets_[slot].head != kNone &&
-           buckets_[slot].key != entries_[e].key) {
-      slot = (slot + 1) & mask_;
-    }
-    entries_[e].next = buckets_[slot].head;
-    buckets_[slot].key = entries_[e].key;
-    buckets_[slot].head = e;
-  }
-}
-
-Status JoinHashTable::BuildParallel(const int64_t* keys, size_t n,
-                                    int num_slices) {
-  entries_.assign(n, Entry{0, 0, kNone});
+void JoinHashTable::Build(const int64_t* keys, size_t n, int num_slices) {
   size_t buckets = 16;
   while (buckets < n * 2) buckets <<= 1;
-  while (static_cast<size_t>(num_slices) * 16 > buckets) num_slices /= 2;
-  if (num_slices < 2) {
-    // Degenerate input: rebuild serially (caller handles the fallback).
-    return Status::Internal("BuildParallel: input too small to slice");
+  while (num_slices > 1 && static_cast<size_t>(num_slices) * 16 > buckets) {
+    num_slices /= 2;
   }
+  entries_.assign(n, Entry{0, 0, kNone});
   buckets_.assign(buckets, Bucket{});
   mask_ = buckets - 1;
-  sliced_ = true;
   slice_rows_ = buckets / num_slices;  // both powers of two
   // Hash every key exactly once (range-parallel) into a home-slot array;
   // the slice workers then only compare precomputed 4-byte slots against
   // their range instead of re-hashing all n keys per slice. Entry row
   // indices are uint32, so buckets <= 2^32 and the slot fits.
   std::vector<uint32_t> home(n);
-  std::vector<size_t> bounds = SplitRows(n, num_slices);
-  MODULARIS_RETURN_NOT_OK(ParallelFor(num_slices, [&](int w) -> Status {
+  const std::vector<size_t> bounds = SplitRows(n, num_slices);
+  Status st = ParallelFor(num_slices, [&](int w) -> Status {
     for (size_t i = bounds[w]; i < bounds[w + 1]; ++i) {
       home[i] = static_cast<uint32_t>(
           MixHash64(static_cast<uint64_t>(keys[i])) & mask_);
     }
     return Status::OK();
-  }));
-  Status st = ParallelFor(num_slices, [&](int slice) -> Status {
-    const size_t lo = slice_rows_ * static_cast<size_t>(slice);
-    const size_t hi = lo + slice_rows_;
-    size_t used = 0;
-    for (size_t i = 0; i < n; ++i) {
-      size_t slot = home[i];
-      if (slot < lo || slot >= hi) continue;  // another slice's key
-      while (buckets_[slot].head != kNone && buckets_[slot].key != keys[i]) {
-        slot = NextSlot(slot);
-      }
-      if (buckets_[slot].head == kNone) {
-        if (++used >= slice_rows_) {
-          // Pathological hash skew filled this slice completely.
-          return Status::Internal("BuildParallel: bucket slice overflow");
-        }
-      }
-      entries_[i] =
-          Entry{keys[i], static_cast<uint32_t>(i), buckets_[slot].head};
-      buckets_[slot].key = keys[i];
-      buckets_[slot].head = static_cast<uint32_t>(i);
-    }
-    return Status::OK();
   });
-  if (!st.ok()) sliced_ = false;
-  return st;
+  if (st.ok()) {
+    st = ParallelFor(num_slices, [&](int slice) -> Status {
+      return BuildSlice(keys, home.data(), n, static_cast<size_t>(slice))
+                 ? Status::OK()
+                 : Status::Internal("JoinHashTable: bucket slice overflow");
+    });
+  }
+  // Pathological hash skew filled one slice completely: one slice holds
+  // every key (at most half the buckets), so the rebuild cannot overflow.
+  if (!st.ok()) Build(keys, n, 1);
 }
 
-void JoinHashTable::Insert(int64_t key, uint32_t row_index) {
-  if (buckets_.empty() || entries_.size() * 2 >= buckets_.size()) {
-    entries_.push_back(Entry{key, row_index, kNone});
-    Rehash(buckets_.empty() ? 16 : buckets_.size() * 2);
-    return;
+bool JoinHashTable::BuildSlice(const int64_t* keys, const uint32_t* home,
+                               size_t n, size_t slice) {
+  const size_t lo = slice_rows_ * slice;
+  const size_t hi = lo + slice_rows_;
+  size_t used = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kProbeAhead < n) {
+      const size_t ahead = home[i + kProbeAhead];
+      if (ahead >= lo && ahead < hi) __builtin_prefetch(&buckets_[ahead], 1);
+    }
+    size_t slot = home[i];
+    if (slot < lo || slot >= hi) continue;  // another slice's key
+    while (buckets_[slot].head != kNone && buckets_[slot].key != keys[i]) {
+      slot = NextSlot(slot);
+    }
+    if (buckets_[slot].head == kNone && ++used >= slice_rows_) return false;
+    entries_[i] = Entry{keys[i], static_cast<uint32_t>(i), buckets_[slot].head};
+    buckets_[slot].key = keys[i];
+    buckets_[slot].head = static_cast<uint32_t>(i);
   }
-  size_t slot = MixHash64(static_cast<uint64_t>(key)) & mask_;
-  while (buckets_[slot].head != kNone && buckets_[slot].key != key) {
-    slot = NextSlot(slot);
-  }
-  Entry e{key, row_index, buckets_[slot].head};
-  buckets_[slot].key = key;
-  buckets_[slot].head = static_cast<uint32_t>(entries_.size());
-  entries_.push_back(e);
+  return true;
 }
 
 uint32_t JoinHashTable::Find(int64_t key) const {
@@ -117,24 +83,6 @@ uint32_t JoinHashTable::Find(int64_t key) const {
     slot = NextSlot(slot);
   }
   return kNone;
-}
-
-namespace {
-/// Prefetch distance for the batched bucket walks: far enough to cover
-/// a memory round trip, near enough to stay in the L1 prefetch window.
-constexpr size_t kProbeAhead = 16;
-}  // namespace
-
-void JoinHashTable::InsertBatch(const int64_t* keys, size_t n,
-                                uint32_t first_row) {
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kProbeAhead < n && !buckets_.empty()) {
-      size_t s =
-          MixHash64(static_cast<uint64_t>(keys[i + kProbeAhead])) & mask_;
-      __builtin_prefetch(&buckets_[s], 1);
-    }
-    Insert(keys[i], first_row + static_cast<uint32_t>(i));
-  }
 }
 
 void JoinHashTable::FindBatch(const int64_t* keys, size_t n,
@@ -267,26 +215,20 @@ Status BuildProbe::BuildTable() {
   if (mem_limit > 0 && ShouldSpill(build_rows_->byte_size(), mem_limit)) {
     return GraceSpillJoin();
   }
-  // Bulk insert: extract the (shifted) keys from the packed bytes with a
-  // hoisted layout, then load the table with bucket prefetching.
+  const int workers = PlanWorkers(build_rows_->size(), ctx_->options);
+  int slices = 1;
+  while (slices * 2 <= workers) slices *= 2;
+  HashBuildRows(slices);
+  mem_charge_.Add(table_.byte_size());
+  return Status::OK();
+}
+
+void BuildProbe::HashBuildRows(int slices) {
   const size_t n = build_rows_->size();
   key_scratch_.resize(n);
   ExtractShiftedKeys(build_rows_->data(), n, build_schema_, build_key_col_,
                      key_shift_, key_scratch_.data());
-  const int workers = PlanWorkers(n, ctx_->options);
-  int slices = 1;
-  while (slices * 2 <= workers) slices *= 2;
-  if (slices > 1 &&
-      table_.BuildParallel(key_scratch_.data(), n, slices).ok()) {
-    mem_charge_.Add(table_.byte_size());
-    return Status::OK();
-  }
-  // Too small to slice, or pathological skew overfilled a slice: rebuild
-  // serially (byte-identical either way).
-  table_.Reserve(n);
-  table_.InsertBatch(key_scratch_.data(), n, 0);
-  mem_charge_.Add(table_.byte_size());
-  return Status::OK();
+  table_.Build(key_scratch_.data(), n, slices);
 }
 
 Status BuildProbe::FillSinks() {
@@ -434,40 +376,6 @@ void BuildProbe::ProbeSpanInto(const uint8_t* base, size_t n,
 
 // -- Grace-style spill path (docs/DESIGN-memory.md) -------------------------
 
-void BuildProbe::BuildGroupTable() {
-  const size_t n = build_rows_->size();
-  key_scratch_.resize(n);
-  ExtractShiftedKeys(build_rows_->data(), n, build_schema_, build_key_col_,
-                     key_shift_, key_scratch_.data());
-  table_.Reserve(n);
-  table_.InsertBatch(key_scratch_.data(), n, 0);
-}
-
-void BuildProbe::MergeOutRuns(std::vector<OutRun>* runs, RowVector* sink,
-                              std::vector<uint32_t>* idx_out) const {
-  using Head = std::pair<uint32_t, uint32_t>;  // (probe index, run rank)
-  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heap;
-  std::vector<size_t> pos(runs->size(), 0);
-  size_t total = 0;
-  for (size_t r = 0; r < runs->size(); ++r) {
-    total += (*runs)[r].idx.size();
-    if (!(*runs)[r].idx.empty()) {
-      heap.emplace((*runs)[r].idx[0], static_cast<uint32_t>(r));
-    }
-  }
-  sink->Reserve(sink->size() + total);
-  if (idx_out != nullptr) idx_out->reserve(idx_out->size() + total);
-  while (!heap.empty()) {
-    const auto [pi, r] = heap.top();
-    heap.pop();
-    sink->AppendRaw((*runs)[r].rows->row(pos[r]).data());
-    if (idx_out != nullptr) idx_out->push_back(pi);
-    if (++pos[r] < (*runs)[r].idx.size()) {
-      heap.emplace((*runs)[r].idx[pos[r]], r);
-    }
-  }
-}
-
 Status BuildProbe::GraceSpillJoin() {
   // The result is emitted like a probed batch: sinks_ ends up holding the
   // one merged output vector, and there is no probe stream left to pull.
@@ -476,25 +384,13 @@ Status BuildProbe::GraceSpillJoin() {
   const size_t quota = SpillQuotaBytes(mem_limit);
   const uint32_t stride_b = build_schema_.row_size();
   const uint32_t stride_p = probe_schema_.row_size();
-  // Denied the in-memory path — counted whether the spill fallback is
-  // viable (graceful degradation) or not (fail fast below).
-  if (ctx_->budget != nullptr) ctx_->budget->NoteDenial();
-  if (quota < stride_b || quota < stride_p) {
-    return Status::ResourceExhausted(
-        "BuildProbe: memory_limit_bytes=" + std::to_string(mem_limit) +
-        " cannot hold one row in the spill quota (" + std::to_string(quota) +
-        " bytes, build stride " + std::to_string(stride_b) +
-        ", probe stride " + std::to_string(stride_p) + ")");
-  }
-  if (ctx_->spill_store == nullptr) {
-    return Status::ResourceExhausted(
-        "BuildProbe: build side of " +
-        std::to_string(build_rows_->byte_size()) +
-        " bytes exceeds memory_limit_bytes=" + std::to_string(mem_limit) +
-        " and no spill store is configured");
-  }
-  AddStatCounter("spill.ops.BuildProbe", 1);
-  storage::SpillSet spill(ctx_, "join");
+  MODULARIS_ASSIGN_OR_RETURN(
+      auto spill,
+      storage::AdmitSpill(ctx_, "BuildProbe", "join",
+                          std::max(stride_b, stride_p),
+                          "build side of " +
+                              std::to_string(build_rows_->byte_size()) +
+                              " bytes exceeds"));
   constexpr int kFanout = 256;
   constexpr int kPidShift = 56;
 
@@ -550,72 +446,41 @@ Status BuildProbe::GraceSpillJoin() {
   }
 
   // Scatter both sides in input order — every partition holds its rows
-  // in ascending global order. Per-partition staging is flushed at a
-  // granularity that caps the total resident staging near the quota.
-  const int pass_b = spill.NewPass();
-  const int pass_p = spill.NewPass();
-  const size_t chunk_b =
-      std::max<size_t>(1, quota / (static_cast<size_t>(stride_b) * kFanout));
-  const size_t chunk_p =
-      std::max<size_t>(1, quota / (static_cast<size_t>(stride_p) * kFanout));
+  // in ascending global order. Chunks are sized so that the resident
+  // staging of all partitions stays near the quota.
+  const int pass_b = spill->NewPass();
+  const int pass_p = spill->NewPass();
   std::vector<RowVectorPtr> mem_b(kFanout);
   {
-    std::vector<RowVectorPtr> stage(kFanout);
-    std::vector<std::vector<uint32_t>> stage_idx(kFanout);
+    storage::SpillWriter writer(
+        spill.get(), pass_b, build_schema_,
+        std::max<size_t>(1, quota / (static_cast<size_t>(stride_b) * kFanout)));
     for (size_t i = 0; i < n_b; ++i) {
       const int p = pid_b[i];
-      if (in_mem[p]) {
-        if (mem_b[p] == nullptr) {
-          mem_b[p] = RowVector::Make(build_schema_);
-          mem_b[p]->Reserve(rows_b[p]);
-        }
-        mem_b[p]->AppendRaw(build_rows_->data() + i * stride_b);
+      const uint8_t* row = build_rows_->data() + i * stride_b;
+      if (!in_mem[p]) {
+        MODULARIS_RETURN_NOT_OK(writer.Add(p, row, static_cast<uint32_t>(i)));
         continue;
       }
-      if (stage[p] == nullptr) stage[p] = RowVector::Make(build_schema_);
-      stage[p]->AppendRaw(build_rows_->data() + i * stride_b);
-      stage_idx[p].push_back(static_cast<uint32_t>(i));
-      if (stage[p]->size() >= chunk_b) {
-        MODULARIS_RETURN_NOT_OK(spill.WriteChunk(pass_b, p, stage[p]->data(),
-                                                 stage[p]->size(), stride_b,
-                                                 stage_idx[p].data()));
-        stage[p]->Clear();
-        stage_idx[p].clear();
+      if (mem_b[p] == nullptr) {
+        mem_b[p] = RowVector::Make(build_schema_);
+        mem_b[p]->Reserve(rows_b[p]);
       }
+      mem_b[p]->AppendRaw(row);
     }
-    for (int p = 0; p < kFanout; ++p) {
-      if (stage[p] != nullptr && !stage[p]->empty()) {
-        MODULARIS_RETURN_NOT_OK(spill.WriteChunk(pass_b, p, stage[p]->data(),
-                                                 stage[p]->size(), stride_b,
-                                                 stage_idx[p].data()));
-      }
-    }
+    MODULARIS_RETURN_NOT_OK(writer.Flush());
   }
   build_rows_ = RowVector::Make(build_schema_);  // release the build side
   std::vector<uint8_t>().swap(pid_b);
   {
-    std::vector<RowVectorPtr> stage(kFanout);
-    std::vector<std::vector<uint32_t>> stage_idx(kFanout);
+    storage::SpillWriter writer(
+        spill.get(), pass_p, probe_schema_,
+        std::max<size_t>(1, quota / (static_cast<size_t>(stride_p) * kFanout)));
     for (size_t i = 0; i < n_p; ++i) {
-      const int p = pid_p[i];
-      if (stage[p] == nullptr) stage[p] = RowVector::Make(probe_schema_);
-      stage[p]->AppendRaw(probe->data() + i * stride_p);
-      stage_idx[p].push_back(static_cast<uint32_t>(i));
-      if (stage[p]->size() >= chunk_p) {
-        MODULARIS_RETURN_NOT_OK(spill.WriteChunk(pass_p, p, stage[p]->data(),
-                                                 stage[p]->size(), stride_p,
-                                                 stage_idx[p].data()));
-        stage[p]->Clear();
-        stage_idx[p].clear();
-      }
+      MODULARIS_RETURN_NOT_OK(writer.Add(pid_p[i], probe->data() + i * stride_p,
+                                         static_cast<uint32_t>(i)));
     }
-    for (int p = 0; p < kFanout; ++p) {
-      if (stage[p] != nullptr && !stage[p]->empty()) {
-        MODULARIS_RETURN_NOT_OK(spill.WriteChunk(pass_p, p, stage[p]->data(),
-                                                 stage[p]->size(), stride_p,
-                                                 stage_idx[p].data()));
-      }
-    }
+    MODULARIS_RETURN_NOT_OK(writer.Flush());
   }
   probe.reset();
   std::vector<uint8_t>().swap(pid_p);
@@ -626,10 +491,11 @@ Status BuildProbe::GraceSpillJoin() {
   // processed in quota-sized chunked groups, DESCENDING: a probe row's
   // duplicate matches must emit in descending global build-row order
   // (the in-memory table's chain order), and every row of group k
-  // globally follows every row of group k-1.
+  // globally follows every row of group k-1. A partition without build
+  // rows is one empty group (anti joins emit every probe row).
   const size_t group_rows = std::max<size_t>(1, quota / stride_b);
   ProbeScratch scratch;
-  std::vector<OutRun> part_runs;
+  std::vector<RowRun> part_runs;
   RowVectorPtr pchunk = RowVector::Make(probe_schema_);
   std::vector<uint32_t> pidx;
   for (int p = 0; p < kFanout; ++p) {
@@ -637,30 +503,30 @@ Status BuildProbe::GraceSpillJoin() {
       MODULARIS_RETURN_NOT_OK(ctx_->cancel->Check());
     }
     if (rows_p[p] == 0) {
-      spill.DeletePartition(pass_b, p);
+      spill->DeletePartition(pass_b, p);
       continue;
     }
     const size_t nb = rows_b[p];
     const size_t ngroups =
-        in_mem[p] ? (nb > 0 ? 1 : 0) : (nb + group_rows - 1) / group_rows;
-    const int pchunks = spill.NumChunks(pass_p, p);
+        in_mem[p] ? 1 : std::max<size_t>(1, (nb + group_rows - 1) / group_rows);
+    const int pchunks = spill->NumChunks(pass_p, p);
     // Loads group g (partition build rows [g·group_rows, …)) into
-    // build_rows_ and rebuilds the group table over it.
+    // build_rows_ and builds the group's table over it.
     auto load_group = [&](size_t g) -> Status {
-      if (in_mem[p]) {
+      if (mem_b[p] != nullptr) {
         build_rows_ = mem_b[p];
       } else {
         const size_t lo = g * group_rows;
         const size_t hi = std::min(nb, lo + group_rows);
         build_rows_ = RowVector::Make(build_schema_);
         build_rows_->Reserve(hi - lo);
-        const int bchunks = spill.NumChunks(pass_b, p);
+        const int bchunks = spill->NumChunks(pass_b, p);
         RowVectorPtr bchunk = RowVector::Make(build_schema_);
         size_t off = 0;
         for (int c = 0; c < bchunks && off < hi; ++c) {
           bchunk->Clear();
           MODULARIS_RETURN_NOT_OK(
-              spill.ReadChunk(pass_b, p, c, bchunk.get(), nullptr));
+              spill->ReadChunk(pass_b, p, c, bchunk.get(), nullptr));
           const size_t m = bchunk->size();
           const size_t s = std::max(lo, off);
           const size_t e = std::min(hi, off + m);
@@ -671,7 +537,7 @@ Status BuildProbe::GraceSpillJoin() {
           off += m;
         }
       }
-      BuildGroupTable();
+      HashBuildRows(1);
       return Status::OK();
     };
     if (type_ != JoinType::kInner && ngroups > 1) {
@@ -685,7 +551,7 @@ Status BuildProbe::GraceSpillJoin() {
         for (int c = 0; c < pchunks; ++c) {
           pchunk->Clear();
           MODULARIS_RETURN_NOT_OK(
-              spill.ReadChunk(pass_p, p, c, pchunk.get(), nullptr));
+              spill->ReadChunk(pass_p, p, c, pchunk.get(), nullptr));
           const size_t m = pchunk->size();
           scratch.keys.resize(m);
           scratch.matches.resize(m);
@@ -700,14 +566,13 @@ Status BuildProbe::GraceSpillJoin() {
           local += m;
         }
       }
-      OutRun run;
-      run.rows = RowVector::Make(out_schema_);
+      RowRun run{RowVector::Make(out_schema_), {}};
       size_t local = 0;
       for (int c = 0; c < pchunks; ++c) {
         pchunk->Clear();
         pidx.clear();
         MODULARIS_RETURN_NOT_OK(
-            spill.ReadChunk(pass_p, p, c, pchunk.get(), &pidx));
+            spill->ReadChunk(pass_p, p, c, pchunk.get(), &pidx));
         for (size_t i = 0; i < pchunk->size(); ++i) {
           const bool m = matched[local + i] != 0;
           if ((type_ == JoinType::kSemi) == m) {
@@ -717,46 +582,27 @@ Status BuildProbe::GraceSpillJoin() {
         }
         local += pchunk->size();
       }
-      spill.DeletePartition(pass_b, p);
-      spill.DeletePartition(pass_p, p);
+      spill->DeletePartition(pass_b, p);
+      spill->DeletePartition(pass_p, p);
       if (!run.idx.empty()) part_runs.push_back(std::move(run));
       continue;
     }
-    std::vector<OutRun> group_runs;
-    if (ngroups == 0) {
-      // No build rows at all: probe against the empty table (anti joins
-      // emit every probe row, inner/semi emit nothing).
-      build_rows_ = RowVector::Make(build_schema_);
-      BuildGroupTable();
-      group_runs.emplace_back();
-      group_runs.back().rows = RowVector::Make(out_schema_);
+    std::vector<RowRun> group_runs;
+    for (size_t g = ngroups; g-- > 0;) {
+      MODULARIS_RETURN_NOT_OK(load_group(g));
+      group_runs.push_back(RowRun{RowVector::Make(out_schema_), {}});
       for (int c = 0; c < pchunks; ++c) {
         pchunk->Clear();
         pidx.clear();
         MODULARIS_RETURN_NOT_OK(
-            spill.ReadChunk(pass_p, p, c, pchunk.get(), &pidx));
+            spill->ReadChunk(pass_p, p, c, pchunk.get(), &pidx));
         ProbeSpanInto(pchunk->data(), pchunk->size(), &scratch,
                       group_runs.back().rows.get(), pidx.data(),
                       &group_runs.back().idx);
       }
-    } else {
-      for (size_t g = ngroups; g-- > 0;) {
-        MODULARIS_RETURN_NOT_OK(load_group(g));
-        group_runs.emplace_back();
-        group_runs.back().rows = RowVector::Make(out_schema_);
-        for (int c = 0; c < pchunks; ++c) {
-          pchunk->Clear();
-          pidx.clear();
-          MODULARIS_RETURN_NOT_OK(
-              spill.ReadChunk(pass_p, p, c, pchunk.get(), &pidx));
-          ProbeSpanInto(pchunk->data(), pchunk->size(), &scratch,
-                        group_runs.back().rows.get(), pidx.data(),
-                        &group_runs.back().idx);
-        }
-      }
     }
-    spill.DeletePartition(pass_b, p);
-    spill.DeletePartition(pass_p, p);
+    spill->DeletePartition(pass_b, p);
+    spill->DeletePartition(pass_p, p);
     mem_b[p].reset();
     if (group_runs.size() == 1) {
       if (!group_runs[0].idx.empty()) {
@@ -764,9 +610,8 @@ Status BuildProbe::GraceSpillJoin() {
       }
       continue;
     }
-    OutRun merged;
-    merged.rows = RowVector::Make(out_schema_);
-    MergeOutRuns(&group_runs, merged.rows.get(), &merged.idx);
+    RowRun merged{RowVector::Make(out_schema_), {}};
+    MergeRowRuns(group_runs, merged.rows.get(), &merged.idx);
     if (!merged.idx.empty()) part_runs.push_back(std::move(merged));
   }
 
@@ -774,7 +619,7 @@ Status BuildProbe::GraceSpillJoin() {
   // row lives in exactly one partition), so the K-way merge restores
   // the global probe order — the in-memory emission order.
   RowVectorPtr merged = RowVector::Make(out_schema_);
-  MergeOutRuns(&part_runs, merged.get(), nullptr);
+  MergeRowRuns(part_runs, merged.get(), nullptr);
   mem_charge_.Add(merged->byte_size());
   sinks_.push_back(std::move(merged));
   build_rows_ = RowVector::Make(build_schema_);

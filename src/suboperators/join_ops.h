@@ -29,22 +29,16 @@ class JoinHashTable {
  public:
   static constexpr uint32_t kNone = 0xFFFFFFFFu;
 
-  void Reserve(size_t rows);
-  void Insert(int64_t key, uint32_t row_index);
-  /// Bulk insert of `n` keys for consecutive row indices starting at
-  /// `first_row`, with software prefetching of the target buckets (the
-  /// cache-miss latency of the random bucket walk is hidden behind the
-  /// packed key stream — only a batched caller can do this).
-  void InsertBatch(const int64_t* keys, size_t n, uint32_t first_row);
-  /// Partition-local parallel build (docs/DESIGN-parallel.md): the bucket
-  /// array is cut into `num_slices` (a power of two) equal ranges and
-  /// each worker inserts exactly the keys whose hash lands in its slice,
-  /// probing with slice-local wraparound — no cross-worker writes, and
-  /// duplicate chains come out in the same (descending row) order as a
-  /// serial build, so probe emission stays byte-identical. Entry index ==
-  /// build row index. Fails (caller falls back to a serial build) if key
-  /// skew overfills one slice.
-  Status BuildParallel(const int64_t* keys, size_t n, int num_slices);
+  /// The one build (docs/DESIGN-parallel.md): entry i is build row i,
+  /// keyed keys[i]. The bucket array is cut into `num_slices` (a power
+  /// of two; fewer when the table is small) equal ranges and each worker
+  /// inserts exactly the keys whose hash lands in its slice, probing with
+  /// slice-local wraparound — no cross-worker writes. Duplicate chains
+  /// come out in descending row order at any slice count, so probe
+  /// emission is byte-identical. One slice's wraparound is the global
+  /// one and never overflows; key skew that overfills a slice rebuilds
+  /// the table with one slice.
+  void Build(const int64_t* keys, size_t n, int num_slices);
   /// First entry matching `key`, or kNone.
   uint32_t Find(int64_t key) const;
   /// Bulk lookup with software prefetching; out[i] = Find(keys[i]).
@@ -71,12 +65,14 @@ class JoinHashTable {
     uint32_t head = kNone;
   };
 
-  void Rehash(size_t buckets);
+  /// Inserts the keys whose home slot lies in slice `slice`; false when
+  /// they overfill it.
+  bool BuildSlice(const int64_t* keys, const uint32_t* home, size_t n,
+                  size_t slice);
 
-  /// Next bucket in the probe sequence: global wraparound for serially
-  /// built tables, slice-local wraparound after BuildParallel.
+  /// Next bucket in the probe sequence: wraparound within the slot's
+  /// slice (with one slice, the whole bucket array).
   size_t NextSlot(size_t slot) const {
-    if (!sliced_) return (slot + 1) & mask_;
     size_t next = slot + 1;
     return (next & (slice_rows_ - 1)) == 0 ? next - slice_rows_ : next;
   }
@@ -84,7 +80,6 @@ class JoinHashTable {
   std::vector<Entry> entries_;
   std::vector<Bucket> buckets_;
   size_t mask_ = 0;
-  bool sliced_ = false;
   size_t slice_rows_ = 0;  // buckets per slice (power of two)
 };
 
@@ -159,6 +154,9 @@ class BuildProbe : public SubOperator {
   };
 
   Status BuildTable();
+  /// Builds table_ over build_rows_ — the whole build side, or one Grace
+  /// group — with JoinHashTable::Build over `slices` slices.
+  void HashBuildRows(int slices);
   /// The one probe loop: builds the table on first use, then pulls probe
   /// batches through PullBatch and probes each until a sink holds an
   /// unread row. On OK, sink_ == sinks_.size() means end of stream.
@@ -182,29 +180,14 @@ class BuildProbe : public SubOperator {
   void ProbeSpanInto(const uint8_t* base, size_t n, ProbeScratch* scratch,
                      RowVector* sink, const uint32_t* global_idx = nullptr,
                      std::vector<uint32_t>* out_idx = nullptr) const;
-  /// An output run of the Grace spill path: rows plus each row's global
-  /// probe index, ascending.
-  struct OutRun {
-    RowVectorPtr rows;
-    std::vector<uint32_t> idx;
-  };
   /// Budget-forced degradation (docs/DESIGN-memory.md): co-partition
   /// both sides 256 ways by the join-key hash (greedy ascending-pid
   /// build prefix stays resident, everything else spills), join the
   /// partitions one at a time — oversized build partitions in
   /// quota-sized chunked groups — and merge the per-partition output
-  /// runs back into global probe order. Byte-equal to the in-memory
-  /// probe at any budget and thread count.
+  /// runs (MergeRowRuns) back into global probe order. Byte-equal to the
+  /// in-memory probe at any budget and thread count.
   Status GraceSpillJoin();
-  /// Rebuilds table_ over the current build_rows_ group (serial insert:
-  /// duplicate chains come out descending, the in-memory chain order).
-  void BuildGroupTable();
-  /// K-way merge of output runs by (global probe index, run rank); rank
-  /// breaks ties so a probe row's duplicate matches keep the descending
-  /// build-row order across chunked build groups.
-  void MergeOutRuns(std::vector<OutRun>* runs, RowVector* sink,
-                    std::vector<uint32_t>* idx_out) const;
-
   Schema build_schema_;
   Schema probe_schema_;
   Schema out_schema_;

@@ -133,7 +133,9 @@ TEST(SpillSetTest, ChunkRoundTripPreservesRowsAndIndices) {
 
     RowVectorPtr back = RowVector::Make(KeyValueSchema());
     std::vector<uint32_t> back_idx;
-    ASSERT_TRUE(spill.ReadPartition(0, 3, back.get(), &back_idx).ok());
+    for (int c = 0; c < spill.NumChunks(0, 3); ++c) {
+      ASSERT_TRUE(spill.ReadChunk(0, 3, c, back.get(), &back_idx).ok());
+    }
     ASSERT_EQ(back->size(), 100u);
     EXPECT_EQ(0, std::memcmp(back->data(), data->data(),
                              data->size() * data->row_size()));
@@ -145,6 +147,46 @@ TEST(SpillSetTest, ChunkRoundTripPreservesRowsAndIndices) {
   }
   // Destruction deletes everything the set ever wrote.
   EXPECT_TRUE(store.List("spill/").empty());
+}
+
+TEST(SpillSetTest, WriterCutsChunksPerPartitionAndFlushesRemainders) {
+  storage::BlobStore store;
+  ExecContext ctx;
+  ctx.spill_store = &store;
+  RowVectorPtr data = RowVector::Make(KeyValueSchema());
+  for (int64_t i = 0; i < 25; ++i) {
+    RowWriter w = data->AppendRow();
+    w.SetInt64(0, i * 3);
+    w.SetInt64(1, -i);
+  }
+  storage::SpillSet spill(&ctx, "test");
+  storage::SpillWriter writer(&spill, spill.NewPass(), KeyValueSchema(),
+                              /*chunk_rows=*/4);
+  // Rows alternate between partitions 5 and 2; partition 5 gets 13 rows,
+  // partition 2 gets 12.
+  for (uint32_t i = 0; i < 25; ++i) {
+    ASSERT_TRUE(writer.Add(i % 2 == 0 ? 5 : 2, data->row(i).data(), 100 + i)
+                    .ok());
+  }
+  EXPECT_EQ(spill.NumChunks(0, 5), 3);  // full chunks only so far
+  EXPECT_EQ(spill.NumChunks(0, 2), 3);
+  ASSERT_TRUE(writer.Flush().ok());
+  EXPECT_EQ(spill.NumChunks(0, 5), 4);  // + the one-row remainder
+  EXPECT_EQ(spill.NumChunks(0, 2), 3);  // nothing left to flush
+  for (int pid : {2, 5}) {
+    RowVectorPtr back = RowVector::Make(KeyValueSchema());
+    std::vector<uint32_t> back_idx;
+    for (int c = 0; c < spill.NumChunks(0, pid); ++c) {
+      ASSERT_TRUE(spill.ReadChunk(0, pid, c, back.get(), &back_idx).ok());
+    }
+    ASSERT_EQ(back->size(), pid == 5 ? 13u : 12u);
+    for (size_t j = 0; j < back->size(); ++j) {
+      const uint32_t i = 2 * static_cast<uint32_t>(j) + (pid == 5 ? 0 : 1);
+      EXPECT_EQ(back_idx[j], 100 + i);
+      EXPECT_EQ(0, std::memcmp(back->row(j).data(), data->row(i).data(),
+                               data->row_size()));
+    }
+  }
 }
 
 TEST(SpillSetTest, CorruptChunksFailWithStatus) {
@@ -639,6 +681,28 @@ TEST(SpillSortTest, ExternalTopKIsByteEqual) {
   EXPECT_TRUE(run.store.List("spill/").empty());
 }
 
+TEST(SpillSortTest, TopKZeroExitsBeforeSpillAdmission) {
+  // LIMIT 0 over an input past the budget: nothing is sorted or emitted,
+  // so the operator must not be denied, count a spill or write one —
+  // with a spill store or without one.
+  RowVectorPtr data = MakeKv(4096, 1 << 10, 59);
+  for (bool with_store : {true, false}) {
+    SCOPED_TRACE(with_store ? "with store" : "without store");
+    BudgetedRun run(16 << 10, with_store);
+    ASSERT_TRUE(ShouldSpill(data->byte_size(), 16 << 10));
+    RowVectorPtr out;
+    {
+      TopK topk(ScanOf(data), {{0, false}}, 0, KeyValueSchema());
+      Status st = DrainBatches(&topk, &run.ctx, KeyValueSchema(), &out);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_TRUE(run.store.List("spill/").empty());
+    }
+    EXPECT_EQ(out->size(), 0u);
+    EXPECT_EQ(run.budget.denials(), 0);
+    EXPECT_EQ(run.stats.GetCounter("spill.ops.Sort"), 0);
+  }
+}
+
 class SpillJoinTest : public ::testing::TestWithParam<JoinType> {};
 
 TEST_P(SpillJoinTest, GraceJoinIsByteEqual) {
@@ -665,8 +729,10 @@ TEST_P(SpillJoinTest, GraceJoinIsByteEqual) {
   ASSERT_GT(expected->size(), 0u);
 
   // Build side is 512KB: a 128KB budget forces the Grace path with a
-  // resident hybrid prefix; a 32KB budget additionally forces oversized
-  // partitions through the chunked multi-group detour.
+  // resident hybrid prefix; a 32KB budget spills nearly every partition.
+  // Each partition holds ~2KB of build rows against an 8KB quota, so
+  // every one is a single group; HotKeyGraceJoinIsByteEqual covers the
+  // chunked multi-group path.
   for (size_t limit : {size_t{128} << 10, size_t{32} << 10}) {
     BudgetedRun run(limit);
     RowVectorPtr actual;
@@ -681,6 +747,57 @@ TEST_P(SpillJoinTest, GraceJoinIsByteEqual) {
     EXPECT_GT(run.stats.GetCounter("spill.partitions"), 0);
     EXPECT_GT(run.stats.GetCounter("spill.bytes"), 0);
     EXPECT_GE(run.budget.denials(), 1);
+    EXPECT_TRUE(run.store.List("spill/").empty()) << "spill files leaked";
+  }
+}
+
+TEST_P(SpillJoinTest, HotKeyGraceJoinIsByteEqual) {
+  const JoinType type = GetParam();
+  // 3000 of 8192 build rows carry key 7: that partition holds ~48KB of
+  // build rows against the 8KB quota of a 32KB budget, so it is joined
+  // in six chunked build groups — semi/anti through the match bitmap,
+  // inner through the merge of the groups' runs. Every 512th probe row
+  // hits the hot key.
+  RowVectorPtr build = MakeKv(8192, 8192, 47);
+  for (int64_t i = 0; i < 8192; ++i) {
+    if ((i * 11) % 8192 < 3000) {
+      const int64_t hot = 7;
+      std::memcpy(build->mutable_row(i), &hot, sizeof(hot));
+    }
+  }
+  RowVectorPtr probe = MakeKv(4096, 8192, 53);
+  for (int64_t i = 0; i < 4096; i += 512) {
+    const int64_t hot = 7;
+    std::memcpy(probe->mutable_row(i), &hot, sizeof(hot));
+  }
+  auto make_join = [&] {
+    return std::make_unique<BuildProbe>(ScanOf(build), ScanOf(probe),
+                                        KeyValueSchema(), KeyValueSchema(),
+                                        /*build_key_col=*/0,
+                                        /*probe_key_col=*/0, type);
+  };
+
+  RowVectorPtr expected;
+  {
+    BudgetedRun run(0);
+    auto bp = make_join();
+    ASSERT_TRUE(
+        DrainBatches(bp.get(), &run.ctx, bp->out_schema(), &expected).ok());
+  }
+  ASSERT_GT(expected->size(), 0u);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BudgetedRun run(32 << 10);
+    run.ctx.options.num_threads = threads;
+    RowVectorPtr actual;
+    {
+      auto bp = make_join();
+      ASSERT_TRUE(
+          DrainBatches(bp.get(), &run.ctx, bp->out_schema(), &actual).ok());
+    }
+    ExpectBytesEqual(*expected, *actual);
+    EXPECT_EQ(run.stats.GetCounter("spill.ops.BuildProbe"), 1);
+    EXPECT_GT(run.stats.GetCounter("spill.partitions"), 0);
     EXPECT_TRUE(run.store.List("spill/").empty()) << "spill files leaked";
   }
 }

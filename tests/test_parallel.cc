@@ -1416,7 +1416,7 @@ TEST(TopKParallelParity, ByteEqualAndPrefixOfFullSort) {
       const size_t want = std::min(k, data->size());
       ASSERT_EQ(out1->size(), want);
       ExpectBytesEqual(*out1, *out4, "topk k=" + std::to_string(k));
-      ExpectNoFallback(stats4, "Sort");
+      ExpectNoFallback(stats4, "TopK");
       // Limit semantics: top-k must be exactly the first k of the full
       // sorted output (the bounded selection changes cost, not order).
       if (out1->byte_size() > 0) {

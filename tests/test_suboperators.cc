@@ -1,19 +1,21 @@
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <random>
-#include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/exec_context.h"
 #include "core/memory.h"
+#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "storage/blob_store.h"
 #include "suboperators/agg_ops.h"
 #include "suboperators/basic_ops.h"
 #include "suboperators/join_ops.h"
 #include "suboperators/partition_ops.h"
+#include "suboperators/radix.h"
 #include "suboperators/scan_ops.h"
 
 namespace modularis {
@@ -273,23 +275,69 @@ TEST(GroupByPidTest, MergesChunksWithoutMutatingShared) {
   EXPECT_EQ(b->size(), 4u);
 }
 
-TEST(JoinHashTableTest, DuplicateChainsAndMisses) {
-  JoinHashTable table;
-  table.Reserve(8);
-  table.Insert(5, 0);
-  table.Insert(5, 1);
-  table.Insert(9, 2);
-  std::set<uint32_t> rows;
-  for (uint32_t e = table.Find(5); e != JoinHashTable::kNone;
+// Rows of one key's chain, in chain order.
+std::vector<uint32_t> ChainRows(const JoinHashTable& table, int64_t key) {
+  std::vector<uint32_t> rows;
+  for (uint32_t e = table.Find(key); e != JoinHashTable::kNone;
        e = table.NextMatch(e)) {
-    rows.insert(table.RowOf(e));
+    rows.push_back(table.RowOf(e));
   }
-  EXPECT_EQ(rows, (std::set<uint32_t>{0, 1}));
-  EXPECT_EQ(table.Find(6), JoinHashTable::kNone);
-  // Growth keeps entries reachable.
-  for (int64_t k = 100; k < 400; ++k) table.Insert(k, static_cast<uint32_t>(k));
-  EXPECT_NE(table.Find(5), JoinHashTable::kNone);
-  EXPECT_NE(table.Find(399), JoinHashTable::kNone);
+  return rows;
+}
+
+TEST(JoinHashTableTest, DuplicateChainsAndMisses) {
+  const std::vector<int64_t> keys = {5, 9, 5, -3, 5, 9};
+  for (int slices : {1, 2, 4}) {
+    SCOPED_TRACE("slices=" + std::to_string(slices));
+    JoinHashTable table;
+    table.Build(keys.data(), keys.size(), slices);
+    EXPECT_EQ(table.size(), keys.size());
+    // Entry i is row i; a key's chain runs in descending row order.
+    EXPECT_EQ(ChainRows(table, 5), (std::vector<uint32_t>{4, 2, 0}));
+    EXPECT_EQ(ChainRows(table, 9), (std::vector<uint32_t>{5, 1}));
+    EXPECT_EQ(ChainRows(table, -3), (std::vector<uint32_t>{3}));
+    EXPECT_EQ(table.Find(6), JoinHashTable::kNone);
+  }
+  // An empty build finds nothing.
+  JoinHashTable empty;
+  empty.Build(nullptr, 0, 4);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.Find(5), JoinHashTable::kNone);
+  uint32_t out[2];
+  const int64_t probe[2] = {0, 5};
+  empty.FindBatch(probe, 2, out);
+  EXPECT_EQ(out[0], JoinHashTable::kNone);
+  EXPECT_EQ(out[1], JoinHashTable::kNone);
+}
+
+// `distinct` distinct keys whose home slot in a `buckets`-slot table lies
+// in its first quarter, each repeated `copies` times in a row: a 4-slice
+// build puts every key into slice 0, and more than a quarter of the
+// buckets' worth of distinct keys overfills it.
+std::vector<int64_t> KeysHomedInFirstQuarter(size_t distinct, size_t buckets,
+                                             int copies) {
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; keys.size() < distinct * copies; ++k) {
+    if ((MixHash64(static_cast<uint64_t>(k)) & (buckets - 1)) < buckets / 4) {
+      for (int c = 0; c < copies; ++c) keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+TEST(JoinHashTableTest, SliceOverflowRebuildsWithOneSlice) {
+  // 1024 keys need 2048 buckets: four slices of 512, and 600 distinct
+  // keys homed in slice 0 overfill it.
+  const std::vector<int64_t> keys = KeysHomedInFirstQuarter(600, 2048, 1);
+  std::vector<int64_t> all = keys;
+  for (size_t i = 0; all.size() < 1024; ++i) all.push_back(keys[i % 7]);
+  JoinHashTable one, four;
+  one.Build(all.data(), all.size(), 1);
+  four.Build(all.data(), all.size(), 4);
+  ASSERT_EQ(four.size(), all.size());
+  for (int64_t k = -5; k < all.back() + 5; ++k) {
+    ASSERT_EQ(ChainRows(four, k), ChainRows(one, k)) << "key " << k;
+  }
 }
 
 TEST(BuildProbeTest, InnerEmitsConcatenatedRows) {
@@ -316,6 +364,46 @@ TEST(BuildProbeTest, InnerEmitsConcatenatedRows) {
     EXPECT_EQ(r.GetInt64(1), r.GetInt64(0) * 10);  // build payload
     EXPECT_EQ(r.GetInt64(2), r.GetInt64(0));       // probe key copy
   }
+}
+
+TEST(BuildProbeTest, SliceOverflowAtFourWorkersMatchesOneWorker) {
+  // 1024 build rows (512 distinct keys, two rows each) hash into 2048
+  // buckets; every key homes in the first quarter, so the 4-slice build
+  // overfills slice 0 and rebuilds with one slice.
+  const std::vector<int64_t> keys = KeysHomedInFirstQuarter(512, 2048, 2);
+  RowVectorPtr build = RowVector::Make(KeyValueSchema());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    RowWriter w = build->AppendRow();
+    w.SetInt64(0, keys[i]);
+    w.SetInt64(1, static_cast<int64_t>(i));
+  }
+  RowVectorPtr probe = MakeKv(4096, keys.back() + 1, 3);
+  auto run = [&](int threads) {
+    BuildProbe bp(
+        std::make_unique<CollectionSource>(std::vector<RowVectorPtr>{build}),
+        std::make_unique<CollectionSource>(std::vector<RowVectorPtr>{probe}),
+        KeyValueSchema(), KeyValueSchema(), 0, 0);
+    ExecContext ctx;
+    ctx.options.num_threads = threads;
+    ctx.options.parallel_min_rows = 64;
+    EXPECT_EQ(PlanWorkers(keys.size(), ctx.options), threads);
+    RowVectorPtr out = RowVector::Make(bp.out_schema());
+    EXPECT_TRUE(bp.Open(&ctx).ok());
+    RowBatch batch;
+    while (bp.NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        out->AppendRaw(batch.row(i).data());
+      }
+    }
+    EXPECT_TRUE(bp.status().ok()) << bp.status().ToString();
+    return out;
+  };
+  RowVectorPtr one = run(1);
+  RowVectorPtr four = run(4);
+  ASSERT_GT(one->size(), 0u);
+  ASSERT_EQ(one->size(), four->size());
+  EXPECT_EQ(0, std::memcmp(one->data(), four->data(),
+                           one->size() * one->row_size()));
 }
 
 TEST(BuildProbeTest, EmptySidesYieldNoOutput) {
